@@ -215,11 +215,7 @@ func BenchmarkE10ProbeSweep(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			probes := 0
 			for i := 0; i < b.N; i++ {
-				opt := Options{}
-				opt.BinarySearch = mode == "binary"
-				opt.DescendSearch = mode == "descend"
-				opt.ParallelSearch = mode == "parallel"
-				res, err := Compile(programs.Byteswap4, opt)
+				res, err := Compile(programs.Byteswap4, Options{Strategy: mode})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -298,7 +294,7 @@ func BenchmarkE13ParallelCorpus(b *testing.B) {
 		opt  Options
 	}{
 		{"sequential", Options{}},
-		{"parallel-w4", Options{ParallelSearch: true, Workers: 4}},
+		{"parallel-w4", Options{Strategy: "parallel", Workers: 4}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -44,12 +44,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/egraph"
 	"repro/internal/flight"
+	"repro/internal/gma"
 	"repro/internal/history"
 	"repro/internal/lang"
 	"repro/internal/matcher"
 	"repro/internal/naivegen"
 	"repro/internal/obs"
 	"repro/internal/programs"
+	"repro/internal/sat"
+	"repro/internal/schedule"
 	"repro/internal/serve"
 	"repro/internal/stoke"
 	"repro/internal/term"
@@ -254,29 +257,28 @@ func record(g *repro.CompiledGMA) {
 	rows = append(rows, row)
 }
 
-// strategyName labels an Options' budget-search configuration.
-func strategyName(opt repro.Options) string {
-	return opt.StrategyName()
-}
-
 // compile applies the harness-wide -parallel/-workers flags to opt (unless
 // the experiment picked its own strategy), compiles, and labels subsequent
 // record calls with the configuration and the Compile wall time.
 func compile(src string, opt repro.Options) (*repro.Result, time.Duration, error) {
-	if flagParallel && !opt.BinarySearch && !opt.DescendSearch {
-		opt.ParallelSearch = true
+	if flagParallel && opt.Strategy == "" {
+		opt.Strategy = "parallel"
 	}
-	if opt.Workers == 0 && (flagParallel || opt.ParallelSearch) {
+	search, err := core.ParseStrategy(opt.Strategy)
+	if err != nil {
+		return nil, 0, err
+	}
+	if opt.Workers == 0 && (flagParallel || search == core.ParallelSearch) {
 		opt.Workers = flagWorkers
 	}
 	opt.Sink = benchSink
-	curStrategy, curWorkers = strategyName(opt), opt.Workers
+	curStrategy, curWorkers = opt.StrategyName(), opt.Workers
 	curArch = opt.Arch
 	if curArch == "" {
 		curArch = "ev6"
 	}
 	if curWorkers <= 0 {
-		if opt.ParallelSearch {
+		if search == core.ParallelSearch {
 			curWorkers = runtime.GOMAXPROCS(0)
 		} else {
 			curWorkers = 1
@@ -633,7 +635,7 @@ func e10() error {
 	if err != nil {
 		return err
 	}
-	bin, err := compileOne(programs.Byteswap4, repro.Options{BinarySearch: true})
+	bin, err := compileOne(programs.Byteswap4, repro.Options{Strategy: "binary"})
 	if err != nil {
 		return err
 	}
@@ -672,7 +674,7 @@ func e11() error {
 		// from the baseline's budget with bounded probes (the paper's own
 		// checksum run took four hours).
 		res, _, err := compile(programs.Checksum, repro.Options{
-			Arch: a, MaxCycles: 40, MaxConflicts: 20000, DescendSearch: true,
+			Arch: a, MaxCycles: 40, MaxConflicts: 20000, Strategy: "descend",
 		})
 		if err != nil {
 			return err
@@ -765,7 +767,7 @@ func e13() error {
 	if err != nil {
 		return fmt.Errorf("sequential: %w", err)
 	}
-	parT, parC, parO, err := run(repro.Options{ParallelSearch: true, Workers: workers})
+	parT, parC, parO, err := run(repro.Options{Strategy: "parallel", Workers: workers})
 	if err != nil {
 		return fmt.Errorf("parallel: %w", err)
 	}
@@ -1032,116 +1034,165 @@ type e16Row struct {
 	IncrementalSolveMillis  float64 `json:"incremental_solve_ms"`
 }
 
-// e16 measures what the persistent probe engine buys: the example corpus
-// is compiled once with from-scratch probes (one throwaway solver per
-// budget) and once on the incremental engine (one layered encoding, each
-// budget an assumption), and the per-GMA CDCL work is compared. The
-// claim under test: on multi-probe compiles the engine's learned-clause
-// reuse strictly reduces total conflicts, so making it the default is a
-// pure win — the answers themselves must be identical either way. The
-// linear search is used on both sides (-parallel is ignored here) so the
-// probe sequences match and the comparison is deterministic.
+// e16 measures what the persistent probe engine buys. Every GMA of the
+// example corpus is saturated once, then the linear budget ladder
+// K = 0, 1, … is walked twice on that E-graph, straight over the schedule
+// layer: once with a from-scratch Problem per budget and once on one
+// persistent Engine answering each budget as an assumption. The per-GMA
+// CDCL work is compared. The claim under test: on multi-probe ladders the
+// engine's learned-clause reuse strictly reduces total conflicts, while
+// every budget gets the same verdict either way. Running both ladders
+// here, rather than through a compile option, keeps the comparison
+// independent of the adaptive mode pick (core.PrefersScratch), which
+// routes the smallest GMAs to scratch probes in the product. The wall
+// clocks cover each ladder's encode and solve time; matching is shared.
 func e16() error {
 	corpus := []struct {
 		name      string
 		src       string
 		maxCycles int
 	}{
-		{"quickstart", programs.Quickstart, 0},
-		{"byteswap4", programs.Byteswap4, 0},
-		{"byteswap5", programs.Byteswap5, 0},
-		{"copyloop", programs.CopyLoop, 0},
-		{"rowop", programs.Rowop, 0},
+		{"quickstart", programs.Quickstart, 24},
+		{"byteswap4", programs.Byteswap4, 24},
+		{"byteswap5", programs.Byteswap5, 24},
+		{"copyloop", programs.CopyLoop, 24},
+		{"rowop", programs.Rowop, 24},
 		{"rowop4", programs.Rowop4, 64},
-		{"lcp2", programs.Lcp2, 0},
-		{"sumloop", programs.SumLoop, 0},
-		{"checksum", programs.Checksum, 0},
-		{"missloop", programs.MissLoop, 0},
-		{"popcount", programs.Popcount, 0},
+		{"lcp2", programs.Lcp2, 24},
+		{"sumloop", programs.SumLoop, 24},
+		{"checksum", programs.Checksum, 24},
+		{"missloop", programs.MissLoop, 24},
+		{"popcount", programs.Popcount, 24},
 	}
-	run := func(opt repro.Options) (time.Duration, []*repro.CompiledGMA, error) {
-		opt.Sink = benchSink
-		total := time.Duration(0)
-		var gmas []*repro.CompiledGMA
-		for _, p := range corpus {
-			opt.MaxCycles = p.maxCycles
-			start := time.Now()
-			res, err := repro.Compile(p.src, opt)
+	builtin, err := axioms.Builtin()
+	if err != nil {
+		return err
+	}
+	sopt := schedule.Options{Desc: alpha.EV6(), Sink: benchSink}
+	// ladderRun is one side's walk of the linear ladder.
+	type ladderRun struct {
+		cycles           int
+		optimal          bool
+		probes, warm     int
+		conflicts, props int64
+		solve, wall      time.Duration
+		verdicts         []sat.Result
+	}
+	// ladder walks K = 0, 1, … until SAT. solve answers budget k and
+	// reports the time spent solving; encoding (a fresh Problem, or the
+	// Engine's first window) counts toward the side's wall clock but not
+	// its solve time, matching how core accounts probes.
+	ladder := func(maxCycles int, solve func(k int) (schedule.Stat, time.Duration, error)) (ladderRun, error) {
+		r := ladderRun{cycles: -1, optimal: true}
+		start := time.Now()
+		for k := 0; k <= maxCycles && r.cycles < 0; k++ {
+			stat, elapsed, err := solve(k)
 			if err != nil {
-				return 0, nil, fmt.Errorf("%s: %w", p.name, err)
+				return r, err
 			}
-			total += time.Since(start)
-			for _, proc := range res.Procs {
-				gmas = append(gmas, proc.GMAs...)
+			r.probes++
+			r.solve += elapsed
+			r.conflicts += stat.Solver.Conflicts
+			r.props += stat.Solver.Propagations
+			if stat.Reused {
+				r.warm++
 			}
-		}
-		return total, gmas, nil
-	}
-	off, on := false, true
-	scratchT, scratchG, err := run(repro.Options{Incremental: &off})
-	if err != nil {
-		return fmt.Errorf("scratch: %w", err)
-	}
-	// Incremental: &on pins the engine past the adaptive size pick, which
-	// would otherwise route the small corpus GMAs to scratch probes and
-	// leave this comparison measuring nothing.
-	incT, incG, err := run(repro.Options{Incremental: &on})
-	if err != nil {
-		return fmt.Errorf("incremental: %w", err)
-	}
-	if len(scratchG) != len(incG) {
-		return fmt.Errorf("corpus mismatch: %d GMAs scratch, %d incremental", len(scratchG), len(incG))
-	}
-	sums := func(g *repro.CompiledGMA) (conflicts, props int64, warm int) {
-		for _, p := range g.Probes {
-			conflicts += p.Conflicts
-			props += p.Propagations
-			if p.Reused {
-				warm++
+			r.verdicts = append(r.verdicts, stat.Result)
+			switch stat.Result {
+			case sat.Sat:
+				r.cycles = k
+			case sat.Unknown:
+				r.optimal = false
 			}
 		}
-		return
+		r.wall = time.Since(start)
+		if r.cycles < 0 {
+			return r, core.ErrNoSchedule
+		}
+		return r, nil
 	}
+	var scratchT, incT time.Duration
 	fmt.Printf("%-18s %6s %6s %12s %12s %14s %14s %10s %10s\n",
 		"gma", "cycles", "probes", "scr-confl", "inc-confl", "scr-props", "inc-props", "scr-ms", "inc-ms")
 	var out []e16Row
 	wins, multi := 0, 0
-	for i, s := range incG {
-		b := scratchG[i]
-		if b.Name != s.Name {
-			return fmt.Errorf("gma order mismatch: %s vs %s", b.Name, s.Name)
+	for _, p := range corpus {
+		prog, err := lang.Parse(p.src)
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.name, err)
 		}
-		if b.Cycles != s.Cycles || b.OptimalProven != s.OptimalProven {
-			return fmt.Errorf("%s: scratch (%d cycles, optimal=%v) and incremental (%d, %v) disagree",
-				s.Name, b.Cycles, b.OptimalProven, s.Cycles, s.OptimalProven)
-		}
-		if len(b.Probes) != len(s.Probes) {
-			return fmt.Errorf("%s: %d scratch probes vs %d incremental", s.Name, len(b.Probes), len(s.Probes))
-		}
-		bc, bp, _ := sums(b)
-		sc, sp, warm := sums(s)
-		row := e16Row{
-			GMA: s.Name, Cycles: s.Cycles, Optimal: s.OptimalProven,
-			Probes: len(s.Probes), WarmProbes: warm,
-			ScratchConflicts: bc, IncrementalConflicts: sc,
-			ScratchPropagations: bp, IncrementalPropagations: sp,
-			ScratchSolveMillis:     float64(b.SolveTime.Microseconds()) / 1e3,
-			IncrementalSolveMillis: float64(s.SolveTime.Microseconds()) / 1e3,
-		}
-		out = append(out, row)
-		if len(s.Probes) >= 2 {
-			multi++
-			if sc < bc {
-				wins++
+		axs := append(append([]*axioms.Axiom{}, builtin...), prog.Axioms...)
+		for _, proc := range prog.Procs {
+			for _, g := range proc.GMAs {
+				graph, err := saturate(g, axs)
+				if err != nil {
+					return fmt.Errorf("%s: %w", g.Name, err)
+				}
+				scr, err := ladder(p.maxCycles, func(k int) (schedule.Stat, time.Duration, error) {
+					prob, err := schedule.NewProblem(graph, g, k, sopt)
+					if err != nil {
+						return schedule.Stat{}, 0, err
+					}
+					t0 := time.Now()
+					_, stat, err := prob.Solve()
+					return stat, time.Since(t0), err
+				})
+				if err != nil {
+					return fmt.Errorf("%s scratch: %w", g.Name, err)
+				}
+				// The engine encodes its own clone: Problem setup adds input
+				// and constant terms to the graph it encodes.
+				engGraph := graph.Clone()
+				var eng *schedule.Engine
+				inc, err := ladder(p.maxCycles, func(k int) (schedule.Stat, time.Duration, error) {
+					if eng == nil {
+						var err error
+						if eng, err = schedule.NewEngine(engGraph, g, min(7, p.maxCycles), p.maxCycles, sopt); err != nil {
+							return schedule.Stat{}, 0, err
+						}
+					}
+					t0 := time.Now()
+					_, stat, err := eng.SolveBudget(k)
+					return stat, time.Since(t0), err
+				})
+				if err != nil {
+					return fmt.Errorf("%s incremental: %w", g.Name, err)
+				}
+				scratchT += scr.wall
+				incT += inc.wall
+				if scr.cycles != inc.cycles || scr.optimal != inc.optimal {
+					return fmt.Errorf("%s: scratch (%d cycles, optimal=%v) and incremental (%d, %v) disagree",
+						g.Name, scr.cycles, scr.optimal, inc.cycles, inc.optimal)
+				}
+				for k, v := range scr.verdicts {
+					if inc.verdicts[k] != v {
+						return fmt.Errorf("%s K=%d: scratch %v, incremental %v", g.Name, k, v, inc.verdicts[k])
+					}
+				}
+				row := e16Row{
+					GMA: g.Name, Cycles: inc.cycles, Optimal: inc.optimal,
+					Probes: inc.probes, WarmProbes: inc.warm,
+					ScratchConflicts: scr.conflicts, IncrementalConflicts: inc.conflicts,
+					ScratchPropagations: scr.props, IncrementalPropagations: inc.props,
+					ScratchSolveMillis:     float64(scr.solve.Microseconds()) / 1e3,
+					IncrementalSolveMillis: float64(inc.solve.Microseconds()) / 1e3,
+				}
+				out = append(out, row)
+				if inc.probes >= 2 {
+					multi++
+					if inc.conflicts < scr.conflicts {
+						wins++
+					}
+				}
+				fmt.Printf("%-18s %6d %6d %12d %12d %14d %14d %10.1f %10.1f\n",
+					g.Name, inc.cycles, inc.probes, scr.conflicts, inc.conflicts, scr.props, inc.props,
+					row.ScratchSolveMillis, row.IncrementalSolveMillis)
 			}
 		}
-		fmt.Printf("%-18s %6d %6d %12d %12d %14d %14d %10.1f %10.1f\n",
-			s.Name, s.Cycles, len(s.Probes), bc, sc, bp, sp,
-			row.ScratchSolveMillis, row.IncrementalSolveMillis)
 	}
 	fmt.Printf("corpus wall clock: %v scratch, %v incremental; conflicts strictly reduced on %d/%d multi-probe compiles\n",
 		scratchT.Round(time.Millisecond), incT.Round(time.Millisecond), wins, multi)
-	fmt.Println("(identical cycle counts and optimality verdicts on both sides — incrementality changes the work, never the answer)")
+	fmt.Println("(identical verdicts at every budget on both sides — incrementality changes the work, never the answer)")
 	if incOutPath != "" {
 		doc := struct {
 			Schema      string   `json:"schema"`
@@ -1175,6 +1226,30 @@ func e16() error {
 		return fmt.Errorf("incremental search reduced conflicts on only %d of %d multi-probe compiles", wins, multi)
 	}
 	return nil
+}
+
+// saturate builds one GMA's E-graph as core.CompileGMA does before its
+// budget search: the goals, then the programmer's assumptions, then
+// matching to quiescence or the default budgets.
+func saturate(g *gma.GMA, axs []*axioms.Axiom) (*egraph.Graph, error) {
+	graph := egraph.New()
+	for _, goal := range g.Goals() {
+		graph.AddTerm(goal)
+	}
+	for _, as := range g.Assumes {
+		a, b := graph.AddTerm(as.A), graph.AddTerm(as.B)
+		var err error
+		if as.Eq {
+			err = graph.Merge(a, b)
+		} else {
+			err = graph.AssertDistinct(a, b)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	_, err := matcher.Saturate(graph, axs, matcher.Options{})
+	return graph, err
 }
 
 // e17Row is one golden program in the E17 comparison: its cold (fresh

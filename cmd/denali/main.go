@@ -46,6 +46,7 @@ import (
 
 	"repro"
 	"repro/internal/compilecache"
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/history"
 	"repro/internal/obs"
@@ -62,31 +63,28 @@ func main() {
 		return
 	}
 	var (
-		archName    = flag.String("arch", "ev6", "machine model: ev6, ev6-noclusters, ev6-single, ev6-dual")
-		binary      = flag.Bool("binary-search", false, "binary search over cycle budgets instead of linear")
-		parallel    = flag.Bool("parallel", false, "speculative parallel search over cycle budgets")
-		strategy    = flag.String("strategy", "", "budget search engine: linear, binary, descend, parallel, stochastic, or portfolio (overrides -binary-search/-parallel)")
-		seed        = flag.Uint64("seed", 0, "random seed for the stochastic/portfolio engines (default: derived from the request ID)")
-		workers     = flag.Int("workers", 0, "worker bound for -parallel probes and multi-GMA compilation (0 = GOMAXPROCS)")
-		maxCycles   = flag.Int("max-cycles", 24, "largest cycle budget to try")
-		incremental = flag.Bool("incremental", true, "answer budget probes on a persistent assumption-based solver; =false re-solves each budget from scratch")
-		maxRounds   = flag.Int("matcher-rounds", 0, "matcher round budget (0 = default)")
-		maxNodes    = flag.Int("matcher-nodes", 0, "matcher node budget (0 = default)")
-		verifyN     = flag.Int("verify", 0, "verify each schedule on N random inputs")
-		certify     = flag.Bool("certify", false, "record DRAT proofs and re-check the optimality refutation with the independent checker")
-		proofOut    = flag.String("proof-out", "", "write each certified refutation as <path>_<gma>.drat with a companion .cnf (implies -certify)")
-		probes      = flag.Bool("probes", false, "print per-probe SAT statistics")
-		listing     = flag.Bool("nops", false, "print the nop-padded issue-slot listing")
-		baseline    = flag.Bool("baseline", false, "also compile with the conventional baseline generator")
-		quiet       = flag.Bool("q", false, "print only the summary line per GMA")
-		dotPath     = flag.String("dot", "", "write each GMA's saturated E-graph as <path>_<gma>.dot")
-		tracePath   = flag.String("trace", "", "write a Chrome trace_event JSON file of the compile pipeline")
-		metrics     = flag.Bool("metrics", false, "print the per-phase metrics summary table on stderr")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		reportOut   = flag.String("report-out", "", "append this run's flight report as one JSON line to this file")
-		requestID   = flag.String("request-id", "", "request ID for the flight report and provenance comments (default: generated)")
-		cacheDir    = flag.String("cache-dir", "", "enable the compile cache, persisted in this directory: identical compiles (same GMA, options, axioms and build) are answered from it across runs")
-		cacheMax    = flag.Int("cache-max", 1024, "in-memory compile-cache entry bound (with -cache-dir)")
+		archName  = flag.String("arch", "ev6", "machine model: ev6, ev6-noclusters, ev6-single, ev6-dual")
+		strategy  = flag.String("strategy", "linear", "budget search engine: linear, binary, descend, parallel, stochastic, or portfolio")
+		seed      = flag.Uint64("seed", 0, "random seed for the stochastic/portfolio engines (default: derived from the request ID)")
+		workers   = flag.Int("workers", 0, "worker bound for -strategy parallel probes and multi-GMA compilation (0 = GOMAXPROCS)")
+		maxCycles = flag.Int("max-cycles", 24, "largest cycle budget to try")
+		maxRounds = flag.Int("matcher-rounds", 0, "matcher round budget (0 = default)")
+		maxNodes  = flag.Int("matcher-nodes", 0, "matcher node budget (0 = default)")
+		verifyN   = flag.Int("verify", 0, "verify each schedule on N random inputs")
+		certify   = flag.Bool("certify", false, "record DRAT proofs and re-check the optimality refutation with the independent checker")
+		proofOut  = flag.String("proof-out", "", "write each certified refutation as <path>_<gma>.drat with a companion .cnf (implies -certify)")
+		probes    = flag.Bool("probes", false, "print per-probe SAT statistics")
+		listing   = flag.Bool("nops", false, "print the nop-padded issue-slot listing")
+		baseline  = flag.Bool("baseline", false, "also compile with the conventional baseline generator")
+		quiet     = flag.Bool("q", false, "print only the summary line per GMA")
+		dotPath   = flag.String("dot", "", "write each GMA's saturated E-graph as <path>_<gma>.dot")
+		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON file of the compile pipeline")
+		metrics   = flag.Bool("metrics", false, "print the per-phase metrics summary table on stderr")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		reportOut = flag.String("report-out", "", "append this run's flight report as one JSON line to this file")
+		requestID = flag.String("request-id", "", "request ID for the flight report and provenance comments (default: generated)")
+		cacheDir  = flag.String("cache-dir", "", "enable the compile cache, persisted in this directory: identical compiles (same GMA, options, axioms and build) are answered from it across runs")
+		cacheMax  = flag.Int("cache-max", 1024, "in-memory compile-cache entry bound (with -cache-dir)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -102,6 +100,9 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
 	}
+	if _, err := core.ParseStrategy(*strategy); err != nil {
+		fatal(err)
+	}
 	src, err := readSource(flag.Arg(0))
 	if err != nil {
 		fatal(err)
@@ -112,36 +113,16 @@ func main() {
 	}
 	opt := repro.Options{
 		Arch:             *archName,
-		BinarySearch:     *binary,
-		ParallelSearch:   *parallel,
+		Strategy:         *strategy,
 		Workers:          *workers,
 		MaxCycles:        *maxCycles,
 		MatcherMaxRounds: *maxRounds,
 		MatcherMaxNodes:  *maxNodes,
 		Certify:          *certify || *proofOut != "",
-		Incremental:      incremental,
 		Trace:            tr,
 	}
-	// -strategy names the engine directly and overrides the legacy bool
-	// flags; -seed pins the stochastic engines' randomness (flag.Visit
+	// -seed pins the stochastic engines' randomness (flag.Visit
 	// distinguishes an explicit -seed 0 from the absent default).
-	switch *strategy {
-	case "":
-	case "linear":
-		opt.BinarySearch, opt.ParallelSearch = false, false
-	case "binary":
-		opt.BinarySearch, opt.ParallelSearch = true, false
-	case "descend":
-		opt.DescendSearch = true
-	case "parallel":
-		opt.ParallelSearch = true
-	case "stochastic":
-		opt.StochasticSearch = true
-	case "portfolio":
-		opt.PortfolioSearch = true
-	default:
-		fatal(fmt.Errorf("unknown strategy %q (want linear, binary, descend, parallel, stochastic or portfolio)", *strategy))
-	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" {
 			s := *seed
@@ -283,28 +264,26 @@ func main() {
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("denali serve", flag.ExitOnError)
 	var (
-		addr        = fs.String("addr", ":8473", "listen address (host:port; port 0 picks a free port)")
-		addrFile    = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
-		archName    = fs.String("arch", "ev6", "machine model: ev6, ev6-noclusters, ev6-single, ev6-dual, itanium")
-		parallel    = fs.Bool("parallel", false, "default to the speculative parallel budget search")
-		certify     = fs.Bool("certify", false, "default to DRAT-certifying optimality claims (requests may override with \"certify\")")
-		incremental = fs.Bool("incremental", true, "default to the persistent incremental budget search (requests may override with \"incremental\")")
-		workers     = fs.Int("workers", 0, "worker bound per compilation and ceiling for request overrides (0 = GOMAXPROCS)")
-		maxConc     = fs.Int("max-concurrent", 0, "concurrent /compile requests (0 = workers)")
-		reqTimeout  = fs.Duration("timeout", 60*time.Second, "per-request compile timeout")
-		drain       = fs.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
-		accessLog   = fs.Bool("access-log", false, "log one JSON line per HTTP request to stderr (request ID, status, latency, strategy, cycles)")
-		flightRing  = fs.Int("flight-ring", 0, "flight reports kept for /debug/requests (0 = default)")
-		cacheMax    = fs.Int("cache-max", 1024, "in-memory compile-cache entries (0 disables the cache)")
-		cacheDir    = fs.String("cache-dir", "", "persist the compile cache in this directory (entries survive restarts)")
-		historyDir  = fs.String("history-dir", "", "persist the compile-history warehouse in this directory (aggregates survive restarts)")
-		sloAvail    = fs.Float64("slo-availability", 0, "availability objective for /debug/slo and denali_slo_* (0 = default 0.999)")
-		sloP95MS    = fs.Float64("slo-p95-ms", 0, "p95 latency objective in ms for /debug/slo and denali_slo_* (0 = default 2000)")
-		route       = fs.String("route", "", "run as a fleet front door routing to these worker addresses (comma-separated host:port); no local compiling")
-		routeFile   = fs.String("route-file", "", "like -route, but read worker addresses from these files (comma-separated paths, each written by a worker's -addr-file)")
-		routeProbe  = fs.Duration("route-probe", 0, "worker /readyz probe interval in router mode (0 = 1s)")
-		routeRetry  = fs.Int("route-retries", 0, "dispatch attempts per routed request (0 = one per worker)")
-		routeWait   = fs.Duration("route-backoff", 0, "base retry backoff in router mode, doubled per attempt and capped at 1s (0 = 25ms)")
+		addr       = fs.String("addr", ":8473", "listen address (host:port; port 0 picks a free port)")
+		addrFile   = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
+		archName   = fs.String("arch", "ev6", "machine model: ev6, ev6-noclusters, ev6-single, ev6-dual, itanium")
+		certify    = fs.Bool("certify", false, "default to DRAT-certifying optimality claims (requests may override with \"certify\")")
+		workers    = fs.Int("workers", 0, "worker bound per compilation and ceiling for request overrides (0 = GOMAXPROCS)")
+		maxConc    = fs.Int("max-concurrent", 0, "concurrent /compile requests (0 = workers)")
+		reqTimeout = fs.Duration("timeout", 60*time.Second, "per-request compile timeout")
+		drain      = fs.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
+		accessLog  = fs.Bool("access-log", false, "log one JSON line per HTTP request to stderr (request ID, status, latency, strategy, cycles)")
+		flightRing = fs.Int("flight-ring", 0, "flight reports kept for /debug/requests (0 = default)")
+		cacheMax   = fs.Int("cache-max", 1024, "in-memory compile-cache entries (0 disables the cache)")
+		cacheDir   = fs.String("cache-dir", "", "persist the compile cache in this directory (entries survive restarts)")
+		historyDir = fs.String("history-dir", "", "persist the compile-history warehouse in this directory (aggregates survive restarts)")
+		sloAvail   = fs.Float64("slo-availability", 0, "availability objective for /debug/slo and denali_slo_* (0 = default 0.999)")
+		sloP95MS   = fs.Float64("slo-p95-ms", 0, "p95 latency objective in ms for /debug/slo and denali_slo_* (0 = default 2000)")
+		route      = fs.String("route", "", "run as a fleet front door routing to these worker addresses (comma-separated host:port); no local compiling")
+		routeFile  = fs.String("route-file", "", "like -route, but read worker addresses from these files (comma-separated paths, each written by a worker's -addr-file)")
+		routeProbe = fs.Duration("route-probe", 0, "worker /readyz probe interval in router mode (0 = 1s)")
+		routeRetry = fs.Int("route-retries", 0, "dispatch attempts per routed request (0 = one per worker)")
+		routeWait  = fs.Duration("route-backoff", 0, "base retry backoff in router mode, doubled per attempt and capped at 1s (0 = 25ms)")
 	)
 	fs.Parse(args)
 	if fs.NArg() != 0 {
@@ -319,11 +298,9 @@ func serveMain(args []string) {
 	cfg := serve.Config{
 		Addr: *addr,
 		Options: repro.Options{
-			Arch:           *archName,
-			ParallelSearch: *parallel,
-			Workers:        *workers,
-			Certify:        *certify,
-			Incremental:    incremental,
+			Arch:    *archName,
+			Workers: *workers,
+			Certify: *certify,
 		},
 		MaxConcurrent:      *maxConc,
 		RequestTimeout:     *reqTimeout,

@@ -183,8 +183,8 @@ func (c *Cache) GetOrCompute(key string, mode Mode, compute func() (Entry, error
 		if entry, ok, err := store.Get(key); err != nil {
 			sink.Add(obs.MCacheStoreErrors, 1)
 		} else if ok {
-			c.resolve(key, fl, entry, nil)
 			c.insert(key, entry)
+			c.resolve(key, fl, entry, nil)
 			sink.Add(obs.MCacheHits, 1, obs.T("tier", "disk"))
 			sink.Observe(obs.MCacheHitSeconds, time.Since(start).Seconds())
 			return entry, OutcomeHit, nil
@@ -210,11 +210,16 @@ func (c *Cache) lead(key string, fl *flightCall, compute func() (Entry, error)) 
 	c.sink.Add(obs.MCacheMisses, 1)
 	entry, err := compute()
 	resolved = true
+	if err == nil {
+		// Insert before deregistering the flight: a request arriving in
+		// between must find the entry or the flight, never neither (which
+		// would start a second compile of the same key).
+		c.insert(key, entry)
+	}
 	c.resolve(key, fl, entry, err)
 	if err != nil {
 		return Entry{}, OutcomeMiss, err
 	}
-	c.insert(key, entry)
 	if c.store != nil {
 		if serr := c.store.Put(key, entry); serr != nil {
 			c.sink.Add(obs.MCacheStoreErrors, 1)

@@ -3,6 +3,7 @@ package compilecache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,48 @@ func entryOf(key, payload string) Entry {
 	e := testEntry(key)
 	e.Assembly = payload
 	return e
+}
+
+// TestRepeatAfterCoalesceHits: a request issued the moment a coalesced
+// waiter is released must hit. The leader stores its entry before it
+// retires the flight, so a caller can never find neither and start a
+// second compute. A large entry widens the leader's store step (sizing
+// the entry marshals it), the window such a repeat would land in.
+func TestRepeatAfterCoalesceHits(t *testing.T) {
+	c := New(Config{MaxEntries: 64})
+	payload := strings.Repeat("addq r1, r2, r3\n", 1<<15)
+	for round := 0; round < 20; round++ {
+		key := testKey(100 + round)
+		var computes atomic.Int32
+		started, release := make(chan struct{}), make(chan struct{})
+		compute := func() (Entry, error) {
+			if computes.Add(1) == 1 {
+				close(started)
+				<-release
+			}
+			return entryOf(key, payload), nil
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			c.GetOrCompute(key, ModeUse, compute)
+		}()
+		<-started
+		go func() {
+			defer wg.Done()
+			c.GetOrCompute(key, ModeUse, compute) // coalesces onto the leader
+			c.GetOrCompute(key, ModeUse, compute) // the repeat
+		}()
+		// Give the waiter time to block on the flight; the assertion holds
+		// however the two goroutines interleave.
+		time.Sleep(time.Millisecond)
+		close(release)
+		wg.Wait()
+		if n := computes.Load(); n != 1 {
+			t.Fatalf("round %d: %d computes of one key, want 1", round, n)
+		}
+	}
 }
 
 // TestStampede is the thundering-herd guarantee: N concurrent identical

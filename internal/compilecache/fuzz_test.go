@@ -31,7 +31,6 @@ func FuzzKey(f *testing.F) {
 			BuildVersion:      "fuzz-build",
 			DisableAtMostOnce: cfgBits&1 != 0,
 			Certify:           cfgBits&2 != 0,
-			Incremental:       cfgBits&4 != 0,
 			MaxCycles:         int(cfgBits>>4) + 1,
 		}
 		for _, p := range prog.Procs {

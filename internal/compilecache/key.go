@@ -10,7 +10,7 @@
 //	Key        a canonical compile identity — SHA-256 over the GMA's
 //	           alpha-renamed canonical rendering (flight.Canonical) plus
 //	           every option that shapes the result (arch, axiom-bundle
-//	           version, certify/incremental, search budgets) and the
+//	           version, certify, search budgets) and the
 //	           build version, so a stale hit across builds or option
 //	           changes is impossible by construction
 //	Cache      a goroutine-safe in-process LRU bounded by entries and
@@ -42,15 +42,16 @@ import (
 // schemaVersion is baked into every key: bump it when the Entry layout or
 // the canonical key rendering changes incompatibly, and every old entry
 // (memory or disk) silently becomes unreachable instead of wrongly live.
-const schemaVersion = "denali-cache/v1"
+const schemaVersion = "denali-cache/v2"
 
 // KeyConfig is the option slice of a compile identity: everything beyond
 // the GMA itself that can change the result a compile produces. The
 // budget-search *strategy* (linear/binary/descend/parallel) and worker
 // count are deliberately absent — every strategy provably finds the same
 // optimum (the equivalence gates pin this), so results cache across
-// strategies; options with result-shape impact (certify, incremental,
-// search budgets, the axiom bundle, the build itself) all key.
+// strategies; options with result-shape impact (certify, search budgets,
+// the axiom bundle, the build itself) all key. The probe mode (scratch or
+// incremental) needs no field: the GMA alone picks it.
 type KeyConfig struct {
 	// Arch is the machine-model name ("" normalizes to "ev6").
 	Arch string
@@ -72,8 +73,6 @@ type KeyConfig struct {
 	DisableAtMostOnce bool
 	// Certify changes the result shape (certified flag, proof work).
 	Certify bool
-	// Incremental changes the probe ladder a result reports.
-	Incremental bool
 }
 
 // normalized maps default-equivalent configs onto one canonical form so
@@ -97,10 +96,10 @@ func Key(g *gma.GMA, cfg KeyConfig) string {
 	cfg = cfg.normalized()
 	text, _ := flight.Canonical(g)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\narch=%s\naxioms=%s\nbuild=%s\nmax-cycles=%d\nmax-conflicts=%d\nmatcher-rounds=%d\nmatcher-nodes=%d\nno-amo=%v\ncertify=%v\nincremental=%v\ngma:\n",
+	fmt.Fprintf(&b, "%s\narch=%s\naxioms=%s\nbuild=%s\nmax-cycles=%d\nmax-conflicts=%d\nmatcher-rounds=%d\nmatcher-nodes=%d\nno-amo=%v\ncertify=%v\ngma:\n",
 		schemaVersion, cfg.Arch, cfg.AxiomVersion, cfg.BuildVersion,
 		cfg.MaxCycles, cfg.MaxConflicts, cfg.MatcherMaxRounds, cfg.MatcherMaxNodes,
-		cfg.DisableAtMostOnce, cfg.Certify, cfg.Incremental)
+		cfg.DisableAtMostOnce, cfg.Certify)
 	b.WriteString(text)
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])

@@ -145,7 +145,7 @@ func TestKeyConfigSeparates(t *testing.T) {
 		Arch: "ev6", AxiomVersion: "ax0", BuildVersion: "b0",
 		MaxCycles: 24, MaxConflicts: 0,
 		MatcherMaxRounds: 0, MatcherMaxNodes: 0,
-		DisableAtMostOnce: false, Certify: false, Incremental: true,
+		DisableAtMostOnce: false, Certify: false,
 	}
 	want := Key(g, base)
 	mutations := map[string]KeyConfig{}
@@ -176,9 +176,6 @@ func TestKeyConfigSeparates(t *testing.T) {
 	m = base
 	m.Certify = true
 	mutations["Certify"] = m
-	m = base
-	m.Incremental = false
-	mutations["Incremental"] = m
 	for field, cfg := range mutations {
 		if got := Key(g, cfg); got == want {
 			t.Errorf("changing %s did not change the key", field)

@@ -87,6 +87,24 @@ func (s SearchStrategy) String() string {
 	return "linear"
 }
 
+// ParseStrategy resolves a strategy name ("linear", "binary", "descend",
+// "parallel", "stochastic", "portfolio") to its SearchStrategy; the empty
+// string means linear, the paper's own sweep. It is the single place a
+// strategy name is validated: repro.Options.Strategy, the denali
+// -strategy flag, serve's per-request "strategy" field and the benchmark
+// harness all resolve through it.
+func ParseStrategy(name string) (SearchStrategy, error) {
+	if name == "" {
+		return LinearSearch, nil
+	}
+	for s := LinearSearch; s <= PortfolioSearch; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return LinearSearch, fmt.Errorf("unknown strategy %q (want linear, binary, descend, parallel, stochastic or portfolio)", name)
+}
+
 // Options configures compilation of a GMA.
 type Options struct {
 	// Desc is the machine description; defaults are not provided — the
@@ -105,21 +123,6 @@ type Options struct {
 	// UpperBoundHint seeds DescendSearch with a known-feasible budget
 	// (e.g. the baseline compiler's cycle count); 0 means MaxCycles.
 	UpperBoundHint int
-	// DisableIncremental reverts the budget search to one from-scratch
-	// Problem (fresh CDCL solver, full re-encode) per probe. By default
-	// probes run on a persistent schedule.Engine that answers "budget ≤ k"
-	// as a solver assumption, so conflict clauses learned refuting one
-	// budget keep pruning every later probe. The switch exists so
-	// incrementality regressions can be bisected in production without a
-	// rebuild (the denali -incremental flag and serve's per-request
-	// "incremental" field end up here). Results are equivalent either way;
-	// only probe cost and the Probe.Incremental/Reused markers change.
-	DisableIncremental bool
-	// ForceIncremental pins the budget search to the persistent
-	// incremental engine even for GMAs the adaptive pick would route to
-	// from-scratch probes (see PrefersScratch). DisableIncremental wins
-	// when both are set.
-	ForceIncremental bool
 	// Workers bounds the number of concurrently in-flight SAT probes for
 	// ParallelSearch; <= 0 means GOMAXPROCS. Other strategies ignore it.
 	Workers int
@@ -287,49 +290,91 @@ func CompileGMA(gm *gma.GMA, opt Options) (compiled *Compiled, err error) {
 // descendSearch probes downward from a feasible upper bound, paying the
 // expensive just-below-optimal refutation exactly once. If the hint turns
 // out infeasible it falls back to searching upward from there.
-func (c *Compiled) descendSearch(probe probeFunc, maxCycles, hint int) error {
+//
+// bound, when non-nil, feeds in externally verified feasible schedules
+// (the portfolio's stochastic racer): at the top of every step, and at
+// every budget of the upward search, a bound at or below the next budget
+// is adopted outright and the walk resumes strictly below it. A probe the
+// feed interrupted (Unknown with Solver.Cancelled) is retried, and the
+// retry adopts the bound that cut it. Without a feed nothing can
+// interrupt a probe, so a cancelled answer is never retried and the walk
+// cannot spin. c.Engine records which side supplied the final schedule.
+func (c *Compiled) descendSearch(probe probeFunc, maxCycles, hint int, bound boundFeed) error {
 	ub := hint
 	if ub <= 0 || ub > maxCycles {
 		ub = maxCycles
 	}
 	found := false
-	for k := ub; k >= 0; k-- {
+	adopt := func(k int) bool {
+		if bound == nil {
+			return false
+		}
+		b, sched := bound()
+		if b < 0 || b > k {
+			return false
+		}
+		c.Schedule, c.Cycles, c.Engine = sched, b, "stochastic"
+		found = true
+		return true
+	}
+	interrupted := func(res sat.Result) bool {
+		return bound != nil && res == sat.Unknown && c.Probes[len(c.Probes)-1].Solver.Cancelled
+	}
+descend:
+	for k := ub; k >= 0; {
+		if adopt(k) {
+			k = c.Cycles - 1
+			continue
+		}
 		sched, res, err := probe(k)
 		if err != nil {
 			return err
 		}
-		if res == sat.Sat {
-			c.Schedule = sched
-			c.Cycles = k
+		switch {
+		case res == sat.Sat:
+			c.Schedule, c.Cycles, c.Engine = sched, k, "sat"
 			found = true
-			continue
-		}
-		if found {
+			k--
+		case interrupted(res):
+			// Retry k: the adopt at the top of the loop takes the bound.
+		case found:
 			// The first failing budget below a success: optimal if the
 			// failure is a proof, merely best-known on a budget timeout.
 			c.OptimalProven = res == sat.Unsat
 			return nil
+		default:
+			break descend // the hint itself failed; search upward instead
 		}
-		break // the hint itself failed; search upward instead
 	}
 	if found {
-		c.OptimalProven = true // descended all the way to K=0
+		c.OptimalProven = true // descended (or was bounded) all the way to K=0
 		return nil
 	}
 	for k := ub + 1; k <= maxCycles; k++ {
+		if adopt(k) {
+			c.OptimalProven = false
+			return nil
+		}
 		sched, res, err := probe(k)
 		if err != nil {
 			return err
 		}
+		if interrupted(res) {
+			k-- // retry k against the bound that cut it
+			continue
+		}
 		if res == sat.Sat {
-			c.Schedule = sched
-			c.Cycles = k
+			c.Schedule, c.Cycles, c.Engine = sched, k, "sat"
 			c.OptimalProven = false
 			return nil
 		}
 	}
 	return ErrNoSchedule
 }
+
+// boundFeed reports the best externally verified feasible schedule found
+// so far, or a negative cycle count when there is none yet.
+type boundFeed func() (cycles int, sched *schedule.Schedule)
 
 type probeFunc func(k int) (*schedule.Schedule, sat.Result, error)
 

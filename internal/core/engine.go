@@ -51,7 +51,10 @@ const adaptiveScratchMaxGoal = 6
 
 // PrefersScratch reports that the GMA's goals are small enough that the
 // budget search is expected to resolve within about two probes, where a
-// throwaway Problem per probe beats a persistent incremental engine.
+// throwaway Problem per probe beats a persistent incremental engine. It
+// is the only probe-mode selector: the sequential ladder and the parallel
+// speculator both follow it, and no option overrides it (answers are
+// identical either way; only probe cost changes).
 func PrefersScratch(gm *gma.GMA) bool {
 	size := 0
 	for _, goal := range gm.Goals() {
@@ -60,27 +63,14 @@ func PrefersScratch(gm *gma.GMA) bool {
 	return size <= adaptiveScratchMaxGoal
 }
 
-// useScratchProbes resolves the probe-ladder mode: explicit overrides
-// first (DisableIncremental forces scratch, ForceIncremental forces the
-// persistent engine), the adaptive size pick otherwise.
-func useScratchProbes(gm *gma.GMA, opt Options) bool {
-	if opt.DisableIncremental {
-		return true
-	}
-	if opt.ForceIncremental {
-		return false
-	}
-	return PrefersScratch(gm)
-}
-
 // probeLadder builds the probe function the sequential budget strategies
 // walk. Each K-probe is one span tagged with the outcome
 // (SAT/UNSAT/UNKNOWN); the encode/solve/decode sub-phases nest inside it
-// via Schedule.Trace. In incremental mode every probe is answered by one
+// via Schedule.Trace. The GMA's goal size alone picks the probe mode
+// (PrefersScratch): small goals get a throwaway Problem per probe (fresh
+// CDCL solver, full re-encode); everything else is answered by one
 // persistent schedule.Engine under a budget assumption, so conflict
-// clauses learned refuting one budget keep pruning every later probe; in
-// scratch mode each probe is a throwaway Problem (fresh CDCL solver,
-// full re-encode).
+// clauses learned refuting one budget keep pruning every later probe.
 //
 // hook, when non-nil, is called with each probe's interrupter just
 // before solving and with (nil, -1) right after — the portfolio racer's
@@ -100,7 +90,7 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(p interrupter
 		}
 		return sched, stat.Result, nil
 	}
-	if useScratchProbes(gm, opt) {
+	if PrefersScratch(gm) {
 		return func(k int) (*schedule.Schedule, sat.Result, error) {
 			psp := tr.Startf("probe K=%d", k)
 			tr.Add("probes", 1)
@@ -155,7 +145,7 @@ func (e satEngine) Search(c *Compiled, gm *gma.GMA, opt Options) error {
 	case BinarySearch:
 		return c.binarySearch(probe, opt.MaxCycles)
 	case DescendSearch:
-		return c.descendSearch(probe, opt.MaxCycles, opt.UpperBoundHint)
+		return c.descendSearch(probe, opt.MaxCycles, opt.UpperBoundHint, nil)
 	default:
 		return c.linearSearch(probe, opt.MaxCycles)
 	}

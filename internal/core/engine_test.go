@@ -5,10 +5,10 @@ import (
 )
 
 // TestAdaptiveScratch pins the adaptive probe-mode pick: tiny goals run
-// from-scratch probes by default (the persistent engine's window encode
-// costs more than the clause reuse it buys on a two-probe sweep), large
-// goals keep the incremental engine, and both explicit overrides win
-// over the size heuristic.
+// from-scratch probes (the persistent engine's window encode costs more
+// than the clause reuse it buys on a two-probe sweep) and large goals
+// keep the incremental engine, under the sequential ladder and the
+// parallel speculator alike.
 func TestAdaptiveScratch(t *testing.T) {
 	small := simpleGMA("double", []string{"reg7"}, "res", "(mul64 2 reg7)")
 	large := simpleGMA("sum5", []string{"a", "b", "c", "d", "e"}, "res",
@@ -19,6 +19,7 @@ func TestAdaptiveScratch(t *testing.T) {
 	if PrefersScratch(large) {
 		t.Error("PrefersScratch(sum5) = true, want false")
 	}
+	parallel := func(o *Options) { o.Search = ParallelSearch; o.Workers = 2 }
 	cases := []struct {
 		name            string
 		configure       func(*Options)
@@ -26,9 +27,9 @@ func TestAdaptiveScratch(t *testing.T) {
 		wantIncremental bool
 	}{
 		{"small-default-scratch", func(o *Options) {}, "small", false},
-		{"small-forced-incremental", func(o *Options) { o.ForceIncremental = true }, "small", true},
 		{"large-default-incremental", func(o *Options) {}, "large", true},
-		{"large-disabled-scratch", func(o *Options) { o.DisableIncremental = true }, "large", false},
+		{"small-parallel-scratch", parallel, "small", false},
+		{"large-parallel-incremental", parallel, "large", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

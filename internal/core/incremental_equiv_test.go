@@ -6,33 +6,24 @@ import (
 
 	"repro/internal/arch/alpha"
 	"repro/internal/lang"
+	"repro/internal/sat"
+	"repro/internal/schedule"
 	"repro/internal/sim"
 )
 
 // TestIncrementalEquivalence cross-checks the persistent probe engine
-// against from-scratch probes over the whole example corpus: for every
-// GMA, under both the greedy (linear, certifying) and parallel searches,
-// compiling with the incremental engine and with DisableIncremental set
-// must agree on the optimal cycle count, the proven-optimality verdict,
-// and the certification verdict, and both schedules must pass the
-// simulator. This is the end-to-end guarantee behind making the engine
-// the default: incrementality is a pure speedup, never a different
-// answer.
+// against from-scratch probes budget by budget over the whole golden
+// corpus. For every GMA, each budget k = 0…optimum is answered twice on
+// the saturated E-graph: by a fresh schedule.NewProblem(k).Solve() and by
+// one persistent schedule.Engine walking the same ladder with
+// SolveBudget(k). Both must refute every budget below the optimum the
+// compile found and satisfy the optimum itself, and every SAT schedule
+// from either side must pass the simulator. This
+// is the guarantee behind the adaptive probe-mode pick (PrefersScratch):
+// whichever mode a GMA is routed to, the answer is the same.
 func TestIncrementalEquivalence(t *testing.T) {
-	strategies := []struct {
-		name      string
-		configure func(*Options)
-	}{
-		{"greedy", func(o *Options) {
-			o.Search = LinearSearch
-			o.Schedule.Certify = true
-		}},
-		{"parallel", func(o *Options) {
-			o.Search = ParallelSearch
-			o.Workers = 4
-		}},
-	}
 	desc := alpha.EV6()
+	sopt := schedule.Options{Desc: desc}
 	for _, p := range goldenCorpus {
 		prog, err := lang.Parse(p.src)
 		if err != nil {
@@ -40,57 +31,46 @@ func TestIncrementalEquivalence(t *testing.T) {
 		}
 		for _, proc := range prog.Procs {
 			for _, g := range proc.GMAs {
-				for _, st := range strategies {
-					compile := func(disable bool) *Compiled {
-						o := opts(t)
-						o.Axioms = append(o.Axioms, prog.Axioms...)
-						st.configure(&o)
-						o.DisableIncremental = disable
-						// Pin the incremental side past the adaptive size
-						// pick, which would route the small corpus GMAs to
-						// scratch probes and leave nothing to cross-check.
-						o.ForceIncremental = !disable
-						c, err := CompileGMA(g, o)
-						if err != nil {
-							t.Fatalf("%s/%s/%s (disable=%v): %v", p.name, g.Name, st.name, disable, err)
+				o := opts(t)
+				o.Axioms = append(o.Axioms, prog.Axioms...)
+				o.MaxCycles = 24
+				c, err := CompileGMA(g, o)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", p.name, g.Name, err)
+				}
+				// The engine gets its own clone: Problem setup adds input and
+				// constant terms to the graph it encodes.
+				eng, err := schedule.NewEngine(c.Graph.Clone(), g, initialWindow(o), o.MaxCycles, sopt)
+				if err != nil {
+					t.Fatalf("%s/%s: NewEngine: %v", p.name, g.Name, err)
+				}
+				for k := 0; k <= c.Cycles; k++ {
+					prob, err := schedule.NewProblem(c.Graph, g, k, sopt)
+					if err != nil {
+						t.Fatalf("%s/%s K=%d: NewProblem: %v", p.name, g.Name, k, err)
+					}
+					scrSched, scr, err := prob.Solve()
+					if err != nil {
+						t.Fatalf("%s/%s K=%d: scratch solve: %v", p.name, g.Name, k, err)
+					}
+					incSched, inc, err := eng.SolveBudget(k)
+					if err != nil {
+						t.Fatalf("%s/%s K=%d: SolveBudget: %v", p.name, g.Name, k, err)
+					}
+					want := sat.Unsat
+					if k == c.Cycles {
+						want = sat.Sat
+					}
+					if scr.Result != want || inc.Result != want {
+						t.Errorf("%s/%s K=%d: scratch %v, engine %v, want %v (optimum %d)",
+							p.name, g.Name, k, scr.Result, inc.Result, want, c.Cycles)
+					}
+					for which, s := range map[string]*schedule.Schedule{"scratch": scrSched, "engine": incSched} {
+						if s == nil {
+							continue
 						}
-						return c
-					}
-					inc := compile(false)
-					scr := compile(true)
-					if inc.Cycles != scr.Cycles || inc.OptimalProven != scr.OptimalProven {
-						t.Errorf("%s/%s/%s: incremental (%d cycles, optimal=%v) vs scratch (%d cycles, optimal=%v)",
-							p.name, g.Name, st.name, inc.Cycles, inc.OptimalProven, scr.Cycles, scr.OptimalProven)
-					}
-					if inc.Certified != scr.Certified {
-						t.Errorf("%s/%s/%s: incremental certified=%v vs scratch certified=%v",
-							p.name, g.Name, st.name, inc.Certified, scr.Certified)
-					}
-					// The toggle must actually toggle: the incremental run
-					// answers probes on the engine, the scratch run never does.
-					// (The certifying greedy run may add one scratch re-solve
-					// of the final refutation on top of its engine probes.)
-					onEngine := 0
-					for _, pr := range inc.Probes {
-						if pr.Incremental {
-							onEngine++
-						}
-					}
-					if onEngine == 0 {
-						t.Errorf("%s/%s/%s: no probe used the persistent engine despite incremental search",
-							p.name, g.Name, st.name)
-					}
-					for _, pr := range scr.Probes {
-						if pr.Incremental {
-							t.Errorf("%s/%s/%s: scratch run produced an incremental probe at K=%d",
-								p.name, g.Name, st.name, pr.K)
-						}
-					}
-					for which, c := range map[string]*Compiled{"incremental": inc, "scratch": scr} {
-						rng := rand.New(rand.NewSource(7))
-						if err := sim.Verify(g, c.Schedule, desc, rng, 25); err != nil {
-							t.Errorf("%s/%s/%s: %s schedule fails simulation:\n%v",
-								p.name, g.Name, st.name, which, err)
+						if err := sim.Verify(g, s, desc, rand.New(rand.NewSource(7)), 25); err != nil {
+							t.Errorf("%s/%s K=%d: %s schedule fails simulation:\n%v", p.name, g.Name, k, which, err)
 						}
 					}
 				}

@@ -59,18 +59,15 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	results := make(chan outcome)
 
 	var mu sync.Mutex // guards running and enginePool
-	type interrupter interface{ Interrupt() }
 	running := map[int]interrupter{}
-	// In incremental mode, finished probes park their persistent engines
-	// here for the next launch: each engine carries one e-graph clone and
-	// one warm solver, so a pool of ~workers engines serves the whole
-	// search with learned clauses accumulating across budgets.
+	// Unless the goal is small enough for scratch probes (PrefersScratch),
+	// finished probes park their persistent engines here for the next
+	// launch: each engine carries one e-graph clone and one warm solver,
+	// so a pool of ~workers engines serves the whole search with learned
+	// clauses accumulating across budgets.
 	var enginePool []*schedule.Engine
-	incremental := !opt.DisableIncremental
-	window := 7
-	if window > maxCycles {
-		window = maxCycles
-	}
+	incremental := !PrefersScratch(gm)
+	window := initialWindow(opt)
 
 	// launch starts one speculative probe. The probe's interrupter is
 	// registered under its budget before solving so a completed answer

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gma"
 	"repro/internal/obs"
-	"repro/internal/sat"
 	"repro/internal/schedule"
 	"repro/internal/stoke"
 )
@@ -23,8 +22,9 @@ func (e portfolioEngine) Search(c *Compiled, gm *gma.GMA, opt Options) error {
 
 // portfolioSearch is the racing budget search. The stochastic engine
 // runs on its own goroutine, streaming exactly-verified schedules
-// through OnImprove; the SAT descend sweep runs on the caller's
-// goroutine. The two halves trade in opposite directions:
+// through OnImprove; the SAT descend sweep (descendSearch, fed the best
+// stochastic bound) runs on the caller's goroutine. The two halves trade
+// in opposite directions:
 //
 //   - every stochastic improvement is a feasible upper bound, so SAT
 //     probes at or above it are skipped (or interrupted mid-solve) and
@@ -101,108 +101,21 @@ func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
 		defer wg.Done()
 		stRes, stErr = st.Run()
 	}()
-	// finish joins the racing goroutine and folds its statistics in. The
-	// SAT side's SolveTime already covers the race's wall-clock, so the
+	err = c.descendSearch(probe, opt.MaxCycles, opt.UpperBoundHint, func() (int, *schedule.Schedule) {
+		mu.Lock()
+		defer mu.Unlock()
+		return stBest, stSched
+	})
+	// Join the racing goroutine and fold its statistics in. The SAT
+	// side's SolveTime already covers the race's wall-clock, so the
 	// overlapping stochastic elapsed time is reported via c.Stochastic
 	// rather than added again.
-	finish := func() {
-		st.Interrupt()
-		wg.Wait()
-		if stErr != nil {
-			tr.Event("portfolio.stoke_error", obs.T("gma", gm.Name), obs.T("error", stErr.Error()))
-			return
-		}
+	st.Interrupt()
+	wg.Wait()
+	if stErr != nil {
+		tr.Event("portfolio.stoke_error", obs.T("gma", gm.Name), obs.T("error", stErr.Error()))
+	} else {
 		c.Stochastic = stRes
 	}
-	found, fromStoke := false, false
-	settle := func() error {
-		finish()
-		if fromStoke {
-			c.Engine = "stochastic"
-		} else {
-			c.Engine = "sat"
-		}
-		return nil
-	}
-	// adoptStoke adopts the stochastic bound when it is at least as good
-	// as the budget the sweep is about to probe.
-	adoptStoke := func(k int) bool {
-		mu.Lock()
-		sb, ss := stBest, stSched
-		mu.Unlock()
-		if sb < 0 || sb > k {
-			return false
-		}
-		c.Schedule, c.Cycles = ss, sb
-		found, fromStoke = true, true
-		return true
-	}
-	cancelled := func() bool {
-		return len(c.Probes) > 0 && c.Probes[len(c.Probes)-1].Solver.Cancelled
-	}
-
-	maxCycles := opt.MaxCycles
-	ub := opt.UpperBoundHint
-	if ub <= 0 || ub > maxCycles {
-		ub = maxCycles
-	}
-	// Descend phase, mirroring descendSearch with the upper-bound feed
-	// spliced in at the top of every iteration.
-	hintFailed := false
-	for k := ub; k >= 0 && !hintFailed; {
-		if adoptStoke(k) {
-			k = c.Cycles - 1
-			continue
-		}
-		sched, res, err := probe(k)
-		if err != nil {
-			finish()
-			return err
-		}
-		switch {
-		case res == sat.Sat:
-			c.Schedule, c.Cycles = sched, k
-			found, fromStoke = true, false
-			k--
-		case res == sat.Unknown && cancelled():
-			// Interrupted by a stochastic bound at or below k; the adopt
-			// at the top of the loop takes it.
-		case found:
-			// First definite failure below a success: optimal when the
-			// failure is a refutation, best-known on a conflict-budget
-			// timeout — exactly descendSearch's contract.
-			c.OptimalProven = res == sat.Unsat
-			return settle()
-		default:
-			hintFailed = true
-		}
-	}
-	if found {
-		c.OptimalProven = true // descended (or was bounded) all the way to K=0
-		return settle()
-	}
-	// The hint itself failed: search upward, still consulting the bound.
-	for k := ub + 1; k <= maxCycles; k++ {
-		if adoptStoke(k) {
-			c.OptimalProven = false
-			return settle()
-		}
-		sched, res, err := probe(k)
-		if err != nil {
-			finish()
-			return err
-		}
-		if res == sat.Unknown && cancelled() {
-			k--
-			continue
-		}
-		if res == sat.Sat {
-			c.Schedule, c.Cycles = sched, k
-			found, fromStoke = true, false
-			c.OptimalProven = false
-			return settle()
-		}
-	}
-	finish()
-	return ErrNoSchedule
+	return err
 }

@@ -8,32 +8,56 @@ import (
 	"strings"
 )
 
-// WriteDIMACS writes the problem clauses in DIMACS CNF format. Learned
-// clauses are not written. Each comment (plus a generated line with the
-// variable and clause counts) is emitted as a leading "c" line, so
-// exported instances are self-describing. Newlines inside a comment are
-// replaced with spaces: provenance strings can carry caller-supplied
-// text (request IDs, GMA names), and a stray line break must not be able
-// to forge a problem line.
+// WriteDIMACS writes the problem in DIMACS CNF format: the retained
+// problem clauses, every top-level (decision level 0) assignment as a
+// unit clause, and — once the solver has refuted the formula outright —
+// the empty clause. AddClause simplifies clauses against the top-level
+// units and keeps those units only on the trail, so without them an
+// exported refutation could re-solve satisfiable. Learned clauses are
+// not written. Each comment (plus a generated line with the variable and
+// clause counts) is emitted as a leading "c" line, so exported instances
+// are self-describing. Newlines inside a comment are replaced with
+// spaces: provenance strings can carry caller-supplied text (request
+// IDs, GMA names), and a stray line break must not be able to forge a
+// problem line.
 func (s *Solver) WriteDIMACS(w io.Writer, comments ...string) error {
+	var units []Lit
+	for _, l := range s.trail {
+		if s.level[l.Var()] == 0 {
+			units = append(units, l)
+		}
+	}
+	n := len(s.clauses) + len(units)
+	if s.unsat {
+		n++
+	}
 	bw := bufio.NewWriter(w)
 	for _, c := range comments {
 		c = strings.ReplaceAll(c, "\n", " ")
 		c = strings.ReplaceAll(c, "\r", " ")
 		fmt.Fprintf(bw, "c %s\n", c)
 	}
-	fmt.Fprintf(bw, "c %d variables, %d clauses\n", s.NumVars(), len(s.clauses))
-	fmt.Fprintf(bw, "p cnf %d %d\n", s.NumVars(), len(s.clauses))
+	fmt.Fprintf(bw, "c %d variables, %d clauses\n", s.NumVars(), n)
+	fmt.Fprintf(bw, "p cnf %d %d\n", s.NumVars(), n)
 	for _, c := range s.clauses {
 		for _, l := range c.lits {
 			fmt.Fprintf(bw, "%s ", l)
 		}
 		fmt.Fprintln(bw, "0")
 	}
+	for _, l := range units {
+		fmt.Fprintf(bw, "%s 0\n", l)
+	}
+	if s.unsat {
+		fmt.Fprintln(bw, "0")
+	}
 	return bw.Flush()
 }
 
-// ParseDIMACS reads a DIMACS CNF problem into a fresh solver.
+// ParseDIMACS reads a DIMACS CNF problem into a fresh solver. A 0 ends a
+// clause, so a line holding only "0" is the empty clause and makes the
+// problem unsatisfiable; literals left at the end of a line without a
+// terminating 0 form a clause of their own.
 func ParseDIMACS(r io.Reader) (*Solver, error) {
 	s := New()
 	sc := bufio.NewScanner(r)
@@ -66,6 +90,8 @@ func ParseDIMACS(r io.Reader) (*Solver, error) {
 				return nil, fmt.Errorf("sat: bad literal %q", f)
 			}
 			if v == 0 {
+				s.AddClause(lits...)
+				lits = lits[:0]
 				continue
 			}
 			idx := v

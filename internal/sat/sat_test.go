@@ -397,6 +397,53 @@ p cnf 2 2
 	}
 }
 
+// TestParseDIMACSEmptyClause: a line holding only the terminator is the
+// empty clause, which no assignment satisfies.
+func TestParseDIMACSEmptyClause(t *testing.T) {
+	s, err := ParseDIMACS(strings.NewReader("p cnf 1 2\n1 0\n0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Solve(); got != Unsat {
+		t.Fatalf("formula with an empty clause solved %v, want UNSAT", got)
+	}
+}
+
+// TestDIMACSRoundTripUnits: clauses simplified away against top-level
+// units, and a top-level refutation, survive export. Solving first adds
+// a learned unit at level 0; each exported instance must re-solve to the
+// original verdict.
+func TestDIMACSRoundTripUnits(t *testing.T) {
+	build := func(refute bool) *Solver {
+		s := New()
+		for i := 0; i < 3; i++ {
+			s.NewVar()
+		}
+		s.AddClause(Pos(0))         // a top-level unit
+		s.AddClause(Neg(0), Pos(1)) // simplified to the unit x1
+		s.AddClause(Neg(1), Pos(2), Neg(0))
+		if refute {
+			s.AddClause(Neg(2), Neg(1)) // with the units above: x2 and ¬x2
+		}
+		return s
+	}
+	for _, refute := range []bool{false, true} {
+		s := build(refute)
+		want := s.Solve()
+		var buf bytes.Buffer
+		if err := s.WriteDIMACS(&buf); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := ParseDIMACS(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s2.Solve(); got != want {
+			t.Errorf("refute=%v: direct %v, exported CNF re-solves %v:\n%s", refute, want, got, buf.String())
+		}
+	}
+}
+
 func TestParseDIMACSErrors(t *testing.T) {
 	for _, src := range []string{
 		"p cnf x 2\n1 0\n",

@@ -274,3 +274,46 @@ func TestWriteDIMACSRequestProvenance(t *testing.T) {
 		t.Fatalf("DIMACS provenance should omit request= when unset:\n%s", buf.String())
 	}
 }
+
+// TestWriteDIMACSRoundTripVerdicts: the exported CNF of every budget
+// 0…optimum re-solves, after sat.ParseDIMACS, to the verdict the problem
+// gets when solved directly — before and after that solve. Encoding
+// leaves unit facts on the solver's trail rather than in its clause
+// list, so the refuted budgets are exactly the ones an export that drops
+// them would turn satisfiable.
+func TestWriteDIMACSRoundTripVerdicts(t *testing.T) {
+	const maxK = 6
+	resolve := func(t *testing.T, p *Problem) sat.Result {
+		t.Helper()
+		var buf strings.Builder
+		if err := p.WriteDIMACS(&buf); err != nil {
+			t.Fatal(err)
+		}
+		s, err := sat.ParseDIMACS(strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Solve()
+	}
+	for _, g := range engineGMAs() {
+		t.Run(g.Values[0].String(), func(t *testing.T) {
+			for k := 0; k <= maxK; k++ {
+				p := build(t, g, k, Options{})
+				before := resolve(t, p)
+				_, st, err := p.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := resolve(t, p)
+				if before != st.Result || after != st.Result {
+					t.Fatalf("K=%d: solved directly %v, exported CNF re-solves %v before and %v after the solve",
+						k, st.Result, before, after)
+				}
+				if st.Result == sat.Sat {
+					return
+				}
+			}
+			t.Fatalf("no budget up to %d was satisfiable", maxK)
+		})
+	}
+}

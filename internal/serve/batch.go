@@ -128,7 +128,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var fr *flight.Recorder
 	if s.router == nil {
 		fr = flight.NewRecorder(info.id)
-		info.strategy = strategyName(opt)
+		info.strategy = opt.StrategyName()
 		fr.SetRequest(opt.Arch, info.strategy, opt.Workers, len(req.Source))
 	}
 

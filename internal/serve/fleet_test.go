@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,13 +34,18 @@ type fleet struct {
 // newFleet spins up n workers and a router over them. mutate adjusts the
 // router config before construction (the workers always run the same
 // base options as the router, so routing keys agree with worker caches).
-func newFleet(t *testing.T, n int, mutate func(*Config)) *fleet {
+// wrap, when non-nil, wraps every worker's HTTP handler.
+func newFleet(t *testing.T, n int, mutate func(*Config), wrap func(http.Handler) http.Handler) *fleet {
 	t.Helper()
 	opt := repro.Options{Arch: "ev6", Workers: 1}
 	f := &fleet{}
 	for i := 0; i < n; i++ {
 		w := New(Config{Options: opt, MaxConcurrent: 2})
-		ts := httptest.NewServer(w.Handler())
+		h := w.Handler()
+		if wrap != nil {
+			h = wrap(h)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		t.Cleanup(w.Close)
 		f.workers = append(f.workers, w)
@@ -161,7 +168,25 @@ func postBatch(t *testing.T, url string, req CompileRequest, onLine func(int, ba
 // worker, and every compiled GMA is byte-identical to a single-node
 // compile of the same program modulo request IDs and timings.
 func TestFleetChaosDrainMidBatch(t *testing.T) {
-	f := newFleet(t, 3, func(cfg *Config) { cfg.BatchConcurrency = 1 })
+	// Every worker compile after the first waits until the drain has
+	// landed. The client can read line 0 later than the router finishes
+	// unit 1 and dispatches unit 2 (a loaded host deschedules it for
+	// longer than a tiny unit's round trip), so without the gate "units
+	// after the first two launch after the drain" would be a race.
+	drained := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(drained) }) }
+	var compiles atomic.Int32
+	gate := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/compile" && compiles.Add(1) > 1 {
+				<-drained
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	f := newFleet(t, 3, func(cfg *Config) { cfg.BatchConcurrency = 1 }, gate)
+	t.Cleanup(release) // runs before the workers close, even if the test fails early
 
 	// Single-node ground truth: the same program through a standalone
 	// server's /compile.
@@ -195,6 +220,7 @@ func TestFleetChaosDrainMidBatch(t *testing.T) {
 		func(i int, line batchLine) {
 			if i == 0 {
 				f.workerFor(t, victim).Drain()
+				release()
 			}
 			// Unit 1 (serialized after unit 0) may already be in flight on
 			// the victim when the drain lands; every later unit launches
@@ -308,7 +334,7 @@ func TestBatchGoldenEqualsDirect(t *testing.T) {
 	t.Run("fleet", func(t *testing.T) {
 		f := newFleet(t, 2, func(cfg *Config) {
 			cfg.Options.Certify = certify
-		})
+		}, nil)
 		for _, w := range f.workers {
 			w.cfg.Options.Certify = certify
 		}
@@ -323,7 +349,7 @@ func TestBatchGoldenEqualsDirect(t *testing.T) {
 // counts the request as routed.
 func TestRouteForwardThreadsRequestID(t *testing.T) {
 	var log bytes.Buffer
-	f := newFleet(t, 2, func(cfg *Config) { cfg.AccessLog = &log })
+	f := newFleet(t, 2, func(cfg *Config) { cfg.AccessLog = &log }, nil)
 
 	const id = "fleet-test-42"
 	body, _ := json.Marshal(CompileRequest{Source: programs.Lcp2})
@@ -475,7 +501,7 @@ func TestRouterBackpressurePropagates(t *testing.T) {
 // drained worker leaves the ring within a probe interval and rejoins
 // after Resume, with the member gauges tracking both transitions.
 func TestRouterProbeMembership(t *testing.T) {
-	f := newFleet(t, 2, func(cfg *Config) { cfg.RouteProbeInterval = 20 * time.Millisecond })
+	f := newFleet(t, 2, func(cfg *Config) { cfg.RouteProbeInterval = 20 * time.Millisecond }, nil)
 
 	waitDown := func(want float64) {
 		t.Helper()

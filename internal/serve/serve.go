@@ -58,6 +58,7 @@ import (
 	"repro"
 	"repro/internal/buildinfo"
 	"repro/internal/compilecache"
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/history"
 	"repro/internal/obs"
@@ -493,13 +494,6 @@ type CompileRequest struct {
 	// claim is re-checked as a DRAT proof and each GMA's "certified" field
 	// reports the result. Absent (null) keeps the server's setting.
 	Certify *bool `json:"certify,omitempty"`
-	// Incremental overrides the server's incremental-search default for
-	// this request: true (also the absent-everywhere default) answers the
-	// budget probes on a persistent assumption-based solver, false solves
-	// each budget from scratch. The override exists so incrementality
-	// regressions can be bisected against production traffic without a
-	// rebuild. Absent (null) keeps the server's setting.
-	Incremental *bool `json:"incremental,omitempty"`
 	// Only restricts the compile to the single GMA with this name — the
 	// per-GMA unit a fleet router forwards, so each worker compiles
 	// exactly the shard it owns while seeing the whole program (axioms
@@ -600,27 +594,10 @@ func (s *Server) options(req *CompileRequest, tr *obs.Trace) (repro.Options, err
 		return opt, err
 	}
 	if req.Strategy != "" {
-		// A request override replaces the server default wholesale, so
-		// every strategy switch is cleared before the chosen one is set.
-		next := opt
-		next.BinarySearch, next.DescendSearch, next.ParallelSearch = false, false, false
-		next.StochasticSearch, next.PortfolioSearch = false, false
-		switch req.Strategy {
-		case "linear":
-		case "binary":
-			next.BinarySearch = true
-		case "descend":
-			next.DescendSearch = true
-		case "parallel":
-			next.ParallelSearch = true
-		case "stochastic":
-			next.StochasticSearch = true
-		case "portfolio":
-			next.PortfolioSearch = true
-		default:
-			return opt, fmt.Errorf("unknown strategy %q (want linear, binary, descend, parallel, stochastic or portfolio)", req.Strategy)
-		}
-		opt = next
+		opt.Strategy = req.Strategy
+	}
+	if _, err := core.ParseStrategy(opt.Strategy); err != nil {
+		return opt, err
 	}
 	if req.Seed != nil {
 		opt.Seed = req.Seed
@@ -643,9 +620,6 @@ func (s *Server) options(req *CompileRequest, tr *obs.Trace) (repro.Options, err
 	}
 	if req.Certify != nil {
 		opt.Certify = *req.Certify
-	}
-	if req.Incremental != nil {
-		opt.Incremental = req.Incremental
 	}
 	opt.Only = req.Only
 	opt.Cache = s.cfg.Cache
@@ -813,7 +787,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	fr := flight.NewRecorder(info.id)
 	opt.RequestID = info.id
 	opt.Flight = fr
-	info.strategy = strategyName(opt)
+	info.strategy = opt.StrategyName()
 	fr.SetRequest(opt.Arch, info.strategy, opt.Workers, len(req.Source))
 
 	type compileOut struct {
@@ -885,11 +859,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusGatewayTimeout,
 			fmt.Sprintf("compilation exceeded %v", s.cfg.RequestTimeout))
 	}
-}
-
-// strategyName renders the effective search strategy of merged options.
-func strategyName(opt repro.Options) string {
-	return opt.StrategyName()
 }
 
 // gmaJSON renders one compiled GMA into the response shape; /compile and

@@ -259,6 +259,23 @@ func TestServeStrategyOverride(t *testing.T) {
 			t.Errorf("%s = %g, want 2", key, samples[key])
 		}
 	}
+
+	// A server-wide default strategy applies to requests that name none,
+	// and a request's own strategy replaces it.
+	_, ts = newTestServer(t, Config{Options: repro.Options{Arch: "ev6", Workers: 2, Strategy: "descend"}})
+	for _, strategy := range []string{"", "linear"} {
+		resp, raw := postCompile(t, ts.URL, CompileRequest{Source: programs.Quickstart, Strategy: strategy})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("default descend, request %q: status %d: %s", strategy, resp.StatusCode, raw)
+		}
+	}
+	samples = scrapeMetrics(t, ts.URL)
+	for _, strategy := range []string{"descend", "linear"} {
+		key := fmt.Sprintf(`denali_compiles_total{strategy=%q}`, strategy)
+		if samples[key] != 2 {
+			t.Errorf("default descend: %s = %g, want 2", key, samples[key])
+		}
+	}
 }
 
 // TestServeSeedOverride: the stochastic engine is deterministic in the
@@ -371,69 +388,6 @@ func TestServeCertifyOverride(t *testing.T) {
 			if g.OptimalProven && !g.Certified {
 				t.Errorf("server default on: %s proven optimal but certified=false", g.Name)
 			}
-		}
-	}
-}
-
-// TestServeIncrementalOverride exercises the tri-state per-request
-// incremental field: by default probes run on the persistent engine
-// (marked incremental in the response), "incremental": false reverts a
-// request to from-scratch probes, and either way the cycle counts and
-// optimality verdicts are identical.
-func TestServeIncrementalOverride(t *testing.T) {
-	_, ts := newTestServer(t, Config{Options: repro.Options{Arch: "ev6", Workers: 2}})
-
-	decode := func(raw []byte) CompileResponse {
-		t.Helper()
-		var cr CompileResponse
-		if err := json.Unmarshal(raw, &cr); err != nil {
-			t.Fatalf("decode response: %v\n%s", err, raw)
-		}
-		return cr
-	}
-	type verdict struct {
-		cycles  int
-		optimal bool
-	}
-	verdicts := func(cr CompileResponse, wantIncremental bool, label string) map[string]verdict {
-		t.Helper()
-		out := map[string]verdict{}
-		for _, p := range cr.Procs {
-			for _, g := range p.GMAs {
-				out[g.Name] = verdict{cycles: g.Cycles, optimal: g.OptimalProven}
-				for _, pr := range g.Probes {
-					if pr.Incremental != wantIncremental {
-						t.Errorf("%s: %s K=%d: incremental=%v, want %v",
-							label, g.Name, pr.K, pr.Incremental, wantIncremental)
-					}
-					if !pr.Incremental && pr.Reused {
-						t.Errorf("%s: %s K=%d: reused without incremental", label, g.Name, pr.K)
-					}
-				}
-			}
-		}
-		return out
-	}
-
-	resp, raw := postCompile(t, ts.URL, CompileRequest{Source: programs.Byteswap4})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("default: status %d: %s", resp.StatusCode, raw)
-	}
-	inc := verdicts(decode(raw), true, "default on")
-
-	off := false
-	resp, raw = postCompile(t, ts.URL, CompileRequest{Source: programs.Byteswap4, Incremental: &off})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("incremental=false: status %d: %s", resp.StatusCode, raw)
-	}
-	scratch := verdicts(decode(raw), false, "override off")
-
-	if len(inc) == 0 || len(inc) != len(scratch) {
-		t.Fatalf("GMA sets differ: %d incremental vs %d scratch", len(inc), len(scratch))
-	}
-	for name, v := range inc {
-		if scratch[name] != v {
-			t.Errorf("%s: incremental %+v != scratch %+v", name, v, scratch[name])
 		}
 	}
 }

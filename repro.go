@@ -54,43 +54,23 @@ type Options struct {
 	// Arch selects the machine model: "ev6" (default), "ev6-noclusters",
 	// "ev6-single", "ev6-dual", or "itanium".
 	Arch string
-	// BinarySearch probes cycle budgets by doubling + bisection instead
-	// of linearly.
-	BinarySearch bool
-	// DescendSearch probes downward from the conventional baseline's
-	// cycle count: SAT probes near the optimum are cheap while the
-	// just-infeasible refutations are hard, so descending pays the hard
-	// probe once. Combine with MaxConflicts for anytime behaviour.
-	DescendSearch bool
-	// ParallelSearch probes several cycle budgets speculatively on a
-	// bounded worker pool, interrupting probes made moot by a completed
-	// SAT/UNSAT answer elsewhere. Cycles and OptimalProven match the
-	// sequential strategies (see internal/core). Takes precedence over
-	// BinarySearch/DescendSearch.
-	ParallelSearch bool
-	// StochasticSearch runs the STOKE-style MCMC engine alone
-	// (internal/stoke): proposal moves over machine sequences, test-vector
-	// screening, exact verification. Fast and anytime, but optimality is
-	// never proven. Deterministic in Seed. Takes precedence over
-	// ParallelSearch. Results are seed-dependent, so this strategy
-	// bypasses the compile cache.
-	StochasticSearch bool
-	// PortfolioSearch races the stochastic engine against the SAT descend
-	// sweep, each cancelling the probes it makes moot: stochastic supplies
-	// fast verified upper bounds that shrink the SAT budget ladder, SAT
-	// supplies the refutations, so OptimalProven and Certify still work.
-	// Takes precedence over every other strategy flag.
-	PortfolioSearch bool
+	// Strategy selects the budget search: "linear" (the default, also
+	// spelled ""), "binary", "descend", "parallel", "stochastic" or
+	// "portfolio"; see core.SearchStrategy for what each does. Every
+	// strategy except stochastic finds the same optimum. A stochastic
+	// result depends on Seed, so that strategy bypasses the compile cache.
+	// Unknown names are a compile error (core.ParseStrategy).
+	Strategy string
 	// Seed drives every random choice of the stochastic engine, making
-	// StochasticSearch and PortfolioSearch reproducible. Nil (the
+	// the stochastic and portfolio strategies reproducible. Nil (the
 	// default) derives the seed from a hash of RequestID, so re-running a
 	// request with the same ID replays the same search; the resolved
 	// value is recorded in the flight report either way.
 	Seed *uint64
 	// Workers bounds the concurrency: in-flight SAT probes per GMA under
-	// ParallelSearch, and concurrently compiled GMAs in Compile. <= 1
-	// means sequential compilation; ParallelSearch with Workers <= 0 uses
-	// GOMAXPROCS probes.
+	// the parallel strategy, and concurrently compiled GMAs in Compile.
+	// <= 1 means sequential compilation; the parallel strategy with
+	// Workers <= 0 uses GOMAXPROCS probes.
 	Workers int
 	// MaxCycles bounds the budget search (default 24).
 	MaxCycles int
@@ -109,15 +89,6 @@ type Options struct {
 	// check is a compilation error. The checked certificate is exportable
 	// via CompiledGMA.WriteProof / WriteProofCNF.
 	Certify bool
-	// Incremental is a tri-state override of the assumption-based
-	// incremental budget search: nil (the default) and true run every
-	// probe on a persistent engine that retains learned clauses across
-	// budgets; false reverts to one from-scratch solver per probe. The
-	// override exists so incrementality regressions can be bisected in
-	// production (denali -incremental=false, or serve's per-request
-	// "incremental" field) without a rebuild; results are equivalent
-	// either way.
-	Incremental *bool
 	// ExtraAxioms are appended to the built-in axiom files and any
 	// program-local axioms.
 	ExtraAxioms string
@@ -176,34 +147,16 @@ type Options struct {
 	Flight *flight.Recorder
 }
 
-// searchStrategy resolves the strategy flags to the core strategy; the
-// more specialized flags win when several are set, mirroring the
-// historical BinarySearch < DescendSearch < ParallelSearch precedence.
-func (o Options) searchStrategy() core.SearchStrategy {
-	s := core.LinearSearch
-	if o.BinarySearch {
-		s = core.BinarySearch
+// StrategyName names the search strategy ("linear" for the empty
+// default). The CLI, the compile service and the benchmark harness all
+// label flight reports and metrics with it, so the names stay consistent
+// across layers.
+func (o Options) StrategyName() string {
+	if o.Strategy == "" {
+		return core.LinearSearch.String()
 	}
-	if o.DescendSearch {
-		s = core.DescendSearch
-	}
-	if o.ParallelSearch {
-		s = core.ParallelSearch
-	}
-	if o.StochasticSearch {
-		s = core.StochasticSearch
-	}
-	if o.PortfolioSearch {
-		s = core.PortfolioSearch
-	}
-	return s
+	return o.Strategy
 }
-
-// StrategyName names the effective search strategy ("linear", "binary",
-// "descend", "parallel", "stochastic", "portfolio"). The CLI, the
-// compile service and the benchmark harness all label flight reports and
-// metrics with it, so the names stay consistent across layers.
-func (o Options) StrategyName() string { return o.searchStrategy().String() }
 
 // ResolveSeed returns the stochastic-engine seed these options resolve
 // to: the explicit Seed override, or an FNV-1a hash of RequestID so
@@ -375,45 +328,15 @@ type Result struct {
 // Compile parses a Denali source program and compiles every GMA of every
 // procedure.
 func Compile(src string, opt Options) (*Result, error) {
-	desc, err := ArchDescription(opt.Arch)
-	if err != nil {
-		return nil, err
-	}
 	prog, err := lang.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	axs, err := axioms.Builtin()
+	copts, err := opt.coreOptions(prog.Axioms)
 	if err != nil {
 		return nil, err
 	}
-	axs = append(axs, prog.Axioms...)
-	if opt.ExtraAxioms != "" {
-		extra, err := axioms.ParseAll(opt.ExtraAxioms, "extra")
-		if err != nil {
-			return nil, err
-		}
-		axs = append(axs, extra...)
-	}
-	copts := core.Options{
-		Desc:   desc,
-		Axioms: axs,
-		Matcher: matcher.Options{
-			MaxRounds: opt.MatcherMaxRounds,
-			MaxNodes:  opt.MatcherMaxNodes,
-		},
-		Schedule: schedule.Options{
-			DisableAtMostOncePerTerm: opt.DisableAtMostOnce,
-			MaxConflicts:             opt.MaxConflicts,
-			Certify:                  opt.Certify,
-		},
-		MaxCycles: opt.MaxCycles,
-		Trace:     opt.Trace,
-		Sink:      opt.Sink,
-		RequestID: opt.RequestID,
-	}
-	configureSearch(&copts, opt)
-	cc := cacheFor(opt, axs)
+	cc := cacheFor(opt, copts)
 
 	// Flatten the program into one job per GMA (after software
 	// pipelining) so compilation can fan out across a worker pool while
@@ -456,7 +379,7 @@ func Compile(src string, opt Options) (*Result, error) {
 	}
 	if workers <= 1 {
 		for _, j := range jobs {
-			cg, err := compileOne(j.g, copts, desc, opt.Flight, cc)
+			cg, err := compileOne(j.g, copts, opt.Flight, cc)
 			if err != nil {
 				return nil, fmt.Errorf("repro: %s: %w", j.g.Name, err)
 			}
@@ -480,7 +403,7 @@ func Compile(src string, opt Options) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			cg, err := compileOne(j.g, copts, desc, opt.Flight, cc)
+			cg, err := compileOne(j.g, copts, opt.Flight, cc)
 			if err != nil {
 				mu.Lock()
 				errs = append(errs, fmt.Errorf("repro: %s: %w", j.g.Name, err))
@@ -501,18 +424,38 @@ func Compile(src string, opt Options) (*Result, error) {
 // CompileGMA compiles a single pre-built GMA (used by benchmarks and
 // advanced callers that construct IR directly).
 func CompileGMA(g *gma.GMA, opt Options) (*CompiledGMA, error) {
-	desc, err := ArchDescription(opt.Arch)
+	copts, err := opt.coreOptions(nil)
 	if err != nil {
 		return nil, err
+	}
+	return compileOne(g, copts, opt.Flight, cacheFor(opt, copts))
+}
+
+// coreOptions resolves Options into the core compile configuration that
+// Compile, CompileGMA and Keys all start from: the machine model, the
+// axiom bundle (built-in, then the program's own axioms, then
+// ExtraAxioms), the matcher and schedule budgets, and the search
+// strategy. The stochastic seed is resolved (explicit, or hashed from
+// the request ID) and recorded in the flight report whenever the
+// strategy can consult it.
+func (o Options) coreOptions(progAxioms []*axioms.Axiom) (core.Options, error) {
+	desc, err := ArchDescription(o.Arch)
+	if err != nil {
+		return core.Options{}, err
+	}
+	search, err := core.ParseStrategy(o.Strategy)
+	if err != nil {
+		return core.Options{}, fmt.Errorf("repro: %w", err)
 	}
 	axs, err := axioms.Builtin()
 	if err != nil {
-		return nil, err
+		return core.Options{}, err
 	}
-	if opt.ExtraAxioms != "" {
-		extra, err := axioms.ParseAll(opt.ExtraAxioms, "extra")
+	axs = append(axs, progAxioms...)
+	if o.ExtraAxioms != "" {
+		extra, err := axioms.ParseAll(o.ExtraAxioms, "extra")
 		if err != nil {
-			return nil, err
+			return core.Options{}, err
 		}
 		axs = append(axs, extra...)
 	}
@@ -520,40 +463,26 @@ func CompileGMA(g *gma.GMA, opt Options) (*CompiledGMA, error) {
 		Desc:   desc,
 		Axioms: axs,
 		Matcher: matcher.Options{
-			MaxRounds: opt.MatcherMaxRounds,
-			MaxNodes:  opt.MatcherMaxNodes,
+			MaxRounds: o.MatcherMaxRounds,
+			MaxNodes:  o.MatcherMaxNodes,
 		},
 		Schedule: schedule.Options{
-			DisableAtMostOncePerTerm: opt.DisableAtMostOnce,
-			MaxConflicts:             opt.MaxConflicts,
-			Certify:                  opt.Certify,
+			DisableAtMostOncePerTerm: o.DisableAtMostOnce,
+			MaxConflicts:             o.MaxConflicts,
+			Certify:                  o.Certify,
 		},
-		MaxCycles: opt.MaxCycles,
-		Trace:     opt.Trace,
-		Sink:      opt.Sink,
-		RequestID: opt.RequestID,
+		MaxCycles: o.MaxCycles,
+		Search:    search,
+		Workers:   o.Workers,
+		Trace:     o.Trace,
+		Sink:      o.Sink,
+		RequestID: o.RequestID,
 	}
-	configureSearch(&copts, opt)
-	return compileOne(g, copts, desc, opt.Flight, cacheFor(opt, axs))
-}
-
-// configureSearch maps the public strategy/seed/incremental options onto
-// core.Options, shared by Compile and CompileGMA. The Incremental
-// tri-state becomes two core switches: false disables the persistent
-// engine outright, true pins it on past the adaptive scratch pick, and
-// nil leaves both off so core routes each GMA by size
-// (core.PrefersScratch). The stochastic seed is resolved (explicit, or
-// hashed from the request ID) and recorded in the flight report whenever
-// the strategy can consult it.
-func configureSearch(copts *core.Options, opt Options) {
-	copts.Search = opt.searchStrategy()
-	copts.Workers = opt.Workers
-	copts.DisableIncremental = opt.Incremental != nil && !*opt.Incremental
-	copts.ForceIncremental = opt.Incremental != nil && *opt.Incremental
-	if copts.Search == core.StochasticSearch || copts.Search == core.PortfolioSearch {
-		copts.Seed = opt.ResolveSeed()
-		opt.Flight.SetSeed(copts.Seed)
+	if search == core.StochasticSearch || search == core.PortfolioSearch {
+		copts.Seed = o.ResolveSeed()
+		o.Flight.SetSeed(copts.Seed)
 	}
+	return copts, nil
 }
 
 // cacheCtx carries the compile-cache wiring of one Compile/CompileGMA
@@ -568,7 +497,7 @@ type cacheCtx struct {
 
 // cacheFor derives the cache context from Options; nil when no cache is
 // configured, so the compile path stays zero-cost by default.
-func cacheFor(opt Options, axs []*axioms.Axiom) *cacheCtx {
+func cacheFor(opt Options, copts core.Options) *cacheCtx {
 	if opt.Cache == nil {
 		return nil
 	}
@@ -579,7 +508,7 @@ func cacheFor(opt Options, axs []*axioms.Axiom) *cacheCtx {
 	// request would silently break reproducibility, so the strategy
 	// bypasses the cache. Portfolio results are SAT-validated against the
 	// same optimum every seed converges to, so they cache normally.
-	if opt.searchStrategy() == core.StochasticSearch {
+	if copts.Search == core.StochasticSearch {
 		return nil
 	}
 	mode := compilecache.ModeUse
@@ -592,7 +521,7 @@ func cacheFor(opt Options, axs []*axioms.Axiom) *cacheCtx {
 	return &cacheCtx{
 		cache: opt.Cache,
 		mode:  mode,
-		cfg:   keyConfig(opt, axs),
+		cfg:   keyConfig(opt, copts.Axioms),
 		reqID: opt.RequestID,
 	}
 }
@@ -613,7 +542,6 @@ func keyConfig(opt Options, axs []*axioms.Axiom) compilecache.KeyConfig {
 		MatcherMaxNodes:   opt.MatcherMaxNodes,
 		DisableAtMostOnce: opt.DisableAtMostOnce,
 		Certify:           opt.Certify,
-		Incremental:       opt.Incremental == nil || *opt.Incremental,
 	}
 }
 
@@ -645,19 +573,11 @@ func Keys(src string, opt Options) ([]KeyedGMA, error) {
 	if err != nil {
 		return nil, err
 	}
-	axs, err := axioms.Builtin()
+	copts, err := opt.coreOptions(prog.Axioms)
 	if err != nil {
 		return nil, err
 	}
-	axs = append(axs, prog.Axioms...)
-	if opt.ExtraAxioms != "" {
-		extra, err := axioms.ParseAll(opt.ExtraAxioms, "extra")
-		if err != nil {
-			return nil, err
-		}
-		axs = append(axs, extra...)
-	}
-	cfg := keyConfig(opt, axs)
+	cfg := keyConfig(opt, copts.Axioms)
 	var keys []KeyedGMA
 	for _, proc := range prog.Procs {
 		for _, g := range proc.GMAs {
@@ -674,14 +594,14 @@ func Keys(src string, opt Options) ([]KeyedGMA, error) {
 // certificate); hits and coalesced waiters reconstruct a CompiledGMA
 // from the cached entry, with the schedule remapped onto this GMA's
 // variable names so Execute/Verify behave as if freshly compiled.
-func compileOne(g *gma.GMA, copts core.Options, desc *arch.Description, fr *flight.Recorder, cc *cacheCtx) (*CompiledGMA, error) {
+func compileOne(g *gma.GMA, copts core.Options, fr *flight.Recorder, cc *cacheCtx) (*CompiledGMA, error) {
 	if cc == nil {
-		return compileFresh(g, copts, desc, fr)
+		return compileFresh(g, copts, fr)
 	}
 	key := compilecache.Key(g, cc.cfg)
 	var fresh *CompiledGMA
 	entry, outcome, err := cc.cache.GetOrCompute(key, cc.mode, func() (compilecache.Entry, error) {
-		cg, cerr := compileFresh(g, copts, desc, fr)
+		cg, cerr := compileFresh(g, copts, fr)
 		if cerr != nil {
 			return compilecache.Entry{}, cerr
 		}
@@ -705,7 +625,7 @@ func compileOne(g *gma.GMA, copts core.Options, desc *arch.Description, fr *flig
 		fresh.Cache = string(outcome)
 		return fresh, nil
 	}
-	return fromEntry(g, entry, outcome, copts, desc, fr), nil
+	return fromEntry(g, entry, outcome, copts, fr), nil
 }
 
 // entryFromCompiled captures a fresh compile as a cache entry: the flight
@@ -738,7 +658,7 @@ func entryFromCompiled(cg *CompiledGMA, key, requestID string) compilecache.Entr
 // requesting GMA g (possibly an alpha-renamed variant of the origin).
 // The statistics replay the origin compile's; the flight report marks
 // the row as a cache hit (or coalesced) with the origin's request ID.
-func fromEntry(g *gma.GMA, e compilecache.Entry, outcome compilecache.Outcome, copts core.Options, desc *arch.Description, fr *flight.Recorder) *CompiledGMA {
+func fromEntry(g *gma.GMA, e compilecache.Entry, outcome compilecache.Outcome, copts core.Options, fr *flight.Recorder) *CompiledGMA {
 	rep := e.Report
 	cg := &CompiledGMA{
 		Name:          g.Name,
@@ -763,7 +683,7 @@ func fromEntry(g *gma.GMA, e compilecache.Entry, outcome compilecache.Outcome, c
 		Cache:       string(outcome),
 		gma:         g,
 		sched:       e.ScheduleFor(g),
-		desc:        desc,
+		desc:        copts.Desc,
 		trace:       copts.Trace,
 		sink:        copts.Sink,
 	}
@@ -787,7 +707,8 @@ func fromEntry(g *gma.GMA, e compilecache.Entry, outcome compilecache.Outcome, c
 	return cg
 }
 
-func compileFresh(g *gma.GMA, copts core.Options, desc *arch.Description, fr *flight.Recorder) (cg *CompiledGMA, err error) {
+func compileFresh(g *gma.GMA, copts core.Options, fr *flight.Recorder) (cg *CompiledGMA, err error) {
+	desc := copts.Desc
 	// Per-GMA isolation: a panic anywhere in the pipeline surfaces as this
 	// GMA's error instead of tearing down a whole (possibly concurrent)
 	// multi-GMA run. The flight report keeps a record of the casualty.

@@ -307,7 +307,7 @@ func TestIssueWidthAblation(t *testing.T) {
 }
 
 func TestBinarySearchOption(t *testing.T) {
-	res, err := Compile(programs.Byteswap4, Options{BinarySearch: true})
+	res, err := Compile(programs.Byteswap4, Options{Strategy: "binary"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,6 +318,9 @@ func TestBinarySearchOption(t *testing.T) {
 	// Binary search probes a different K sequence than 0,1,2,...
 	if len(g.Probes) >= 6 && g.Probes[0].K == 0 && g.Probes[1].K == 1 && g.Probes[2].K == 2 {
 		t.Fatalf("probe sequence looks linear: %+v", g.Probes)
+	}
+	if _, err := Compile(programs.Byteswap4, Options{Strategy: "quantum"}); err == nil {
+		t.Fatal("unknown strategy should fail")
 	}
 }
 

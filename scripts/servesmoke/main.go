@@ -2,7 +2,9 @@
 // it builds the real binary, starts it on a random loopback port, compiles
 // one program over HTTP with an X-Request-ID, asserts the ID is echoed
 // and that /debug/requests/{id} serves a flight report consistent with
-// the compile response, checks /version, scrapes /metrics and asserts the
+// the compile response, checks that the default options solve
+// quickstart's tiny GMAs from scratch and byteswap4 on the incremental
+// engine, checks /version, scrapes /metrics and asserts the
 // compile-latency histogram counted the request, then shuts the server
 // down with SIGTERM and requires a clean exit. It exercises the whole
 // service path — listener bootstrap, addr-file handshake, raw-source
@@ -28,6 +30,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/programs"
 )
 
 const source = `(\procdecl qs ((reg6 long)) long (:= (\res (+ (* reg6 4) 1))))`
@@ -175,6 +179,16 @@ func run() error {
 	}
 	if hv != "bypass" {
 		return fmt.Errorf("cache:false compile X-Denali-Cache = %q, want \"bypass\"", hv)
+	}
+
+	// The shipped default picks the probe mode by goal size alone:
+	// quickstart's two tiny GMAs are solved from scratch, byteswap4 on the
+	// persistent incremental engine.
+	if err := probeModes(base, "servesmoke-4", programs.Quickstart, false); err != nil {
+		return err
+	}
+	if err := probeModes(base, "servesmoke-5", programs.Byteswap4, true); err != nil {
+		return err
 	}
 
 	resp, err = http.Get(base + "/version")
@@ -493,6 +507,64 @@ func compileOnce(base, reqID, body, contentType string) (string, int, error) {
 		return "", 0, fmt.Errorf("unexpected response shape (%s): %+v", reqID, out)
 	}
 	return resp.Header.Get("X-Denali-Cache"), out.Procs[0].GMAs[0].Cycles, nil
+}
+
+// probeModes compiles src with the server's default options and checks
+// that every probe of every GMA was (or was not) answered by the
+// incremental engine.
+func probeModes(base, reqID, src string, wantIncremental bool) error {
+	body, err := json.Marshal(map[string]any{"source": src, "cache": false})
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequest(http.MethodPost, base+"/compile", strings.NewReader(string(body)))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Request-ID", reqID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return fmt.Errorf("POST /compile (%s): %w", reqID, err)
+	}
+	var out struct {
+		Procs []struct {
+			GMAs []struct {
+				Name   string `json:"name"`
+				Probes []struct {
+					K           int  `json:"k"`
+					Incremental bool `json:"incremental"`
+				} `json:"probes"`
+			} `json:"gmas"`
+		} `json:"procs"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("decode /compile response (%s): %w", reqID, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("/compile (%s) answered %d", reqID, resp.StatusCode)
+	}
+	gmas := 0
+	for _, p := range out.Procs {
+		for _, g := range p.GMAs {
+			gmas++
+			if len(g.Probes) == 0 {
+				return fmt.Errorf("%s (%s): no probes in the response", g.Name, reqID)
+			}
+			for _, pr := range g.Probes {
+				if pr.Incremental != wantIncremental {
+					return fmt.Errorf("%s (%s): default compile probed K=%d with incremental=%v, want %v",
+						g.Name, reqID, pr.K, pr.Incremental, wantIncremental)
+				}
+			}
+		}
+	}
+	if gmas == 0 {
+		return fmt.Errorf("/compile (%s) answered no GMAs", reqID)
+	}
+	return nil
 }
 
 // waitAddr polls for the -addr-file handshake.

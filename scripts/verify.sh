@@ -22,13 +22,16 @@ go vet ./...
 echo "== tests"
 go test ./...
 
+echo "== benchmark module (perfbench/ is its own Go module, which the root go build/vet/test skip)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== race gate (core, schedule, sat, obs, serve, flight, compilecache, history, stoke)"
 go test -race ./internal/core ./internal/schedule ./internal/sat ./internal/obs ./internal/serve ./internal/flight ./internal/compilecache ./internal/history ./internal/stoke
 
 echo "== perf gate (regression sentinel over the committed bench fixtures)"
 sh scripts/perfgate.sh
 
-echo "== serve smoke (HTTP compile + request-id echo + flight report + cache hit/bypass + /metrics scrape + graceful shutdown; then fleet: router + 2 workers via -route-file, routed /compile + /compile/batch, cache affinity on the owning shard, SIGTERM'd worker routed around)"
+echo "== serve smoke (HTTP compile + request-id echo + flight report + cache hit/bypass + default probe modes + /metrics scrape + graceful shutdown; then fleet: router + 2 workers via -route-file, routed /compile + /compile/batch, cache affinity on the owning shard, SIGTERM'd worker routed around)"
 go run ./scripts/servesmoke
 
 echo "== certification gate (drat checker tests + end-to-end -certify)"
@@ -43,7 +46,7 @@ case "$out" in
     ;;
 esac
 
-echo "== incremental-equivalence gate (golden corpus, greedy + parallel, engine on/off)"
+echo "== incremental-equivalence gate (golden corpus, every budget 0..optimum: scratch Problem vs persistent Engine)"
 go test -run '^TestIncrementalEquivalence$' -count=1 ./internal/core
 
 echo "== fuzz smoke (10s per target)"
