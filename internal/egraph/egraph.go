@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/semantics"
 	"repro/internal/term"
@@ -222,20 +222,31 @@ func (g *Graph) ConstValue(c ClassID) (uint64, bool) {
 
 // signature computes the canonical hash-cons key for a prospective node.
 func (g *Graph) signature(kind term.Kind, op string, word uint64, name string, args []ClassID) string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(g.appendSignature(buf[:0], kind, op, word, name, args))
+}
+
+// appendSignature appends the hash-cons key to b: "#<hex word>" for a
+// constant, "$<name>" for a variable, and the operator followed by " <id>"
+// per canonical argument class for an application. Lookups hash the
+// bytes directly (g.hash[string(b)] does not allocate), so only a node
+// that is actually new pays for its key string.
+func (g *Graph) appendSignature(b []byte, kind term.Kind, op string, word uint64, name string, args []ClassID) []byte {
 	switch kind {
 	case term.Const:
-		fmt.Fprintf(&b, "#%x", word)
+		b = append(b, '#')
+		b = strconv.AppendUint(b, word, 16)
 	case term.Var:
-		b.WriteByte('$')
-		b.WriteString(name)
+		b = append(b, '$')
+		b = append(b, name...)
 	default:
-		b.WriteString(op)
+		b = append(b, op...)
 		for _, a := range args {
-			fmt.Fprintf(&b, " %d", g.Find(a))
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(g.Find(a)), 10)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // AddTerm interns t (recursively) and returns its class.
@@ -255,22 +266,24 @@ func (g *Graph) AddTerm(t *term.Term) ClassID {
 }
 
 func (g *Graph) addConst(w uint64) ClassID {
-	sig := g.signature(term.Const, "", w, "", nil)
-	if id, ok := g.hash[sig]; ok {
+	var buf [32]byte
+	sig := g.appendSignature(buf[:0], term.Const, "", w, "", nil)
+	if id, ok := g.hash[string(sig)]; ok {
 		return g.Find(ClassID(id))
 	}
-	id := g.newNode(Node{Kind: term.Const, Word: w, sig: sig})
+	id := g.newNode(Node{Kind: term.Const, Word: w, sig: string(sig)})
 	val := w
 	g.classes[ClassID(id)].constVal = &val
 	return ClassID(id)
 }
 
 func (g *Graph) addVar(name string) ClassID {
-	sig := g.signature(term.Var, "", 0, name, nil)
-	if id, ok := g.hash[sig]; ok {
+	var buf [32]byte
+	sig := g.appendSignature(buf[:0], term.Var, "", 0, name, nil)
+	if id, ok := g.hash[string(sig)]; ok {
 		return g.Find(ClassID(id))
 	}
-	id := g.newNode(Node{Kind: term.Var, Name: name, sig: sig})
+	id := g.newNode(Node{Kind: term.Var, Name: name, sig: string(sig)})
 	return ClassID(id)
 }
 
@@ -278,15 +291,16 @@ func (g *Graph) addVar(name string) ClassID {
 // returns its class. Constant folding may merge the new class with a
 // constant.
 func (g *Graph) AddApp(op string, args []ClassID) ClassID {
+	var buf [64]byte
+	sig := g.appendSignature(buf[:0], term.App, op, 0, "", args)
+	if id, ok := g.hash[string(sig)]; ok {
+		return g.Find(ClassID(id))
+	}
 	canon := make([]ClassID, len(args))
 	for i, a := range args {
 		canon[i] = g.Find(a)
 	}
-	sig := g.signature(term.App, op, 0, "", canon)
-	if id, ok := g.hash[sig]; ok {
-		return g.Find(ClassID(id))
-	}
-	id := g.newNode(Node{Kind: term.App, Op: op, Args: canon, sig: sig})
+	id := g.newNode(Node{Kind: term.App, Op: op, Args: canon, sig: string(sig)})
 	g.byOp[op] = append(g.byOp[op], id)
 	for _, a := range canon {
 		ci := g.classes[a]
@@ -541,11 +555,8 @@ func (g *Graph) tryFold(id NodeID) {
 // HasNode reports whether the graph contains a node structurally equal to
 // the (canonicalized) application op(args).
 func (g *Graph) HasNode(op string, args []ClassID) (NodeID, bool) {
-	canon := make([]ClassID, len(args))
-	for i, a := range args {
-		canon[i] = g.Find(a)
-	}
-	id, ok := g.hash[g.signature(term.App, op, 0, "", canon)]
+	var buf [64]byte
+	id, ok := g.hash[string(g.appendSignature(buf[:0], term.App, op, 0, "", args))]
 	return id, ok
 }
 

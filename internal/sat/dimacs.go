@@ -40,7 +40,7 @@ func (s *Solver) WriteDIMACS(w io.Writer, comments ...string) error {
 	fmt.Fprintf(bw, "c %d variables, %d clauses\n", s.NumVars(), n)
 	fmt.Fprintf(bw, "p cnf %d %d\n", s.NumVars(), n)
 	for _, c := range s.clauses {
-		for _, l := range c.lits {
+		for _, l := range s.lits(c) {
 			fmt.Fprintf(bw, "%s ", l)
 		}
 		fmt.Fprintln(bw, "0")
@@ -148,6 +148,19 @@ func (s *Solver) AtMostOne(lits []Lit) {
 	}
 	// lits[n-1] -> ¬aux[n-2]
 	s.AddClause(lits[n-1].Not(), aux[n-2].Not())
+}
+
+// AtMostOneSize reports what AtMostOne adds for n literals: the number of
+// auxiliary variables it allocates and the number of (binary) clauses it
+// emits. Encoders use it to size a solver up front (see Reserve).
+func AtMostOneSize(n int) (vars, clauses int) {
+	switch {
+	case n <= 1:
+		return 0, 0
+	case n <= 5:
+		return 0, n * (n - 1) / 2
+	}
+	return n - 1, 3*n - 4
 }
 
 // AtMostK adds clauses forcing at most k of lits to be true, using the

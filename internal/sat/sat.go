@@ -12,6 +12,7 @@ package sat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -55,8 +56,20 @@ const (
 	lFalse int8 = -1
 )
 
-type clause struct {
-	lits     []Lit
+// cref addresses one clause: an index into the solver's header table.
+// Clauses are values in a flat arena, not heap objects, so watch lists,
+// reasons and the clause lists all hold refs.
+type cref int32
+
+// crefUndef is "no clause": the reason of a decision, an assumption or a
+// top-level unit.
+const crefUndef cref = -1
+
+// clauseHdr locates one clause's literals in the arena and carries its
+// database bookkeeping.
+type clauseHdr struct {
+	start    int32 // index of the first literal in Solver.arena
+	size     int32
 	learned  bool
 	deleted  bool
 	activity float64
@@ -104,13 +117,21 @@ type Stats struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []*clause
-	learned []*clause
-	watches [][]*clause
+	// arena holds every clause's literals back to back; hdrs[c] says
+	// where clause c's run starts and how long it is. wasted counts the
+	// arena literals of deleted clauses, which reduceDB reclaims by
+	// compacting once they are half the arena.
+	arena   []Lit
+	hdrs    []clauseHdr
+	wasted  int
+	clauses []cref
+	learned []cref
+	watches [][]cref
+	slab    []cref // the chunk short watch lists are carved from (see watch)
 
 	assigns []int8
 	level   []int32
-	reason  []*clause
+	reason  []cref
 	trail   []Lit
 	lim     []int
 	qhead   int
@@ -124,6 +145,14 @@ type Solver struct {
 	defPhase []bool // per-var reset polarity: SetPhase overrides, ResetPhases restores
 
 	unsat bool
+
+	// Scratch buffers reused across calls: AddClause's sorted copy and
+	// its proof-log copy, analyze's learned clause and its seen marks
+	// (all false between calls).
+	addBuf   []Lit
+	inputBuf []Lit
+	learnBuf []Lit
+	seen     []bool
 
 	// model is the assignment snapshot of the last Sat answer. Solve
 	// backtracks to level 0 before returning (so clauses can be added and
@@ -168,15 +197,38 @@ func (s *Solver) NewVar() int {
 	v := len(s.assigns)
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
 	s.defPhase = append(s.defPhase, false)
 	s.heapPos = append(s.heapPos, -1)
+	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	s.heapInsert(int32(v))
 	s.stats.Vars++
 	return v
+}
+
+// Reserve makes room for vars more variables, clauses more problem
+// clauses and lits more clause literals, so a caller that knows its
+// problem size can build it without regrowing the per-variable tables or
+// the clause arena. It is only a capacity hint: the solver still grows
+// past it, and the answer does not depend on it.
+func (s *Solver) Reserve(vars, clauses, lits int) {
+	s.assigns = slices.Grow(s.assigns, vars)
+	s.level = slices.Grow(s.level, vars)
+	s.reason = slices.Grow(s.reason, vars)
+	s.activity = slices.Grow(s.activity, vars)
+	s.phase = slices.Grow(s.phase, vars)
+	s.defPhase = slices.Grow(s.defPhase, vars)
+	s.heap = slices.Grow(s.heap, vars)
+	s.heapPos = slices.Grow(s.heapPos, vars)
+	s.seen = slices.Grow(s.seen, vars)
+	s.watches = slices.Grow(s.watches, 2*vars)
+	s.trail = slices.Grow(s.trail, vars)
+	s.hdrs = slices.Grow(s.hdrs, clauses)
+	s.clauses = slices.Grow(s.clauses, clauses)
+	s.arena = slices.Grow(s.arena, lits)
 }
 
 // NumVars returns the number of allocated variables.
@@ -221,11 +273,25 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if len(s.lim) != 0 {
 		panic("sat: AddClause called during search")
 	}
-	s.logInput(lits)
+	if s.Proof != nil {
+		// Log a copy: handing the caller's slice to an interface method
+		// would make every variadic call site heap-allocate its literals.
+		s.inputBuf = append(s.inputBuf[:0], lits...)
+		s.logInput(s.inputBuf)
+	}
 	// Top-level simplification: sort, dedup, drop false literals, detect
-	// tautologies and already-satisfied clauses.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// tautologies and already-satisfied clauses. Clauses are short and
+	// arrive nearly sorted, so an insertion sort into the reused buffer
+	// beats a general sort and allocates nothing.
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	for i := 1; i < len(ls); i++ {
+		l, j := ls[i], i
+		for ; j > 0 && ls[j-1] > l; j-- {
+			ls[j] = ls[j-1]
+		}
+		ls[j] = l
+	}
 	out := ls[:0]
 	var prev Lit = litUndef
 	for _, l := range ls {
@@ -253,27 +319,79 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.unsat = true
 		return false
 	case 1:
-		s.enqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.enqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.logLearn(nil)
 			s.unsat = true
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.newClause(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	s.stats.Clauses++
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0]] = append(s.watches[c.lits[0]], c)
-	s.watches[c.lits[1]] = append(s.watches[c.lits[1]], c)
+// newClause copies lits into the arena and returns the new clause's ref.
+func (s *Solver) newClause(lits []Lit, learned bool) cref {
+	c := cref(len(s.hdrs))
+	s.hdrs = append(s.hdrs, clauseHdr{start: int32(len(s.arena)), size: int32(len(lits)), learned: learned})
+	s.arena = append(s.arena, lits...)
+	return c
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) {
+// lits returns clause c's literals: a window onto the arena, permuted in
+// place as watches move.
+func (s *Solver) lits(c cref) []Lit {
+	h := &s.hdrs[c]
+	return s.arena[h.start : h.start+h.size : h.start+h.size]
+}
+
+func (s *Solver) attach(c cref) {
+	ls := s.lits(c)
+	s.watch(ls[0], c)
+	s.watch(ls[1], c)
+}
+
+// Short watch lists are carved out of shared slab chunks instead of each
+// getting its own small heap array: most literals watch only a few
+// clauses, and one allocation per literal (and per doubling) dominated
+// the cost of building a large encoding. A list that outgrows
+// watchSlabMax moves to an ordinary heap array. Growth never reorders a
+// list, so where a list's memory lives cannot change the search.
+const (
+	watchSlabChunk = 1 << 12
+	watchSlabMax   = 64
+)
+
+// watch appends clause c to literal l's watch list.
+func (s *Solver) watch(l Lit, c cref) {
+	ws := s.watches[l]
+	if len(ws) == cap(ws) {
+		ws = s.growWatch(ws)
+	}
+	s.watches[l] = append(ws, c)
+}
+
+// growWatch returns ws moved to an array of twice its capacity (at least
+// 4). Abandoned slab slots are not reused; a chunk is freed once no list
+// points into it.
+func (s *Solver) growWatch(ws []cref) []cref {
+	n := max(2*cap(ws), 4)
+	if n > watchSlabMax {
+		return slices.Grow(ws, n-len(ws))
+	}
+	if cap(s.slab)-len(s.slab) < n {
+		s.slab = make([]cref, 0, watchSlabChunk)
+	}
+	at := len(s.slab)
+	s.slab = s.slab[:at+n]
+	return append(s.slab[at:at:at+n], ws...)
+}
+
+func (s *Solver) enqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.IsNeg() {
 		s.assigns[v] = lFalse
@@ -286,8 +404,8 @@ func (s *Solver) enqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// crefUndef.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -296,29 +414,31 @@ func (s *Solver) propagate() *clause {
 		falseLit := p.Not()
 		ws := s.watches[falseLit]
 		kept := ws[:0]
-		var confl *clause
+		confl := crefUndef
 		for i := 0; i < len(ws); i++ {
 			c := ws[i]
-			if c.deleted {
+			h := &s.hdrs[c]
+			if h.deleted {
 				continue // dropped by reduceDB
 			}
-			if confl != nil {
+			if confl != crefUndef {
 				kept = append(kept, c)
 				continue
 			}
+			ls := s.arena[h.start : h.start+h.size]
 			// Normalize: watched false literal at position 1.
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if ls[0] == falseLit {
+				ls[0], ls[1] = ls[1], ls[0]
 			}
-			if s.value(c.lits[0]) == lTrue {
+			if s.value(ls[0]) == lTrue {
 				kept = append(kept, c)
 				continue
 			}
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1]] = append(s.watches[c.lits[1]], c)
+			for k := 2; k < len(ls); k++ {
+				if s.value(ls[k]) != lFalse {
+					ls[1], ls[k] = ls[k], ls[1]
+					s.watch(ls[1], c)
 					moved = true
 					break
 				}
@@ -327,38 +447,39 @@ func (s *Solver) propagate() *clause {
 				continue // removed from this watch list
 			}
 			kept = append(kept, c)
-			if s.value(c.lits[0]) == lFalse {
+			if s.value(ls[0]) == lFalse {
 				confl = c
 				continue
 			}
-			s.enqueue(c.lits[0], c)
+			s.enqueue(ls[0], c)
 		}
 		s.watches[falseLit] = kept
-		if confl != nil {
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 // analyze derives a first-UIP learned clause from a conflict. The asserting
-// literal is placed at index 0 and the backtrack level returned.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{litUndef}
-	seen := make([]bool, len(s.assigns))
+// literal is placed at index 0 and the backtrack level returned. The
+// clause lives in a buffer reused by the next conflict.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learnBuf[:0], litUndef)
+	seen := s.seen
 	pathC := 0
 	p := litUndef
 	index := len(s.trail) - 1
 	curLevel := int32(len(s.lim))
 	for {
-		if confl.learned {
+		if s.hdrs[confl].learned {
 			s.bumpClause(confl)
 		}
-		start := 0
+		ls := s.lits(confl)
 		if p != litUndef {
-			start = 1 // reason clause has p at lits[0]
+			ls = ls[1:] // reason clause has p at lits[0]
 		}
-		for _, q := range confl.lits[start:] {
+		for _, q := range ls {
 			v := q.Var()
 			if !seen[v] && s.level[v] > 0 {
 				seen[v] = true
@@ -383,6 +504,12 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		}
 	}
 	learnt[0] = p.Not()
+	// Every current-level mark was cleared on the walk; the lower-level
+	// ones are exactly learnt[1:].
+	for _, q := range learnt[1:] {
+		seen[q.Var()] = false
+	}
+	s.learnBuf = learnt
 	// Backtrack to the second-highest level in the clause; move that
 	// literal to index 1 so the watches stay valid after backtracking.
 	bt := 0
@@ -409,7 +536,7 @@ func (s *Solver) backtrack(level int) {
 		v := l.Var()
 		s.phase[v] = !l.IsNeg()
 		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		if s.heapPos[v] < 0 {
 			s.heapInsert(int32(v))
 		}
@@ -495,7 +622,7 @@ func (s *Solver) solve(assumps []Lit) Result {
 	if s.unsat {
 		return Unsat
 	}
-	if c := s.propagate(); c != nil {
+	if s.propagate() != crefUndef {
 		s.logLearn(nil)
 		s.unsat = true
 		return Unsat
@@ -515,7 +642,7 @@ func (s *Solver) solve(assumps []Lit) Result {
 			return Unknown
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			if len(s.lim) == 0 {
 				s.logLearn(nil)
@@ -526,9 +653,9 @@ func (s *Solver) solve(assumps []Lit) Result {
 			s.logLearn(learnt)
 			s.backtrack(bt)
 			if len(learnt) == 1 {
-				s.enqueue(learnt[0], nil)
+				s.enqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learned: true}
+				c := s.newClause(learnt, true)
 				s.learned = append(s.learned, c)
 				s.stats.Learned++
 				s.attach(c)
@@ -578,7 +705,7 @@ func (s *Solver) solve(assumps []Lit) Result {
 				return Unsat
 			default:
 				s.lim = append(s.lim, len(s.trail))
-				s.enqueue(p, nil)
+				s.enqueue(p, crefUndef)
 			}
 			continue
 		}
@@ -598,7 +725,7 @@ func (s *Solver) solve(assumps []Lit) Result {
 		if !s.phase[v] {
 			l = Neg(v)
 		}
-		s.enqueue(l, nil)
+		s.enqueue(l, crefUndef)
 	}
 }
 
@@ -621,14 +748,14 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 		if !seen[v] {
 			continue
 		}
-		if r := s.reason[v]; r == nil {
+		if r := s.reason[v]; r == crefUndef {
 			// A decision above level 0 while establishing assumptions is
 			// itself an assumption literal.
 			core = append(core, s.trail[i])
 		} else {
-			// The propagated literal is r.lits[0]; its antecedents are
+			// The propagated literal is lits(r)[0]; its antecedents are
 			// the rest. Level-0 literals need no justification.
-			for _, q := range r.lits[1:] {
+			for _, q := range s.lits(r)[1:] {
 				if s.level[q.Var()] > 0 {
 					seen[q.Var()] = true
 				}
@@ -779,11 +906,12 @@ func (s *Solver) heapPopMax() int32 {
 }
 
 // bumpClause raises a learned clause's activity, rescaling on overflow.
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	h := &s.hdrs[c]
+	h.activity += s.claInc
+	if h.activity > 1e20 {
 		for _, lc := range s.learned {
-			lc.activity *= 1e-20
+			s.hdrs[lc].activity *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -801,11 +929,13 @@ func (s *Solver) learnedLimit() int {
 
 // reduceDB deletes the lower-activity half of the learned clauses, keeping
 // binary clauses and clauses that are the reason for a current assignment.
+// Deleted clauses stay in the watch lists (propagate drops them lazily)
+// until their literals are half the arena; then the arena is compacted.
 func (s *Solver) reduceDB() {
-	sorted := append([]*clause(nil), s.learned...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].activity < sorted[j].activity })
-	locked := func(c *clause) bool {
-		v := c.lits[0].Var()
+	sorted := append([]cref(nil), s.learned...)
+	sort.Slice(sorted, func(i, j int) bool { return s.hdrs[sorted[i]].activity < s.hdrs[sorted[j]].activity })
+	locked := func(c cref) bool {
+		v := s.lits(c)[0].Var()
 		return s.reason[v] == c && s.assigns[v] != lUndef
 	}
 	toDelete := len(sorted) / 2
@@ -813,22 +943,69 @@ func (s *Solver) reduceDB() {
 		if toDelete == 0 {
 			break
 		}
-		if len(c.lits) <= 2 || locked(c) {
+		h := &s.hdrs[c]
+		if h.size <= 2 || locked(c) {
 			continue
 		}
-		c.deleted = true
-		s.logDelete(c.lits)
+		h.deleted = true
+		s.wasted += int(h.size)
+		s.logDelete(s.lits(c))
 		toDelete--
 	}
 	before := len(s.learned)
 	kept := s.learned[:0]
 	for _, c := range s.learned {
-		if !c.deleted {
+		if !s.hdrs[c].deleted {
 			kept = append(kept, c)
 		}
 	}
 	s.learned = kept
 	s.stats.Reduced += int64(before - len(kept))
+	if s.wasted > len(s.arena)/2 {
+		s.compact()
+	}
+}
+
+// compact rebuilds the arena without the deleted clauses. Live clauses
+// keep their relative order and their literal order, refs are renumbered
+// densely, and deleted refs leave the watch lists — which changes nothing
+// propagate would do, since it skips deleted clauses anyway.
+func (s *Solver) compact() {
+	remap := make([]cref, len(s.hdrs))
+	arena := make([]Lit, 0, len(s.arena)-s.wasted)
+	hdrs := make([]clauseHdr, 0, len(s.clauses)+len(s.learned))
+	for c, h := range s.hdrs {
+		if h.deleted {
+			remap[c] = crefUndef
+			continue
+		}
+		remap[c] = cref(len(hdrs))
+		lits := s.arena[h.start : h.start+h.size]
+		h.start = int32(len(arena))
+		arena = append(arena, lits...)
+		hdrs = append(hdrs, h)
+	}
+	for i, c := range s.clauses {
+		s.clauses[i] = remap[c]
+	}
+	for i, c := range s.learned {
+		s.learned[i] = remap[c]
+	}
+	for l, ws := range s.watches {
+		kept := ws[:0]
+		for _, c := range ws {
+			if r := remap[c]; r != crefUndef {
+				kept = append(kept, r)
+			}
+		}
+		s.watches[l] = kept
+	}
+	for v, r := range s.reason {
+		if r != crefUndef {
+			s.reason[v] = remap[r]
+		}
+	}
+	s.arena, s.hdrs, s.wasted = arena, hdrs, 0
 }
 
 // ResetPhases restores every saved phase to its default polarity —
@@ -838,12 +1015,15 @@ func (s *Solver) ResetPhases() {
 	copy(s.phase, s.defPhase)
 }
 
-// ResetActivities zeroes the VSIDS state (variable and clause activities
-// and their bump increments) and restores the branching heap to canonical
-// variable order, leaving phases and clauses untouched. After the reset
-// the solver branches exactly like a freshly-built one on the same
-// clauses: with all activities tied, decision order is heap-array order,
-// which pops and re-inserts would otherwise have shuffled.
+// ResetActivities zeroes the variable activities, resets both bump
+// increments (variable and clause) to 1, and restores the branching heap
+// to canonical variable order, leaving phases and clauses untouched.
+// After the reset the solver branches exactly like a freshly-built one on
+// the same clauses: with all activities tied, decision order is
+// heap-array order, which pops and re-inserts would otherwise have
+// shuffled. Learned-clause activities are not zeroed: they keep their
+// old scale, which can dwarf the reset increment, so database reduction
+// still favours the clauses that were active before the reset.
 func (s *Solver) ResetActivities() {
 	for v := range s.activity {
 		s.activity[v] = 0

@@ -136,7 +136,7 @@ func (p *Problem) decode() (*Schedule, error) {
 		if len(mt.modes) > 1 {
 			modeIdx = -1
 			for k := range mt.modes {
-				if p.solver.Value(p.modeVar[[2]int32{int32(mi), int32(k)}]) {
+				if p.solver.Value(p.modeVarOf(mi, k)) {
 					modeIdx = k
 					break
 				}
@@ -144,7 +144,7 @@ func (p *Problem) decode() (*Schedule, error) {
 		}
 		for i := 0; i+mt.latency <= p.K; i++ {
 			for _, u := range mt.op.Units {
-				if p.solver.Value(p.uVar[[3]int32{int32(mi), int32(i), int32(u)}]) {
+				if p.solver.Value(p.launchVar(mi, i, u)) {
 					if modeIdx < 0 {
 						return nil, fmt.Errorf("schedule: term %s launched with no mode selected", mt.describe(p.G))
 					}
