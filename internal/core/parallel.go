@@ -20,7 +20,8 @@ import (
 //   - UNSAT at K refutes every budget below K, so in-flight probes with
 //     K' < K are interrupted and count as refuted;
 //   - SAT at K makes every probe with K' > K moot, so those are
-//     interrupted and their answers discarded.
+//     interrupted and their answers discarded; a SAT answer at K' > K
+//     that arrived first is superseded and counted as wasted.
 //
 // The search finishes when the smallest satisfiable budget is known and
 // everything below it is either directly or transitively resolved. With
@@ -255,6 +256,12 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 		switch out.stat.Result {
 		case sat.Sat:
 			if bestSat < 0 || out.k < bestSat {
+				if bestSat >= 0 {
+					// A smaller SAT supersedes the previous best: that
+					// probe's schedule is discarded, so its work was wasted.
+					tr.Add("parallel.wasted", 1)
+					sk.Add(obs.MProbeWaste, 1, strategy)
+				}
 				bestSat = out.k
 				c.Schedule = out.sched
 				c.Cycles = out.k
