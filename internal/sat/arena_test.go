@@ -1,0 +1,113 @@
+package sat
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// logProof records a solver's derivation, copying each clause.
+type logProof struct{ steps [][]Lit }
+
+func (p *logProof) Input(lits []Lit)  { p.steps = append(p.steps, append([]Lit{1 << 30}, lits...)) }
+func (p *logProof) Learn(lits []Lit)  { p.steps = append(p.steps, append([]Lit(nil), lits...)) }
+func (p *logProof) Delete(lits []Lit) { p.steps = append(p.steps, append([]Lit{-2}, lits...)) }
+
+// random3SAT adds a seeded random 3-SAT instance to s.
+func random3SAT(s *Solver, seed int64, vars, clauses int) *Solver {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < vars; i++ {
+		s.NewVar()
+	}
+	for i := 0; i < clauses; i++ {
+		var c [3]Lit
+		for j := range c {
+			c[j] = Lit(2*rng.Intn(vars) + rng.Intn(2))
+		}
+		s.AddClause(c[:]...)
+	}
+	return s
+}
+
+// TestCompactionKeepsTrajectory: compacting the clause arena renumbers
+// refs and purges deleted clauses from the watch lists, which must change
+// nothing about the search. Two solvers run the same hard instance in
+// conflict-bounded slices. One compacts on its own and is also compacted
+// between slices; the reference never compacts, because its arena starts
+// with a long unused run that its deleted literals never reach half of.
+// Their per-slice answers and work counters, their proof logs and their
+// models must agree exactly.
+func TestCompactionKeepsTrajectory(t *testing.T) {
+	const vars, clauses, slice, rounds = 200, 852, 500, 40
+	pa, pb := &logProof{}, &logProof{}
+	a := New()
+	a.Proof = pa
+	random3SAT(a, 7, vars, clauses)
+	b := New()
+	b.Proof = pb
+	b.arena = make([]Lit, 1<<20)
+	random3SAT(b, 7, vars, clauses)
+	a.MaxConflicts, b.MaxConflicts = slice, slice
+	for i := 0; i < rounds; i++ {
+		if a.wasted > 0 {
+			a.compact()
+			if a.wasted != 0 || len(a.hdrs) != len(a.clauses)+len(a.learned) {
+				t.Fatalf("round %d: compaction left %d wasted literals, %d headers for %d live clauses",
+					i, a.wasted, len(a.hdrs), len(a.clauses)+len(a.learned))
+			}
+		}
+		ra, rb := a.Solve(), b.Solve()
+		if ra != rb || a.LastStats() != b.LastStats() {
+			t.Fatalf("round %d: compacted solver answered %v %+v, reference %v %+v",
+				i, ra, a.LastStats(), rb, b.LastStats())
+		}
+		if slices.Contains(a.seen, true) {
+			t.Fatalf("round %d: analyze left seen marks set", i)
+		}
+		if ra != Unknown {
+			if ra == Sat && !slices.Equal(a.Model(), b.Model()) {
+				t.Fatalf("round %d: models differ", i)
+			}
+			break
+		}
+	}
+	if b.wasted == 0 || len(a.hdrs) >= len(b.hdrs) {
+		t.Fatalf("no compaction to compare (reference wasted %d literals; headers %d vs %d): make the instance harder",
+			b.wasted, len(a.hdrs), len(b.hdrs))
+	}
+	if len(pa.steps) != len(pb.steps) {
+		t.Fatalf("proof logs have %d and %d steps", len(pa.steps), len(pb.steps))
+	}
+	for i := range pa.steps {
+		if !slices.Equal(pa.steps[i], pb.steps[i]) {
+			t.Fatalf("proof step %d differs: %v vs %v", i, pa.steps[i], pb.steps[i])
+		}
+	}
+}
+
+// TestAddClauseAllocs: building a reserved solver out of binary clauses
+// allocates almost nothing per clause: the arena, the header table and
+// the per-variable tables are sized once, and short watch lists come out
+// of shared slab chunks.
+func TestAddClauseAllocs(t *testing.T) {
+	const vars, n = 2000, 20000
+	rng := rand.New(rand.NewSource(3))
+	pairs := make([][2]Lit, n)
+	for i := range pairs {
+		v := rng.Intn(vars - 1)
+		pairs[i] = [2]Lit{Neg(v), Neg(v + 1 + rng.Intn(vars-v-1))}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		s := New()
+		s.Reserve(vars, n, 2*n)
+		for i := 0; i < vars; i++ {
+			s.NewVar()
+		}
+		for _, p := range pairs {
+			s.AddClause(p[0], p[1])
+		}
+	})
+	if per := allocs / n; per > 0.01 {
+		t.Errorf("binary AddClause allocates %.4f times per clause (%.0f for %d), want <= 0.01", per, allocs, n)
+	}
+}

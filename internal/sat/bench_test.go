@@ -94,3 +94,35 @@ func BenchmarkPropagation(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAddClause measures building a problem: a reserved solver
+// taking binary at-most-one clauses, the bulk of a scheduling encoding,
+// then a sequential at-most-one ladder over every variable. One op adds
+// every clause once.
+func BenchmarkAddClause(b *testing.B) {
+	const vars, pairs = 2000, 20000
+	rng := rand.New(rand.NewSource(5))
+	ps := make([][2]Lit, pairs)
+	for i := range ps {
+		v := rng.Intn(vars - 1)
+		ps[i] = [2]Lit{Neg(v), Neg(v + 1 + rng.Intn(vars-v-1))}
+	}
+	all := make([]Lit, vars)
+	for v := range all {
+		all[v] = Pos(v)
+	}
+	ladderVars, ladderClauses := AtMostOneSize(vars)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New()
+		s.Reserve(vars+ladderVars, pairs+ladderClauses, 2*(pairs+ladderClauses))
+		for v := 0; v < vars; v++ {
+			s.NewVar()
+		}
+		for _, p := range ps {
+			s.AddClause(p[0], p[1])
+		}
+		s.AtMostOne(all)
+	}
+}
