@@ -28,6 +28,12 @@ echo "== benchmark module (perfbench/ is its own Go module, which the root go bu
 echo "== race gate (core, schedule, sat, obs, serve, flight, compilecache, history, stoke)"
 go test -race ./internal/core ./internal/schedule ./internal/sat ./internal/obs ./internal/serve ./internal/flight ./internal/compilecache ./internal/history ./internal/stoke
 
+echo "== flake guard (parallel speculation accounting under -race, 20 runs)"
+go test -race -run '^TestParallelObs$' -count=20 ./internal/core
+
+echo "== benchmark smoke (every per-layer benchmark once)"
+go test -run '^$' -bench . -benchtime 1x ./internal/sat ./internal/schedule ./internal/egraph ./internal/matcher
+
 echo "== perf gate (regression sentinel over the committed bench fixtures)"
 sh scripts/perfgate.sh
 
@@ -48,6 +54,9 @@ esac
 
 echo "== incremental-equivalence gate (golden corpus, every budget 0..optimum: scratch Problem vs persistent Engine)"
 go test -run '^TestIncrementalEquivalence$' -count=1 ./internal/core
+
+echo "== trajectory gate (golden corpus: per-probe solver counters, assembly, certificate and DIMACS hashes match testdata/trajectory.json)"
+go test -run '^TestSolverTrajectory$' -count=1 ./internal/core
 
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/lang
