@@ -94,7 +94,9 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(p interrupter
 		return func(k int) (*schedule.Schedule, sat.Result, error) {
 			psp := tr.Startf("probe K=%d", k)
 			tr.Add("probes", 1)
+			t0 := time.Now()
 			p, err := schedule.NewProblem(c.Graph, gm, k, opt.Schedule)
+			c.EncodeTime += time.Since(t0)
 			if err != nil {
 				psp.End(obs.T("result", "error"))
 				return nil, sat.Unknown, err
@@ -102,7 +104,7 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(p interrupter
 			if hook != nil {
 				hook(p, k)
 			}
-			t0 := time.Now()
+			t0 = time.Now()
 			sched, stat, err := p.Solve()
 			if hook != nil {
 				hook(nil, -1)
@@ -110,7 +112,9 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(p interrupter
 			return record(k, psp, sched, stat, time.Since(t0), err)
 		}, nil
 	}
+	t0 := time.Now()
 	eng, err := schedule.NewEngine(c.Graph, gm, initialWindow(opt), opt.MaxCycles, opt.Schedule)
+	c.EncodeTime += time.Since(t0)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +129,10 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(p interrupter
 		if hook != nil {
 			hook(nil, -1)
 		}
-		return record(k, psp, sched, stat, time.Since(t0), err)
+		// A probe that grew the window spent stat.Encode of its time
+		// encoding, not solving.
+		c.EncodeTime += stat.Encode
+		return record(k, psp, sched, stat, time.Since(t0)-stat.Encode, err)
 	}, nil
 }
 

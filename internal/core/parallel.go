@@ -50,11 +50,14 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	sopt := opt.Schedule
 	sopt.Trace = nil
 
+	// elapsed is a probe's wall-clock, encode the part of it spent
+	// building (or growing) its problem.
 	type outcome struct {
 		k       int
 		sched   *schedule.Schedule
 		stat    schedule.Stat
 		elapsed time.Duration
+		encode  time.Duration
 		err     error
 	}
 	results := make(chan outcome)
@@ -87,9 +90,10 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 			}
 			t0 := time.Now()
 			var (
-				sched *schedule.Schedule
-				stat  schedule.Stat
-				err   error
+				sched  *schedule.Schedule
+				stat   schedule.Stat
+				encode time.Duration
+				err    error
 			)
 			if incremental {
 				mu.Lock()
@@ -109,7 +113,9 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 					if workers > 1 {
 						g = c.Graph.Clone()
 					}
+					te := time.Now()
 					eng, err = schedule.NewEngine(g, gm, window, maxCycles, sopt)
+					encode = time.Since(te)
 					if err != nil {
 						sp.End(obs.T("result", "error"))
 						results <- outcome{k: k, err: err, elapsed: time.Since(t0)}
@@ -126,6 +132,7 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 				running[k] = eng
 				mu.Unlock()
 				sched, stat, err = eng.SolveBudget(k)
+				encode += stat.Encode
 				mu.Lock()
 				delete(running, k)
 				enginePool = append(enginePool, eng)
@@ -136,7 +143,9 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 					g = c.Graph.Clone()
 				}
 				var p *schedule.Problem
+				te := time.Now()
 				p, err = schedule.NewProblem(g, gm, k, sopt)
+				encode = time.Since(te)
 				if err != nil {
 					sp.End(obs.T("result", "error"))
 					results <- outcome{k: k, err: err, elapsed: time.Since(t0)}
@@ -154,7 +163,7 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 				obs.T("cancelled", boolStr(stat.Solver.Cancelled)),
 				obs.Tint("vars", int64(stat.Vars)), obs.Tint("clauses", int64(stat.Clauses)),
 				obs.Tint("conflicts", stat.Solver.Conflicts))
-			results <- outcome{k: k, sched: sched, stat: stat, elapsed: time.Since(t0), err: err}
+			results <- outcome{k: k, sched: sched, stat: stat, elapsed: time.Since(t0), encode: encode, err: err}
 		}()
 	}
 	// cancelMoot interrupts every in-flight probe the predicate marks as
@@ -245,8 +254,9 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 			}
 			continue
 		}
-		c.SolveTime += out.elapsed
-		c.Probes = append(c.Probes, Probe{Stat: out.stat, Elapsed: out.elapsed})
+		c.EncodeTime += out.encode
+		c.SolveTime += out.elapsed - out.encode
+		c.Probes = append(c.Probes, Probe{Stat: out.stat, Elapsed: out.elapsed - out.encode})
 		tr.Add("sat.conflicts", out.stat.Solver.Conflicts)
 		tr.Add("sat.decisions", out.stat.Solver.Decisions)
 		tr.Add("sat.propagations", out.stat.Solver.Propagations)

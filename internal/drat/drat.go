@@ -18,12 +18,7 @@
 // with an external drat-trim.
 package drat
 
-import (
-	"sort"
-	"strconv"
-
-	"repro/internal/sat"
-)
+import "repro/internal/sat"
 
 // Clause is a DIMACS-style clause: each literal is a 1-based variable
 // index, negative for negated. The zero literal never appears.
@@ -47,14 +42,33 @@ type Certificate struct {
 	Vars int
 	// Formula is the original clause database, in insertion order.
 	Formula []Clause
+	// Assumed holds extra unit premises, one literal each, that follow
+	// Formula: the assumption a solver refuted incrementally (see
+	// Recorder.Snapshot). Check, Stats and WriteDIMACS include them.
+	Assumed Clause
 	// Steps is the derivation.
 	Steps []Step
+	// Closed marks a derivation whose final step, the empty clause, is
+	// implied rather than stored: a snapshot shares its step list with
+	// the solver's later proof, so the list cannot end in it. Check
+	// verifies it after Steps; Stats and Proof include it.
+	Closed bool
 }
 
 // Check replays the certificate and returns nil if it is a valid
-// refutation of Formula (every addition RUP, empty clause derived).
+// refutation of Formula plus Assumed (every addition RUP, empty clause
+// derived).
 func (c *Certificate) Check() error {
-	return Check(c.Formula, c.Steps)
+	return check(c.Formula, c.Assumed, c.Steps, c.Closed)
+}
+
+// Proof returns the complete derivation: Steps, plus the empty clause
+// when Closed. Only a closed certificate pays for a copy.
+func (c *Certificate) Proof() []Step {
+	if !c.Closed {
+		return c.Steps
+	}
+	return append(c.Steps[:len(c.Steps):len(c.Steps)], Step{})
 }
 
 // Recorder accumulates a Certificate from a solver run. It implements
@@ -65,12 +79,24 @@ func (c *Certificate) Check() error {
 //	s.Proof = rec
 //
 // before adding clauses; after Solve returns Unsat, rec.Certificate()
-// holds the refutation. The recorder copies every clause (the solver
-// permutes literal slices in place) and is not goroutine-safe, matching
+// holds the refutation, and after an Unsat under assumptions
+// rec.Snapshot(assumptions...) does. The recorder copies every clause
+// (the solver permutes literal slices in place) into shared chunks
+// rather than one slice per clause, and is not goroutine-safe, matching
 // the solver's single-goroutine Proof contract.
 type Recorder struct {
-	cert Certificate
+	vars    int
+	formula []Clause
+	steps   []Step
+	// chunk is the literal storage new clauses are carved from; a full
+	// chunk stays alive through the clauses that point into it.
+	chunk []int
+	// refuted is set once the solver logs the empty clause.
+	refuted bool
 }
+
+// recorderChunk is the literal capacity of one recorder chunk.
+const recorderChunk = 1 << 14
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
@@ -78,38 +104,75 @@ func NewRecorder() *Recorder { return &Recorder{} }
 var _ sat.Proof = (*Recorder)(nil)
 
 func (r *Recorder) convert(lits []sat.Lit) Clause {
-	c := make(Clause, len(lits))
-	for i, l := range lits {
-		d := l.Var() + 1
-		if d > r.cert.Vars {
-			r.cert.Vars = d
-		}
-		if l.IsNeg() {
-			d = -d
-		}
-		c[i] = d
+	if cap(r.chunk)-len(r.chunk) < len(lits) {
+		r.chunk = make([]int, 0, max(recorderChunk, len(lits)))
 	}
-	return c
+	at := len(r.chunk)
+	for _, l := range lits {
+		r.chunk = append(r.chunk, r.dimacs(l))
+	}
+	return r.chunk[at:len(r.chunk):len(r.chunk)]
+}
+
+// dimacs renders a solver literal in DIMACS form, tracking Vars.
+func (r *Recorder) dimacs(l sat.Lit) int {
+	d := l.Var() + 1
+	if d > r.vars {
+		r.vars = d
+	}
+	if l.IsNeg() {
+		d = -d
+	}
+	return d
 }
 
 // Input records one original problem clause.
 func (r *Recorder) Input(lits []sat.Lit) {
-	r.cert.Formula = append(r.cert.Formula, r.convert(lits))
+	r.formula = append(r.formula, r.convert(lits))
 }
 
 // Learn records one derived clause.
 func (r *Recorder) Learn(lits []sat.Lit) {
-	r.cert.Steps = append(r.cert.Steps, Step{Lits: r.convert(lits)})
+	r.steps = append(r.steps, Step{Lits: r.convert(lits)})
+	if len(lits) == 0 {
+		r.refuted = true
+	}
 }
 
 // Delete records one clause deletion.
 func (r *Recorder) Delete(lits []sat.Lit) {
-	r.cert.Steps = append(r.cert.Steps, Step{Del: true, Lits: r.convert(lits)})
+	r.steps = append(r.steps, Step{Del: true, Lits: r.convert(lits)})
 }
 
-// Certificate returns the recorded certificate. The returned pointer
-// aliases the recorder's state; record nothing further after taking it.
-func (r *Recorder) Certificate() *Certificate { return &r.cert }
+// Certificate returns everything recorded so far. The certificate shares
+// the recorder's storage; record nothing further after taking it (use
+// Snapshot for a solver that keeps going).
+func (r *Recorder) Certificate() *Certificate {
+	return &Certificate{Vars: r.vars, Formula: r.formula, Steps: r.steps}
+}
+
+// Snapshot returns the refutation of the clauses recorded so far under
+// the unit premises assumed — for a solver that has just answered Unsat
+// under those assumptions — closed by the empty clause. It copies
+// neither the premise list nor the step list: the certificate views
+// their current prefixes, which later recording never changes, so a
+// recorder serving many incremental solves hands out each refutation in
+// O(1) while the solver keeps running.
+func (r *Recorder) Snapshot(assumed ...sat.Lit) *Certificate {
+	c := &Certificate{
+		Formula: r.formula[:len(r.formula):len(r.formula)],
+		Steps:   r.steps[:len(r.steps):len(r.steps)],
+		Closed:  !r.refuted,
+	}
+	if len(assumed) > 0 {
+		c.Assumed = make(Clause, len(assumed))
+		for i, l := range assumed {
+			c.Assumed[i] = r.dimacs(l)
+		}
+	}
+	c.Vars = r.vars
+	return c
+}
 
 // Stats summarizes a certificate for reporting.
 type Stats struct {
@@ -119,9 +182,10 @@ type Stats struct {
 	Deletions int
 }
 
-// Stats counts the certificate's premises and steps.
+// Stats counts the certificate's premises (Assumed units included) and
+// steps (the implied empty clause of a Closed certificate included).
 func (c *Certificate) Stats() Stats {
-	st := Stats{Vars: c.Vars, Formula: len(c.Formula)}
+	st := Stats{Vars: c.Vars, Formula: len(c.Formula) + len(c.Assumed)}
 	for _, s := range c.Steps {
 		if s.Del {
 			st.Deletions++
@@ -129,23 +193,8 @@ func (c *Certificate) Stats() Stats {
 			st.Additions++
 		}
 	}
-	return st
-}
-
-// key renders a clause's canonical (sorted, deduplicated) form, used to
-// match deletion steps against live clauses regardless of literal order.
-func key(c Clause) string {
-	ls := append([]int(nil), c...)
-	sort.Ints(ls)
-	buf := make([]byte, 0, 8*len(ls))
-	prev := 0
-	for _, l := range ls {
-		if l == prev {
-			continue
-		}
-		prev = l
-		buf = strconv.AppendInt(buf, int64(l), 10)
-		buf = append(buf, ' ')
+	if c.Closed {
+		st.Additions++
 	}
-	return string(buf)
+	return st
 }

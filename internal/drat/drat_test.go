@@ -3,6 +3,7 @@ package drat
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -323,5 +324,31 @@ func TestCheckerIgnoresTrailingSteps(t *testing.T) {
 	steps := append(append([]Step(nil), cert.Steps...), Step{Lits: Clause{99}})
 	if err := Check(cert.Formula, steps); err != nil {
 		t.Fatalf("trailing step after empty clause rejected the proof: %v", err)
+	}
+}
+
+// TestPremiseLoadAllocs: loading a formula allocates per arena and slab
+// chunk, not per clause — the arena, the header table, the value table
+// and the marks are sized once from the formula, and short watch lists
+// are carved from shared slab chunks.
+func TestPremiseLoadAllocs(t *testing.T) {
+	const vars, n = 2000, 20000
+	rng := rand.New(rand.NewSource(3))
+	formula := make([]Clause, n)
+	for i := range formula {
+		a := 1 + rng.Intn(vars-1)
+		formula[i] = Clause{-a, -(a + 1 + rng.Intn(vars-a))}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		ck, err := newChecker(formula, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range formula {
+			ck.addPremise(c)
+		}
+	})
+	if per := allocs / n; per > 0.01 {
+		t.Errorf("loading premises allocates %.4f times per clause (%.0f for %d), want <= 0.01", per, allocs, n)
 	}
 }

@@ -164,3 +164,22 @@ func FuzzDRATParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckerVsReference is the differential fuzzer for the flat arena
+// checker: on every decoded formula and step list — as given and with an
+// empty-clause claim appended — it must reach the same verdict as the
+// pointer-based reference checker, failing step included.
+func FuzzCheckerVsReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x02, 0x00, 0x80, 0x01, 0x80, 0x80})
+	f.Add([]byte{0x02, 0x00, 0x02, 0x80, 0x01, 0x80, 0x00, 0x02, 0xC0, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		formula, steps := decodeInstance(data)
+		for _, s := range [][]Step{steps, append(steps[:len(steps):len(steps)], Step{})} {
+			got, want := verdict(Check(formula, s)), verdict(refCheck(formula, s))
+			if got != want {
+				t.Fatalf("checker %s, reference %s\nformula: %v\nsteps: %v", got, want, formula, s)
+			}
+		}
+	})
+}

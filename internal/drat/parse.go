@@ -217,10 +217,11 @@ func looksTextual(data []byte) bool {
 	return true
 }
 
-// WriteDIMACS writes the certificate's original clause database in
-// DIMACS CNF, including unit clauses and tautologies exactly as the
-// constraint generator produced them, so the pair (WriteDIMACS,
-// WriteText) can be fed to an external drat-trim for cross-checking.
+// WriteDIMACS writes the certificate's premises in DIMACS CNF: the
+// original clause database, including unit clauses and tautologies
+// exactly as the constraint generator produced them, followed by the
+// Assumed units, so the pair (WriteDIMACS, WriteText of Proof) can be
+// fed to an external drat-trim for cross-checking.
 func (c *Certificate) WriteDIMACS(w io.Writer, comments ...string) error {
 	bw := bufio.NewWriter(w)
 	for _, cm := range comments {
@@ -228,7 +229,7 @@ func (c *Certificate) WriteDIMACS(w io.Writer, comments ...string) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", c.Vars, len(c.Formula)); err != nil {
+	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", c.Vars, len(c.Formula)+len(c.Assumed)); err != nil {
 		return err
 	}
 	for _, cl := range c.Formula {
@@ -238,6 +239,11 @@ func (c *Certificate) WriteDIMACS(w io.Writer, comments ...string) error {
 			}
 		}
 		if _, err := bw.WriteString("0\n"); err != nil {
+			return err
+		}
+	}
+	for _, l := range c.Assumed {
+		if _, err := fmt.Fprintf(bw, "%d 0\n", l); err != nil {
 			return err
 		}
 	}

@@ -202,7 +202,7 @@ func TestSummarize(t *testing.T) {
 			Probes: []ProbeRow{{K: 2, Result: "unsat", Conflicts: 100}, {K: 3, Result: "sat", Conflicts: 5}},
 		}}},
 		{ID: "r2", Strategy: "parallel", GMAs: []GMAReport{{
-			Name: "qs_renamed", Fingerprint: "fp1", GoalSize: 5, Cycles: 3, OptimalProven: true, SolveMillis: 2,
+			Name: "qs_renamed", Fingerprint: "fp1", GoalSize: 5, Cycles: 3, OptimalProven: true, SolveMillis: 2, EncodeMillis: 4,
 			Probes: []ProbeRow{{K: 2, Result: "unsat", Conflicts: 80}, {K: 3, Result: "sat", Conflicts: 1}},
 		}}},
 		{ID: "r3", Strategy: "linear", Error: "parse error"},
@@ -250,6 +250,9 @@ func TestSummarize(t *testing.T) {
 	if g.Strategies["parallel"].MeanSolveMillis() != 2 {
 		t.Errorf("parallel mean = %v", g.Strategies["parallel"].MeanSolveMillis())
 	}
+	if g.Strategies["parallel"].MeanEncodeMillis() != 4 {
+		t.Errorf("parallel mean encode = %v", g.Strategies["parallel"].MeanEncodeMillis())
+	}
 	var sb strings.Builder
 	if err := s.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -257,7 +260,7 @@ func TestSummarize(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{"5 reports, 1 errors, 1 distinct GMAs, 1 cache hits, 0 coalesced",
 		"qs", "fp1", "cache-hits=1",
-		"cycles=3   x3", "strategy parallel", "<- fastest", "K=2   sat=0    unsat=2", "top-conflicts K=2"} {
+		"cycles=3   x3", "strategy parallel", "4.000 ms mean encode", "<- fastest", "K=2   sat=0    unsat=2", "top-conflicts K=2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary text missing %q:\n%s", want, out)
 		}

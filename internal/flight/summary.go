@@ -26,10 +26,11 @@ type Summary struct {
 
 // StrategyStat aggregates one strategy's record on one GMA.
 type StrategyStat struct {
-	Compiles    int
-	Optimal     int
-	SolveMillis float64 // total, across compiles
-	Conflicts   int64   // total, across probes
+	Compiles     int
+	Optimal      int
+	SolveMillis  float64 // total, across compiles
+	EncodeMillis float64 // total, across compiles
+	Conflicts    int64   // total, across probes
 	// Engines counts which search engine produced each schedule ("sat" or
 	// "stochastic") — under the portfolio strategy, the racers' win rate.
 	// Rows from logs predating the engine label stay uncounted (nil map).
@@ -42,6 +43,14 @@ func (s *StrategyStat) MeanSolveMillis() float64 {
 		return 0
 	}
 	return s.SolveMillis / float64(s.Compiles)
+}
+
+// MeanEncodeMillis is the strategy's mean encode time per compile.
+func (s *StrategyStat) MeanEncodeMillis() float64 {
+	if s.Compiles == 0 {
+		return 0
+	}
+	return s.EncodeMillis / float64(s.Compiles)
 }
 
 // ProbeCell is the outcome histogram of one budget K.
@@ -148,6 +157,7 @@ func Summarize(reps []Report) *Summary {
 				st.Engines[g.Engine]++
 			}
 			st.SolveMillis += g.SolveMillis
+			st.EncodeMillis += g.EncodeMillis
 			for _, p := range g.Probes {
 				st.Conflicts += p.Conflicts
 				gs.TotalConflicts += p.Conflicts
@@ -265,8 +275,8 @@ func (s *Summary) WriteText(w io.Writer) error {
 				}
 				engines = "  engines: " + strings.Join(parts, " ")
 			}
-			fmt.Fprintf(&b, "  strategy %-12s %4d compiles  %3d%% optimal  %9.3f ms mean solve  %8d conflicts%s%s\n",
-				label, st.Compiles, pct(st.Optimal, st.Compiles), st.MeanSolveMillis(), st.Conflicts, engines, mark)
+			fmt.Fprintf(&b, "  strategy %-12s %4d compiles  %3d%% optimal  %9.3f ms mean encode  %9.3f ms mean solve  %8d conflicts%s%s\n",
+				label, st.Compiles, pct(st.Optimal, st.Compiles), st.MeanEncodeMillis(), st.MeanSolveMillis(), st.Conflicts, engines, mark)
 		}
 		for _, k := range sortedInts(g.ProbeHist) {
 			c := g.ProbeHist[k]

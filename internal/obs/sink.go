@@ -124,11 +124,9 @@ const (
 	// MProbeIncremental counts probes answered by a persistent incremental
 	// engine under a budget assumption (by result); MProbeIncrementalReused
 	// counts the subset whose solver had already answered an earlier probe,
-	// so learned clauses carried over; MProbeIncrementalRebuilds counts
-	// window re-encodes (a probe outgrew the engine's encoded window).
-	MProbeIncremental         = "denali_probe_incremental_total"
-	MProbeIncrementalReused   = "denali_probe_incremental_reused_total"
-	MProbeIncrementalRebuilds = "denali_probe_incremental_rebuilds_total"
+	// so learned clauses carried over.
+	MProbeIncremental       = "denali_probe_incremental_total"
+	MProbeIncrementalReused = "denali_probe_incremental_reused_total"
 	// MCertifySeconds is the latency of re-checking one DRAT refutation,
 	// and MCertifyChecks counts checks by result (ok/failed).
 	MCertifySeconds = "denali_certify_seconds"
@@ -222,7 +220,6 @@ func NewCompilerRegistry() *Registry {
 	r.DeclareCounter(MProbeWaste, "Probes whose completed answer was discarded, by strategy.")
 	r.DeclareCounter(MProbeIncremental, "Probes answered incrementally under a budget assumption, by result.")
 	r.DeclareCounter(MProbeIncrementalReused, "Incremental probes that reused a warm solver (learned clauses carried over).")
-	r.DeclareCounter(MProbeIncrementalRebuilds, "Incremental engine window re-encodes.")
 	r.DeclareHistogram(MCertifySeconds, "Latency of re-checking one DRAT refutation.", DefSecondsBuckets)
 	r.DeclareHistogram(MCertifySteps, "DRAT proof length (addition steps) per check.", DefCountBuckets)
 	r.DeclareCounter(MCertifyChecks, "DRAT refutation checks by result.")

@@ -120,9 +120,14 @@ func ParseDIMACS(r io.Reader) (*Solver, error) {
 // AtMostOne adds clauses forcing at most one of lits to be true, using the
 // sequential (ladder) encoding when the list is long and pairwise clauses
 // when it is short. Fresh auxiliary variables are allocated as needed.
-func (s *Solver) AtMostOne(lits []Lit) {
+func (s *Solver) AtMostOne(lits []Lit) { s.atMostOne(lits) }
+
+// atMostOne is AtMostOne returning the ladder's last auxiliary literal
+// ("some lit among lits[:n-1] is true"), or litUndef when the list was
+// encoded pairwise or needed no clauses.
+func (s *Solver) atMostOne(lits []Lit) Lit {
 	if len(lits) <= 1 {
-		return
+		return litUndef
 	}
 	if len(lits) <= 5 {
 		for i := 0; i < len(lits); i++ {
@@ -130,24 +135,26 @@ func (s *Solver) AtMostOne(lits []Lit) {
 				s.AddClause(lits[i].Not(), lits[j].Not())
 			}
 		}
-		return
+		return litUndef
 	}
 	// Sequential encoding: aux[i] means "some lit among lits[0..i] is true".
 	n := len(lits)
-	aux := make([]Lit, n-1)
-	for i := range aux {
-		aux[i] = Pos(s.NewVar())
+	first := s.NumVars()
+	aux := func(i int) Lit { return Pos(first + i) }
+	for i := 0; i < n-1; i++ {
+		s.NewVar()
 	}
 	// lits[0] -> aux[0]
-	s.AddClause(lits[0].Not(), aux[0])
+	s.AddClause(lits[0].Not(), aux(0))
 	for i := 1; i < n-1; i++ {
 		// lits[i] -> aux[i]; aux[i-1] -> aux[i]; lits[i] -> ¬aux[i-1]
-		s.AddClause(lits[i].Not(), aux[i])
-		s.AddClause(aux[i-1].Not(), aux[i])
-		s.AddClause(lits[i].Not(), aux[i-1].Not())
+		s.AddClause(lits[i].Not(), aux(i))
+		s.AddClause(aux(i-1).Not(), aux(i))
+		s.AddClause(lits[i].Not(), aux(i-1).Not())
 	}
 	// lits[n-1] -> ¬aux[n-2]
-	s.AddClause(lits[n-1].Not(), aux[n-2].Not())
+	s.AddClause(lits[n-1].Not(), aux(n-2).Not())
+	return aux(n - 2)
 }
 
 // AtMostOneSize reports what AtMostOne adds for n literals: the number of
@@ -166,18 +173,25 @@ func AtMostOneSize(n int) (vars, clauses int) {
 // AtMostK adds clauses forcing at most k of lits to be true, using the
 // Sinz sequential-counter encoding. k <= 0 forces all literals false.
 func (s *Solver) AtMostK(lits []Lit, k int) {
+	if k == 1 {
+		s.atMostOne(lits)
+		return
+	}
+	s.atMostK(lits, k)
+}
+
+// atMostK is AtMostK for k != 1, returning the counter's last register
+// row ("at least j+1 of lits[:n-1] are true" at index j), or nil when
+// no counter was needed.
+func (s *Solver) atMostK(lits []Lit, k int) []Lit {
 	if k <= 0 {
 		for _, l := range lits {
 			s.AddClause(l.Not())
 		}
-		return
+		return nil
 	}
 	if len(lits) <= k {
-		return
-	}
-	if k == 1 {
-		s.AtMostOne(lits)
-		return
+		return nil
 	}
 	n := len(lits)
 	// reg[i][j] means "at least j+1 of lits[0..i] are true".
@@ -203,4 +217,32 @@ func (s *Solver) AtMostK(lits []Lit, k int) {
 		s.AddClause(lits[i].Not(), reg[i-1][k-1].Not())
 	}
 	s.AddClause(lits[n-1].Not(), reg[n-2][k-1].Not())
+	return reg[n-2]
+}
+
+// AtMostKTail adds exactly the clauses AtMostK(lits, k) adds and appends
+// the group's tail to dst: a few literals (at most max(5, k+1)) that
+// count the group's true members — every true member forces its share
+// of them true, and a model can always set exactly that many. The tail
+// is what lets a group grow without touching its clauses:
+//
+//	tail = s.AtMostKTail(nil, group, k)
+//	tail = s.AtMostKTail(nil, append(tail, more...), k)
+//
+// bounds group and more together by k, and each extension costs clauses
+// for the members it adds plus the constant-size tail, never one per old
+// member.
+func (s *Solver) AtMostKTail(dst, lits []Lit, k int) []Lit {
+	switch {
+	case k <= 0:
+		s.atMostK(lits, k)
+		return dst // every member is false: nothing left to count
+	case len(lits) <= 1 || (k == 1 && len(lits) <= 5) || len(lits) <= k:
+		s.AtMostK(lits, k)
+		return append(dst, lits...)
+	case k == 1:
+		return append(dst, s.atMostOne(lits), lits[len(lits)-1])
+	}
+	row := s.atMostK(lits, k)
+	return append(append(dst, row...), lits[len(lits)-1])
 }

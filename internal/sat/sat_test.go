@@ -322,6 +322,52 @@ func TestAtMostOneProperty(t *testing.T) {
 	}
 }
 
+// TestAtMostKTailGrows builds cardinality groups the way an encoding
+// that grows in place does — AtMostKTail on a first batch of members,
+// then on each later batch prefixed by the previous tail — and checks by
+// enumerating every member assignment (as solver assumptions) that the
+// grown group admits exactly the assignments with at most k members
+// true. Batch sizes cover the pairwise, ladder and counter encodings.
+func TestAtMostKTailGrows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 120; round++ {
+		k := rng.Intn(4) // 0..3
+		s := New()
+		var members, tail []Lit
+		for batch := 0; batch < 1+rng.Intn(4); batch++ {
+			more := make([]Lit, rng.Intn(8))
+			for i := range more {
+				more[i] = Pos(s.NewVar())
+			}
+			members = append(members, more...)
+			tail = s.AtMostKTail(nil, append(tail, more...), k)
+		}
+		n := len(members)
+		if n > 10 {
+			continue
+		}
+		for m := 0; m < 1<<n; m++ {
+			assumps := make([]Lit, n)
+			count := 0
+			for i, l := range members {
+				if m>>i&1 == 1 {
+					assumps[i] = l
+					count++
+				} else {
+					assumps[i] = l.Not()
+				}
+			}
+			want := Unsat
+			if count <= k {
+				want = Sat
+			}
+			if got := s.Solve(assumps...); got != want {
+				t.Fatalf("round %d: k=%d, %d of %d members true: %v, want %v", round, k, count, n, got, want)
+			}
+		}
+	}
+}
+
 func TestDIMACSRoundTrip(t *testing.T) {
 	s := New()
 	for i := 0; i < 3; i++ {

@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/egraph"
@@ -28,43 +27,30 @@ import (
 // An Engine is not safe for concurrent SolveBudget calls; the parallel
 // strategy pools one Engine per in-flight probe instead of sharing one.
 // Interrupt and ClearInterrupt ARE safe from other goroutines — that is
-// how speculative probes are retired — including across the window
-// rebuilds that swap the underlying solver.
+// how speculative probes are retired.
 type Engine struct {
-	g    *egraph.Graph
-	gm   *gma.GMA
-	opt  Options
-	maxK int
-
-	// pmu guards the p pointer itself: a rebuild swaps it mid-SolveBudget
-	// while Interrupt may dereference it from another goroutine.
-	pmu sync.Mutex
-	p   *Problem
-	// windowProbes counts probes answered by the current window's solver;
-	// rebuilds counts window re-encodes (each discards learned clauses).
-	windowProbes int
-	rebuilds     int
-	totalProbes  int
-	// lastSat/lastK record the previous probe on this window: they decide
-	// whether the next probe inherits or resets the branching heuristics
-	// (see SolveBudget).
+	p      *Problem
+	maxK   int
+	probes int
+	// lastSat/lastK record the previous probe: they decide whether the
+	// next probe inherits or resets the branching heuristics (see
+	// SolveBudget).
 	lastSat bool
 	lastK   int
-	// refuted records budgets this engine has proven infeasible. Each one
-	// is committed to the clause database as the unit ¬selVar[k] — implied
-	// by the database, so satisfiability is unchanged — which stops the
-	// solver from ever branching a dead selector back on, and is
-	// re-asserted after a window rebuild (probe answers are window-
-	// independent, the invariant the whole engine rests on).
-	refuted map[int]bool
+	// maxRefuted is the largest budget this engine has proven infeasible,
+	// -1 before the first. Each new maximum is committed to the clause
+	// database as the unit ¬selVar[k] — implied by the database, so
+	// satisfiability is unchanged — which stops the solver from ever
+	// branching a dead selector back on; the selector chain then forces
+	// every smaller selector off too.
+	maxRefuted int
 }
 
-// NewEngine builds a persistent probe engine whose first encoded window
-// covers budgets 0..window. Probes beyond the window trigger a re-encode
-// (growing geometrically, capped at maxK); probes beyond maxK are
-// rejected. Options.Certify is ignored — layered refutations are relative
-// to a budget assumption and carry no standalone certificate, so callers
-// needing a checkable proof re-solve that one budget via NewProblem.
+// NewEngine builds a persistent probe engine whose encoded window covers
+// budgets 0..window. A probe beyond the window grows it in place to the
+// probed budget (see SolveBudget); probes beyond maxK are rejected. With
+// Options.Certify the engine's solver logs a DRAT proof, and every UNSAT
+// probe returns its refutation as Stat.Cert.
 func NewEngine(g *egraph.Graph, gm *gma.GMA, window, maxK int, opt Options) (*Engine, error) {
 	if window > maxK {
 		window = maxK
@@ -72,87 +58,63 @@ func NewEngine(g *egraph.Graph, gm *gma.GMA, window, maxK int, opt Options) (*En
 	if window < 0 {
 		return nil, fmt.Errorf("schedule: negative window %d", window)
 	}
-	e := &Engine{g: g, gm: gm, opt: opt, maxK: maxK, refuted: map[int]bool{}}
-	if err := e.build(window); err != nil {
+	p, err := newProblem(g, gm, window, opt, true)
+	if err != nil {
 		return nil, err
 	}
-	return e, nil
-}
-
-func (e *Engine) build(window int) error {
-	p, err := newProblem(e.g, e.gm, window, e.opt, true)
-	if err != nil {
-		return err
-	}
-	for k := range e.refuted {
-		p.solver.AddClause(sat.Neg(p.selVar[k]))
-	}
-	e.pmu.Lock()
-	e.p = p
-	e.pmu.Unlock()
-	e.windowProbes = 0
-	e.lastSat = false
-	return nil
-}
-
-// problem is the synchronized read of the current window's Problem.
-func (e *Engine) problem() *Problem {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	return e.p
+	return &Engine{p: p, maxK: maxK, maxRefuted: -1}, nil
 }
 
 // Window is the current encoded window: the largest budget answerable
-// without a re-encode.
-func (e *Engine) Window() int { return e.problem().K }
+// without growing it.
+func (e *Engine) Window() int { return e.p.K }
 
-// Rebuilds is the number of window re-encodes performed so far.
-func (e *Engine) Rebuilds() int { return e.rebuilds }
+// Rebuilds is the number of window re-encodes performed so far. The
+// window grows in place, so it is always 0; it stays for callers that
+// report it.
+func (e *Engine) Rebuilds() int { return 0 }
 
 // Probes is the number of budget probes answered so far.
-func (e *Engine) Probes() int { return e.totalProbes }
+func (e *Engine) Probes() int { return e.probes }
 
 // Interrupt asks a running (or future) SolveBudget to stop, returning
 // sat.Unknown with Stat.Solver.Cancelled set. Safe from any goroutine.
-// An interrupt landing exactly during a window rebuild may be lost (the
-// new solver starts unflagged); cancellation is best-effort by design.
-func (e *Engine) Interrupt() { e.problem().Interrupt() }
+func (e *Engine) Interrupt() { e.p.Interrupt() }
 
 // ClearInterrupt re-arms the engine after an Interrupt, so a pooled
 // engine's next probe is not cancelled by a stale stop flag.
-func (e *Engine) ClearInterrupt() { e.problem().solver.ClearInterrupt() }
+func (e *Engine) ClearInterrupt() { e.p.solver.ClearInterrupt() }
 
 // SolveBudget probes "does a program of at most k cycles exist?" under
 // the budget assumption. The returned Stat mirrors Problem.Solve's, with
-// Incremental set and Solver holding this call's deltas; Stat.Cert is
-// always nil (see NewEngine).
+// Incremental set, Solver holding this call's deltas and Encode the
+// time spent growing the window for it. A budget beyond the window grows
+// the window to k in place: the new cycles' variables and clauses join
+// the same solver, so learned clauses survive and the window — and with
+// it every certificate — stays as small as the ladder allows.
+//
+// With Options.Certify, an UNSAT answer carries Stat.Cert: every clause
+// given to the solver so far plus the unit selVar[k] as premises, every
+// logged lemma and deletion as steps, closed by the empty clause (see
+// drat.Recorder.Snapshot). It is nil when a budget at or above k was
+// refuted earlier: that committed unit would refute selVar[k] outright,
+// and the certificate would prove nothing about k.
 func (e *Engine) SolveBudget(k int) (*Schedule, Stat, error) {
 	if k < 0 || k > e.maxK {
 		return nil, Stat{}, fmt.Errorf("schedule: budget %d outside engine range [0, %d]", k, e.maxK)
 	}
-	if k > e.p.K {
-		// Outgrew the window: re-encode geometrically so a linear upward
-		// sweep costs O(log maxK) rebuilds, not one per probe. The factor
-		// is 4, not 2: a rebuild discards the learned clauses, so fewer,
-		// larger windows keep the reuse runs long, and the encoding only
-		// ever overshoots a budget the search was already heading toward.
-		grown := 4 * e.p.K
-		if grown < k {
-			grown = k
-		}
-		if grown > e.maxK {
-			grown = e.maxK
-		}
-		if err := e.build(grown); err != nil {
-			return nil, Stat{}, err
-		}
-		e.rebuilds++
-		e.opt.Sink.Add(obs.MProbeIncrementalRebuilds, 1)
-	}
 	p := e.p
-	reused := e.windowProbes > 0
-	e.windowProbes++
-	e.totalProbes++
+	tr := p.opt.Trace
+	var grow time.Duration
+	if k > p.K {
+		sp := tr.Start("encode", obs.Tint("window", int64(k)))
+		t0 := time.Now()
+		p.extend(k)
+		grow = time.Since(t0)
+		sp.End(obs.Tint("vars", int64(p.solver.NumVars())), obs.Tint("clauses", int64(p.solver.NumClauses())))
+	}
+	reused := e.probes > 0
+	e.probes++
 	if reused && !(e.lastSat && k == e.lastK-1) {
 		// Restore the branching heuristics to the cold-start state, keeping
 		// the learned clauses. Phases, activities, and heap order carried
@@ -168,19 +130,20 @@ func (e *Engine) SolveBudget(k int) (*Schedule, Stat, error) {
 		p.solver.ResetPhases()
 		p.solver.ResetActivities()
 	}
-	tr := e.opt.Trace
 	sp := tr.Start("solve")
 	sp.SetTag("incremental", "true")
 	t0 := time.Now()
-	res := p.solver.Solve(sat.Pos(p.selVar[k]))
+	sel := sat.Pos(p.selVar[k])
+	res := p.solver.Solve(sel)
 	st := p.solver.LastStats()
 	e.lastSat, e.lastK = res == sat.Sat, k
-	e.opt.Sink.Observe(obs.MSolveSeconds, time.Since(t0).Seconds(), obs.T("result", res.String()))
-	e.opt.Sink.Observe(obs.MSolveConflicts, float64(st.Conflicts))
-	e.opt.Sink.Observe(obs.MProbeConflicts, float64(st.Conflicts), obs.T("result", res.String()))
-	e.opt.Sink.Add(obs.MProbeIncremental, 1, obs.T("result", res.String()))
+	sk := p.opt.Sink
+	sk.Observe(obs.MSolveSeconds, time.Since(t0).Seconds(), obs.T("result", res.String()))
+	sk.Observe(obs.MSolveConflicts, float64(st.Conflicts))
+	sk.Observe(obs.MProbeConflicts, float64(st.Conflicts), obs.T("result", res.String()))
+	sk.Add(obs.MProbeIncremental, 1, obs.T("result", res.String()))
 	if reused {
-		e.opt.Sink.Add(obs.MProbeIncrementalReused, 1)
+		sk.Add(obs.MProbeIncrementalReused, 1)
 	}
 	if st.Cancelled {
 		sp.SetTag("cancelled", "true")
@@ -201,16 +164,24 @@ func (e *Engine) SolveBudget(k int) (*Schedule, Stat, error) {
 		ConeClasses:  len(p.cone),
 		Incremental:  true,
 		Reused:       reused,
+		Encode:       grow,
 	}
-	if res == sat.Unsat && p.solver.Core() != nil && !e.refuted[k] {
-		// Commit the refutation: ¬selVar[k] is now implied by the clause
-		// database (the core proves it), so making it a unit stops later
-		// probes from branching this dead selector back on — without it,
-		// the VSIDS bumps it collected while being refuted make exactly
-		// that branch attractive, and the next probe re-explores the
-		// budget it just proved empty.
-		e.refuted[k] = true
-		p.solver.AddClause(sat.Neg(p.selVar[k]))
+	if res == sat.Unsat && k > e.maxRefuted {
+		if p.proof != nil {
+			// Snapshot before committing ¬selVar[k]: that unit is this
+			// refutation's conclusion, not one of its premises.
+			stat.Cert = p.proof.Snapshot(sel)
+		}
+		if p.solver.Core() != nil {
+			// Commit the refutation: ¬selVar[k] is now implied by the clause
+			// database (the core proves it), so making it a unit stops later
+			// probes from branching this dead selector back on — without it,
+			// the VSIDS bumps it collected while being refuted make exactly
+			// that branch attractive, and the next probe re-explores the
+			// budget it just proved empty.
+			e.maxRefuted = k
+			p.solver.AddClause(sat.Neg(p.selVar[k]))
+		}
 	}
 	if res != sat.Sat {
 		return nil, stat, nil

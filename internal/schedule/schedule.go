@@ -50,9 +50,10 @@ type Options struct {
 	DisableAtMostOncePerTerm bool
 	// MaxConflicts bounds each SAT probe; 0 means unbounded.
 	MaxConflicts int64
-	// Certify attaches a DRAT proof recorder to the probe's solver. When
-	// the probe answers Unsat, Stat.Cert holds the recorded refutation,
-	// which internal/drat can re-check independently of the solver.
+	// Certify attaches a DRAT proof recorder to the solver — a scratch
+	// Problem's or an Engine's. When a probe answers Unsat, Stat.Cert
+	// holds the recorded refutation, which internal/drat can re-check
+	// independently of the solver.
 	Certify bool
 	// Trace records constraint-generation and solving telemetry for this
 	// one compilation; nil disables it.
@@ -145,6 +146,7 @@ type Problem struct {
 	bVar    []int32 // availability B(q,i,c) at ((coneIdx[q]*window)+i)*bClusters+c
 	coneIdx []int32 // class -> position in coneList, -1 outside the cone
 	buf     []sat.Lit
+	tailBuf []sat.Lit
 
 	// layered marks the budget-layered encoding used by Engine: K is a
 	// window upper bound rather than the probed budget, launches beyond a
@@ -160,6 +162,10 @@ type Problem struct {
 	// it forces ¬eVar[k] (for k < K) and requires every goal to be
 	// available by end of cycle k-1.
 	selVar []int
+	// unitGroups, issueGroups and termGroups keep the layered encoding's
+	// cardinality-group tails — per (cycle, unit) at i*nUnits+u, per
+	// cycle, per term — for extend.
+	unitGroups, issueGroups, termGroups groupTails
 }
 
 // Stat describes one SAT probe, mirroring the numbers the paper reports
@@ -185,11 +191,16 @@ type Stat struct {
 	Incremental bool
 	Reused      bool
 	// Cert is the recorded DRAT refutation when Options.Certify was set
-	// and the probe answered Unsat; nil otherwise. Engine probes never
-	// carry a certificate — an UNSAT under a budget assumption has no
-	// standalone clausal refutation — so certified optimality re-derives
-	// the final refutation from scratch (see core.certifyOptimality).
+	// and the probe answered Unsat; nil otherwise. It is set for scratch
+	// probes and for Engine probes alike: an Engine's certificate refutes
+	// its window's clauses (with the committed ¬sel_j units) plus the
+	// probed selector as a unit premise, and shares its storage with the
+	// engine's later proof, so taking it costs O(1) (see
+	// Engine.SolveBudget and core.certifyOptimality).
 	Cert *drat.Certificate
+	// Encode is the time an Engine probe spent growing the window before
+	// solving; zero for scratch probes, whose encode precedes Solve.
+	Encode time.Duration
 }
 
 // UncomputableError reports a goal (sub)class that no machine instruction
@@ -486,29 +497,54 @@ func (p *Problem) addClause(lits []sat.Lit) {
 	p.solver.AddClause(lits...)
 }
 
-// allocVars numbers the launch, mode and availability variables, in the
-// order the solver allocates them: every term's launches (cycle-major,
-// then its units) followed by its modes, then every cone class's
-// availability (cycle-major, then cluster). It first sizes the solver
-// for the whole encoding (see size).
-func (p *Problem) allocVars(s *sat.Solver) {
-	K := p.K
-	p.window, p.nUnits = K, len(p.Desc.Units)
-	vars, clauses := p.size()
-	// Rows average about three literals in this encoding: mostly binary
-	// at-most-one clauses, plus long availability rows.
-	s.Reserve(vars, clauses, 3*clauses)
-
-	p.uVar = make([]int32, len(p.terms)*K*p.nUnits)
-	for i := range p.uVar {
-		p.uVar[i] = -1
+// firstNew is the first launch cycle of term mt whose launch completes
+// at or after cycle lo — the launches a window extension from lo adds
+// (every launch when lo is 0).
+func firstNew(mt *mterm, lo int) int {
+	if lo == 0 {
+		return 0
 	}
-	p.modeVar = make([]int32, len(p.terms))
+	return max(0, lo-mt.latency+1)
+}
+
+// allocVars numbers the launch, mode and availability variables of
+// cycles lo..hi-1, in the order the solver allocates them: every term's
+// new launches (cycle-major, then its units) followed, on the first
+// call, by its modes, then every cone class's new availability
+// (cycle-major, then cluster). The tables are re-laid out with stride hi,
+// keeping every earlier entry. The first call also sizes the solver for
+// the whole encoding (see size).
+func (p *Problem) allocVars(lo, hi int) {
+	s := p.solver
+	first := p.modeVar == nil
+	if first {
+		p.window, p.nUnits = hi, len(p.Desc.Units)
+		vars, clauses := p.size()
+		// Rows average about three literals in this encoding: mostly binary
+		// at-most-one clauses, plus long availability rows.
+		s.Reserve(vars, clauses, 3*clauses)
+	}
+	p.window = hi
+	nU := p.nUnits
+	uVar := make([]int32, len(p.terms)*hi*nU)
+	for i := range uVar {
+		uVar[i] = -1
+	}
+	for mi := range p.terms {
+		copy(uVar[mi*hi*nU:], p.uVar[mi*lo*nU:(mi+1)*lo*nU])
+	}
+	p.uVar = uVar
+	if first {
+		p.modeVar = make([]int32, len(p.terms))
+	}
 	for mi, mt := range p.terms {
-		for i := 0; i+mt.latency <= K; i++ {
+		for i := firstNew(mt, lo); i+mt.latency <= hi; i++ {
 			for _, u := range mt.op.Units {
-				p.uVar[(mi*K+i)*p.nUnits+int(u)] = int32(s.NewVar())
+				p.uVar[(mi*hi+i)*nU+int(u)] = int32(s.NewVar())
 			}
+		}
+		if !first {
+			continue
 		}
 		p.modeVar[mi] = -1
 		if len(mt.modes) > 1 {
@@ -518,17 +554,24 @@ func (p *Problem) allocVars(s *sat.Solver) {
 			}
 		}
 	}
-	p.coneIdx = make([]int32, p.G.NumNodes())
-	for i := range p.coneIdx {
-		p.coneIdx[i] = -1
-	}
-	p.bVar = make([]int32, len(p.coneList)*K*p.bClusters)
-	for qi, q := range p.coneList {
-		p.coneIdx[q] = int32(qi)
-		for j := qi * K * p.bClusters; j < (qi+1)*K*p.bClusters; j++ {
-			p.bVar[j] = int32(s.NewVar())
+	if first {
+		p.coneIdx = make([]int32, p.G.NumNodes())
+		for i := range p.coneIdx {
+			p.coneIdx[i] = -1
+		}
+		for qi, q := range p.coneList {
+			p.coneIdx[q] = int32(qi)
 		}
 	}
+	bc := p.bClusters
+	bVar := make([]int32, len(p.coneList)*hi*bc)
+	for qi := range p.coneList {
+		copy(bVar[qi*hi*bc:], p.bVar[qi*lo*bc:(qi+1)*lo*bc])
+		for j := (qi*hi + lo) * bc; j < (qi+1)*hi*bc; j++ {
+			bVar[j] = int32(s.NewVar())
+		}
+	}
+	p.bVar = bVar
 }
 
 // size counts what encode emits, so the solver is allocated once. The
@@ -582,40 +625,88 @@ func (p *Problem) encode() {
 	s := sat.New()
 	s.MaxConflicts = p.opt.MaxConflicts
 	s.Sink = p.opt.Sink
-	if p.opt.Certify && !p.layered {
+	if p.opt.Certify {
 		// Attach before the first AddClause so the certificate's premise
-		// set is the complete clause database. Layered problems never log
-		// proofs: a refutation under a budget assumption is not a
-		// standalone clausal refutation, so certification re-solves the
-		// final budget from scratch instead (core.certifyOptimality).
+		// set is the complete clause database.
 		p.proof = drat.NewRecorder()
 		s.Proof = p.proof
 	}
 	p.solver = s
-	K := p.K
-	p.allocVars(s)
+	p.allocVars(0, p.K)
+	p.encodeCycles(0, p.K)
+}
 
+// extend grows a layered problem's window from p.K to hi cycles in
+// place: it appends the new cycles' variables and clauses to the same
+// solver and never modifies or removes an existing clause, so learned
+// clauses stay valid and the grown CNF asks every budget the same
+// question a window-hi encoding would.
+func (p *Problem) extend(hi int) {
+	lo := p.K
+	p.K = hi
+	p.allocVars(lo, hi)
+	p.encodeCycles(lo, hi)
+}
+
+// groupTails records the tails (see sat.AtMostKTail) of one family of
+// cardinality groups in a single slice, so a window extension can add
+// members to a group without re-encoding it. Group g's tail is
+// lits[span[g][0]:span[g][1]].
+type groupTails struct {
+	lits []sat.Lit
+	span [][2]int32
+}
+
+// atMost bounds group g of family t — its earlier members, summarized by
+// their tail, plus members — by k. Only the layered encoding keeps
+// tails: a scratch problem never grows.
+func (p *Problem) atMost(t *groupTails, g int, members []sat.Lit, k int) {
+	if !p.layered {
+		p.solver.AtMostK(members, k)
+		return
+	}
+	for len(t.span) <= g {
+		t.span = append(t.span, [2]int32{})
+	}
+	lits := members
+	if sp := t.span[g]; sp[1] > sp[0] {
+		lits = append(append(p.tailBuf[:0], t.lits[sp[0]:sp[1]]...), members...)
+		p.tailBuf = lits[:0]
+	}
+	start := len(t.lits)
+	t.lits = p.solver.AtMostKTail(t.lits, lits, k)
+	t.span[g] = [2]int32{int32(start), int32(len(t.lits))}
+}
+
+// encodeCycles emits every constraint the cycles lo..hi-1 add to a
+// window of lo cycles: the whole encoding when lo is 0, a window
+// extension otherwise. A launch belongs to the new cycles when it
+// completes in them (see firstNew), so a long-latency launch at an old
+// cycle is new once its completion fits.
+func (p *Problem) encodeCycles(lo, hi int) {
+	s := p.solver
+	K := hi
+	selLo := len(p.selVar) // the first selector these cycles add
 	if p.layered {
 		// Budget layering over the window K: every structural constraint
 		// below is emitted once for the whole window; which prefix of it
 		// is actually usable is controlled by the eVar chain, and each
 		// probe's "budget ≤ k" enters as the assumption selVar[k].
-		p.eVar = make([]int, K)
-		for i := range p.eVar {
-			p.eVar[i] = s.NewVar()
+		for i := lo; i < K; i++ {
+			v := s.NewVar()
 			// "Enabled" is the permissive polarity: a branched-off eVar
 			// tightens the budget below what the probe asked for and sends
 			// the solver into a self-inflicted refutation, so seed (and
 			// keep, across heuristic resets) the positive phase.
-			s.SetPhase(p.eVar[i], true)
+			s.SetPhase(v, true)
+			p.eVar = append(p.eVar, v)
 		}
-		p.selVar = make([]int, K+1)
-		for k := range p.selVar {
-			p.selVar[k] = s.NewVar()
+		for k := selLo; k <= K; k++ {
+			p.selVar = append(p.selVar, s.NewVar())
 		}
 		// Monotone chain: enabling cycle-end i enables every earlier one,
 		// so a single ¬eVar[k] switches off cycle-ends k..K-1.
-		for i := 1; i < K; i++ {
+		for i := max(lo, 1); i < K; i++ {
 			s.AddClause(sat.Neg(p.eVar[i]), sat.Pos(p.eVar[i-1]))
 		}
 		// A launch occupies cycle-ends up to its completion: launching at
@@ -623,13 +714,14 @@ func (p *Problem) encode() {
 		// assumption selVar[k] this forces off exactly the launches the
 		// classic K=k encoding would not have variables for.
 		for mi, mt := range p.terms {
-			for i := 0; i+mt.latency <= K; i++ {
+			for i := firstNew(mt, lo); i+mt.latency <= K; i++ {
 				for _, u := range mt.op.Units {
 					s.AddClause(sat.Neg(p.launchVar(mi, i, u)), sat.Pos(p.eVar[i+mt.latency-1]))
 				}
 			}
 		}
-		for k := 0; k < K; k++ {
+		// The window's old top selector gains its ¬eVar row here too.
+		for k := lo; k < K; k++ {
 			s.AddClause(sat.Neg(p.selVar[k]), sat.Neg(p.eVar[k]))
 		}
 		// Budget monotonicity as a selector chain: a k-cycle program is also
@@ -639,7 +731,10 @@ func (p *Problem) encode() {
 		// once a refuted budget is committed as the unit ¬sel_{k}, every
 		// earlier selector is forced off too, so a probe below a refutation
 		// starts with the whole dead prefix propagated instead of relearned.
-		for k := 0; k+1 <= K; k++ {
+		// These chain clauses are the only positive selector occurrences,
+		// which is what lets a refutation's certificate carry the committed
+		// ¬sel_j units as premises (see core.certifyOptimality).
+		for k := lo; k+1 <= K; k++ {
 			s.AddClause(sat.Neg(p.selVar[k]), sat.Pos(p.selVar[k+1]))
 		}
 	}
@@ -654,7 +749,7 @@ func (p *Problem) encode() {
 	}
 	for _, q := range p.coneList {
 		producers := byClass[p.G.Find(q)]
-		for i := 0; i < K; i++ {
+		for i := lo; i < K; i++ {
 			for c := 0; c < p.bClusters; c++ {
 				lits := append(p.buf[:0], sat.Neg(p.availVar(q, i, c)))
 				for _, mi := range producers {
@@ -675,7 +770,7 @@ func (p *Problem) encode() {
 	// 2. Operand availability per launch (and mode).
 	for mi, mt := range p.terms {
 		multi := len(mt.modes) > 1
-		for i := 0; i+mt.latency <= K; i++ {
+		for i := firstNew(mt, lo); i+mt.latency <= K; i++ {
 			for _, u := range mt.op.Units {
 				uv := p.launchVar(mi, i, u)
 				if multi {
@@ -703,12 +798,14 @@ func (p *Problem) encode() {
 		}
 	}
 
-	// 3. Functional unit exclusivity: one launch per (cycle, unit).
+	// 3. Functional unit exclusivity: one launch per (cycle, unit). An
+	// extension adds the long-latency launches that now fit to the old
+	// cycles' groups and opens groups for the new cycles.
 	for i := 0; i < K; i++ {
 		for u := range p.Desc.Units {
 			lits := p.buf[:0]
 			for mi, mt := range p.terms {
-				if i+mt.latency > K {
+				if i+mt.latency > K || i < firstNew(mt, lo) {
 					continue
 				}
 				if v := p.launchVar(mi, i, arch.Unit(u)); v >= 0 {
@@ -716,7 +813,10 @@ func (p *Problem) encode() {
 				}
 			}
 			p.buf = lits[:0]
-			s.AtMostOne(lits)
+			if i < lo && len(lits) == 0 {
+				continue
+			}
+			p.atMost(&p.unitGroups, i*p.nUnits+u, lits, 1)
 		}
 	}
 
@@ -725,7 +825,7 @@ func (p *Problem) encode() {
 		for i := 0; i < K; i++ {
 			lits := p.buf[:0]
 			for mi, mt := range p.terms {
-				if i+mt.latency > K {
+				if i+mt.latency > K || i < firstNew(mt, lo) {
 					continue
 				}
 				for _, u := range mt.op.Units {
@@ -733,7 +833,10 @@ func (p *Problem) encode() {
 				}
 			}
 			p.buf = lits[:0]
-			s.AtMostK(lits, p.Desc.IssueWidth)
+			if i < lo && len(lits) == 0 {
+				continue
+			}
+			p.atMost(&p.issueGroups, i, lits, p.Desc.IssueWidth)
 		}
 	}
 
@@ -741,13 +844,16 @@ func (p *Problem) encode() {
 	if !p.opt.DisableAtMostOncePerTerm {
 		for mi, mt := range p.terms {
 			lits := p.buf[:0]
-			for i := 0; i+mt.latency <= K; i++ {
+			for i := firstNew(mt, lo); i+mt.latency <= K; i++ {
 				for _, u := range mt.op.Units {
 					lits = append(lits, sat.Pos(p.launchVar(mi, i, u)))
 				}
 			}
 			p.buf = lits[:0]
-			s.AtMostOne(lits)
+			if lo > 0 && len(lits) == 0 {
+				continue
+			}
+			p.atMost(&p.termGroups, mi, lits, 1)
 		}
 	}
 
@@ -756,14 +862,15 @@ func (p *Problem) encode() {
 	// layered encoding the budget is not fixed, so the goal row is
 	// emitted once per selector: assuming selVar[k] requires every goal
 	// by end of cycle k-1 (and refutes k=0 outright, the counterpart of
-	// the classic encoding's empty clause).
+	// the classic encoding's empty clause). An extension adds the rows of
+	// its new selectors.
 	for _, q := range p.goals {
 		q = p.G.Find(q)
 		if p.inputAvail[q] {
 			continue
 		}
 		if p.layered {
-			for k := 0; k <= K; k++ {
+			for k := selLo; k <= K; k++ {
 				lits := append(p.buf[:0], sat.Neg(p.selVar[k]))
 				if k > 0 {
 					for c := 0; c < p.bClusters; c++ {
@@ -792,7 +899,7 @@ func (p *Problem) encode() {
 				if mt.op.Class != arch.ClassLoad {
 					continue
 				}
-				for i := 0; i+mt.latency <= K; i++ {
+				for i := firstNew(mt, lo); i+mt.latency <= K; i++ {
 					for _, u := range mt.op.Units {
 						uv := p.launchVar(mi, i, u)
 						if i == 0 {
@@ -807,7 +914,8 @@ func (p *Problem) encode() {
 	}
 
 	// 8. Memory anti-dependences: a load reading memory state M must
-	// launch strictly before any store that overwrites M.
+	// launch strictly before any store that overwrites M. An extension
+	// adds the pairs with at least one new launch.
 	for li, lt := range p.terms {
 		if lt.op.Class != arch.ClassLoad {
 			continue
@@ -821,6 +929,9 @@ func (p *Problem) encode() {
 			}
 			for i := 0; i+lt.latency <= K; i++ {
 				for j := 0; j+st.latency <= K && j <= i; j++ {
+					if i < firstNew(lt, lo) && j < firstNew(st, lo) {
+						continue
+					}
 					for _, lu := range lt.op.Units {
 						for _, su := range st.op.Units {
 							s.AddClause(sat.Neg(p.launchVar(li, i, lu)), sat.Neg(p.launchVar(si, j, su)))

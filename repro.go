@@ -236,6 +236,9 @@ type CompiledGMA struct {
 	Match MatchStats
 	// SolveTime is the total SAT time across probes.
 	SolveTime time.Duration
+	// EncodeTime is the total constraint-generation time: scratch
+	// problems plus the incremental engine's window and its extensions.
+	EncodeTime time.Duration
 	// Certified reports that the refutation behind OptimalProven passed
 	// the independent DRAT check (Options.Certify); CertifyTime is the
 	// cost of that check.
@@ -300,7 +303,7 @@ func (c *CompiledGMA) WriteProof(w io.Writer) error {
 	if c.cert == nil {
 		return ErrNoCertificate
 	}
-	return drat.WriteText(w, c.cert.Steps)
+	return drat.WriteText(w, c.cert.Proof())
 }
 
 // WriteProofCNF exports the DIMACS CNF of the refuted K−1 scheduling
@@ -668,6 +671,7 @@ func fromEntry(g *gma.GMA, e compilecache.Entry, outcome compilecache.Outcome, c
 		Assembly:      e.Assembly,
 		Listing:       e.Listing,
 		SolveTime:     unmillis(rep.SolveMillis),
+		EncodeTime:    unmillis(rep.EncodeMillis),
 		Match: MatchStats{
 			Rounds:         rep.MatchRounds,
 			Instantiations: rep.MatchInstantiations,
@@ -743,6 +747,7 @@ func compileFresh(g *gma.GMA, copts core.Options, fr *flight.Recorder) (cg *Comp
 				fillMatch(&gr, c)
 				gr.Probes = probeRows(c.Probes)
 				gr.SolveMillis = millis(c.SolveTime)
+				gr.EncodeMillis = millis(c.EncodeTime)
 			}
 			fr.AddGMA(gr)
 		}
@@ -756,6 +761,7 @@ func compileFresh(g *gma.GMA, copts core.Options, fr *flight.Recorder) (cg *Comp
 		Assembly:      c.Assembly(),
 		Listing:       c.Schedule.Listing(desc),
 		SolveTime:     c.SolveTime,
+		EncodeTime:    c.EncodeTime,
 		Match: MatchStats{
 			Rounds:         c.Match.Rounds,
 			Instantiations: c.Match.Instantiations,
@@ -815,6 +821,7 @@ func (c *CompiledGMA) FlightReport() flight.GMAReport {
 		})
 	}
 	gr.SolveMillis = millis(c.SolveTime)
+	gr.EncodeMillis = millis(c.EncodeTime)
 	gr.Cycles = c.Cycles
 	gr.Instructions = c.Instructions
 	gr.OptimalProven = c.OptimalProven

@@ -655,6 +655,9 @@ func TestFlightRecorderIntegration(t *testing.T) {
 		if g.EGraphNodes == 0 || g.EGraphClasses == 0 || !g.MatchQuiescent {
 			t.Errorf("%s: match stats missing: %+v", cg.Name, g)
 		}
+		if g.EncodeMillis <= 0 || g.EncodeMillis != millis(cg.EncodeTime) {
+			t.Errorf("%s: report encode_ms %v, compile encoded for %v", cg.Name, g.EncodeMillis, cg.EncodeTime)
+		}
 	}
 
 	// A parse failure still yields a request-level error in the report.

@@ -32,7 +32,7 @@ echo "== flake guard (parallel speculation accounting under -race, 20 runs)"
 go test -race -run '^TestParallelObs$' -count=20 ./internal/core
 
 echo "== benchmark smoke (every per-layer benchmark once)"
-go test -run '^$' -bench . -benchtime 1x ./internal/sat ./internal/schedule ./internal/egraph ./internal/matcher
+go test -run '^$' -bench . -benchtime 1x ./internal/sat ./internal/schedule ./internal/egraph ./internal/matcher ./internal/drat
 
 echo "== perf gate (regression sentinel over the committed bench fixtures)"
 sh scripts/perfgate.sh
@@ -63,6 +63,7 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/lang
 go test -run '^$' -fuzz '^FuzzSolver$' -fuzztime 10s ./internal/sat
 go test -run '^$' -fuzz '^FuzzSolveAssumptions$' -fuzztime 10s ./internal/sat
 go test -run '^$' -fuzz '^FuzzDRATChecker$' -fuzztime 10s ./internal/drat
+go test -run '^$' -fuzz '^FuzzCheckerVsReference$' -fuzztime 10s ./internal/drat
 go test -run '^$' -fuzz '^FuzzDRATParse$' -fuzztime 10s ./internal/drat
 go test -run '^$' -fuzz '^FuzzKey$' -fuzztime 10s ./internal/compilecache
 go test -run '^$' -fuzz '^FuzzScreenVsSim$' -fuzztime 10s ./internal/stoke
