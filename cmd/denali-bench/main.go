@@ -1041,11 +1041,11 @@ type e16Row struct {
 // persistent Engine answering each budget as an assumption. The per-GMA
 // CDCL work is compared. The claim under test: on multi-probe ladders the
 // engine's learned-clause reuse strictly reduces total conflicts, while
-// every budget gets the same verdict either way. Running both ladders
-// here, rather than through a compile option, keeps the comparison
-// independent of the adaptive mode pick (core.PrefersScratch), which
-// routes the smallest GMAs to scratch probes in the product. The wall
-// clocks cover each ladder's encode and solve time; matching is shared.
+// every budget gets the same verdict either way. The compiler answers
+// every budget on the engine, so the scratch ladder is walked here,
+// directly on the one-shot reference encoding (schedule.NewProblem). The
+// wall clocks cover each ladder's encode and solve time; matching is
+// shared.
 func e16() error {
 	corpus := []struct {
 		name      string

@@ -50,8 +50,8 @@ const schemaVersion = "denali-cache/v2"
 // count are deliberately absent — every strategy provably finds the same
 // optimum (the equivalence gates pin this), so results cache across
 // strategies; options with result-shape impact (certify, search budgets,
-// the axiom bundle, the build itself) all key. The probe mode (scratch or
-// incremental) needs no field: the GMA alone picks it.
+// the axiom bundle, the build itself) all key. There is no probe-mode
+// field: every probe runs on the persistent engine.
 type KeyConfig struct {
 	// Arch is the machine-model name ("" normalizes to "ev6").
 	Arch string

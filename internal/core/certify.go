@@ -22,8 +22,7 @@ import (
 // the solver's UNSAT answer (and so the optimality claim) cannot be
 // trusted.
 //
-// A scratch probe's certificate refutes the K−1 problem's CNF outright.
-// An incremental engine probe's certificate (schedule.Engine) refutes
+// Every probe runs on a schedule.Engine, whose certificate refutes
 // F ∧ sel_{K−1}, where F is every clause the engine's solver was given
 // so far — its up-front window, the window's in-place extensions and the
 // units ¬sel_j committed for the budgets j < K−1 it refuted earlier —
@@ -33,7 +32,7 @@ import (
 //   - without the committed units, F ∧ sel_k is exactly the k-cycle
 //     question: a model exists iff a k-cycle program does (the layered
 //     encoding's invariant, which TestIncrementalEquivalence checks
-//     budget by budget against scratch problems);
+//     budget by budget against one-shot NewProblem encodings);
 //   - selectors occur positively only in the chain clauses
 //     ¬sel_{j−1} ∨ sel_j, so any model of F ∧ sel_k stays a model with
 //     every sel_{j<k} set false, and the committed ¬sel_j premises

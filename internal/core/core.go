@@ -178,9 +178,8 @@ type Compiled struct {
 	// paper's "less than 0.3 seconds is spent in the SAT solver".
 	MatchTime time.Duration
 	SolveTime time.Duration
-	// EncodeTime is the constraint-generation cost: scratch problems'
-	// encodes, the incremental engine's up-front window and its in-place
-	// extensions. SolveTime excludes it.
+	// EncodeTime is the constraint-generation cost: every probe engine's
+	// up-front window and its in-place extensions. SolveTime excludes it.
 	EncodeTime time.Duration
 	// Certified reports that the K−1 refutation behind OptimalProven was
 	// re-checked as a DRAT proof by the independent checker in
@@ -206,7 +205,7 @@ type Compiled struct {
 var ErrNoSchedule = errors.New("core: no schedule found within the cycle bound")
 
 // CompileGMA runs the full matching + satisfiability pipeline on one GMA.
-func CompileGMA(gm *gma.GMA, opt Options) (compiled *Compiled, err error) {
+func CompileGMA(gm *gma.GMA, opt Options) (*Compiled, error) {
 	if opt.Desc == nil {
 		return nil, fmt.Errorf("core: Options.Desc is required")
 	}
@@ -228,20 +227,27 @@ func CompileGMA(gm *gma.GMA, opt Options) (compiled *Compiled, err error) {
 	}
 	root := tr.Start("compile", rootTags...)
 	defer root.End()
-	if sk := opt.Sink; sk != nil {
-		strategy := obs.T("strategy", opt.Search.String())
-		t0 := time.Now()
-		defer func() {
-			sk.Observe(obs.MCompileSeconds, time.Since(t0).Seconds(), strategy)
-			if err != nil {
-				sk.Add(obs.MCompileErrors, 1)
-			} else {
-				sk.Add(obs.MCompiles, 1, strategy)
-				sk.Observe(obs.MCyclesFound, float64(compiled.Cycles))
-			}
-		}()
+	// The compile metrics are recorded on a normal return only, never from
+	// a deferred call: a panicking compile reaches the caller's recover as
+	// the original panic and is not counted as a finished compilation.
+	sk := opt.Sink
+	t0 := time.Now()
+	c, err := compile(gm, opt)
+	strategy := obs.T("strategy", opt.Search.String())
+	sk.Observe(obs.MCompileSeconds, time.Since(t0).Seconds(), strategy)
+	if err != nil {
+		sk.Add(obs.MCompileErrors, 1)
+	} else {
+		sk.Add(obs.MCompiles, 1, strategy)
+		sk.Observe(obs.MCyclesFound, float64(c.Cycles))
 	}
+	return c, err
+}
 
+// compile is CompileGMA's body on normalized options: saturation, the
+// budget search and, under Certify, the check of the optimality proof.
+func compile(gm *gma.GMA, opt Options) (*Compiled, error) {
+	tr := opt.Trace
 	c := &Compiled{GMA: gm, Graph: egraph.New()}
 	for _, goal := range gm.Goals() {
 		c.Graph.AddTerm(goal)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"repro/internal/arch/alpha"
 	"repro/internal/axioms"
 	"repro/internal/gma"
+	"repro/internal/obs"
 	"repro/internal/term"
 )
 
@@ -390,6 +392,37 @@ func TestSwapTargetsSameValues(t *testing.T) {
 	}
 	if c.Schedule.ResultRegs["v"].Reg != c.Schedule.InputRegs["a"] {
 		t.Fatal("v should be a's register")
+	}
+}
+
+// TestPanicIsNotACompile: with a Sink attached, a compile that panics
+// (here on a nil axiom) must reach the caller's recover as the original
+// panic — not as a nil dereference in CompileGMA's own metrics code — and
+// must not be counted as a finished compilation: the recovering caller
+// counts it, once, as an error.
+func TestPanicIsNotACompile(t *testing.T) {
+	reg := obs.NewCompilerRegistry()
+	o := opts(t)
+	o.Axioms = append(o.Axioms, nil)
+	o.Sink = obs.NewSink(reg)
+	var stack string
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("compiling with a nil axiom did not panic")
+			}
+			stack = string(debug.Stack())
+		}()
+		CompileGMA(simpleGMA("double", []string{"reg7"}, "res", "(mul64 2 reg7)"), o)
+	}()
+	if strings.Contains(stack, "core.CompileGMA.func") {
+		t.Errorf("the recovered panic was raised inside CompileGMA's deferred code:\n%s", stack)
+	}
+	if n := reg.CounterValue(obs.MCompiles, obs.T("strategy", "linear")); n != 0 {
+		t.Errorf("%s = %v after a panicking compile, want 0", obs.MCompiles, n)
+	}
+	if n := reg.CounterValue(obs.MCompileErrors); n != 0 {
+		t.Errorf("%s = %v, want 0: the recovering caller counts the panic", obs.MCompileErrors, n)
 	}
 }
 

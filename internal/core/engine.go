@@ -37,81 +37,27 @@ func EngineFor(opt Options) Engine {
 	return satEngine{strategy: opt.Search}
 }
 
-// interrupter is the cancellation seam shared by from-scratch Problems
-// and persistent Engines (both expose Interrupt).
-type interrupter interface{ Interrupt() }
-
-// adaptiveScratchMaxGoal is the total goal-term size at or below which
-// the adaptive pick routes a GMA to from-scratch probes. Tiny goals
-// (scale4plus1's 5-node term, double's 3-node term) finish the whole
-// sweep in a couple of probes, so the persistent engine's up-front
-// window encode costs more than the learned-clause reuse it buys —
-// the BENCH_5 incremental slowdown this threshold exists to fix.
-const adaptiveScratchMaxGoal = 6
-
-// PrefersScratch reports that the GMA's goals are small enough that the
-// budget search is expected to resolve within about two probes, where a
-// throwaway Problem per probe beats a persistent incremental engine. It
-// is the only probe-mode selector: the sequential ladder and the parallel
-// speculator both follow it, and no option overrides it (answers are
-// identical either way; only probe cost changes).
-func PrefersScratch(gm *gma.GMA) bool {
-	size := 0
-	for _, goal := range gm.Goals() {
-		size += goal.Size()
-	}
-	return size <= adaptiveScratchMaxGoal
-}
+// PrefersScratch reports false for every GMA: the compiler answers every
+// budget probe on the persistent schedule.Engine.
+//
+// Deprecated: there is no probe-mode pick left to report. It stays only
+// for callers that still branch on it.
+func PrefersScratch(*gma.GMA) bool { return false }
 
 // probeLadder builds the probe function the sequential budget strategies
-// walk. Each K-probe is one span tagged with the outcome
-// (SAT/UNSAT/UNKNOWN); the encode/solve/decode sub-phases nest inside it
-// via Schedule.Trace. The GMA's goal size alone picks the probe mode
-// (PrefersScratch): small goals get a throwaway Problem per probe (fresh
-// CDCL solver, full re-encode); everything else is answered by one
-// persistent schedule.Engine under a budget assumption, so conflict
-// clauses learned refuting one budget keep pruning every later probe.
+// walk: one persistent schedule.Engine answers every budget under a
+// budget assumption, so conflict clauses learned refuting one budget keep
+// pruning every later probe. Each K-probe is one span tagged with the
+// outcome (SAT/UNSAT/UNKNOWN); the encode/solve/decode sub-phases nest
+// inside it via Schedule.Trace.
 //
-// hook, when non-nil, is called with each probe's interrupter just
-// before solving and with (nil, -1) right after — the portfolio racer's
-// cancellation seam. The hook owns any ClearInterrupt re-arm (it must
-// happen atomically with registration, or a stale stop flag aimed at the
+// hook, when non-nil, is called with the engine just before each solve
+// and with (nil, -1) right after — the portfolio racer's cancellation
+// seam. The hook owns the ClearInterrupt re-arm (it must happen
+// atomically with registration, or a stale stop flag aimed at the
 // previous budget could kill the new probe).
-func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(p interrupter, k int)) (probeFunc, error) {
+func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(e *schedule.Engine, k int)) (probeFunc, error) {
 	tr := opt.Trace
-	record := func(k int, psp *obs.Span, sched *schedule.Schedule, stat schedule.Stat, elapsed time.Duration, err error) (*schedule.Schedule, sat.Result, error) {
-		psp.End(obs.T("result", stat.Result.String()),
-			obs.Tint("vars", int64(stat.Vars)), obs.Tint("clauses", int64(stat.Clauses)),
-			obs.Tint("conflicts", stat.Solver.Conflicts))
-		c.SolveTime += elapsed
-		c.Probes = append(c.Probes, Probe{Stat: stat, Elapsed: elapsed})
-		if err != nil {
-			return nil, stat.Result, err
-		}
-		return sched, stat.Result, nil
-	}
-	if PrefersScratch(gm) {
-		return func(k int) (*schedule.Schedule, sat.Result, error) {
-			psp := tr.Startf("probe K=%d", k)
-			tr.Add("probes", 1)
-			t0 := time.Now()
-			p, err := schedule.NewProblem(c.Graph, gm, k, opt.Schedule)
-			c.EncodeTime += time.Since(t0)
-			if err != nil {
-				psp.End(obs.T("result", "error"))
-				return nil, sat.Unknown, err
-			}
-			if hook != nil {
-				hook(p, k)
-			}
-			t0 = time.Now()
-			sched, stat, err := p.Solve()
-			if hook != nil {
-				hook(nil, -1)
-			}
-			return record(k, psp, sched, stat, time.Since(t0), err)
-		}, nil
-	}
 	t0 := time.Now()
 	eng, err := schedule.NewEngine(c.Graph, gm, initialWindow(opt), opt.MaxCycles, opt.Schedule)
 	c.EncodeTime += time.Since(t0)
@@ -131,8 +77,17 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(p interrupter
 		}
 		// A probe that grew the window spent stat.Encode of its time
 		// encoding, not solving.
+		elapsed := time.Since(t0) - stat.Encode
+		psp.End(obs.T("result", stat.Result.String()),
+			obs.Tint("vars", int64(stat.Vars)), obs.Tint("clauses", int64(stat.Clauses)),
+			obs.Tint("conflicts", stat.Solver.Conflicts))
 		c.EncodeTime += stat.Encode
-		return record(k, psp, sched, stat, time.Since(t0)-stat.Encode, err)
+		c.SolveTime += elapsed
+		c.Probes = append(c.Probes, Probe{Stat: stat, Elapsed: elapsed})
+		if err != nil {
+			return nil, stat.Result, err
+		}
+		return sched, stat.Result, nil
 	}, nil
 }
 

@@ -2,57 +2,70 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/gma"
 )
 
-// TestAdaptiveScratch pins the adaptive probe-mode pick: tiny goals run
-// from-scratch probes (the persistent engine's window encode costs more
-// than the clause reuse it buys on a two-probe sweep) and large goals
-// keep the incremental engine, under the sequential ladder and the
-// parallel speculator alike.
-func TestAdaptiveScratch(t *testing.T) {
-	small := simpleGMA("double", []string{"reg7"}, "res", "(mul64 2 reg7)")
-	large := simpleGMA("sum5", []string{"a", "b", "c", "d", "e"}, "res",
-		"(add64 a (add64 b (add64 c (add64 d e))))")
-	if !PrefersScratch(small) {
-		t.Error("PrefersScratch(double) = false, want true")
-	}
-	if PrefersScratch(large) {
-		t.Error("PrefersScratch(sum5) = true, want false")
-	}
-	parallel := func(o *Options) { o.Search = ParallelSearch; o.Workers = 2 }
-	cases := []struct {
-		name            string
-		configure       func(*Options)
-		gma             string
-		wantIncremental bool
+// TestEveryProbeOnEngine: every SAT strategy answers every budget on the
+// persistent schedule.Engine — a tiny goal (double's 3-node term) as much
+// as a large one — with the same optimum, and under Certify the K−1
+// refutation is an engine snapshot (the probed selector as its assumed
+// unit) that checks. For double that is the K=0 refutation.
+func TestEveryProbeOnEngine(t *testing.T) {
+	gmas := []struct {
+		g      *gma.GMA
+		cycles int
 	}{
-		{"small-default-scratch", func(o *Options) {}, "small", false},
-		{"large-default-incremental", func(o *Options) {}, "large", true},
-		{"small-parallel-scratch", parallel, "small", false},
-		{"large-parallel-incremental", parallel, "large", true},
+		{simpleGMA("double", []string{"reg7"}, "res", "(mul64 2 reg7)"), 1},
+		{simpleGMA("sum5", []string{"a", "b", "c", "d", "e"}, "res",
+			"(add64 a (add64 b (add64 c (add64 d e))))"), 3},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := small
-			if tc.gma == "large" {
-				g = large
-			}
-			o := opts(t)
-			tc.configure(&o)
-			c, err := CompileGMA(g, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(c.Probes) == 0 {
-				t.Fatal("no probes recorded")
-			}
-			for _, p := range c.Probes {
-				if p.Incremental != tc.wantIncremental {
-					t.Fatalf("probe K=%d incremental=%v, want %v\n%s",
-						p.K, p.Incremental, tc.wantIncremental, c.ProbeSummary())
+	strategies := []struct {
+		search  SearchStrategy
+		workers int
+	}{
+		{LinearSearch, 0}, {BinarySearch, 0}, {DescendSearch, 0}, {ParallelSearch, 2},
+	}
+	for _, tc := range gmas {
+		for _, st := range strategies {
+			t.Run(tc.g.Name+"-"+st.search.String(), func(t *testing.T) {
+				for _, certify := range []bool{false, true} {
+					o := opts(t)
+					o.Search, o.Workers = st.search, st.workers
+					o.UpperBoundHint = 6 // descend's start, as a baseline would set it
+					o.Schedule.Certify = certify
+					c, err := CompileGMA(tc.g, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c.Cycles != tc.cycles || !c.OptimalProven {
+						t.Fatalf("certify=%v: %d cycles (optimal=%v), want %d proven\n%s",
+							certify, c.Cycles, c.OptimalProven, tc.cycles, c.ProbeSummary())
+					}
+					if len(c.Probes) == 0 {
+						t.Fatal("no probes recorded")
+					}
+					for _, p := range c.Probes {
+						if !p.Incremental {
+							t.Fatalf("certify=%v: probe K=%d not on the engine\n%s", certify, p.K, c.ProbeSummary())
+						}
+					}
+					if !certify {
+						continue
+					}
+					if !c.Certified || c.Cert == nil {
+						t.Fatalf("certified=%v cert=%v, want a checked K=%d certificate", c.Certified, c.Cert != nil, tc.cycles-1)
+					}
+					if len(c.Cert.Assumed) != 1 || !c.Cert.Closed {
+						t.Errorf("K=%d certificate has %d assumed units (closed=%v), want an engine snapshot with the selector unit",
+							tc.cycles-1, len(c.Cert.Assumed), c.Cert.Closed)
+					}
+					if err := c.Cert.Check(); err != nil {
+						t.Errorf("K=%d certificate: %v", tc.cycles-1, err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -11,16 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
-// TestIncrementalEquivalence cross-checks the persistent probe engine
-// against from-scratch probes budget by budget over the whole golden
-// corpus. For every GMA, each budget k = 0…optimum is answered twice on
-// the saturated E-graph: by a fresh schedule.NewProblem(k).Solve() and by
-// one persistent schedule.Engine walking the same ladder with
-// SolveBudget(k). Both must refute every budget below the optimum the
-// compile found and satisfy the optimum itself, and every SAT schedule
-// from either side must pass the simulator. This
-// is the guarantee behind the adaptive probe-mode pick (PrefersScratch):
-// whichever mode a GMA is routed to, the answer is the same.
+// TestIncrementalEquivalence guards the persistent probe engine, which
+// answers every budget the compiler probes, against the one-shot
+// reference encoding budget by budget over the whole golden corpus. For
+// every GMA, each budget k = 0…optimum is answered twice on the saturated
+// E-graph: by a fresh schedule.NewProblem(k).Solve(), whose CNF bakes k
+// in, and by one persistent schedule.Engine walking the same ladder with
+// SolveBudget(k) under budget assumptions. Both must refute every budget
+// below the optimum the compile found and satisfy the optimum itself, and
+// every SAT schedule from either side must pass the simulator.
 func TestIncrementalEquivalence(t *testing.T) {
 	desc := alpha.EV6()
 	sopt := schedule.Options{Desc: desc}

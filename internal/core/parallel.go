@@ -63,17 +63,15 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	results := make(chan outcome)
 
 	var mu sync.Mutex // guards running and enginePool
-	running := map[int]interrupter{}
-	// Unless the goal is small enough for scratch probes (PrefersScratch),
-	// finished probes park their persistent engines here for the next
+	running := map[int]*schedule.Engine{}
+	// Finished probes park their persistent engines here for the next
 	// launch: each engine carries one e-graph clone and one warm solver,
 	// so a pool of ~workers engines serves the whole search with learned
 	// clauses accumulating across budgets.
 	var enginePool []*schedule.Engine
-	incremental := !PrefersScratch(gm)
 	window := initialWindow(opt)
 
-	// launch starts one speculative probe. The probe's interrupter is
+	// launch starts one speculative probe. The probe's engine is
 	// registered under its budget before solving so a completed answer
 	// elsewhere can interrupt it mid-search.
 	launch := func(k int) {
@@ -89,76 +87,49 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 				sp = tr.StartDetached(fmt.Sprintf("probe K=%d", k), tags...)
 			}
 			t0 := time.Now()
-			var (
-				sched  *schedule.Schedule
-				stat   schedule.Stat
-				encode time.Duration
-				err    error
-			)
-			if incremental {
-				mu.Lock()
-				var eng *schedule.Engine
-				if n := len(enginePool); n > 0 {
-					eng = enginePool[n-1]
-					enginePool = enginePool[:n-1]
-				}
-				mu.Unlock()
-				if eng == nil {
-					// Each engine gets its own e-graph clone: a Graph is
-					// never safe for concurrent use (Find path-halves), and
-					// problem setup even adds input/constant terms. A single
-					// worker means probes never overlap, so the clone (which
-					// copies the hash-cons maps) is skipped.
-					g := c.Graph
-					if workers > 1 {
-						g = c.Graph.Clone()
-					}
-					te := time.Now()
-					eng, err = schedule.NewEngine(g, gm, window, maxCycles, sopt)
-					encode = time.Since(te)
-					if err != nil {
-						sp.End(obs.T("result", "error"))
-						results <- outcome{k: k, err: err, elapsed: time.Since(t0)}
-						return
-					}
-				}
-				// Re-arm and register under one critical section: a stale
-				// stop flag from a cancellation aimed at the engine's
-				// previous budget must not kill this probe, and cancelMoot
-				// iterates running under the same mutex, so an interrupt can
-				// never slip between the clear and the registration.
-				mu.Lock()
-				eng.ClearInterrupt()
-				running[k] = eng
-				mu.Unlock()
-				sched, stat, err = eng.SolveBudget(k)
-				encode += stat.Encode
-				mu.Lock()
-				delete(running, k)
-				enginePool = append(enginePool, eng)
-				mu.Unlock()
-			} else {
+			var encode time.Duration
+			mu.Lock()
+			var eng *schedule.Engine
+			if n := len(enginePool); n > 0 {
+				eng = enginePool[n-1]
+				enginePool = enginePool[:n-1]
+			}
+			mu.Unlock()
+			if eng == nil {
+				// Each engine gets its own e-graph clone: a Graph is never
+				// safe for concurrent use (Find path-halves), and problem
+				// setup even adds input/constant terms. A single worker
+				// means probes never overlap, so the clone (which copies
+				// the hash-cons maps) is skipped.
 				g := c.Graph
 				if workers > 1 {
 					g = c.Graph.Clone()
 				}
-				var p *schedule.Problem
 				te := time.Now()
-				p, err = schedule.NewProblem(g, gm, k, sopt)
+				var err error
+				eng, err = schedule.NewEngine(g, gm, window, maxCycles, sopt)
 				encode = time.Since(te)
 				if err != nil {
 					sp.End(obs.T("result", "error"))
 					results <- outcome{k: k, err: err, elapsed: time.Since(t0)}
 					return
 				}
-				mu.Lock()
-				running[k] = p
-				mu.Unlock()
-				sched, stat, err = p.Solve()
-				mu.Lock()
-				delete(running, k)
-				mu.Unlock()
 			}
+			// Re-arm and register under one critical section: a stale stop
+			// flag from a cancellation aimed at the engine's previous budget
+			// must not kill this probe, and cancelMoot iterates running
+			// under the same mutex, so an interrupt can never slip between
+			// the clear and the registration.
+			mu.Lock()
+			eng.ClearInterrupt()
+			running[k] = eng
+			mu.Unlock()
+			sched, stat, err := eng.SolveBudget(k)
+			encode += stat.Encode
+			mu.Lock()
+			delete(running, k)
+			enginePool = append(enginePool, eng)
+			mu.Unlock()
 			sp.End(obs.T("result", stat.Result.String()),
 				obs.T("cancelled", boolStr(stat.Solver.Cancelled)),
 				obs.Tint("vars", int64(stat.Vars)), obs.Tint("clauses", int64(stat.Clauses)),
@@ -172,10 +143,10 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	cancelled := map[int]bool{}
 	cancelMoot := func(moot func(k int) bool) {
 		mu.Lock()
-		for k, p := range running {
+		for k, eng := range running {
 			if moot(k) && !cancelled[k] {
 				cancelled[k] = true
-				p.Interrupt()
+				eng.Interrupt()
 				tr.Add("parallel.cancelled", 1)
 				sk.Add(obs.MProbesCancelled, 1)
 			}

@@ -44,7 +44,7 @@ func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
 	tr := opt.Trace
 	var (
 		mu      sync.Mutex
-		curInt  interrupter // in-flight SAT probe, registered by the hook
+		curEng  *schedule.Engine // engine of the in-flight SAT probe, registered by the hook
 		curK    = -1
 		stBest  = -1 // best exactly-verified stochastic cycle count
 		stSched *schedule.Schedule
@@ -62,10 +62,10 @@ func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
 			if stBest < 0 || b.Cycles < stBest {
 				stBest, stSched = b.Cycles, b.Schedule
 			}
-			if curInt != nil && curK >= b.Cycles {
+			if curEng != nil && curK >= b.Cycles {
 				// The probe in flight can only reconfirm what the bound
 				// already proves feasible — cut it.
-				curInt.Interrupt()
+				curEng.Interrupt()
 				tr.Add("portfolio.cuts", 1)
 			}
 			mu.Unlock()
@@ -77,16 +77,16 @@ func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
 		tr.Event("portfolio.fallback", obs.T("gma", gm.Name), obs.T("reason", err.Error()))
 		return satEngine{strategy: DescendSearch}.Search(c, gm, opt)
 	}
-	probe, err := c.probeLadder(gm, opt, func(p interrupter, k int) {
+	probe, err := c.probeLadder(gm, opt, func(e *schedule.Engine, k int) {
 		mu.Lock()
-		if r, ok := p.(interface{ ClearInterrupt() }); ok {
+		if e != nil {
 			// Re-arm and register under one critical section: a stale stop
 			// flag from a cut aimed at the previous budget must not kill
 			// this probe, and OnImprove interrupts under the same mutex, so
 			// a cut can never slip between the clear and the registration.
-			r.ClearInterrupt()
+			e.ClearInterrupt()
 		}
-		curInt, curK = p, k
+		curEng, curK = e, k
 		mu.Unlock()
 	})
 	if err != nil {

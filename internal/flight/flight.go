@@ -74,9 +74,8 @@ type GMAReport struct {
 
 	Probes      []ProbeRow `json:"probes,omitempty"`
 	SolveMillis float64    `json:"solve_ms"`
-	// EncodeMillis is the constraint-generation time: scratch problems'
-	// encodes plus the incremental engine's up-front window and its
-	// in-place extensions.
+	// EncodeMillis is the constraint-generation time: the probe engines'
+	// up-front windows and their in-place extensions.
 	EncodeMillis float64 `json:"encode_ms,omitempty"`
 
 	Cycles        int     `json:"cycles"`

@@ -7,9 +7,8 @@
 // timeout rates. Where flight answers "what happened to request X?" and
 // obs answers "what is this process doing right now?", history answers
 // "what has this GMA cost, under which configuration, across all
-// traffic?" — the substrate the regression sentinel (diff.go), the live
-// SLO views (slo.go) and the ROADMAP's adaptive scratch-vs-incremental
-// chooser (Lookup) all read from.
+// traffic?" — the substrate the regression sentinel (diff.go) and the
+// live SLO views (slo.go) read from.
 //
 // The warehouse is goroutine-safe and optionally persistent: ingests
 // append compact observation rows to a JSONL journal and the aggregate
@@ -461,47 +460,6 @@ func (w *Warehouse) applyRowLocked(row Row) {
 	if row.MaxProbe > a.MaxProbeConflicts {
 		a.MaxProbeConflicts = row.MaxProbe
 	}
-}
-
-// Features filters a Lookup: zero fields match everything, so the
-// adaptive chooser can ask "this fingerprint on this arch, both
-// incremental modes" in one call.
-type Features struct {
-	Arch     string
-	Strategy string
-	// Incremental filters by search mode when non-nil.
-	Incremental *bool
-}
-
-// Lookup returns independent copies of every aggregate recorded for the
-// fingerprint that matches the features, sorted most-compiled first.
-// This is the read API the ROADMAP adaptive scratch-vs-incremental
-// chooser consumes: compare the returned Solve digests across the
-// Incremental axis and pick the cheaper mode.
-func (w *Warehouse) Lookup(fingerprint string, f Features) []*Aggregate {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out []*Aggregate
-	for k, a := range w.keys {
-		if k.Fingerprint != fingerprint {
-			continue
-		}
-		if f.Arch != "" && k.Arch != normalizeArch(f.Arch) {
-			continue
-		}
-		if f.Strategy != "" && k.Strategy != f.Strategy {
-			continue
-		}
-		if f.Incremental != nil && k.Incremental != *f.Incremental {
-			continue
-		}
-		out = append(out, a.clone())
-	}
-	sortAggregates(out)
-	return out
 }
 
 // Totals returns the warehouse-level request counts.

@@ -45,11 +45,15 @@ func TestIngestAggregates(t *testing.T) {
 		t.Fatalf("totals = %+v, want 6 reports / 6 gmas", tot)
 	}
 
-	scratch := w.Lookup("fp1", Features{Incremental: boolPtr(false)})
-	if len(scratch) != 1 {
-		t.Fatalf("scratch lookup returned %d aggregates", len(scratch))
+	both := aggregates(w, "fp1")
+	if len(both) != 2 {
+		t.Fatalf("snapshot holds %d aggregates for fp1, want 2", len(both))
 	}
-	a := scratch[0]
+	// Sorted most-compiled first: the scratch key has 5 compiles.
+	if both[0].Incremental || !both[1].Incremental {
+		t.Fatalf("snapshot order wrong: %v then %v", both[0].Key, both[1].Key)
+	}
+	a := both[0]
 	if a.Compiles != 5 || a.Name != "double" || a.TopCycles() != 2 {
 		t.Fatalf("scratch aggregate = %+v", a)
 	}
@@ -65,18 +69,19 @@ func TestIngestAggregates(t *testing.T) {
 	if a.Optimal != 5 {
 		t.Fatalf("optimal = %d, want 5", a.Optimal)
 	}
-
-	both := w.Lookup("fp1", Features{})
-	if len(both) != 2 {
-		t.Fatalf("unfiltered lookup returned %d aggregates, want 2", len(both))
-	}
-	// Sorted most-compiled first: the scratch key has 5 compiles.
-	if both[0].Incremental || !both[1].Incremental {
-		t.Fatalf("lookup order wrong: %v then %v", both[0].Key, both[1].Key)
-	}
 }
 
-func boolPtr(b bool) *bool { return &b }
+// aggregates returns the snapshot's aggregates for one fingerprint, in
+// snapshot order (most-compiled first).
+func aggregates(w *Warehouse, fp string) []*Aggregate {
+	var out []*Aggregate
+	for _, a := range w.Snapshot().Keys {
+		if a.Fingerprint == fp {
+			out = append(out, a)
+		}
+	}
+	return out
+}
 
 func TestIngestFailuresAndCacheOutcomes(t *testing.T) {
 	w := New(Config{})
@@ -107,9 +112,9 @@ func TestIngestFailuresAndCacheOutcomes(t *testing.T) {
 		t.Fatalf("cache hits = %d, want 1", tot.CacheHits)
 	}
 
-	as := w.Lookup("fp2", Features{})
+	as := aggregates(w, "fp2")
 	if len(as) != 1 {
-		t.Fatalf("lookup returned %d aggregates", len(as))
+		t.Fatalf("snapshot holds %d aggregates for fp2", len(as))
 	}
 	a := as[0]
 	if a.CacheHits != 1 || a.Errors != 1 || a.Compiles != 0 {
@@ -139,7 +144,7 @@ func TestConcurrentIngest(t *testing.T) {
 				fp := fmt.Sprintf("fp-%d", i%8)
 				w.Ingest(mkReport(fmt.Sprintf("r-%d-%d", g, i), fp, "gma", g%2 == 0, 0.1, 0.2, 1))
 				w.RecordRequest(true, 0.2)
-				_ = w.Lookup(fp, Features{})
+				_ = w.Snapshot()
 				_ = w.SLOStatus()
 			}
 		}(g)
@@ -196,7 +201,9 @@ func TestDigestQuantiles(t *testing.T) {
 	}
 }
 
-func TestLookupFeatureFilters(t *testing.T) {
+// TestSnapshotKeyAxes: an empty arch folds into the canonical "ev6" key,
+// while a different strategy keeps a key of its own.
+func TestSnapshotKeyAxes(t *testing.T) {
 	w := New(Config{})
 	r := mkReport("r1", "fpX", "g", false, 0.1, 0.2, 1)
 	r.Arch = "" // normalized to ev6
@@ -205,14 +212,22 @@ func TestLookupFeatureFilters(t *testing.T) {
 	r2.Strategy = "parallel"
 	w.Ingest(r2)
 
-	if got := len(w.Lookup("fpX", Features{Arch: "ev6"})); got != 2 {
-		t.Fatalf("arch filter returned %d, want 2", got)
+	as := aggregates(w, "fpX")
+	if len(as) != 2 {
+		t.Fatalf("snapshot holds %d aggregates for fpX, want 2", len(as))
 	}
-	if got := len(w.Lookup("fpX", Features{Strategy: "parallel"})); got != 1 {
-		t.Fatalf("strategy filter returned %d, want 1", got)
+	strategies := map[string]bool{}
+	for _, a := range as {
+		if a.Arch != "ev6" {
+			t.Errorf("key %v: arch not normalized to ev6", a.Key)
+		}
+		strategies[a.Strategy] = true
 	}
-	if got := len(w.Lookup("nope", Features{})); got != 0 {
-		t.Fatalf("unknown fingerprint returned %d aggregates", got)
+	if !strategies["linear"] || !strategies["parallel"] {
+		t.Fatalf("strategies = %v, want linear and parallel", strategies)
+	}
+	if got := len(aggregates(w, "nope")); got != 0 {
+		t.Fatalf("unknown fingerprint has %d aggregates", got)
 	}
 }
 

@@ -79,7 +79,7 @@ func (e *Engine) Probes() int { return e.probes }
 
 // Interrupt asks a running (or future) SolveBudget to stop, returning
 // sat.Unknown with Stat.Solver.Cancelled set. Safe from any goroutine.
-func (e *Engine) Interrupt() { e.p.Interrupt() }
+func (e *Engine) Interrupt() { e.p.solver.Interrupt() }
 
 // ClearInterrupt re-arms the engine after an Interrupt, so a pooled
 // engine's next probe is not cancelled by a stale stop flag.
@@ -130,43 +130,10 @@ func (e *Engine) SolveBudget(k int) (*Schedule, Stat, error) {
 		p.solver.ResetPhases()
 		p.solver.ResetActivities()
 	}
-	sp := tr.Start("solve")
-	sp.SetTag("incremental", "true")
-	t0 := time.Now()
 	sel := sat.Pos(p.selVar[k])
-	res := p.solver.Solve(sel)
-	st := p.solver.LastStats()
-	e.lastSat, e.lastK = res == sat.Sat, k
-	sk := p.opt.Sink
-	sk.Observe(obs.MSolveSeconds, time.Since(t0).Seconds(), obs.T("result", res.String()))
-	sk.Observe(obs.MSolveConflicts, float64(st.Conflicts))
-	sk.Observe(obs.MProbeConflicts, float64(st.Conflicts), obs.T("result", res.String()))
-	sk.Add(obs.MProbeIncremental, 1, obs.T("result", res.String()))
-	if reused {
-		sk.Add(obs.MProbeIncrementalReused, 1)
-	}
-	if st.Cancelled {
-		sp.SetTag("cancelled", "true")
-	}
-	sp.End(obs.T("result", res.String()), obs.Tint("conflicts", st.Conflicts))
-	tr.Add("sat.conflicts", st.Conflicts)
-	tr.Add("sat.decisions", st.Decisions)
-	tr.Add("sat.propagations", st.Propagations)
-	tr.Add("sat.learned", int64(st.Learned))
-	tr.Add("sat.restarts", st.Restarts)
-	stat := Stat{
-		K:            k,
-		Vars:         st.Vars,
-		Clauses:      st.Clauses,
-		Result:       res,
-		Solver:       st,
-		MachineTerms: len(p.terms),
-		ConeClasses:  len(p.cone),
-		Incremental:  true,
-		Reused:       reused,
-		Encode:       grow,
-	}
-	if res == sat.Unsat && k > e.maxRefuted {
+	sched, stat, err := p.solve(Stat{K: k, Incremental: true, Reused: reused, Encode: grow}, sel)
+	e.lastSat, e.lastK = stat.Result == sat.Sat, k
+	if stat.Result == sat.Unsat && k > e.maxRefuted {
 		if p.proof != nil {
 			// Snapshot before committing ¬selVar[k]: that unit is this
 			// refutation's conclusion, not one of its premises.
@@ -182,24 +149,6 @@ func (e *Engine) SolveBudget(k int) (*Schedule, Stat, error) {
 			e.maxRefuted = k
 			p.solver.AddClause(sat.Neg(p.selVar[k]))
 		}
-	}
-	if res != sat.Sat {
-		return nil, stat, nil
-	}
-	// decode walks launch variables up to p.K; narrow it to the probed
-	// budget so the schedule reflects exactly the k-cycle program. The
-	// saved model has every out-of-window launch false anyway (the eVar
-	// chain forces them off under the assumption), but the narrowing also
-	// sets Schedule.K and final-operand availability correctly.
-	dsp := tr.Start("decode")
-	saved := p.K
-	p.K = k
-	sched, err := p.decode()
-	p.K = saved
-	dsp.End()
-	if sched != nil {
-		tr.Add("schedule.instructions", int64(len(sched.Launches)))
-		tr.Add("schedule.cycles", int64(sched.K))
 	}
 	return sched, stat, err
 }

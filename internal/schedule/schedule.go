@@ -943,50 +943,70 @@ func (p *Problem) encodeCycles(lo, hi int) {
 	}
 }
 
-// Interrupt asks a running (or future) Solve to stop: the probe returns
-// sat.Unknown with Stat.Solver.Cancelled set. Safe from any goroutine —
-// this is how the speculative parallel budget search retires probes made
-// moot by a completed SAT or UNSAT answer at another budget.
-func (p *Problem) Interrupt() { p.solver.Interrupt() }
-
 // Solve runs the SAT probe. The returned Stat records the problem size,
 // outcome, and the solver's full search statistics whether or not a
 // schedule exists.
 func (p *Problem) Solve() (*Schedule, Stat, error) {
-	tr := p.opt.Trace
+	sched, stat, err := p.solve(Stat{K: p.K})
+	if p.proof != nil && stat.Result == sat.Unsat {
+		stat.Cert = p.proof.Certificate()
+	}
+	return sched, stat, err
+}
+
+// solve is the probe body Problem.Solve and Engine.SolveBudget share: one
+// solver call under assumps, its telemetry, and on SAT the decoded
+// stat.K-cycle schedule. stat arrives with the caller's fields — K, and
+// for an engine probe Incremental, Reused and Encode — and leaves with the
+// outcome and the solver's numbers: a one-shot Problem's totals, an
+// engine probe's per-call deltas. The caller attaches the certificate.
+func (p *Problem) solve(stat Stat, assumps ...sat.Lit) (*Schedule, Stat, error) {
+	tr, sk := p.opt.Trace, p.opt.Sink
 	sp := tr.Start("solve")
+	if stat.Incremental {
+		sp.SetTag("incremental", "true")
+	}
 	t0 := time.Now()
-	res := p.solver.Solve()
+	res := p.solver.Solve(assumps...)
 	st := p.solver.Stats()
-	p.opt.Sink.Observe(obs.MSolveSeconds, time.Since(t0).Seconds(), obs.T("result", res.String()))
-	p.opt.Sink.Observe(obs.MSolveConflicts, float64(st.Conflicts))
-	p.opt.Sink.Observe(obs.MProbeConflicts, float64(st.Conflicts), obs.T("result", res.String()))
+	if stat.Incremental {
+		st = p.solver.LastStats()
+	}
+	result := obs.T("result", res.String())
+	sk.Observe(obs.MSolveSeconds, time.Since(t0).Seconds(), result)
+	sk.Observe(obs.MSolveConflicts, float64(st.Conflicts))
+	sk.Observe(obs.MProbeConflicts, float64(st.Conflicts), result)
+	if stat.Incremental {
+		sk.Add(obs.MProbeIncremental, 1, result)
+		if stat.Reused {
+			sk.Add(obs.MProbeIncrementalReused, 1)
+		}
+	}
 	if st.Cancelled {
 		sp.SetTag("cancelled", "true")
 	}
-	sp.End(obs.T("result", res.String()), obs.Tint("conflicts", st.Conflicts))
+	sp.End(result, obs.Tint("conflicts", st.Conflicts))
 	tr.Add("sat.conflicts", st.Conflicts)
 	tr.Add("sat.decisions", st.Decisions)
 	tr.Add("sat.propagations", st.Propagations)
 	tr.Add("sat.learned", int64(st.Learned))
 	tr.Add("sat.restarts", st.Restarts)
-	stat := Stat{
-		K:            p.K,
-		Vars:         st.Vars,
-		Clauses:      st.Clauses,
-		Result:       res,
-		Solver:       st,
-		MachineTerms: len(p.terms),
-		ConeClasses:  len(p.cone),
-	}
-	if p.proof != nil && res == sat.Unsat {
-		stat.Cert = p.proof.Certificate()
-	}
+	stat.Vars, stat.Clauses = st.Vars, st.Clauses
+	stat.Result, stat.Solver = res, st
+	stat.MachineTerms, stat.ConeClasses = len(p.terms), len(p.cone)
 	if res != sat.Sat {
 		return nil, stat, nil
 	}
+	// decode walks launch variables up to p.K; narrow it to the probed
+	// budget so the schedule reflects exactly the stat.K-cycle program. An
+	// engine's saved model has every out-of-window launch false anyway (the
+	// eVar chain forces them off under the assumption), but the narrowing
+	// also sets Schedule.K and final-operand availability correctly.
 	dsp := tr.Start("decode")
+	saved := p.K
+	p.K = stat.K
 	sched, err := p.decode()
+	p.K = saved
 	dsp.End()
 	if sched != nil {
 		tr.Add("schedule.instructions", int64(len(sched.Launches)))

@@ -99,15 +99,17 @@ func TestServeHistoryMatchesFlightRing(t *testing.T) {
 		t.Fatalf("unknown fingerprint status %d, want 404", r.StatusCode)
 	}
 
-	// Lookup (the adaptive-chooser API) sees the same aggregates.
-	for fp, want := range ringPerFP {
-		as := s.History().Lookup(fp, history.Features{Arch: "ev6"})
-		var got uint64
-		for _, a := range as {
-			got += a.Compiles + a.CacheHits + a.Coalesced
+	// The in-process warehouse's own Snapshot sees the same aggregates as
+	// the endpoint.
+	live := map[string]uint64{}
+	for _, a := range s.History().Snapshot().Keys {
+		if a.Arch == "ev6" {
+			live[a.Fingerprint] += a.Compiles + a.CacheHits + a.Coalesced
 		}
-		if got != uint64(want) {
-			t.Fatalf("Lookup(%s) sees %d observations, want %d", fp, got, want)
+	}
+	for fp, want := range ringPerFP {
+		if got := live[fp]; got != uint64(want) {
+			t.Fatalf("Snapshot sees %d observations of %s, want %d", got, fp, want)
 		}
 	}
 }

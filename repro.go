@@ -236,8 +236,8 @@ type CompiledGMA struct {
 	Match MatchStats
 	// SolveTime is the total SAT time across probes.
 	SolveTime time.Duration
-	// EncodeTime is the total constraint-generation time: scratch
-	// problems plus the incremental engine's window and its extensions.
+	// EncodeTime is the total constraint-generation time: the probe
+	// engines' windows and their in-place extensions.
 	EncodeTime time.Duration
 	// Certified reports that the refutation behind OptimalProven passed
 	// the independent DRAT check (Options.Certify); CertifyTime is the

@@ -12,9 +12,10 @@
 #  2. BENCH_5.json#scratch vs BENCH_5.json#incremental is the known
 #     small-GMA incremental regression: per-probe setup costs dominate
 #     sub-0.1ms solves, so scale4plus1 and double slow down. The
-#     sentinel must flag both and exit 3. (The adaptive probe-mode pick
-#     routes these GMAs to scratch in production; the fixture pins the
-#     engine to keep measuring the effect.)
+#     sentinel must flag both and exit 3. (The compiler now answers
+#     every GMA on the engine and accepts this small-GMA cost in
+#     exchange for one probe path; the fixture still records it, so the
+#     sentinel keeps a known regression to detect.)
 #
 #  3. BENCH_8.json#descend vs BENCH_8.json#portfolio must hold the
 #     portfolio's answer bar: cycle counts may never regress against the

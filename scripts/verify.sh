@@ -37,7 +37,7 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sat ./internal/schedule ./in
 echo "== perf gate (regression sentinel over the committed bench fixtures)"
 sh scripts/perfgate.sh
 
-echo "== serve smoke (HTTP compile + request-id echo + flight report + cache hit/bypass + default probe modes + /metrics scrape + graceful shutdown; then fleet: router + 2 workers via -route-file, routed /compile + /compile/batch, cache affinity on the owning shard, SIGTERM'd worker routed around)"
+echo "== serve smoke (HTTP compile + request-id echo + flight report + cache hit/bypass + every default probe on the incremental engine + /metrics scrape + graceful shutdown; then fleet: router + 2 workers via -route-file, routed /compile + /compile/batch, cache affinity on the owning shard, SIGTERM'd worker routed around)"
 go run ./scripts/servesmoke
 
 echo "== certification gate (drat checker tests + end-to-end -certify)"
@@ -52,7 +52,7 @@ case "$out" in
     ;;
 esac
 
-echo "== incremental-equivalence gate (golden corpus, every budget 0..optimum: scratch Problem vs persistent Engine)"
+echo "== incremental-equivalence gate (golden corpus, every budget 0..optimum: one-shot reference Problem vs persistent Engine)"
 go test -run '^TestIncrementalEquivalence$' -count=1 ./internal/core
 
 echo "== trajectory gate (golden corpus: per-probe solver counters, assembly, certificate and DIMACS hashes match testdata/trajectory.json)"
