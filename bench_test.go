@@ -1,6 +1,7 @@
 // Benchmarks regenerating every experiment of the paper's evaluation
 // (section 8) and the DESIGN.md ablations. Each BenchmarkE* corresponds to
-// a row of EXPERIMENTS.md; cmd/denali-bench prints the same data as tables.
+// a row of EXPERIMENTS.md; cmd/denali-bench prints the E1–E12 and ablation
+// data as tables.
 //
 // Run with:
 //

@@ -22,10 +22,10 @@ import (
 //	denali report -diff BASE CAND                regression sentinel
 //
 // The sentinel's BASE/CAND are path[#view] specs accepted by
-// history.LoadComparable: warehouse snapshots or directories, flight
-// JSONL logs, or BENCH_*.json fixtures (e.g. BENCH_5.json#scratch vs
-// BENCH_5.json#incremental). Exit codes: 0 clean, 1 error, 2 usage,
-// 3 regression detected — so CI gates on the code alone.
+// history.LoadComparable: warehouse snapshots or directories, or flight
+// JSONL logs (e.g. reports.jsonl#scratch vs reports.jsonl#incremental).
+// Exit codes: 0 clean, 1 error, 2 usage, 3 regression detected — so CI
+// gates on the code alone.
 func reportMain(args []string) {
 	if code := runReport(args, os.Stdout, os.Stderr); code != 0 {
 		os.Exit(code)
@@ -58,7 +58,7 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 	if *diff {
 		if fs.NArg() != 2 {
 			fmt.Fprintln(stderr, "usage: denali report -diff [flags] <baseline> <candidate>")
-			fmt.Fprintln(stderr, "  each side is path[#view]: a history snapshot/dir, flight JSONL, or BENCH_*.json")
+			fmt.Fprintln(stderr, "  each side is path[#view]: a history snapshot/dir or flight JSONL")
 			return 2
 		}
 		th := history.DefaultThresholds()

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/flight"
 	"repro/internal/history"
 )
 
@@ -114,23 +116,73 @@ func TestReportIngestAndDiffCleanSelf(t *testing.T) {
 	}
 }
 
-// TestReportDiffFlagsKnownRegression is the CLI half of the acceptance
-// criterion: the scratch-vs-incremental views of BENCH_5 exit 3 and name
-// scale4plus1 and double, while BENCH_5-vs-BENCH_6 (disjoint key spaces)
-// exits 0.
+// writeModeLog writes a flight log of three GMAs, each compiled under
+// scratch and under incremental search, and returns its path. It holds
+// the known small-GMA incremental regression: scale4plus1 and double run
+// ten times slower incrementally, while byteswap4 gets faster.
+func writeModeLog(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "modes.jsonl")
+	log, err := flight.OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		name             string
+		scratchMS, incMS float64
+	}{
+		{"scale4plus1", 0.02, 0.2},
+		{"double", 0.02, 0.2},
+		{"byteswap4", 6, 5},
+	} {
+		for _, inc := range []bool{false, true} {
+			ms := g.scratchMS
+			if inc {
+				ms = g.incMS
+			}
+			rep := flight.Report{ID: g.name, Arch: "ev6", Strategy: "linear", WallMillis: 2 * ms,
+				GMAs: []flight.GMAReport{{
+					Name: g.name, Fingerprint: "fp-" + g.name, SolveMillis: ms, Cycles: 1, OptimalProven: true,
+					Probes: []flight.ProbeRow{{K: 1, Result: "sat", Incremental: inc}},
+				}}}
+			if err := log.Write(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReportDiffFlagsKnownRegression is the CLI half of the sentinel's
+// acceptance check: the scratch-vs-incremental views of one flight log
+// exit 3 and name scale4plus1 and double, while two logs with disjoint
+// keys exit 0.
 func TestReportDiffFlagsKnownRegression(t *testing.T) {
-	code, out, errb := runReportT(t, "-diff",
-		"../../BENCH_5.json#scratch", "../../BENCH_5.json#incremental")
+	modes := writeModeLog(t)
+	code, out, errb := runReportT(t, "-diff", modes+"#scratch", modes+"#incremental")
 	if code != 3 {
 		t.Fatalf("exit %d, want 3: %s\n%s", code, errb, out)
 	}
+	var regressed []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "REGRESSION") {
+			regressed = append(regressed, line)
+		}
+	}
+	all := strings.Join(regressed, "\n")
 	for _, name := range []string{"scale4plus1", "double"} {
-		if !strings.Contains(out, name) {
+		if !strings.Contains(all, name) {
 			t.Fatalf("known regression %q not named:\n%s", name, out)
 		}
 	}
+	if strings.Contains(all, "byteswap4") {
+		t.Fatalf("byteswap4 got faster but was flagged:\n%s", out)
+	}
 
-	code, out, errb = runReportT(t, "-diff", "../../BENCH_5.json", "../../BENCH_6.json")
+	code, out, errb = runReportT(t, "-diff", modes, fixture)
 	if code != 0 {
 		t.Fatalf("disjoint diff exit %d, want 0: %s\n%s", code, errb, out)
 	}
@@ -140,8 +192,8 @@ func TestReportDiffFlagsKnownRegression(t *testing.T) {
 }
 
 func TestReportDiffJSONVerdict(t *testing.T) {
-	code, out, _ := runReportT(t, "-diff", "-json",
-		"../../BENCH_5.json#scratch", "../../BENCH_5.json#incremental")
+	modes := writeModeLog(t)
+	code, out, _ := runReportT(t, "-diff", "-json", modes+"#scratch", modes+"#incremental")
 	if code != 3 {
 		t.Fatalf("exit %d, want 3", code)
 	}
@@ -155,15 +207,14 @@ func TestReportDiffJSONVerdict(t *testing.T) {
 }
 
 func TestReportDiffThresholdOverride(t *testing.T) {
+	modes := writeModeLog(t)
 	// With an absurdly loose wall ratio nothing regresses.
-	code, _, errb := runReportT(t, "-diff", "-wall-ratio", "1000",
-		"../../BENCH_5.json#scratch", "../../BENCH_5.json#incremental")
+	code, _, errb := runReportT(t, "-diff", "-wall-ratio", "1000", modes+"#scratch", modes+"#incremental")
 	if code != 0 {
 		t.Fatalf("loose thresholds exit %d: %s", code, errb)
 	}
 	// With a floor above every solve time, also clean.
-	code, _, _ = runReportT(t, "-diff", "-min-wall-ms", "1e9",
-		"../../BENCH_5.json#scratch", "../../BENCH_5.json#incremental")
+	code, _, _ = runReportT(t, "-diff", "-min-wall-ms", "1e9", modes+"#scratch", modes+"#incremental")
 	if code != 0 {
 		t.Fatalf("high floor exit %d", code)
 	}
@@ -181,5 +232,17 @@ func TestReportUsageAndErrors(t *testing.T) {
 	}
 	if code, _, _ := runReportT(t, "does-not-exist.jsonl"); code != 1 {
 		t.Fatalf("missing log exit %d, want 1", code)
+	}
+	// The retired denali-bench fixture schemas are an error, not a diff.
+	for _, kind := range []string{"incremental", "cache", "trajectory", "fleet", "portfolio"} {
+		path := filepath.Join(t.TempDir(), kind+".json")
+		doc := `{"schema": "denali-bench-` + kind + `/v1"}`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, _, errb := runReportT(t, "-diff", path, path)
+		if code != 1 || !strings.Contains(errb, "unknown schema") {
+			t.Fatalf("%s fixture diff: exit %d (%s), want 1 with unknown schema", kind, code, errb)
+		}
 	}
 }

@@ -13,25 +13,18 @@ import (
 
 // The regression sentinel: load two telemetry artifacts into a common
 // row shape, compare every key present on both sides against
-// configurable thresholds, and emit a machine-readable verdict. The
-// loaders accept every aggregate format the repo produces —
-//
-//	warehouse snapshot files and live warehouse directories,
-//	flight-report JSONL logs (ingested into a scratch warehouse),
-//	BENCH_5-style scratch-vs-incremental fixtures,
-//	BENCH_6-style cold-vs-warm cache fixtures,
-//	BENCH_3/4-style per-experiment trajectories,
-//
-// so `denali report -diff BENCH_5.json#scratch BENCH_5.json#incremental`
-// re-detects the known small-GMA incremental regression and
-// `-diff old-snapshot.json warehouse-dir/` gates a deploy on live
-// history. A `#view` suffix selects one side of a two-sided artifact and
-// drops the mode from the key, which is what lets the two views of one
-// file line up.
+// configurable thresholds, and emit a machine-readable verdict. Both
+// sides come from the warehouse — a snapshot file, a live warehouse
+// directory, or a flight-report JSONL log ingested into a scratch
+// warehouse — so `-diff old-snapshot.json warehouse-dir/` gates a deploy
+// on live history. A `#scratch` or `#incremental` suffix selects one
+// search mode and drops it from the key, which is what lets the two
+// modes of one corpus line up.
 
-// CompRow is one comparable row. Metrics below zero are absent (the
-// source format does not carry them); absent metrics are skipped, never
-// treated as zero.
+// CompRow is one comparable row. Metrics below zero are absent (a key
+// with no fresh compile has no timings or conflicts, and one with no
+// answer has no cycle count); absent metrics are skipped, never treated
+// as zero.
 type CompRow struct {
 	Key      string  `json:"key"`
 	Name     string  `json:"name,omitempty"`
@@ -244,11 +237,8 @@ func (v *Verdict) WriteText(w io.Writer) error {
 
 // LoadComparable loads one side of a diff from a spec of the form
 // path[#view]. The path may be a warehouse snapshot JSON, a warehouse
-// directory, a flight-report JSONL log, or any BENCH_*.json fixture;
-// the view selects one side of a two-sided artifact: scratch|incremental
-// for incremental-bench fixtures and warehouse-shaped sources,
-// cold|warm for cache-bench fixtures, descend|portfolio for
-// portfolio-bench fixtures (fleet-bench fixtures have no views).
+// directory, or a flight-report JSONL log; the view, scratch or
+// incremental, keeps one search mode.
 func LoadComparable(spec string) (*Comparable, error) {
 	path, view := spec, ""
 	if i := strings.LastIndex(spec, "#"); i >= 0 {
@@ -269,26 +259,14 @@ func LoadComparable(spec string) (*Comparable, error) {
 		Schema string `json:"schema"`
 	}
 	if err := json.Unmarshal(raw, &head); err == nil && head.Schema != "" {
-		switch {
-		case strings.HasPrefix(head.Schema, "denali-history/"):
-			var snap Snapshot
-			if err := json.Unmarshal(raw, &snap); err != nil {
-				return nil, fmt.Errorf("history: %s: %w", path, err)
-			}
-			return comparableFromSnapshot(spec, view, snap)
-		case strings.HasPrefix(head.Schema, "denali-bench-incremental/"):
-			return loadBenchIncremental(spec, view, raw)
-		case strings.HasPrefix(head.Schema, "denali-bench-cache/"):
-			return loadBenchCache(spec, view, raw)
-		case strings.HasPrefix(head.Schema, "denali-bench-trajectory/"):
-			return loadBenchTrajectory(spec, view, raw)
-		case strings.HasPrefix(head.Schema, "denali-bench-fleet/"):
-			return loadBenchFleet(spec, view, raw)
-		case strings.HasPrefix(head.Schema, "denali-bench-portfolio/"):
-			return loadBenchPortfolio(spec, view, raw)
-		default:
+		if !strings.HasPrefix(head.Schema, "denali-history/") {
 			return nil, fmt.Errorf("history: %s: unknown schema %q", path, head.Schema)
 		}
+		var snap Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			return nil, fmt.Errorf("history: %s: %w", path, err)
+		}
+		return comparableFromSnapshot(spec, view, snap)
 	}
 	// Not a single JSON document: try a flight-report JSONL log.
 	reps, err := flight.ReadLogFile(path)
@@ -343,205 +321,7 @@ func comparableFromSnapshot(source, view string, snap Snapshot) (*Comparable, er
 			row.SolveMS = a.Solve.Quantile(0.95)
 			row.Conflicts = float64(a.Conflicts) / float64(a.Compiles)
 		}
-		if row.Cycles < 0 && a.Compiles == 0 {
-			row.Cycles = -1
-		}
 		c.Rows[key] = row
-	}
-	return c, nil
-}
-
-// benchIncrementalFile mirrors the BENCH_5.json schema
-// (denali-bench-incremental/v1).
-type benchIncrementalFile struct {
-	Schema string `json:"schema"`
-	GMAs   []struct {
-		GMA                  string  `json:"gma"`
-		Cycles               int     `json:"cycles"`
-		Probes               int     `json:"probes"`
-		ScratchConflicts     int64   `json:"scratch_conflicts"`
-		IncrementalConflicts int64   `json:"incremental_conflicts"`
-		ScratchSolveMS       float64 `json:"scratch_solve_ms"`
-		IncrementalSolveMS   float64 `json:"incremental_solve_ms"`
-	} `json:"gmas"`
-}
-
-func loadBenchIncremental(source, view string, raw []byte) (*Comparable, error) {
-	var f benchIncrementalFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, err
-	}
-	if view != "" && view != "scratch" && view != "incremental" {
-		return nil, fmt.Errorf("history: unknown view %q for %s (want scratch or incremental)", view, f.Schema)
-	}
-	c := &Comparable{Source: source, Kind: "bench-incremental", View: view, Rows: map[string]CompRow{}}
-	add := func(name, mode string, solveMS float64, conflicts int64, cycles int) {
-		key := "gma/" + name
-		if view == "" {
-			key += "|" + mode
-		} else if view != mode {
-			return
-		}
-		c.Rows[key] = CompRow{
-			Key: key, Name: name, Compiles: 1,
-			WallMS: solveMS, SolveMS: -1,
-			Conflicts: float64(conflicts),
-			Cycles:    float64(cycles), ErrorRate: -1,
-		}
-	}
-	for _, g := range f.GMAs {
-		add(g.GMA, "scratch", g.ScratchSolveMS, g.ScratchConflicts, g.Cycles)
-		add(g.GMA, "incremental", g.IncrementalSolveMS, g.IncrementalConflicts, g.Cycles)
-	}
-	return c, nil
-}
-
-// benchCacheFile mirrors the BENCH_6.json schema (denali-bench-cache/v1).
-type benchCacheFile struct {
-	Schema   string `json:"schema"`
-	Programs []struct {
-		Program string  `json:"program"`
-		ColdMS  float64 `json:"cold_ms"`
-		HitMS   float64 `json:"hit_ms"`
-	} `json:"programs"`
-}
-
-func loadBenchCache(source, view string, raw []byte) (*Comparable, error) {
-	var f benchCacheFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, err
-	}
-	if view != "" && view != "cold" && view != "warm" {
-		return nil, fmt.Errorf("history: unknown view %q for %s (want cold or warm)", view, f.Schema)
-	}
-	c := &Comparable{Source: source, Kind: "bench-cache", View: view, Rows: map[string]CompRow{}}
-	add := func(name, mode string, ms float64) {
-		key := "program/" + name
-		if view == "" {
-			key += "|" + mode
-		} else if view != mode {
-			return
-		}
-		c.Rows[key] = CompRow{
-			Key: key, Name: name, Compiles: 1,
-			WallMS: ms, SolveMS: -1, Conflicts: -1, Cycles: -1, ErrorRate: -1,
-		}
-	}
-	for _, p := range f.Programs {
-		add(p.Program, "cold", p.ColdMS)
-		add(p.Program, "warm", p.HitMS)
-	}
-	return c, nil
-}
-
-// benchTrajectoryFile mirrors BENCH_3/BENCH_4 (denali-bench-trajectory).
-type benchTrajectoryFile struct {
-	Schema      string `json:"schema"`
-	Experiments []struct {
-		Experiment string  `json:"experiment"`
-		WallMillis float64 `json:"wall_ms"`
-	} `json:"experiments"`
-}
-
-func loadBenchTrajectory(source, view string, raw []byte) (*Comparable, error) {
-	if view != "" {
-		return nil, fmt.Errorf("history: trajectory files have no views (got %q)", view)
-	}
-	var f benchTrajectoryFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, err
-	}
-	c := &Comparable{Source: source, Kind: "bench-trajectory", Rows: map[string]CompRow{}}
-	for _, e := range f.Experiments {
-		key := "experiment/" + e.Experiment
-		c.Rows[key] = CompRow{
-			Key: key, Name: e.Experiment, Compiles: 1,
-			WallMS: e.WallMillis, SolveMS: -1, Conflicts: -1, Cycles: -1, ErrorRate: -1,
-		}
-	}
-	return c, nil
-}
-
-// benchFleetFile mirrors BENCH_7 (denali-bench-fleet): per-unit wall
-// times from the sharded fleet run.
-type benchFleetFile struct {
-	Schema string `json:"schema"`
-	Units  []struct {
-		Name     string  `json:"name"`
-		WallMS   float64 `json:"ms"`
-		Attempts int     `json:"attempts"`
-	} `json:"units"`
-}
-
-func loadBenchFleet(source, view string, raw []byte) (*Comparable, error) {
-	if view != "" {
-		return nil, fmt.Errorf("history: fleet files have no views (got %q)", view)
-	}
-	var f benchFleetFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, err
-	}
-	c := &Comparable{Source: source, Kind: "bench-fleet", Rows: map[string]CompRow{}}
-	for _, u := range f.Units {
-		key := "gma/" + u.Name
-		c.Rows[key] = CompRow{
-			Key: key, Name: u.Name, Compiles: 1,
-			WallMS: u.WallMS, SolveMS: -1, Conflicts: -1, Cycles: -1, ErrorRate: -1,
-		}
-	}
-	return c, nil
-}
-
-// benchPortfolioFile mirrors BENCH_8 (denali-bench-portfolio): the
-// certified descend sweep next to the stochastic-bounded sweep and the
-// live portfolio race, per GMA.
-type benchPortfolioFile struct {
-	Schema string `json:"schema"`
-	GMAs   []struct {
-		GMA              string  `json:"gma"`
-		Cycles           int     `json:"cycles"`
-		PortfolioCycles  int     `json:"portfolio_cycles"`
-		DescendConflicts int64   `json:"descend_conflicts"`
-		BoundedConflicts int64   `json:"bounded_conflicts"`
-		DescendSolveMS   float64 `json:"descend_solve_ms"`
-		BoundedSolveMS   float64 `json:"bounded_solve_ms"`
-		DescendWallMS    float64 `json:"descend_wall_ms"`
-		PortfolioWallMS  float64 `json:"portfolio_wall_ms"`
-	} `json:"gmas"`
-}
-
-// loadBenchPortfolio maps a portfolio-bench fixture to rows. The descend
-// view reads the certified baseline sweep; the portfolio view reads the
-// race's wall clock with the stochastic-bounded sweep's solver costs
-// (the deterministic stand-in recorded for exactly this comparison).
-func loadBenchPortfolio(source, view string, raw []byte) (*Comparable, error) {
-	var f benchPortfolioFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, err
-	}
-	if view != "" && view != "descend" && view != "portfolio" {
-		return nil, fmt.Errorf("history: unknown view %q for %s (want descend or portfolio)", view, f.Schema)
-	}
-	c := &Comparable{Source: source, Kind: "bench-portfolio", View: view, Rows: map[string]CompRow{}}
-	add := func(name, mode string, row CompRow) {
-		key := "gma/" + name
-		if view == "" {
-			key += "|" + mode
-		} else if view != mode {
-			return
-		}
-		row.Key, row.Name, row.Compiles, row.ErrorRate = key, name, 1, -1
-		c.Rows[key] = row
-	}
-	for _, g := range f.GMAs {
-		add(g.GMA, "descend", CompRow{
-			WallMS: g.DescendWallMS, SolveMS: g.DescendSolveMS,
-			Conflicts: float64(g.DescendConflicts), Cycles: float64(g.Cycles),
-		})
-		add(g.GMA, "portfolio", CompRow{
-			WallMS: g.PortfolioWallMS, SolveMS: g.BoundedSolveMS,
-			Conflicts: float64(g.BoundedConflicts), Cycles: float64(g.PortfolioCycles),
-		})
 	}
 	return c, nil
 }

@@ -1,32 +1,94 @@
 package history
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/flight"
 )
 
-const benchIncremental = "../../BENCH_5.json"
-const benchCache = "../../BENCH_6.json"
+// modeCorpus writes a warehouse snapshot of four GMAs, each compiled
+// under scratch and under incremental search, and returns its path. It
+// holds the known small-GMA incremental regression: scale4plus1 and
+// double, whose sub-0.1 ms solves are dominated by per-probe setup, run
+// ten times slower incrementally. byteswap4 and checksum_loop get
+// faster, and byteswap4's conflicts grow 10 -> 40: past the 2x ratio,
+// but under the conflict floor.
+func modeCorpus(t *testing.T) string {
+	t.Helper()
+	type side struct {
+		solveMS   float64
+		conflicts int64
+	}
+	w := New(Config{})
+	for _, g := range []struct {
+		name         string
+		cycles       int
+		scratch, inc side
+	}{
+		{"scale4plus1", 1, side{0.02, 0}, side{0.2, 1}},
+		{"double", 1, side{0.02, 0}, side{0.2, 1}},
+		{"byteswap4", 5, side{6, 10}, side{5, 40}},
+		{"checksum_loop", 5, side{300, 4000}, side{250, 3000}},
+	} {
+		for _, inc := range []bool{false, true} {
+			s := g.scratch
+			if inc {
+				s = g.inc
+			}
+			rep := mkReport("r", "fp-"+g.name, g.name, inc, s.solveMS, 2*s.solveMS, g.cycles)
+			rep.GMAs[0].Probes[0].Conflicts, rep.GMAs[0].Probes[1].Conflicts = 0, s.conflicts
+			w.Ingest(rep)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "modes.json")
+	if err := w.WriteSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeLog writes reports as a flight-report JSONL log and returns its
+// path.
+func writeLog(t *testing.T, reps ...flight.Report) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "reports.jsonl")
+	log, err := flight.OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range reps {
+		if err := log.Write(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 // TestSentinelFlagsKnownIncrementalRegression is the acceptance check: a
-// thresholded diff of BENCH_5's scratch rows against its incremental
-// rows must flag the known small-GMA slowdowns (scale4plus1 and double)
-// where per-probe setup costs dominate sub-0.1ms solves.
+// thresholded diff of the scratch view against the incremental view
+// must flag the small-GMA slowdowns (scale4plus1 and double) by name,
+// and nothing else.
 func TestSentinelFlagsKnownIncrementalRegression(t *testing.T) {
-	base, err := LoadComparable(benchIncremental + "#scratch")
+	path := modeCorpus(t)
+	base, err := LoadComparable(path + "#scratch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := LoadComparable(benchIncremental + "#incremental")
+	cand, err := LoadComparable(path + "#incremental")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Kind != "bench-incremental" || base.View != "scratch" {
+	if base.Kind != "history-snapshot" || base.View != "scratch" {
 		t.Fatalf("base = %q view %q", base.Kind, base.View)
 	}
-	if len(base.Rows) == 0 || len(base.Rows) != len(cand.Rows) {
-		t.Fatalf("rows: base %d cand %d", len(base.Rows), len(cand.Rows))
+	if len(base.Rows) != 4 || len(cand.Rows) != 4 {
+		t.Fatalf("rows: base %d cand %d, want 4 each", len(base.Rows), len(cand.Rows))
 	}
 
 	v := Diff(base, cand, DefaultThresholds())
@@ -48,19 +110,27 @@ func TestSentinelFlagsKnownIncrementalRegression(t *testing.T) {
 			t.Fatalf("known regression %q not flagged; got %v", want, flagged)
 		}
 	}
+	for _, fast := range []string{"byteswap4", "checksum_loop"} {
+		if flagged[fast] {
+			t.Fatalf("%s got faster but was flagged: %+v", fast, v.Regressions)
+		}
+	}
 }
 
-// TestSentinelDisjointCorporaClean: BENCH_5 (gma/ keys) and BENCH_6
-// (program/ keys) measure different things; their diff compares zero
-// keys and must be clean, not a false alarm.
+// TestSentinelDisjointCorporaClean: two artifacts with no key in common
+// measure different things; their diff compares zero keys and must be
+// clean, not a false alarm.
 func TestSentinelDisjointCorporaClean(t *testing.T) {
-	base, err := LoadComparable(benchIncremental)
+	base, err := LoadComparable(modeCorpus(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := LoadComparable(benchCache)
+	cand, err := LoadComparable(writeLog(t, mkReport("r", "fp-other", "popcount", true, 3, 4, 12)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cand.Kind != "flight-log" {
+		t.Fatalf("cand kind = %q, want flight-log", cand.Kind)
 	}
 	v := Diff(base, cand, DefaultThresholds())
 	if !v.Clean || v.Compared != 0 {
@@ -79,7 +149,11 @@ func TestSentinelDisjointCorporaClean(t *testing.T) {
 }
 
 func TestSentinelSelfDiffClean(t *testing.T) {
-	for _, spec := range []string{benchIncremental, benchCache, benchIncremental + "#incremental"} {
+	snap := modeCorpus(t)
+	log := writeLog(t,
+		mkReport("r1", "fp-a", "double", false, 0.02, 0.04, 1),
+		mkReport("r2", "fp-b", "byteswap4", true, 6, 12, 5))
+	for _, spec := range []string{snap, log, snap + "#incremental"} {
 		a, err := LoadComparable(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -89,34 +163,9 @@ func TestSentinelSelfDiffClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := Diff(a, b, DefaultThresholds())
-		if !v.Clean || len(v.Regressions) != 0 {
-			t.Fatalf("self-diff of %s not clean: %+v", spec, v.Regressions)
+		if !v.Clean || len(v.Regressions) != 0 || v.Compared == 0 {
+			t.Fatalf("self-diff of %s not clean over its keys: compared %d, %+v", spec, v.Compared, v.Regressions)
 		}
-	}
-}
-
-func TestSentinelCacheViews(t *testing.T) {
-	cold, err := LoadComparable(benchCache + "#cold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := LoadComparable(benchCache + "#warm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm (cache-hit) serving is strictly faster than cold compiles, so
-	// warm-as-candidate is clean with improvements, and cold-as-candidate
-	// regresses.
-	v := Diff(cold, warm, DefaultThresholds())
-	if !v.Clean {
-		t.Fatalf("warm vs cold flagged regressions: %+v", v.Regressions)
-	}
-	if len(v.Improvements) == 0 {
-		t.Fatal("warm candidate shows no improvements")
-	}
-	back := Diff(warm, cold, DefaultThresholds())
-	if back.Clean {
-		t.Fatal("cold candidate vs warm baseline not flagged")
 	}
 }
 
@@ -136,7 +185,7 @@ func TestSentinelThresholdFloors(t *testing.T) {
 	if v := Diff(mk(0.04, 10), mk(0.4, 10), th); v.Clean {
 		t.Fatal("10x wall growth above the floor not flagged")
 	}
-	// Conflict growth below MinConflicts stays clean (BENCH_5's 0 -> 1).
+	// Conflict growth below MinConflicts stays clean (a small GMA's 0 -> 1).
 	if v := Diff(mk(1, 0), mk(1, 1), th); !v.Clean {
 		t.Fatalf("sub-floor conflict growth flagged: %+v", v.Regressions)
 	}
@@ -281,76 +330,16 @@ func TestLoadComparableDirAndErrors(t *testing.T) {
 	if _, err := LoadComparable(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
-}
 
-func TestLoadComparableTrajectory(t *testing.T) {
-	c, err := LoadComparable("../../BENCH_3.json")
-	if err != nil {
-		t.Skip("BENCH_3.json not present:", err)
-	}
-	if c.Kind != "bench-trajectory" || len(c.Rows) == 0 {
-		t.Fatalf("trajectory load = kind %q rows %d", c.Kind, len(c.Rows))
-	}
-	v := Diff(c, c, DefaultThresholds())
-	if !v.Clean {
-		t.Fatalf("trajectory self-diff not clean: %+v", v.Regressions)
-	}
-}
-
-func TestLoadComparableFleet(t *testing.T) {
-	c, err := LoadComparable("../../BENCH_7.json")
-	if err != nil {
-		t.Skip("BENCH_7.json not present:", err)
-	}
-	if c.Kind != "bench-fleet" || len(c.Rows) == 0 {
-		t.Fatalf("fleet load = kind %q rows %d", c.Kind, len(c.Rows))
-	}
-	for key := range c.Rows {
-		if !strings.HasPrefix(key, "gma/") {
-			t.Fatalf("fleet key %q does not start with gma/", key)
+	// The retired denali-bench fixture schemas are unknown, not half-read.
+	for _, kind := range []string{"incremental", "cache", "trajectory", "fleet", "portfolio"} {
+		path := filepath.Join(t.TempDir(), kind+".json")
+		doc := `{"schema": "denali-bench-` + kind + `/v1", "gmas": []}`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := LoadComparable("../../BENCH_7.json#worker"); err == nil {
-		t.Fatal("fleet view accepted; fleet files have no views")
-	}
-	v := Diff(c, c, DefaultThresholds())
-	if !v.Clean {
-		t.Fatalf("fleet self-diff not clean: %+v", v.Regressions)
-	}
-}
-
-func TestLoadComparablePortfolio(t *testing.T) {
-	c, err := LoadComparable("../../BENCH_8.json")
-	if err != nil {
-		t.Skip("BENCH_8.json not present:", err)
-	}
-	if c.Kind != "bench-portfolio" {
-		t.Fatalf("portfolio load kind = %q", c.Kind)
-	}
-	desc, err := LoadComparable("../../BENCH_8.json#descend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	port, err := LoadComparable("../../BENCH_8.json#portfolio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(desc.Rows) == 0 || len(desc.Rows) != len(port.Rows) {
-		t.Fatalf("view rows: descend %d portfolio %d", len(desc.Rows), len(port.Rows))
-	}
-	// Both views key by gma/<name>, so they line up row for row; the
-	// portfolio answers the same cycle counts, so a cycle regression here
-	// means the race dropped an answer.
-	v := Diff(desc, port, DefaultThresholds())
-	if v.Compared == 0 {
-		t.Fatal("descend and portfolio views share no keys")
-	}
-	for _, r := range v.Regressions {
-		if r.Metric == "cycles" {
-			t.Fatalf("portfolio regressed cycles vs descend: %+v", r)
+		if _, err := LoadComparable(path); err == nil || !strings.Contains(err.Error(), "unknown schema") {
+			t.Fatalf("%s fixture: err = %v, want unknown schema", kind, err)
 		}
-	}
-	if _, err := LoadComparable("../../BENCH_8.json#stochastic"); err == nil {
-		t.Fatal("unknown portfolio view accepted")
 	}
 }

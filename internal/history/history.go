@@ -1,14 +1,14 @@
 // Package history is the compile-history telemetry warehouse: it ingests
 // flight.Reports — live from the HTTP service, offline from JSONL report
-// logs or BENCH_*.json fixtures — and maintains rolling per-key
-// aggregates keyed by GMA fingerprint × arch × strategy × incremental:
-// compile counts, cycle outcomes, wall/solve latency digests (p50/p95/
-// max), probe-ladder conflict totals, cache-hit ratios and error/panic/
-// timeout rates. Where flight answers "what happened to request X?" and
-// obs answers "what is this process doing right now?", history answers
-// "what has this GMA cost, under which configuration, across all
-// traffic?" — the substrate the regression sentinel (diff.go) and the
-// live SLO views (slo.go) read from.
+// logs — and maintains rolling per-key aggregates keyed by GMA
+// fingerprint × arch × strategy × incremental: compile counts, cycle
+// outcomes, wall/solve latency digests (p50/p95/max), probe-ladder
+// conflict totals, cache-hit ratios and error/panic/timeout rates.
+// Where flight answers "what happened to request X?" and obs answers
+// "what is this process doing right now?", history answers "what has
+// this GMA cost, under which configuration, across all traffic?" — the
+// substrate the regression sentinel (diff.go) and the live SLO views
+// (slo.go) read from.
 //
 // The warehouse is goroutine-safe and optionally persistent: ingests
 // append compact observation rows to a JSONL journal and the aggregate
@@ -28,10 +28,10 @@ import (
 )
 
 // Key identifies one aggregate row: the canonical GMA identity crossed
-// with the configuration axes that change its cost profile. BENCH_5
-// exists because the same fingerprint behaves differently under
-// incremental vs scratch search — collapsing any of these axes would
-// hide exactly the regressions the sentinel is for.
+// with the configuration axes that change its cost profile. The same
+// fingerprint behaves differently under incremental and scratch search
+// (small GMAs pay the engine's per-probe setup) — collapsing any of
+// these axes would hide exactly the regressions the sentinel is for.
 type Key struct {
 	Fingerprint string `json:"fingerprint"`
 	Arch        string `json:"arch"`

@@ -215,8 +215,7 @@ func (r *Registry) Observe(name string, v float64, labels ...Tag) {
 	h.observe(v)
 }
 
-// CounterValue reads one counter series (0 if absent), for tests and the
-// snapshot-averse.
+// CounterValue reads one counter series (0 if absent), for tests.
 func (r *Registry) CounterValue(name string, labels ...Tag) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

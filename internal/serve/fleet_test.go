@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 	"repro/internal/programs"
 )
 
@@ -301,9 +302,13 @@ func TestBatchGoldenEqualsDirect(t *testing.T) {
 		want[p.name] = m
 	}
 
-	check := func(t *testing.T, url string) {
+	// check posts every program as one batch, compares each unit with the
+	// direct compile, and returns every unit line it read.
+	check := func(t *testing.T, url string) []batchLine {
+		var all []batchLine
 		for _, p := range corpus {
 			units, summary, _ := postBatch(t, url, CompileRequest{Source: p.src, Certify: &certify}, nil)
+			all = append(all, units...)
 			if summary.Errors != 0 {
 				t.Fatalf("%s: %d units failed", p.name, summary.Errors)
 			}
@@ -324,6 +329,7 @@ func TestBatchGoldenEqualsDirect(t *testing.T) {
 				}
 			}
 		}
+		return all
 	}
 
 	t.Run("single-node", func(t *testing.T) {
@@ -338,7 +344,15 @@ func TestBatchGoldenEqualsDirect(t *testing.T) {
 		for _, w := range f.workers {
 			w.cfg.Options.Certify = certify
 		}
-		check(t, f.routerTS.URL)
+		// A healthy fleet answers every unit on its first dispatch.
+		for _, line := range check(t, f.routerTS.URL) {
+			if line.Attempts != 1 {
+				t.Errorf("%s/%s: %d dispatch attempts on a healthy fleet, want 1", line.Proc, line.Name, line.Attempts)
+			}
+		}
+		if n := f.router.Registry().CounterValue(obs.MRouterRetries); n != 0 {
+			t.Errorf("%s = %g on a healthy fleet, want 0", obs.MRouterRetries, n)
+		}
 	})
 }
 

@@ -34,8 +34,9 @@ go test -race -run '^TestParallelObs$' -count=20 ./internal/core
 echo "== benchmark smoke (every per-layer benchmark once)"
 go test -run '^$' -bench . -benchtime 1x ./internal/sat ./internal/schedule ./internal/egraph ./internal/matcher ./internal/drat
 
-echo "== perf gate (regression sentinel over the committed bench fixtures)"
-sh scripts/perfgate.sh
+echo "== benchmark answers (one pass of each gated perfbench workload, built from this tree; perfbench exits 1 on any wrong answer, missing certificate or failed simulator check)"
+bash perfbench/run.sh --workload kernels --seed 1 --seconds 0 --trace 0
+bash perfbench/run.sh --workload deep-certify --seed 1 --seconds 0 --trace 0
 
 echo "== serve smoke (HTTP compile + request-id echo + flight report + cache hit/bypass + every default probe on the incremental engine + /metrics scrape + graceful shutdown; then fleet: router + 2 workers via -route-file, routed /compile + /compile/batch, cache affinity on the owning shard, SIGTERM'd worker routed around)"
 go run ./scripts/servesmoke
