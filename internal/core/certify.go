@@ -46,8 +46,7 @@ func (c *Compiled) certifyOptimality(opt Options) error {
 		c.Certified = true // no smaller budget exists
 		return nil
 	}
-	tr, sk := opt.Trace, opt.Sink
-	sp := tr.Start("certify", obs.Tint("K", int64(c.Cycles-1)))
+	sp := opt.Trace.Start("certify", obs.Tint("K", int64(c.Cycles-1)))
 	var cert *Probe
 	for i := range c.Probes {
 		p := &c.Probes[i]
@@ -57,26 +56,24 @@ func (c *Compiled) certifyOptimality(opt Options) error {
 		}
 	}
 	if cert == nil {
-		sp.End(obs.T("result", "missing"))
-		sk.Add(obs.MCertifyChecks, 1, obs.T("result", "missing"))
+		c.CertifyResult = "missing"
+		sp.End(obs.T("result", c.CertifyResult))
 		return fmt.Errorf("core: %s: optimality claimed at %d cycles but no proof of the K=%d refutation was recorded",
 			c.GMA.Name, c.Cycles, c.Cycles-1)
 	}
 	t0 := time.Now()
 	err := cert.Cert.Check()
 	c.CertifyTime = time.Since(t0)
-	st := cert.Cert.Stats()
-	sk.Observe(obs.MCertifySeconds, c.CertifyTime.Seconds())
-	sk.Observe(obs.MCertifySteps, float64(st.Additions))
+	c.CertSteps = cert.Cert.Stats().Additions
 	if err != nil {
-		sp.End(obs.T("result", "failed"))
-		sk.Add(obs.MCertifyChecks, 1, obs.T("result", "failed"))
+		c.CertifyResult = "failed"
+		sp.End(obs.T("result", c.CertifyResult))
 		return fmt.Errorf("core: %s: DRAT check of the K=%d refutation failed — the solver's UNSAT answer is unsound: %w",
 			c.GMA.Name, c.Cycles-1, err)
 	}
 	c.Certified = true
 	c.Cert = cert.Cert
-	sp.End(obs.T("result", "ok"), obs.Tint("steps", int64(st.Additions)))
-	sk.Add(obs.MCertifyChecks, 1, obs.T("result", "ok"))
+	c.CertifyResult = "ok"
+	sp.End(obs.T("result", c.CertifyResult), obs.Tint("steps", int64(c.CertSteps)))
 	return nil
 }

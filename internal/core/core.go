@@ -144,12 +144,6 @@ type Options struct {
 	// with its outcome. Nil disables tracing at zero cost; the field is
 	// also propagated into Matcher.Trace and Schedule.Trace.
 	Trace *obs.Trace
-	// Sink publishes process-level aggregates (compile/match/solve
-	// latency histograms, probe and solver-work counters, per-strategy
-	// speculation waste) into a metrics registry shared across
-	// compilations. Nil disables it at the cost of one pointer check;
-	// the field is also propagated into Schedule.Sink.
-	Sink *obs.Sink
 }
 
 // Probe records one SAT probe with its wall-clock cost.
@@ -188,6 +182,11 @@ type Compiled struct {
 	Certified bool
 	// CertifyTime is the wall-clock cost of the DRAT check.
 	CertifyTime time.Duration
+	// CertifyResult is the DRAT check's outcome ("ok", "failed", or
+	// "missing" when no proof was recorded) and CertSteps the checked
+	// proof's length in addition steps; both zero when no check ran.
+	CertifyResult string
+	CertSteps     int
 	// Cert is the checked refutation certificate, available for export
 	// (DIMACS formula + DRAT proof) when Certified and Cycles > 0.
 	Cert *drat.Certificate
@@ -220,34 +219,12 @@ func CompileGMA(gm *gma.GMA, opt Options) (*Compiled, error) {
 	tr := opt.Trace
 	opt.Matcher.Trace = tr
 	opt.Schedule.Trace = tr
-	opt.Schedule.Sink = opt.Sink
 	rootTags := []obs.Tag{obs.T("gma", gm.Name)}
 	if opt.RequestID != "" {
 		rootTags = append(rootTags, obs.T("request", opt.RequestID))
 	}
 	root := tr.Start("compile", rootTags...)
 	defer root.End()
-	// The compile metrics are recorded on a normal return only, never from
-	// a deferred call: a panicking compile reaches the caller's recover as
-	// the original panic and is not counted as a finished compilation.
-	sk := opt.Sink
-	t0 := time.Now()
-	c, err := compile(gm, opt)
-	strategy := obs.T("strategy", opt.Search.String())
-	sk.Observe(obs.MCompileSeconds, time.Since(t0).Seconds(), strategy)
-	if err != nil {
-		sk.Add(obs.MCompileErrors, 1)
-	} else {
-		sk.Add(obs.MCompiles, 1, strategy)
-		sk.Observe(obs.MCyclesFound, float64(c.Cycles))
-	}
-	return c, err
-}
-
-// compile is CompileGMA's body on normalized options: saturation, the
-// budget search and, under Certify, the check of the optimality proof.
-func compile(gm *gma.GMA, opt Options) (*Compiled, error) {
-	tr := opt.Trace
 	c := &Compiled{GMA: gm, Graph: egraph.New()}
 	for _, goal := range gm.Goals() {
 		c.Graph.AddTerm(goal)
@@ -278,15 +255,18 @@ func compile(gm *gma.GMA, opt Options) (*Compiled, error) {
 	}
 	c.Match = mres
 	c.MatchTime = time.Since(start)
-	opt.Sink.Observe(obs.MMatchSeconds, c.MatchTime.Seconds())
-	opt.Sink.Observe(obs.MEGraphNodes, float64(mres.Nodes))
 
-	// The budget search itself is pluggable: EngineFor maps the requested
-	// strategy onto one of the engine implementations behind the Engine
-	// seam — the refutation-based SAT family (linear/binary/descend and
-	// the parallel speculator), the stochastic MCMC engine, or the
-	// portfolio racer. See engine.go.
-	if err = EngineFor(opt).Search(c, gm, opt); err != nil {
+	switch opt.Search {
+	case ParallelSearch:
+		err = c.parallelSearch(gm, opt)
+	case StochasticSearch:
+		err = c.stochasticSearch(gm, opt)
+	case PortfolioSearch:
+		err = c.portfolioSearch(gm, opt)
+	default:
+		err = c.satSearch(gm, opt, opt.Search)
+	}
+	if err != nil {
 		return c, err
 	}
 	if opt.Schedule.Certify {

@@ -9,34 +9,6 @@ import (
 	"repro/internal/schedule"
 )
 
-// Engine is the pluggable budget-search seam: probe machinery in,
-// verified schedule plus optimality evidence out. An implementation
-// fills c.Schedule, c.Cycles, c.OptimalProven, c.Probes and c.Engine;
-// CompileGMA has already run matching, so c.Graph is saturated when
-// Search is called. The SAT strategies (linear, binary, descend,
-// parallel) are one engine family behind this interface; the stochastic
-// MCMC engine and the portfolio racer are the others.
-type Engine interface {
-	// Name labels the engine family ("sat", "stochastic", "portfolio")
-	// for flight reports and win-rate rollups.
-	Name() string
-	// Search runs the budget search on the matched Compiled.
-	Search(c *Compiled, gm *gma.GMA, opt Options) error
-}
-
-// EngineFor maps the requested strategy onto its engine implementation.
-func EngineFor(opt Options) Engine {
-	switch opt.Search {
-	case ParallelSearch:
-		return parallelEngine{}
-	case StochasticSearch:
-		return stochasticEngine{}
-	case PortfolioSearch:
-		return portfolioEngine{}
-	}
-	return satEngine{strategy: opt.Search}
-}
-
 // PrefersScratch reports false for every GMA: the compiler answers every
 // budget probe on the persistent schedule.Engine.
 //
@@ -91,19 +63,15 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(e *schedule.E
 	}, nil
 }
 
-// satEngine is the refutation-based engine family: the sequential SAT
-// strategies from the paper's budget sweep, behind the Engine seam.
-type satEngine struct{ strategy SearchStrategy }
-
-func (satEngine) Name() string { return "sat" }
-
-func (e satEngine) Search(c *Compiled, gm *gma.GMA, opt Options) error {
-	c.Engine = e.Name()
+// satSearch walks one persistent engine's probe ladder with a sequential
+// strategy from the paper's budget sweep: linear, binary or descend.
+func (c *Compiled) satSearch(gm *gma.GMA, opt Options, strategy SearchStrategy) error {
+	c.Engine = "sat"
 	probe, err := c.probeLadder(gm, opt, nil)
 	if err != nil {
 		return err
 	}
-	switch e.strategy {
+	switch strategy {
 	case BinarySearch:
 		return c.binarySearch(probe, opt.MaxCycles)
 	case DescendSearch:
@@ -111,16 +79,4 @@ func (e satEngine) Search(c *Compiled, gm *gma.GMA, opt Options) error {
 	default:
 		return c.linearSearch(probe, opt.MaxCycles)
 	}
-}
-
-// parallelEngine wraps the speculative parallel sweep; it is the same
-// SAT family (identical Cycles, possibly stronger OptimalProven), with
-// its own probe management instead of the sequential ladder.
-type parallelEngine struct{}
-
-func (parallelEngine) Name() string { return "sat" }
-
-func (e parallelEngine) Search(c *Compiled, gm *gma.GMA, opt Options) error {
-	c.Engine = e.Name()
-	return c.parallelSearch(gm, opt)
 }

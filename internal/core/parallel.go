@@ -40,13 +40,11 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	}
 	maxCycles := opt.MaxCycles
 	tr := opt.Trace
-	sk := opt.Sink
-	strategy := obs.T("strategy", "parallel")
+	c.Engine = "sat"
 	// Worker probes must not touch the trace's span cursor (they run
 	// concurrently with each other); each probe instead records one
 	// detached span, and the aggregate solver counters are bumped from
-	// the completed Stat. Counters, detached spans and the Sink are all
-	// goroutine-safe, so the Sink stays attached to the worker probes.
+	// the completed Stat. Counters and detached spans are goroutine-safe.
 	sopt := opt.Schedule
 	sopt.Trace = nil
 
@@ -76,7 +74,6 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	// elsewhere can interrupt it mid-search.
 	launch := func(k int) {
 		tr.Add("parallel.launched", 1)
-		sk.Add(obs.MProbesLaunched, 1)
 		go func() {
 			var sp *obs.Span
 			if tr.Enabled() {
@@ -139,7 +136,7 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	}
 	// cancelMoot interrupts every in-flight probe the predicate marks as
 	// no longer needed. Interrupting twice is harmless; the guard only
-	// keeps the cancellation counter honest.
+	// keeps the trace's cancellation counter honest.
 	cancelled := map[int]bool{}
 	cancelMoot := func(moot func(k int) bool) {
 		mu.Lock()
@@ -148,7 +145,6 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 				cancelled[k] = true
 				eng.Interrupt()
 				tr.Add("parallel.cancelled", 1)
-				sk.Add(obs.MProbesCancelled, 1)
 			}
 		}
 		mu.Unlock()
@@ -241,7 +237,6 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 					// A smaller SAT supersedes the previous best: that
 					// probe's schedule is discarded, so its work was wasted.
 					tr.Add("parallel.wasted", 1)
-					sk.Add(obs.MProbeWaste, 1, strategy)
 				}
 				bestSat = out.k
 				c.Schedule = out.sched
@@ -250,7 +245,6 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 				cancelMoot(func(k int) bool { return k > out.k })
 			} else {
 				tr.Add("parallel.wasted", 1)
-				sk.Add(obs.MProbeWaste, 1, strategy)
 			}
 		case sat.Unsat:
 			if out.k > maxUnsat {
@@ -264,7 +258,6 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 			// blocks the optimality proof, exactly as in linearSearch.
 			if out.stat.Solver.Cancelled {
 				tr.Add("parallel.wasted", 1)
-				sk.Add(obs.MProbeWaste, 1, strategy)
 			}
 		}
 	}

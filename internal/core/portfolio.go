@@ -9,17 +9,6 @@ import (
 	"repro/internal/stoke"
 )
 
-// portfolioEngine races the stochastic MCMC engine against the SAT
-// descend sweep and keeps whichever wins each exchange, cancelling the
-// loser through the Interrupt plumbing.
-type portfolioEngine struct{}
-
-func (portfolioEngine) Name() string { return "portfolio" }
-
-func (e portfolioEngine) Search(c *Compiled, gm *gma.GMA, opt Options) error {
-	return c.portfolioSearch(gm, opt)
-}
-
 // portfolioSearch is the racing budget search. The stochastic engine
 // runs on its own goroutine, streaming exactly-verified schedules
 // through OnImprove; the SAT descend sweep (descendSearch, fed the best
@@ -53,10 +42,8 @@ func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
 		Seed:      int64(opt.Seed),
 		Steps:     opt.StochasticSteps,
 		MaxCycles: opt.MaxCycles,
-		// The Sink is goroutine-safe; the Trace span cursor is not, so
-		// the racing goroutine runs untraced and the SAT sweep keeps the
-		// spans (stochastic outcomes surface as counters and events).
-		Sink: opt.Sink,
+		// The Trace span cursor is not goroutine-safe, so the racing
+		// goroutine runs untraced and the SAT sweep keeps the spans.
 		OnImprove: func(b stoke.Best) {
 			mu.Lock()
 			if stBest < 0 || b.Cycles < stBest {
@@ -75,7 +62,7 @@ func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
 		// Memory shapes (and any GMA the stochastic engine cannot seed)
 		// fall back to the proving SAT sweep alone.
 		tr.Event("portfolio.fallback", obs.T("gma", gm.Name), obs.T("reason", err.Error()))
-		return satEngine{strategy: DescendSearch}.Search(c, gm, opt)
+		return c.satSearch(gm, opt, DescendSearch)
 	}
 	probe, err := c.probeLadder(gm, opt, func(e *schedule.Engine, k int) {
 		mu.Lock()

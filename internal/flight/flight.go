@@ -48,6 +48,9 @@ type ProbeRow struct {
 	// clauses carried over from earlier probes).
 	Incremental bool `json:"incremental,omitempty"`
 	Reused      bool `json:"reused,omitempty"`
+	// Cancelled marks a probe interrupted as moot (Result UNKNOWN): a
+	// parallel speculation another answer settled, or a portfolio cut.
+	Cancelled bool `json:"cancelled,omitempty"`
 }
 
 // GMAReport is the per-GMA record: identity (name + canonical
@@ -78,11 +81,27 @@ type GMAReport struct {
 	// up-front windows and their in-place extensions.
 	EncodeMillis float64 `json:"encode_ms,omitempty"`
 
+	// CompileMillis is the core compile's wall time: matching, the budget
+	// search and any certification.
+	CompileMillis float64 `json:"compile_ms,omitempty"`
+
 	Cycles        int     `json:"cycles"`
 	Instructions  int     `json:"instructions"`
 	OptimalProven bool    `json:"optimal_proven"`
 	Certified     bool    `json:"certified,omitempty"`
 	CertifyMillis float64 `json:"certify_ms,omitempty"`
+	// CertifyResult is the DRAT check's outcome ("ok", "failed", or
+	// "missing" when no proof was recorded; empty when no check ran) and
+	// CertSteps the checked proof's length in addition steps.
+	CertifyResult string `json:"certify_result,omitempty"`
+	CertSteps     int    `json:"cert_steps,omitempty"`
+
+	// StokeSteps, StokeVerified and StokeRejects count the stochastic
+	// engine's proposals, exactly verified candidates and refuted
+	// screening false positives; zero when it did not run.
+	StokeSteps    int `json:"stoke_steps,omitempty"`
+	StokeVerified int `json:"stoke_verified,omitempty"`
+	StokeRejects  int `json:"stoke_rejects,omitempty"`
 
 	// Engine names the search-engine family that produced the schedule
 	// ("sat" or "stochastic"); under the portfolio strategy it is the race

@@ -79,14 +79,6 @@ func (d *Digest) Merge(o Digest) {
 	d.Sum += o.Sum
 }
 
-// Mean returns the average observation (0 when empty).
-func (d Digest) Mean() float64 {
-	if d.Count == 0 {
-		return 0
-	}
-	return d.Sum / float64(d.Count)
-}
-
 // Quantile estimates the q-quantile by linear interpolation within the
 // holding bucket, clamped to the tracked extremes (the same estimator as
 // obs.HistogramSnapshot). Returns 0 on an empty digest so JSON views

@@ -20,7 +20,6 @@ package history
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -286,13 +285,13 @@ func (w *Warehouse) Ingest(rep flight.Report) {
 }
 
 // rowsFromReport flattens one flight report into journal rows: one per
-// GMA record, or a single fingerprint-less failure row for a
-// request-level error that died before any GMA was described. The first
-// row carries the First marker so replayed journals count reports the
-// same way live ingest does.
+// GMA record, plus a fingerprint-less request-level row when the request
+// timed out (its GMAs may still have compiled, late) or failed before any
+// GMA was described. The first row carries the First marker so replayed
+// journals count reports the same way live ingest does.
 func rowsFromReport(rep flight.Report) []Row {
 	var rows []Row
-	if len(rep.GMAs) == 0 {
+	if len(rep.GMAs) == 0 || rep.Timeout {
 		outcome := "ok"
 		switch {
 		case rep.Timeout:
@@ -570,12 +569,4 @@ func (w *Warehouse) replayRow(row Row) {
 	w.seq = row.Seq
 	w.applyTotalsLocked(row)
 	w.applyRowLocked(row)
-}
-
-// DescribeKeys renders the warehouse in one line, for logs and tests.
-func (w *Warehouse) DescribeKeys() string {
-	s := w.Snapshot()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d keys, %d reports", len(s.Keys), s.Totals.Reports)
-	return b.String()
 }

@@ -213,7 +213,7 @@ func DeclareSLOMetrics(r *obs.Registry) {
 // PublishSLO refreshes the denali_slo_* gauges from the current window;
 // servers call it at scrape time.
 func (w *Warehouse) PublishSLO(sink *obs.Sink) {
-	if w == nil || !sink.Enabled() {
+	if w == nil || sink == nil {
 		return
 	}
 	st := w.SLOStatus()

@@ -5,9 +5,8 @@ package obs
 // every compilation a process performs — counters, gauges and fixed-bucket
 // histograms — and renders them in the Prometheus text exposition format
 // (v0.0.4) so a long-running `denali serve` can be scraped. Like the rest
-// of the package it is standard-library only and goroutine-safe; the
-// library side publishes through the nil-safe *Sink (sink.go), so code
-// instrumented with a Sink pays one nil check when telemetry is off.
+// of the package it is standard-library only and goroutine-safe;
+// publishers go through the nil-safe *Sink (sink.go).
 
 import (
 	"bufio"

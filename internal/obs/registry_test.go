@@ -189,24 +189,6 @@ func TestSinkNilSafety(t *testing.T) {
 	sk.Add("c", 1)
 	sk.Set("g", 2)
 	sk.Observe("h", 3)
-	if sk.With(T("a", "b")) != nil {
-		t.Error("With on nil sink should stay nil")
-	}
-	if sk.Enabled() {
-		t.Error("nil sink should be disabled")
-	}
-	if sk.Registry() != nil {
-		t.Error("nil sink has no registry")
-	}
-}
-
-func TestSinkBaseLabels(t *testing.T) {
-	r := NewRegistry()
-	sk := NewSink(r, T("job", "serve")).With(T("strategy", "parallel"))
-	sk.Add("c", 1, T("result", "sat"))
-	if got := r.CounterValue("c", T("job", "serve"), T("strategy", "parallel"), T("result", "sat")); got != 1 {
-		t.Errorf("base labels not applied: %g", got)
-	}
 }
 
 // TestRegistryConcurrent hammers one registry from many goroutines while

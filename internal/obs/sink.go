@@ -2,59 +2,22 @@ package obs
 
 import "repro/internal/buildinfo"
 
-// Sink is the library-facing handle for publishing into a *Registry. It
-// mirrors the *Trace contract: every method is safe and free on a nil
-// *Sink, so pipeline code can be instrumented unconditionally —
-//
-//	var sk *obs.Sink          // nil: everything below is a no-op
-//	sk.Add(MCompiles, 1)
-//	sk.Observe(MCompileSeconds, elapsed.Seconds())
-//
-// — and a process that wants aggregation passes NewSink(registry) down
-// through the Options structs. With binds extra labels (e.g. the search
-// strategy) without the callee knowing about them.
+// Sink is the handle for publishing into a *Registry. Every method on a
+// nil *Sink is a no-op, mirroring the *Trace contract, so a publisher can
+// be wired unconditionally. The compile pipeline itself publishes
+// nothing: the service derives the compile series from each filed flight
+// report.
 type Sink struct {
-	reg  *Registry
-	base []Tag
+	reg *Registry
 }
 
-// NewSink returns a sink publishing into r with the given base labels
-// appended to every series. A nil r yields the disabled (nil) sink.
-func NewSink(r *Registry, base ...Tag) *Sink {
+// NewSink returns a sink publishing into r. A nil r yields the disabled
+// (nil) sink.
+func NewSink(r *Registry) *Sink {
 	if r == nil {
 		return nil
 	}
-	return &Sink{reg: r, base: base}
-}
-
-// With derives a sink carrying additional base labels. Nil stays nil.
-func (s *Sink) With(labels ...Tag) *Sink {
-	if s == nil {
-		return nil
-	}
-	return &Sink{reg: s.reg, base: append(append([]Tag(nil), s.base...), labels...)}
-}
-
-// Enabled reports whether publishes go anywhere.
-func (s *Sink) Enabled() bool { return s != nil }
-
-// Registry exposes the underlying registry (nil on a nil sink), for
-// callers that need snapshots of what they published.
-func (s *Sink) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
-func (s *Sink) labels(extra []Tag) []Tag {
-	if len(s.base) == 0 {
-		return extra
-	}
-	if len(extra) == 0 {
-		return s.base
-	}
-	return append(append([]Tag(nil), s.base...), extra...)
+	return &Sink{reg: r}
 }
 
 // Add increments a counter series.
@@ -62,7 +25,7 @@ func (s *Sink) Add(name string, delta float64, labels ...Tag) {
 	if s == nil {
 		return
 	}
-	s.reg.Add(name, delta, s.labels(labels)...)
+	s.reg.Add(name, delta, labels...)
 }
 
 // Set records a gauge value.
@@ -70,7 +33,7 @@ func (s *Sink) Set(name string, v float64, labels ...Tag) {
 	if s == nil {
 		return
 	}
-	s.reg.Set(name, v, s.labels(labels)...)
+	s.reg.Set(name, v, labels...)
 }
 
 // Observe records a histogram observation.
@@ -78,19 +41,21 @@ func (s *Sink) Observe(name string, v float64, labels ...Tag) {
 	if s == nil {
 		return
 	}
-	s.reg.Observe(name, v, s.labels(labels)...)
+	s.reg.Observe(name, v, labels...)
 }
 
-// Metric names published by the compile pipeline. Declared centrally so
-// every consumer (serve, bench, tests) sees the same families with the
-// same buckets; see NewCompilerRegistry.
+// Metric names of the compile pipeline, which serve derives from filed
+// flight reports. Declared centrally so every consumer (serve, bench,
+// tests) sees the same families with the same buckets; see
+// NewCompilerRegistry.
 const (
 	// MCompileSeconds is the end-to-end latency of one GMA compilation
 	// (matching + search), labeled by strategy.
 	MCompileSeconds = "denali_compile_seconds"
 	// MMatchSeconds is E-graph saturation latency per compilation.
 	MMatchSeconds = "denali_match_seconds"
-	// MSolveSeconds is the latency of one SAT probe, labeled by result.
+	// MSolveSeconds is the recorded time of one SAT probe (solve plus
+	// decode, the flight record's probe ms), labeled by result.
 	MSolveSeconds = "denali_sat_solve_seconds"
 	// MSolveConflicts is the conflict count of one SAT probe.
 	MSolveConflicts = "denali_sat_conflicts"
@@ -117,7 +82,9 @@ const (
 	MSolverRestarts     = "denali_sat_restarts_total"
 	MSolverLearned      = "denali_sat_learned_total"
 	// MProbesLaunched / MProbesCancelled / MProbeWaste describe the
-	// speculative parallel search, labeled by strategy.
+	// speculative parallel search: probes run, probes that ended cancelled
+	// as moot, and probes whose answer was discarded (the cancelled ones
+	// plus SAT answers above the optimum, labeled by strategy).
 	MProbesLaunched  = "denali_parallel_probes_launched_total"
 	MProbesCancelled = "denali_parallel_probes_cancelled_total"
 	MProbeWaste      = "denali_probe_waste_total"
@@ -202,7 +169,7 @@ func NewCompilerRegistry() *Registry {
 	r := NewRegistry()
 	r.DeclareHistogram(MCompileSeconds, "End-to-end latency of one GMA compilation (matching + budget search).", DefSecondsBuckets)
 	r.DeclareHistogram(MMatchSeconds, "E-graph saturation latency per compilation.", DefSecondsBuckets)
-	r.DeclareHistogram(MSolveSeconds, "Latency of one SAT probe.", DefSecondsBuckets)
+	r.DeclareHistogram(MSolveSeconds, "Latency of one SAT probe (solve plus decode).", DefSecondsBuckets)
 	r.DeclareHistogram(MSolveConflicts, "CDCL conflicts per SAT probe.", DefCountBuckets)
 	r.DeclareHistogram(MProbeConflicts, "CDCL conflicts per SAT probe, by probe result.", DefCountBuckets)
 	r.DeclareHistogram(MEGraphNodes, "Saturated E-graph node count per compilation.", DefCountBuckets)
@@ -216,7 +183,7 @@ func NewCompilerRegistry() *Registry {
 	r.DeclareCounter(MSolverRestarts, "Total solver restarts across all probes.")
 	r.DeclareCounter(MSolverLearned, "Total clauses learned across all probes.")
 	r.DeclareCounter(MProbesLaunched, "Speculative probes launched by the parallel budget search.")
-	r.DeclareCounter(MProbesCancelled, "Speculative probes interrupted as moot.")
+	r.DeclareCounter(MProbesCancelled, "Speculative probes that ended cancelled as moot.")
 	r.DeclareCounter(MProbeWaste, "Probes whose completed answer was discarded, by strategy.")
 	r.DeclareCounter(MProbeIncremental, "Probes answered incrementally under a budget assumption, by result.")
 	r.DeclareCounter(MProbeIncrementalReused, "Incremental probes that reused a warm solver (learned clauses carried over).")

@@ -15,8 +15,6 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Lit is a literal: variable index v encoded as 2v (positive) or 2v+1
@@ -170,11 +168,6 @@ type Solver struct {
 	// MaxConflicts bounds each Solve call's search independently (a
 	// per-call budget, not a lifetime total); <= 0 means unbounded.
 	MaxConflicts int64
-
-	// Sink, when non-nil, receives the process-level solver metrics
-	// (probe results, conflicts/decisions/propagations/restarts/learned
-	// deltas) at the end of every Solve. Nil costs nothing.
-	Sink *obs.Sink
 
 	// Proof, when non-nil, receives the clausal derivation (original
 	// clauses, learned clauses, deletions) so an UNSAT answer can be
@@ -586,7 +579,6 @@ func (s *Solver) ClearInterrupt() { s.stop.Store(false) }
 //
 // MaxConflicts bounds each call independently. Stats returns lifetime
 // totals across calls; LastStats returns the just-finished call's
-// per-call deltas, and a Sink (if attached) is likewise published
 // per-call deltas — deltas, not totals, are what aggregate correctly
 // when Solve is called repeatedly on one solver.
 func (s *Solver) Solve(assumps ...Lit) Result {
@@ -603,14 +595,6 @@ func (s *Solver) Solve(assumps ...Lit) Result {
 		Restarts:     after.Restarts - before.Restarts,
 		Reduced:      after.Reduced - before.Reduced,
 		Cancelled:    after.Cancelled,
-	}
-	if s.Sink != nil {
-		s.Sink.Add(obs.MProbes, 1, obs.T("result", res.String()))
-		s.Sink.Add(obs.MSolverConflicts, float64(s.last.Conflicts))
-		s.Sink.Add(obs.MSolverDecisions, float64(s.last.Decisions))
-		s.Sink.Add(obs.MSolverPropagations, float64(s.last.Propagations))
-		s.Sink.Add(obs.MSolverRestarts, float64(s.last.Restarts))
-		s.Sink.Add(obs.MSolverLearned, float64(s.last.Learned))
 	}
 	return res
 }

@@ -58,11 +58,6 @@ type Options struct {
 	// Trace records constraint-generation and solving telemetry for this
 	// one compilation; nil disables it.
 	Trace *obs.Trace
-	// Sink publishes process-level aggregates (probe latency and result
-	// histograms, solver work counters) into a metrics registry shared
-	// across compilations; nil disables it. Unlike Trace, a Sink is safe
-	// to share between concurrent probes.
-	Sink *obs.Sink
 	// RequestID names the compile request this problem belongs to; when
 	// set it is stamped into exported DIMACS provenance comments so an
 	// instance pulled out of a production log can be traced back to its
@@ -624,7 +619,6 @@ func (p *Problem) size() (vars, clauses int) {
 func (p *Problem) encode() {
 	s := sat.New()
 	s.MaxConflicts = p.opt.MaxConflicts
-	s.Sink = p.opt.Sink
 	if p.opt.Certify {
 		// Attach before the first AddClause so the certificate's premise
 		// set is the complete clause database.
@@ -961,31 +955,20 @@ func (p *Problem) Solve() (*Schedule, Stat, error) {
 // outcome and the solver's numbers: a one-shot Problem's totals, an
 // engine probe's per-call deltas. The caller attaches the certificate.
 func (p *Problem) solve(stat Stat, assumps ...sat.Lit) (*Schedule, Stat, error) {
-	tr, sk := p.opt.Trace, p.opt.Sink
+	tr := p.opt.Trace
 	sp := tr.Start("solve")
 	if stat.Incremental {
 		sp.SetTag("incremental", "true")
 	}
-	t0 := time.Now()
 	res := p.solver.Solve(assumps...)
 	st := p.solver.Stats()
 	if stat.Incremental {
 		st = p.solver.LastStats()
 	}
-	result := obs.T("result", res.String())
-	sk.Observe(obs.MSolveSeconds, time.Since(t0).Seconds(), result)
-	sk.Observe(obs.MSolveConflicts, float64(st.Conflicts))
-	sk.Observe(obs.MProbeConflicts, float64(st.Conflicts), result)
-	if stat.Incremental {
-		sk.Add(obs.MProbeIncremental, 1, result)
-		if stat.Reused {
-			sk.Add(obs.MProbeIncrementalReused, 1)
-		}
-	}
 	if st.Cancelled {
 		sp.SetTag("cancelled", "true")
 	}
-	sp.End(result, obs.Tint("conflicts", st.Conflicts))
+	sp.End(obs.T("result", res.String()), obs.Tint("conflicts", st.Conflicts))
 	tr.Add("sat.conflicts", st.Conflicts)
 	tr.Add("sat.decisions", st.Decisions)
 	tr.Add("sat.propagations", st.Propagations)

@@ -305,13 +305,9 @@ func (s *Server) batchCompile(r *http.Request, req *CompileRequest, opt repro.Op
 		return line
 	}
 	if req.Verify > 0 {
-		for _, proc := range res.Procs {
-			for _, g := range proc.GMAs {
-				if verr := g.Verify(req.Verify, 1); verr != nil {
-					line.Error = fmt.Sprintf("verification of %s failed: %v", g.Name, verr)
-					return line
-				}
-			}
+		if err := s.verify(res, req.Verify); err != nil {
+			line.Error = err.Error()
+			return line
 		}
 	}
 	for _, proc := range res.Procs {

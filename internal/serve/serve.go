@@ -83,8 +83,7 @@ type Config struct {
 	Addr string
 	// Options are the base compile options applied to every request;
 	// requests may override arch/strategy/budget knobs but cannot raise
-	// Workers above the configured value. Options.Sink is replaced by the
-	// server's own sink into Registry.
+	// Workers above the configured value.
 	Options repro.Options
 	// MaxConcurrent bounds concurrently executing /compile requests.
 	// <= 0 derives the bound from Options.Workers (or GOMAXPROCS).
@@ -255,12 +254,101 @@ func (s *Server) Resume() { s.ready.Store(true) }
 // History returns the server's compile-history warehouse.
 func (s *Server) History() *history.Warehouse { return s.hist }
 
-// file lands one finished flight report in both per-request telemetry
-// stores: the ring (for /debug/requests) and the warehouse (for
-// /debug/history and the sentinel).
+// file lands one finished flight report with its three consumers: the
+// ring (for /debug/requests), the warehouse (for /debug/history and the
+// sentinel) and the compile metrics on /metrics.
 func (s *Server) file(rep flight.Report) {
 	s.ring.Add(rep)
 	s.hist.Ingest(rep)
+	s.publish(rep)
+}
+
+// publish derives every compile series from the fresh GMA rows of one
+// filed report. Cache-hit and coalesced rows replay an origin compile's
+// record, so they add nothing, as in history.
+func (s *Server) publish(rep flight.Report) {
+	strategy := obs.T("strategy", rep.Strategy)
+	for _, g := range rep.GMAs {
+		if g.CacheHit || g.Coalesced {
+			continue
+		}
+		if g.Error != "" {
+			s.sink.Add(obs.MCompileErrors, 1)
+		} else {
+			s.sink.Add(obs.MCompiles, 1, strategy)
+			s.sink.Observe(obs.MCyclesFound, float64(g.Cycles))
+		}
+		if g.Panic {
+			continue // a panicking compile never finished: only the error counts
+		}
+		s.sink.Observe(obs.MCompileSeconds, g.CompileMillis/1e3, strategy)
+		if g.EGraphNodes > 0 { // saturation finished
+			s.sink.Observe(obs.MMatchSeconds, g.MatchMillis/1e3)
+			s.sink.Observe(obs.MEGraphNodes, float64(g.EGraphNodes))
+		}
+		cancelled, superseded := 0, 0
+		for _, p := range g.Probes {
+			result := obs.T("result", p.Result)
+			s.sink.Add(obs.MProbes, 1, result)
+			s.sink.Add(obs.MSolverConflicts, float64(p.Conflicts))
+			s.sink.Add(obs.MSolverDecisions, float64(p.Decisions))
+			s.sink.Add(obs.MSolverPropagations, float64(p.Propagations))
+			s.sink.Add(obs.MSolverRestarts, float64(p.Restarts))
+			s.sink.Add(obs.MSolverLearned, float64(p.Learned))
+			s.sink.Observe(obs.MSolveSeconds, p.Millis/1e3, result)
+			s.sink.Observe(obs.MSolveConflicts, float64(p.Conflicts))
+			s.sink.Observe(obs.MProbeConflicts, float64(p.Conflicts), result)
+			if p.Incremental {
+				s.sink.Add(obs.MProbeIncremental, 1, result)
+				if p.Reused {
+					s.sink.Add(obs.MProbeIncrementalReused, 1)
+				}
+			}
+			if p.Cancelled {
+				cancelled++
+			} else if p.Result == "SAT" && p.K > g.Cycles {
+				superseded++
+			}
+		}
+		if rep.Strategy == core.ParallelSearch.String() {
+			s.sink.Add(obs.MProbesLaunched, float64(len(g.Probes)))
+			if cancelled > 0 {
+				s.sink.Add(obs.MProbesCancelled, float64(cancelled))
+			}
+			if cancelled+superseded > 0 {
+				s.sink.Add(obs.MProbeWaste, float64(cancelled+superseded), strategy)
+			}
+		}
+		if g.CertifyResult != "" {
+			if g.CertifyResult != "missing" {
+				s.sink.Observe(obs.MCertifySeconds, g.CertifyMillis/1e3)
+				s.sink.Observe(obs.MCertifySteps, float64(g.CertSteps))
+			}
+			s.sink.Add(obs.MCertifyChecks, 1, obs.T("result", g.CertifyResult))
+		}
+		if g.StokeSteps > 0 {
+			s.sink.Add(obs.MStokeSteps, float64(g.StokeSteps))
+			s.sink.Add(obs.MStokeVerified, float64(g.StokeVerified))
+			s.sink.Add(obs.MStokeRejects, float64(g.StokeRejects))
+		}
+	}
+}
+
+// verify runs every compiled GMA of res against the reference semantics
+// on n random inputs, counting the trials and the simulated work of each
+// GMA that passes. It returns the first failure.
+func (s *Server) verify(res *repro.Result, n int) error {
+	for _, proc := range res.Procs {
+		for _, g := range proc.GMAs {
+			if err := g.Verify(n, 1); err != nil {
+				return fmt.Errorf("verification of %s failed: %w", g.Name, err)
+			}
+			s.sink.Add(obs.MVerifyTrials, float64(n))
+			s.sink.Add(obs.MSimCycles, float64(n*g.Cycles))
+			s.sink.Add(obs.MSimInstrs, float64(n*g.Instructions))
+		}
+	}
+	return nil
 }
 
 // Addr returns the bound listen address once ListenAndServe has bound it
@@ -586,7 +674,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) options(req *CompileRequest, tr *obs.Trace) (repro.Options, error) {
 	opt := s.cfg.Options
 	opt.Trace = tr
-	opt.Sink = s.sink
 	if req.Arch != "" {
 		opt.Arch = req.Arch
 	}
@@ -728,7 +815,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	reject := func(code int, msg string) {
 		rep := flight.NewReport(info.id)
 		rep.Error = msg
-		rep.Timeout = code == http.StatusGatewayTimeout
 		s.file(rep)
 		writeJSON(w, code, errorJSON{Error: msg, RequestID: info.id})
 	}
@@ -796,69 +882,91 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		err  error
 	}
 	outc := make(chan compileOut, 1)
+	// The worker and the deadline race to settle the request; whichever
+	// takes mu first decides whether the compile finished in time. Either
+	// way the worker files the request's one report.
+	var mu sync.Mutex
+	var finished, timedOut bool
+	timeoutMsg := fmt.Sprintf("compilation exceeded %v", s.cfg.RequestTimeout)
 	go func() {
+		var out compileOut
 		// The compile worker carries its own panic isolation: a panic here
 		// is outside the handler goroutine, so the instrument() recover
 		// cannot catch it.
 		defer func() {
 			if rec := recover(); rec != nil {
-				err := fmt.Errorf("internal panic: %v", rec)
-				fr.Fail(err.Error(), true)
-				s.file(fr.Report(0))
-				outc <- compileOut{err: err}
+				out = compileOut{err: fmt.Errorf("internal panic: %v", rec)}
+				fr.Fail(out.err.Error(), true)
 			}
+			mu.Lock()
+			finished = true
+			rep := fr.Report(out.wall)
+			rep.Timeout = timedOut
+			mu.Unlock()
+			s.file(rep)
+			outc <- out
 			<-s.limiter
 		}()
 		t0 := time.Now()
 		res, err := repro.Compile(req.Source, opt)
-		wall := time.Since(t0)
+		out.wall = time.Since(t0)
 		if err == nil && req.Verify > 0 {
-			for _, proc := range res.Procs {
-				for _, g := range proc.GMAs {
-					if verr := g.Verify(req.Verify, 1); verr != nil {
-						err = fmt.Errorf("verification of %s failed: %w", g.Name, verr)
-					}
-				}
-			}
+			err = s.verify(res, req.Verify)
 		}
 		if err != nil {
 			fr.Fail(err.Error(), false)
 		}
-		s.file(fr.Report(wall))
-		outc <- compileOut{res: res, wall: wall, err: err}
+		out.res, out.err = res, err
 	}()
 
 	deadline := time.NewTimer(s.cfg.RequestTimeout)
 	defer deadline.Stop()
+	var out compileOut
 	select {
-	case out := <-outc:
-		if out.err != nil {
-			// Compilation errors are the client's program, not the server:
-			// 422 keeps them distinct from transport-level 400s.
-			writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: out.err.Error(), RequestID: info.id})
-			return
-		}
-		if hv := cacheOutcome(out.res); hv != "" {
-			w.Header().Set("X-Denali-Cache", hv)
-			info.cache = hv
-		}
-		resp := buildResponse(out.res, out.wall, tr, req.Verify)
-		resp.RequestID = info.id
-		for _, p := range resp.Procs {
-			for _, g := range p.GMAs {
-				info.cycles += g.Cycles
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
+	case out = <-outc:
 	case <-deadline.C:
+		mu.Lock()
+		timedOut = !finished
+		if timedOut {
+			// A compile error, if one comes, replaces this message. Until the
+			// worker files the full report, a snapshot in the ring (not the
+			// warehouse) explains the 504; added under mu, it is always older
+			// than that report, which shadows it.
+			fr.Fail(timeoutMsg, false)
+			marker := fr.Report(s.cfg.RequestTimeout)
+			marker.Timeout = true
+			s.ring.Add(marker)
+		}
+		mu.Unlock()
+		if !timedOut {
+			out = <-outc
+			break
+		}
 		// The compilation has no cancellation point; it keeps its limiter
 		// slot until it finishes, so sustained timeouts degrade into 503s
-		// rather than oversubscription. The worker still files its flight
-		// report on completion, shadowing this marker in the ring.
+		// rather than oversubscription.
 		s.sink.Add(mRejected, 1, obs.T("reason", "timeout"))
-		reject(http.StatusGatewayTimeout,
-			fmt.Sprintf("compilation exceeded %v", s.cfg.RequestTimeout))
+		writeJSON(w, http.StatusGatewayTimeout, errorJSON{Error: timeoutMsg, RequestID: info.id})
+		return
 	}
+	if out.err != nil {
+		// Compilation errors are the client's program, not the server:
+		// 422 keeps them distinct from transport-level 400s.
+		writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: out.err.Error(), RequestID: info.id})
+		return
+	}
+	if hv := cacheOutcome(out.res); hv != "" {
+		w.Header().Set("X-Denali-Cache", hv)
+		info.cache = hv
+	}
+	resp := buildResponse(out.res, out.wall, tr, req.Verify)
+	resp.RequestID = info.id
+	for _, p := range resp.Procs {
+		for _, g := range p.GMAs {
+			info.cycles += g.Cycles
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // gmaJSON renders one compiled GMA into the response shape; /compile and

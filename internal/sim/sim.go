@@ -64,18 +64,9 @@ func Run(s *schedule.Schedule, d *arch.Description, m *Machine) error {
 // RunTraced is Run with telemetry: one "sim.run" span plus simulated
 // cycle and launched-instruction counters. A nil trace is free.
 func RunTraced(s *schedule.Schedule, d *arch.Description, m *Machine, tr *obs.Trace) error {
-	return RunObserved(s, d, m, tr, nil)
-}
-
-// RunObserved is RunTraced additionally publishing simulated cycle and
-// instruction counters into a process-level metrics sink. A nil sink is
-// free.
-func RunObserved(s *schedule.Schedule, d *arch.Description, m *Machine, tr *obs.Trace, sk *obs.Sink) error {
 	sp := tr.Start("sim.run", obs.Tint("cycles", int64(s.K)), obs.Tint("instructions", int64(len(s.Launches))))
 	tr.Add("sim.cycles", int64(s.K))
 	tr.Add("sim.instructions", int64(len(s.Launches)))
-	sk.Add(obs.MSimCycles, float64(s.K))
-	sk.Add(obs.MSimInstrs, float64(len(s.Launches)))
 	err := run(s, d, m)
 	if err != nil {
 		tr.Event("sim.violation", obs.T("error", err.Error()))

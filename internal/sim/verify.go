@@ -27,13 +27,6 @@ func Verify(g *gma.GMA, s *schedule.Schedule, d *arch.Description, rng *rand.Ran
 // VerifyTraced is Verify under one "verify" span counting trials and
 // simulated cycles. A nil trace is free.
 func VerifyTraced(g *gma.GMA, s *schedule.Schedule, d *arch.Description, rng *rand.Rand, n int, tr *obs.Trace) error {
-	return VerifyObserved(g, s, d, rng, n, tr, nil)
-}
-
-// VerifyObserved is VerifyTraced additionally publishing trial and
-// simulated-work counters into a process-level metrics sink. A nil sink
-// (and a nil trace) is free.
-func VerifyObserved(g *gma.GMA, s *schedule.Schedule, d *arch.Description, rng *rand.Rand, n int, tr *obs.Trace, sk *obs.Sink) error {
 	sp := tr.Start("verify", obs.T("gma", g.Name), obs.Tint("trials", int64(n)))
 	defer sp.End()
 	for trial := 0; trial < n; trial++ {
@@ -41,11 +34,10 @@ func VerifyObserved(g *gma.GMA, s *schedule.Schedule, d *arch.Description, rng *
 		if err != nil {
 			return err
 		}
-		if err := verifyOnce(g, s, d, env, tr, sk); err != nil {
+		if err := verifyOnce(g, s, d, env, tr); err != nil {
 			return fmt.Errorf("trial %d: %w", trial, err)
 		}
 		tr.Add("verify.trials", 1)
-		sk.Add(obs.MVerifyTrials, 1)
 	}
 	return nil
 }
@@ -111,7 +103,7 @@ func randomWord(rng *rand.Rand) uint64 {
 	}
 }
 
-func verifyOnce(g *gma.GMA, s *schedule.Schedule, d *arch.Description, env *semantics.Env, tr *obs.Trace, sk *obs.Sink) error {
+func verifyOnce(g *gma.GMA, s *schedule.Schedule, d *arch.Description, env *semantics.Env, tr *obs.Trace) error {
 	m := NewMachine()
 	for name, reg := range s.InputRegs {
 		if w, ok := env.Words[name]; ok {
@@ -125,7 +117,7 @@ func verifyOnce(g *gma.GMA, s *schedule.Schedule, d *arch.Description, env *sema
 			m.Mem[a] = v
 		}
 	}
-	if err := RunObserved(s, d, m, tr, sk); err != nil {
+	if err := RunTraced(s, d, m, tr); err != nil {
 		return err
 	}
 	readOperand := func(o schedule.Operand) uint64 {

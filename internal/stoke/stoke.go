@@ -63,9 +63,8 @@ type Options struct {
 	// MaxLen caps the sequence length insert moves can reach
 	// (0 = twice the seed length plus six).
 	MaxLen int
-	// Trace and Sink carry the usual telemetry; nil disables either.
+	// Trace records the run's span and events; nil disables it.
 	Trace *obs.Trace
-	Sink  *obs.Sink
 	// OnImprove, when set, is called (from Run's goroutine) each time a
 	// strictly better schedule passes exact verification — the portfolio
 	// racer's upper-bound feed.
@@ -267,15 +266,12 @@ func (e *Engine) screen(p *prog, vals []uint64) (int, bool) {
 // returns the best exactly-verified schedule.
 func (e *Engine) Run() (*Result, error) {
 	t0 := time.Now()
-	tr, sk := e.opt.Trace, e.opt.Sink
+	tr := e.opt.Trace
 	sp := tr.Start("stoke", obs.T("gma", e.g.Name), obs.Tint("steps", int64(e.opt.Steps)))
 	res := &Result{}
 	defer func() {
 		res.Elapsed = time.Since(t0)
 		sp.End(obs.Tint("verified", int64(res.Verified)), obs.Tint("cycles", int64(res.Cycles)))
-		sk.Add(obs.MStokeSteps, float64(res.Steps))
-		sk.Add(obs.MStokeVerified, float64(res.Verified))
-		sk.Add(obs.MStokeRejects, float64(res.Rejected))
 	}()
 
 	// cost folds the correctness penalty and the packed cycle count into

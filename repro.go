@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -104,14 +105,6 @@ type Options struct {
 	// zero cost. Export with its WriteChromeTrace / MetricsTable /
 	// WriteJSONL methods.
 	Trace *obs.Trace
-	// Sink publishes process-level aggregates — compile/match/SAT latency
-	// histograms, probe and solver-work counters, per-strategy
-	// speculation waste — into a metrics Registry shared across every
-	// compilation of the process (see internal/obs). Unlike Trace, which
-	// is per-run, one Sink is meant to outlive many Compile calls; it is
-	// what `denali serve` exposes on /metrics. Nil (the default) disables
-	// publication at zero cost.
-	Sink *obs.Sink
 	// Cache, when set, answers each GMA compilation from the
 	// content-addressed compile cache instead of re-running the pipeline
 	// when an identical compile (same canonical GMA, same result-shaping
@@ -139,11 +132,10 @@ type Options struct {
 	// IDs from untrusted sources (HTTP headers) should pass through
 	// flight.SanitizeID first.
 	RequestID string
-	// Flight assembles a per-request structured report: one GMAReport per
+	// Flight collects a per-request structured report: one GMAReport per
 	// compiled GMA (fingerprint, match stats, the full probe ladder,
 	// outcome), including partial records for GMAs that failed or
-	// panicked. Nil (the default) disables report assembly at zero cost.
-	// See internal/flight.
+	// panicked. Nil (the default) collects nothing. See internal/flight.
 	Flight *flight.Recorder
 }
 
@@ -262,13 +254,13 @@ type CompiledGMA struct {
 	// MaxLive is the peak number of simultaneously live temporaries.
 	MaxLive int
 
+	rep   flight.GMAReport
 	cert  *drat.Certificate
 	gma   *gma.GMA
 	sched *schedule.Schedule
 	desc  *arch.Description
 	graph *egraph.Graph
 	trace *obs.Trace
-	sink  *obs.Sink
 }
 
 // EGraphDot renders the GMA's saturated E-graph in Graphviz dot format
@@ -478,7 +470,6 @@ func (o Options) coreOptions(progAxioms []*axioms.Axiom) (core.Options, error) {
 		Search:    search,
 		Workers:   o.Workers,
 		Trace:     o.Trace,
-		Sink:      o.Sink,
 		RequestID: o.RequestID,
 	}
 	if search == core.StochasticSearch || search == core.PortfolioSearch {
@@ -615,9 +606,8 @@ func compileOne(g *gma.GMA, copts core.Options, fr *flight.Recorder, cc *cacheCt
 		// A leader's failure was already recorded by compileFresh into this
 		// request's flight report; a waiter coalesced onto someone else's
 		// failure records its own marker row instead.
-		if outcome == compilecache.OutcomeCoalesced && fr.Enabled() {
-			gr := flight.DescribeGMA(g)
-			gr.Error = err.Error()
+		if outcome == compilecache.OutcomeCoalesced {
+			gr := report(g, nil, 0, err)
 			gr.Coalesced = true
 			fr.AddGMA(gr)
 		}
@@ -663,13 +653,109 @@ func entryFromCompiled(cg *CompiledGMA, key, requestID string) compilecache.Entr
 // the row as a cache hit (or coalesced) with the origin's request ID.
 func fromEntry(g *gma.GMA, e compilecache.Entry, outcome compilecache.Outcome, copts core.Options, fr *flight.Recorder) *CompiledGMA {
 	rep := e.Report
+	rep.Name = g.Name
+	rep.CacheHit = outcome == compilecache.OutcomeHit
+	rep.Coalesced = outcome == compilecache.OutcomeCoalesced
+	rep.CacheOrigin = e.OriginRequest
+	cg := fromReport(rep, g, e.ScheduleFor(g), copts)
+	cg.Assembly, cg.Listing, cg.MaxLive = e.Assembly, e.Listing, e.MaxLive
+	cg.Cache = string(outcome)
+	fr.AddGMA(rep)
+	return cg
+}
+
+func compileFresh(g *gma.GMA, copts core.Options, fr *flight.Recorder) (cg *CompiledGMA, err error) {
+	desc := copts.Desc
+	// Per-GMA isolation: a panic anywhere in the pipeline surfaces as this
+	// GMA's error instead of tearing down a whole (possibly concurrent)
+	// multi-GMA run. The flight report keeps a record of the casualty.
+	defer func() {
+		if r := recover(); r != nil {
+			cg, err = nil, fmt.Errorf("internal panic compiling %s: %v", g.Name, r)
+			gr := report(g, nil, 0, err)
+			gr.Panic = true
+			fr.AddGMA(gr)
+		}
+	}()
+	if (copts.Search == core.DescendSearch || copts.Search == core.PortfolioSearch) &&
+		copts.UpperBoundHint == 0 {
+		// The baseline compiler's schedule is a feasible upper bound.
+		if s, err := naivegen.Compile(g, desc); err == nil {
+			copts.UpperBoundHint = s.K
+		}
+	}
+	t0 := time.Now()
+	c, err := core.CompileGMA(g, copts)
+	rep := report(g, c, time.Since(t0), err)
+	if err != nil {
+		fr.AddGMA(rep)
+		return nil, err
+	}
+	cg = fromReport(rep, g, c.Schedule, copts)
+	cg.Assembly, cg.Listing, cg.MaxLive = c.Assembly(), c.Schedule.Listing(desc), c.Schedule.MaxLive()
+	cg.cert, cg.graph = c.Cert, c.Graph
+	fr.AddGMA(rep)
+	return cg, nil
+}
+
+// report builds a GMA's flight record, the one per-compile record every
+// consumer reads: CompiledGMA's statistics, the compile cache, the flight
+// recorder and, through serve, the history warehouse and /metrics. wall
+// is the core compile's wall time. On error the record keeps the match
+// stats and the probes a partial c accumulated before the failure —
+// exactly what a post-mortem needs; c is nil after a panic or a failure
+// before the search.
+func report(g *gma.GMA, c *core.Compiled, wall time.Duration, err error) flight.GMAReport {
+	gr := flight.DescribeGMA(g)
+	gr.CompileMillis = millis(wall)
+	if err != nil {
+		gr.Error = err.Error()
+	}
+	if c == nil {
+		return gr
+	}
+	gr.MatchRounds = c.Match.Rounds
+	gr.MatchInstantiations = c.Match.Instantiations
+	gr.MatchQuiescent = c.Match.Quiescent
+	gr.EGraphNodes = c.Match.Nodes
+	gr.EGraphClasses = c.Match.Classes
+	gr.MatchMillis = millis(c.MatchTime)
+	for _, p := range c.Probes {
+		gr.Probes = append(gr.Probes, flight.ProbeRow{
+			K: p.K, Result: p.Result.String(), Vars: p.Vars, Clauses: p.Clauses,
+			Conflicts: p.Solver.Conflicts, Decisions: p.Solver.Decisions,
+			Propagations: p.Solver.Propagations, Learned: p.Solver.Learned,
+			Restarts: p.Solver.Restarts, Millis: millis(p.Elapsed),
+			Incremental: p.Incremental, Reused: p.Reused, Cancelled: p.Solver.Cancelled,
+		})
+	}
+	gr.SolveMillis = millis(c.SolveTime)
+	gr.EncodeMillis = millis(c.EncodeTime)
+	gr.Certified = c.Certified
+	gr.CertifyMillis = millis(c.CertifyTime)
+	gr.CertifyResult = c.CertifyResult
+	gr.CertSteps = c.CertSteps
+	gr.Engine = c.Engine
+	if st := c.Stochastic; st != nil {
+		gr.StokeSteps, gr.StokeVerified, gr.StokeRejects = st.Steps, st.Verified, st.Rejected
+	}
+	if err == nil {
+		gr.Cycles = c.Cycles
+		gr.Instructions = c.Schedule.Instructions()
+		gr.OptimalProven = c.OptimalProven
+	}
+	return gr
+}
+
+// fromReport builds a CompiledGMA around GMA g and its schedule, filling
+// the public statistics from the flight record for fresh and cached
+// compiles alike; the caller attaches the listings.
+func fromReport(rep flight.GMAReport, g *gma.GMA, sched *schedule.Schedule, copts core.Options) *CompiledGMA {
 	cg := &CompiledGMA{
-		Name:          g.Name,
+		Name:          rep.Name,
 		Cycles:        rep.Cycles,
 		Instructions:  rep.Instructions,
 		OptimalProven: rep.OptimalProven,
-		Assembly:      e.Assembly,
-		Listing:       e.Listing,
 		SolveTime:     unmillis(rep.SolveMillis),
 		EncodeTime:    unmillis(rep.EncodeMillis),
 		Match: MatchStats{
@@ -683,13 +769,11 @@ func fromEntry(g *gma.GMA, e compilecache.Entry, outcome compilecache.Outcome, c
 		Certified:   rep.Certified,
 		CertifyTime: unmillis(rep.CertifyMillis),
 		Engine:      rep.Engine,
-		MaxLive:     e.MaxLive,
-		Cache:       string(outcome),
+		rep:         rep,
 		gma:         g,
-		sched:       e.ScheduleFor(g),
+		sched:       sched,
 		desc:        copts.Desc,
 		trace:       copts.Trace,
-		sink:        copts.Sink,
 	}
 	for _, p := range rep.Probes {
 		cg.Probes = append(cg.Probes, ProbeStat{
@@ -700,172 +784,23 @@ func fromEntry(g *gma.GMA, e compilecache.Entry, outcome compilecache.Outcome, c
 			Incremental: p.Incremental, Reused: p.Reused,
 		})
 	}
-	if fr.Enabled() {
-		gr := rep
-		gr.Name = g.Name
-		gr.CacheHit = outcome == compilecache.OutcomeHit
-		gr.Coalesced = outcome == compilecache.OutcomeCoalesced
-		gr.CacheOrigin = e.OriginRequest
-		fr.AddGMA(gr)
-	}
 	return cg
 }
 
-func compileFresh(g *gma.GMA, copts core.Options, fr *flight.Recorder) (cg *CompiledGMA, err error) {
-	desc := copts.Desc
-	// Per-GMA isolation: a panic anywhere in the pipeline surfaces as this
-	// GMA's error instead of tearing down a whole (possibly concurrent)
-	// multi-GMA run. The flight report keeps a record of the casualty.
-	defer func() {
-		if r := recover(); r != nil {
-			cg, err = nil, fmt.Errorf("internal panic compiling %s: %v", g.Name, r)
-			copts.Sink.Add(obs.MCompileErrors, 1)
-			if fr.Enabled() {
-				gr := flight.DescribeGMA(g)
-				gr.Error = err.Error()
-				gr.Panic = true
-				fr.AddGMA(gr)
-			}
-		}
-	}()
-	if (copts.Search == core.DescendSearch || copts.Search == core.PortfolioSearch) &&
-		copts.UpperBoundHint == 0 {
-		// The baseline compiler's schedule is a feasible upper bound.
-		if s, err := naivegen.Compile(g, desc); err == nil {
-			copts.UpperBoundHint = s.K
-		}
-	}
-	c, err := core.CompileGMA(g, copts)
-	if err != nil {
-		// Search errors still return a partial Compiled carrying the match
-		// stats and probe ladder accumulated before the failure — exactly
-		// what a post-mortem needs, so the flight report keeps them.
-		if fr.Enabled() {
-			gr := flight.DescribeGMA(g)
-			gr.Error = err.Error()
-			if c != nil {
-				fillMatch(&gr, c)
-				gr.Probes = probeRows(c.Probes)
-				gr.SolveMillis = millis(c.SolveTime)
-				gr.EncodeMillis = millis(c.EncodeTime)
-			}
-			fr.AddGMA(gr)
-		}
-		return nil, err
-	}
-	cg = &CompiledGMA{
-		Name:          g.Name,
-		Cycles:        c.Cycles,
-		Instructions:  c.Schedule.Instructions(),
-		OptimalProven: c.OptimalProven,
-		Assembly:      c.Assembly(),
-		Listing:       c.Schedule.Listing(desc),
-		SolveTime:     c.SolveTime,
-		EncodeTime:    c.EncodeTime,
-		Match: MatchStats{
-			Rounds:         c.Match.Rounds,
-			Instantiations: c.Match.Instantiations,
-			Quiescent:      c.Match.Quiescent,
-			Nodes:          c.Match.Nodes,
-			Classes:        c.Match.Classes,
-			Elapsed:        c.MatchTime,
-		},
-		Certified:   c.Certified,
-		CertifyTime: c.CertifyTime,
-		Engine:      c.Engine,
-
-		MaxLive: c.Schedule.MaxLive(),
-		cert:    c.Cert,
-		gma:     g,
-		sched:   c.Schedule,
-		desc:    desc,
-		graph:   c.Graph,
-		trace:   copts.Trace,
-		sink:    copts.Sink,
-	}
-	for _, p := range c.Probes {
-		cg.Probes = append(cg.Probes, ProbeStat{
-			K: p.K, Result: p.Result.String(), Vars: p.Vars,
-			Clauses: p.Clauses, Conflicts: p.Solver.Conflicts,
-			Decisions: p.Solver.Decisions, Propagations: p.Solver.Propagations,
-			Learned: p.Solver.Learned, Restarts: p.Solver.Restarts,
-			Elapsed: p.Elapsed, Incremental: p.Incremental, Reused: p.Reused,
-		})
-	}
-	if fr.Enabled() {
-		fr.AddGMA(cg.FlightReport())
-	}
-	return cg, nil
-}
-
-// FlightReport converts the compiled GMA into its flight-recorder record:
-// identity (canonical fingerprint), search features, the full probe
-// ladder, and the outcome. Compile and CompileGMA call this for every GMA
-// when Options.Flight is set; it is exported so callers holding a
-// CompiledGMA (benchmarks, tests) can assemble reports themselves.
-func (c *CompiledGMA) FlightReport() flight.GMAReport {
-	gr := flight.DescribeGMA(c.gma)
-	gr.MatchRounds = c.Match.Rounds
-	gr.MatchInstantiations = c.Match.Instantiations
-	gr.MatchQuiescent = c.Match.Quiescent
-	gr.EGraphNodes = c.Match.Nodes
-	gr.EGraphClasses = c.Match.Classes
-	gr.MatchMillis = millis(c.Match.Elapsed)
-	for _, p := range c.Probes {
-		gr.Probes = append(gr.Probes, flight.ProbeRow{
-			K: p.K, Result: p.Result, Vars: p.Vars, Clauses: p.Clauses,
-			Conflicts: p.Conflicts, Decisions: p.Decisions,
-			Propagations: p.Propagations, Learned: p.Learned,
-			Restarts: p.Restarts, Millis: millis(p.Elapsed),
-			Incremental: p.Incremental, Reused: p.Reused,
-		})
-	}
-	gr.SolveMillis = millis(c.SolveTime)
-	gr.EncodeMillis = millis(c.EncodeTime)
-	gr.Cycles = c.Cycles
-	gr.Instructions = c.Instructions
-	gr.OptimalProven = c.OptimalProven
-	gr.Certified = c.Certified
-	gr.CertifyMillis = millis(c.CertifyTime)
-	gr.Engine = c.Engine
-	return gr
-}
-
-// fillMatch copies core match statistics into a flight record (the
-// error-path twin of FlightReport, working from the partial core result).
-func fillMatch(gr *flight.GMAReport, c *core.Compiled) {
-	gr.MatchRounds = c.Match.Rounds
-	gr.MatchInstantiations = c.Match.Instantiations
-	gr.MatchQuiescent = c.Match.Quiescent
-	gr.EGraphNodes = c.Match.Nodes
-	gr.EGraphClasses = c.Match.Classes
-	gr.MatchMillis = millis(c.MatchTime)
-}
-
-// probeRows converts core probe records for the error path, where no
-// CompiledGMA exists yet.
-func probeRows(ps []core.Probe) []flight.ProbeRow {
-	var rows []flight.ProbeRow
-	for _, p := range ps {
-		rows = append(rows, flight.ProbeRow{
-			K: p.Stat.K, Result: p.Stat.Result.String(),
-			Vars: p.Stat.Vars, Clauses: p.Stat.Clauses,
-			Conflicts: p.Stat.Solver.Conflicts, Decisions: p.Stat.Solver.Decisions,
-			Propagations: p.Stat.Solver.Propagations, Learned: p.Stat.Solver.Learned,
-			Restarts: p.Stat.Solver.Restarts, Millis: millis(p.Elapsed),
-			Incremental: p.Stat.Incremental, Reused: p.Stat.Reused,
-		})
-	}
-	return rows
-}
+// FlightReport returns the compiled GMA's flight record: identity
+// (canonical fingerprint), search features, the full probe ladder, and
+// the outcome. It is the record Compile and CompileGMA file with
+// Options.Flight; callers holding a CompiledGMA (benchmarks, tests) can
+// assemble reports from it themselves.
+func (c *CompiledGMA) FlightReport() flight.GMAReport { return c.rep }
 
 // millis renders a duration as fractional milliseconds for JSON reports.
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
-// unmillis is the inverse, for reconstructing durations from cached
-// flight records.
+// unmillis is the inverse, rounding to the nearest nanosecond so that
+// every whole-microsecond value survives the round trip.
 func unmillis(ms float64) time.Duration {
-	return time.Duration(ms * float64(time.Millisecond))
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
 }
 
 // Execute runs the compiled GMA's schedule on the simulator with the given
@@ -904,7 +839,7 @@ func (c *CompiledGMA) Verify(n int, seed int64) error {
 	if c.sched == nil {
 		return errors.New("repro: no schedule available (degenerate cache entry)")
 	}
-	return sim.VerifyObserved(c.gma, c.sched, c.desc, rand.New(rand.NewSource(seed)), n, c.trace, c.sink)
+	return sim.VerifyTraced(c.gma, c.sched, c.desc, rand.New(rand.NewSource(seed)), n, c.trace)
 }
 
 // BaselineResult is the conventional-compiler comparator's output for the

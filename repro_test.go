@@ -658,6 +658,38 @@ func TestFlightRecorderIntegration(t *testing.T) {
 		if g.EncodeMillis <= 0 || g.EncodeMillis != millis(cg.EncodeTime) {
 			t.Errorf("%s: report encode_ms %v, compile encoded for %v", cg.Name, g.EncodeMillis, cg.EncodeTime)
 		}
+		if g.CompileMillis <= 0 {
+			t.Errorf("%s: report compile_ms %v, want > 0", cg.Name, g.CompileMillis)
+		}
+		if g.CertifyResult != "" || g.StokeSteps != 0 {
+			t.Errorf("%s: certify/stoke facts on a plain linear compile: %+v", cg.Name, g)
+		}
+	}
+
+	// Under Certify the record carries the DRAT check's outcome, and a
+	// stochastic compile the MCMC engine's work.
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want func(flight.GMAReport) bool
+	}{
+		{"certify", Options{Certify: true}, func(g flight.GMAReport) bool {
+			return g.Certified && g.CertifyResult == "ok" && g.CertSteps > 0
+		}},
+		{"stochastic", Options{Strategy: "stochastic"}, func(g flight.GMAReport) bool {
+			return g.StokeSteps > 0 && g.StokeVerified > 0
+		}},
+	} {
+		fr := flight.NewRecorder("itest-" + tc.name)
+		tc.opt.Flight = fr
+		if _, err := Compile(programs.Byteswap4, tc.opt); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range fr.Report(0).GMAs {
+			if !tc.want(g) {
+				t.Errorf("%s: %s record lacks its facts: %+v", tc.name, g.Name, g)
+			}
+		}
 	}
 
 	// A parse failure still yields a request-level error in the report.
@@ -675,6 +707,18 @@ func TestFlightRecorderIntegration(t *testing.T) {
 	// A nil recorder must be inert through the whole pipeline.
 	if _, err := Compile(programs.Quickstart, Options{Flight: nil}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnmillisRoundTrip: every whole-microsecond value below 2 s
+// survives millis(unmillis(x)), so the durations CompiledGMA rebuilds
+// from its flight record match the record exactly.
+func TestUnmillisRoundTrip(t *testing.T) {
+	for us := int64(0); us < 2_000_000; us++ {
+		x := float64(us) / 1e3
+		if got := millis(unmillis(x)); got != x {
+			t.Fatalf("millis(unmillis(%v)) = %v", x, got)
+		}
 	}
 }
 

@@ -6,7 +6,10 @@
 // probe of quickstart's tiny GMAs and of byteswap4 on the incremental
 // engine, checks /version, scrapes /metrics and asserts the
 // compile-latency histogram counted the request, then shuts the server
-// down with SIGTERM and requires a clean exit. It exercises the whole
+// down with SIGTERM and requires a clean exit. The compile metrics are
+// derived from the filed flight reports, so the SAT probes counted on
+// /metrics must equal the probe rows of the fresh GMA records in
+// /debug/requests. It exercises the whole
 // service path — listener bootstrap, addr-file handshake, raw-source
 // POST, the flight-report ring, the shared registry, graceful drain —
 // with no test harness in between.
@@ -31,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/programs"
 )
 
@@ -213,12 +217,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	count, err := histogramCount(metrics.String(), "denali_compile_seconds_count")
+	count, err := sampleSum(metrics.String(), "denali_compile_seconds_count")
 	if err != nil {
 		return err
 	}
 	if count < 1 {
 		return fmt.Errorf("compile latency histogram count = %g after one compile, want >= 1", count)
+	}
+	probes, err := sampleSum(metrics.String(), "denali_sat_probes_total")
+	if err != nil {
+		return err
+	}
+	if rows, err := freshProbeRows(base); err != nil || probes != float64(rows) {
+		return fmt.Errorf("denali_sat_probes_total = %g, fresh GMA records in /debug/requests hold %d probe rows (%v)", probes, rows, err)
 	}
 
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
@@ -590,9 +601,9 @@ func readAll(resp *http.Response) string {
 	}
 }
 
-// histogramCount sums every series of a `<name>{labels} value` family in
+// sampleSum sums every series of a `<name>{labels} value` family in
 // Prometheus text exposition.
-func histogramCount(exposition, name string) (float64, error) {
+func sampleSum(exposition, name string) (float64, error) {
 	total := 0.0
 	found := false
 	for _, line := range strings.Split(exposition, "\n") {
@@ -618,4 +629,31 @@ func histogramCount(exposition, name string) (float64, error) {
 		return 0, fmt.Errorf("no %s series in /metrics output", name)
 	}
 	return total, nil
+}
+
+// freshProbeRows counts the probe rows of every GMA record in
+// /debug/requests that the server compiled itself: cache-hit and
+// coalesced rows replay an origin compile's ladder.
+func freshProbeRows(base string) (int, error) {
+	resp, err := http.Get(base + "/debug/requests?n=256")
+	if err != nil {
+		return 0, fmt.Errorf("GET /debug/requests: %w", err)
+	}
+	var index struct {
+		Reports []flight.Report `json:"reports"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&index)
+	resp.Body.Close()
+	if err != nil {
+		return 0, fmt.Errorf("decode /debug/requests: %w", err)
+	}
+	rows := 0
+	for _, rep := range index.Reports {
+		for _, g := range rep.GMAs {
+			if !g.CacheHit && !g.Coalesced {
+				rows += len(g.Probes)
+			}
+		}
+	}
+	return rows, nil
 }
