@@ -10,24 +10,43 @@ import (
 // derives the empty clause — it certifies nothing.
 var ErrNoEmptyClause = errors.New("drat: proof does not derive the empty clause")
 
+// errNoConflict fails an addition whose hints propagate without ever
+// falsifying a clause.
+var errNoConflict = errors.New("its hints end without a conflict")
+
 // maxCheckVar bounds the variables the checker accepts, so literal codes
 // (2v or 2v+1) fit its int32 arena.
 const maxCheckVar = 1<<30 - 1
 
-// Check verifies that steps is a valid RUP refutation of formula: every
-// addition step must be derivable by reverse unit propagation from the
-// premises plus the not-yet-deleted earlier additions, and some addition
-// must be the empty clause. It returns nil for a valid refutation and a
-// descriptive error (with the failing step index) otherwise.
+// Check verifies that steps is a valid hinted refutation of formula. It
+// returns nil for a valid refutation and a descriptive error (with the
+// failing step index) otherwise.
 //
-// The checker is a forward RUP checker with two watched literals and
-// clause-deletion support, independent of the solver package. Deletion
-// steps are hints: deleting a clause the checker never attached (or a
-// unit clause, whose consequence is already on the persistent trail) is
-// skipped, exactly as drat-trim's forward mode does. Skipping a deletion
-// can only make later RUP checks easier, and every clause in the
-// database is entailed by the premises when it is added, so acceptance
-// stays sound.
+// The checker keeps one persistent state: the unit-propagation fixpoint
+// of the live clause database (the root), maintained with two watched
+// literals as premises and accepted additions join it. An addition C is
+// checked only by walking its hints (see Step.Hints) under root ∪ ¬C, in
+// order:
+//
+//   - a hint with no literal that is not false is the conflict that
+//     accepts C;
+//   - a hint with exactly one such literal assigns it, or finds it
+//     already true;
+//   - anything else fails the step: a hint with two or more literals
+//     not false, a ref naming a later step, the step itself, a deletion
+//     step, a deleted clause or nothing, and a chain that ends without a
+//     conflict.
+//
+// C is accepted before any hint is walked when root ∪ ¬C is already
+// contradictory: a literal of C holds at the root, C is a tautology, or
+// the live database is inconsistent by unit propagation. Every ref is
+// resolved even then, and nothing ever falls back to propagating over
+// the whole database. The root knows at least what the solver's top
+// level knew when it learned C, so literals fixed there need no hints.
+//
+// A deletion step's one hint must name a live clause with exactly the
+// step's literals; that clause leaves the database and may not be hinted
+// again. What it propagated at the root stays: it was entailed.
 //
 // Steps after the first empty clause are ignored: the refutation is
 // already complete. Variables beyond 2^30−1 are rejected.
@@ -36,7 +55,7 @@ func Check(formula []Clause, steps []Step) error {
 }
 
 // check is Check over formula plus the unit premises assumed; closed
-// appends the empty clause to steps.
+// appends the empty clause, unhinted, to steps.
 func check(formula []Clause, assumed Clause, steps []Step, closed bool) error {
 	ck, err := newChecker(formula, assumed, steps)
 	if err != nil {
@@ -46,34 +65,36 @@ func check(formula []Clause, assumed Clause, steps []Step, closed bool) error {
 		ck.addPremise(c)
 	}
 	for _, l := range assumed {
-		ck.addPremise(Clause{l})
+		ck.unit(code(l))
 	}
 	for i, st := range steps {
 		if st.Del {
-			ck.remove(st.Lits)
+			if err := ck.remove(i, st); err != nil {
+				return fmt.Errorf("drat: step %d: deletion of %v: %w", i, st.Lits, err)
+			}
 			continue
 		}
-		if !ck.addRUP(st.Lits) {
-			return fmt.Errorf("drat: step %d: clause %v is not RUP", i, st.Lits)
+		if err := ck.add(i, st); err != nil {
+			return fmt.Errorf("drat: step %d: clause %v: %w", i, st.Lits, err)
 		}
 		if len(st.Lits) == 0 {
 			return nil // refutation complete
 		}
 	}
 	if closed {
-		if !ck.addRUP(nil) {
-			return fmt.Errorf("drat: step %d: clause [] is not RUP", len(steps))
+		if err := ck.add(len(steps), Step{}); err != nil {
+			return fmt.Errorf("drat: step %d: clause []: %w", len(steps), err)
 		}
 		return nil
 	}
 	return ErrNoEmptyClause
 }
 
-// The checker keeps every attached clause in one literal arena, the way
-// the solver's clause store does, but shares no code with it. A literal
-// is coded 2v for variable v and 2v+1 for ¬v, so negation is ^1 and the
-// value table, the watch lists and the normalization marks are all
-// indexed by code.
+// The checker keeps every premise and addition in one literal arena, the
+// way the solver's clause store does, but shares no code with it. A
+// literal is coded 2v for variable v and 2v+1 for ¬v, so negation is ^1
+// and the value table, the watch lists and the normalization marks are
+// all indexed by code.
 
 // code maps a DIMACS literal to its code.
 func code(l int) int32 {
@@ -83,7 +104,8 @@ func code(l int) int32 {
 	return int32(2 * l)
 }
 
-// hdr locates one attached clause's literals in the arena.
+// hdr locates one stored clause's literals in the arena. A deletion step
+// stores an empty, deleted header, so refs resolve by position.
 type hdr struct {
 	start, size uint32
 	deleted     bool
@@ -98,28 +120,25 @@ type watcher struct {
 	blocker int32
 }
 
-// checker replays a derivation by unit propagation. The persistent state
-// (trail, assignments) is the UP fixpoint of the live clause database;
-// each RUP check pushes temporary assumptions on the same trail and
+// checker replays a hinted derivation. The persistent state (trail,
+// assignments) is the UP fixpoint of the live clause database; each
+// addition's hint walk pushes temporary assignments on the same trail and
 // rolls them back.
 type checker struct {
 	val   []int8  // literal code -> 0 unassigned, 1 true, -1 false
 	trail []int32 // assigned codes, persistent prefix then temps
 	qhead int
 
-	arena []int32 // attached clauses' literal codes, back to back
-	hdrs  []hdr   // clause ref -> its run in arena
+	arena []int32 // stored clauses' literal codes, back to back
+	// hdrs holds one header per premise, then one per step, so premise
+	// p is hdrs[p] and step j is hdrs[premises+j].
+	hdrs     []hdr
+	premises int
+	steps    []Step
 	// watches[c] lists the clauses watching code c; short lists are
 	// carved from slab (see watch).
 	watches [][]watcher
 	slab    []watcher
-
-	// byKey indexes clauses for deletion steps by an order-independent
-	// hash of their literal set: the head ref+1 of a chain continued by
-	// next. Most certificates delete few or no clauses, so the index is
-	// built on the first deletion step and maintained after that.
-	byKey map[uint64]uint32
-	next  []uint32
 
 	// topConflict is set once the database is UP-inconsistent; every
 	// later addition (the empty clause in particular) is then entailed.
@@ -132,11 +151,11 @@ type checker struct {
 }
 
 // newChecker sizes the checker for formula, assumed and steps in one
-// pass: the value table and marks to the largest variable, and the arena
-// to every premise and addition literal, so loading and checking never
-// regrow them.
+// pass: the value table and marks to the largest variable, the arena to
+// every premise and addition literal and the headers to every premise
+// and step, so loading and checking never regrow them.
 func newChecker(formula []Clause, assumed Clause, steps []Step) (*checker, error) {
-	maxVar, lits := 0, 0
+	maxVar, lits, checked := 0, 0, len(steps)
 	scan := func(c Clause) error {
 		for _, l := range c {
 			v := l
@@ -159,7 +178,7 @@ func newChecker(formula []Clause, assumed Clause, steps []Step) (*checker, error
 	if err := scan(assumed); err != nil {
 		return nil, err
 	}
-	for _, st := range steps {
+	for i, st := range steps {
 		if err := scan(st.Lits); err != nil {
 			return nil, err
 		}
@@ -168,16 +187,19 @@ func newChecker(formula []Clause, assumed Clause, steps []Step) (*checker, error
 			continue
 		}
 		if len(st.Lits) == 0 {
-			break // Check stops at the first empty clause
+			checked = i + 1 // Check stops at the first empty clause
+			break
 		}
 	}
 	codes := 2*maxVar + 2
 	return &checker{
-		val:     make([]int8, codes),
-		mark:    make([]uint32, codes),
-		watches: make([][]watcher, codes),
-		arena:   make([]int32, 0, lits),
-		hdrs:    make([]hdr, 0, len(formula)),
+		val:      make([]int8, codes),
+		mark:     make([]uint32, codes),
+		watches:  make([][]watcher, codes),
+		arena:    make([]int32, 0, lits),
+		hdrs:     make([]hdr, 0, len(formula)+checked),
+		premises: len(formula),
+		steps:    steps,
 	}, nil
 }
 
@@ -221,42 +243,50 @@ func (ck *checker) normalize(c Clause) ([]int32, bool) {
 	ck.markGen++
 	gen := ck.markGen
 	out := ck.norm[:0]
+	taut := false
 	for _, l := range c {
 		x := code(l)
 		if ck.mark[x] == gen {
 			continue
 		}
-		if ck.mark[x^1] == gen {
-			ck.norm = out
-			return nil, true
-		}
+		taut = taut || ck.mark[x^1] == gen
 		ck.mark[x] = gen
 		out = append(out, x)
 	}
 	ck.norm = out
-	return out, false
+	return out, taut
 }
 
-// addPremise installs one original clause without any RUP obligation.
+// addPremise stores one original clause without any obligation.
 func (ck *checker) addPremise(c Clause) {
 	norm, taut := ck.normalize(c)
-	if taut {
-		return
+	r := ck.store(norm)
+	if !taut {
+		ck.attach(r)
 	}
-	ck.attach(norm)
 }
 
-// attach installs a (normalized) clause into the persistent database,
-// propagating persistently when it is unit and recording a top-level
-// conflict when it is falsified outright.
-func (ck *checker) attach(c []int32) {
+// store copies a (normalized) clause into the arena and returns its ref.
+func (ck *checker) store(c []int32) uint32 {
+	r := uint32(len(ck.hdrs))
+	ck.hdrs = append(ck.hdrs, hdr{start: uint32(len(ck.arena)), size: uint32(len(c))})
+	ck.arena = append(ck.arena, c...)
+	return r
+}
+
+func (ck *checker) lits(r uint32) []int32 {
+	h := &ck.hdrs[r]
+	return ck.arena[h.start : h.start+h.size : h.start+h.size]
+}
+
+// attach joins stored clause r to the root's propagation, propagating
+// persistently when it is unit and recording a top-level conflict when
+// it is falsified outright.
+func (ck *checker) attach(r uint32) {
 	if ck.topConflict {
 		return
 	}
-	if len(c) == 0 {
-		ck.topConflict = true
-		return
-	}
+	c := ck.lits(r)
 	// Move two non-false literals into the watch positions.
 	w := 0
 	for i, l := range c {
@@ -270,46 +300,31 @@ func (ck *checker) attach(c []int32) {
 	}
 	switch w {
 	case 0:
-		// Every literal false under the persistent trail: the database
-		// is inconsistent the moment this clause joins it.
+		// Every literal false at the root: the database is inconsistent
+		// the moment this clause joins it.
 		ck.topConflict = true
-		return
 	case 1:
-		// Unit under the persistent assignment (or a unit clause): its
-		// literal is forced, and since persistent assignments are never
-		// undone the clause is satisfied forever after — it need not be
-		// watched; the consequence lives on the trail.
-		if ck.val[c[0]] == 0 {
-			ck.assign(c[0])
-			if !ck.propagate() {
-				ck.topConflict = true
-			}
-		}
-		if len(c) >= 2 {
-			ck.store(c) // findable for deletion steps, never watched
-		}
-		return
+		// Unit at the root (or a unit clause): its literal is forced,
+		// and since root assignments are never undone the clause is
+		// satisfied forever after — it need not be watched.
+		ck.unit(c[0])
+	default:
+		ck.watch(c[0], watcher{r, c[1]})
+		ck.watch(c[1], watcher{r, c[0]})
 	}
-	r := ck.store(c)
-	ck.watch(c[0], watcher{r, c[1]})
-	ck.watch(c[1], watcher{r, c[0]})
 }
 
-// store copies a clause into the arena and returns its ref, indexing it
-// for deletion steps once the index exists.
-func (ck *checker) store(c []int32) uint32 {
-	r := uint32(len(ck.hdrs))
-	ck.hdrs = append(ck.hdrs, hdr{start: uint32(len(ck.arena)), size: uint32(len(c))})
-	ck.arena = append(ck.arena, c...)
-	if ck.byKey != nil {
-		ck.index(r)
+// unit asserts code c at the root and propagates it.
+func (ck *checker) unit(c int32) {
+	switch ck.val[c] {
+	case 0:
+		ck.assign(c)
+		if !ck.propagate() {
+			ck.topConflict = true
+		}
+	case -1:
+		ck.topConflict = true
 	}
-	return r
-}
-
-func (ck *checker) lits(r uint32) []int32 {
-	h := &ck.hdrs[r]
-	return ck.arena[h.start : h.start+h.size : h.start+h.size]
 }
 
 // propagate runs unit propagation from qhead; it returns false on
@@ -368,103 +383,128 @@ func (ck *checker) propagate() bool {
 	return true
 }
 
-// addRUP checks one addition step by reverse unit propagation and, on
-// success, installs the clause persistently. It returns false when the
-// clause is not RUP.
-func (ck *checker) addRUP(c Clause) bool {
-	if ck.topConflict {
-		return true // anything follows from an inconsistent database
-	}
-	norm, taut := ck.normalize(c)
-	if taut {
-		return true // trivially entailed; never propagates, skip attach
-	}
-	// Assume the negation of every literal, then propagate: a conflict
-	// proves the clause follows from the database by unit propagation.
+// add checks addition step i by walking its hints and, on success,
+// stores the clause and joins it to the root.
+func (ck *checker) add(i int, st Step) error {
+	norm, taut := ck.normalize(st.Lits)
+	// Root ∪ ¬C is contradictory before any hint when the database
+	// already is, when C is a tautology, or when a literal of C holds at
+	// the root.
+	conflict := ck.topConflict || taut
 	mark := len(ck.trail)
-	conflict := false
-	for _, l := range norm {
-		if v := ck.val[l]; v > 0 {
-			// The literal already holds, so asserting its negation is an
-			// immediate contradiction.
-			conflict = true
-			break
-		} else if v == 0 {
-			ck.assign(l ^ 1)
+	if !conflict {
+		for _, l := range norm {
+			if v := ck.val[l]; v > 0 {
+				conflict = true
+				break
+			} else if v == 0 {
+				ck.assign(l ^ 1)
+			}
 		}
 	}
-	if !conflict {
-		conflict = !ck.propagate()
-	}
-	// Roll back the assumptions and their consequences.
+	err := ck.walk(i, st.Hints, conflict)
+	// Roll back ¬C and everything the hints derived.
 	for _, l := range ck.trail[mark:] {
 		ck.val[l] = 0
 		ck.val[l^1] = 0
 	}
 	ck.trail = ck.trail[:mark]
-	ck.qhead = mark
+	if err != nil || len(norm) == 0 {
+		return err // the empty clause completes the refutation
+	}
+	r := ck.store(norm)
+	if !taut {
+		ck.attach(r)
+	}
+	return nil
+}
+
+// walk propagates step i's hints in order; conflict reports that the
+// step is already accepted, so the hints are only resolved.
+func (ck *checker) walk(i int, hints []int32, conflict bool) error {
+	for k, ref := range hints {
+		r, err := ck.resolve(i, ref)
+		if err != nil {
+			return fmt.Errorf("hint %d: %w", k, err)
+		}
+		if conflict {
+			continue
+		}
+		var unit int32
+		open := 0
+		for _, l := range ck.lits(r) {
+			if ck.val[l] >= 0 {
+				unit = l
+				if open++; open > 1 {
+					break
+				}
+			}
+		}
+		switch {
+		case open == 0:
+			conflict = true
+		case open > 1:
+			return fmt.Errorf("hint %d: ref %d is not unit", k, ref)
+		case ck.val[unit] == 0:
+			ck.assign(unit)
+		}
+	}
 	if !conflict {
-		return false
+		return errNoConflict
 	}
-	ck.attach(norm)
-	return true
+	return nil
 }
 
-// setKey hashes a clause's literal set: a sum of mixed codes, so literal
-// order does not matter. Equal keys are confirmed by sameSet.
-func setKey(c []int32) uint64 {
-	var k uint64
-	for _, l := range c {
-		x := uint64(l) + 0x9e3779b97f4a7c15
-		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-		x = (x ^ x>>27) * 0x94d049bb133111eb
-		k += x ^ x>>31
+// resolve maps ref, as used by step i, to the stored clause it names,
+// failing unless that is a live premise or an earlier live addition.
+func (ck *checker) resolve(i int, ref int32) (uint32, error) {
+	var r int
+	switch {
+	case ref > 0 && int(ref) <= ck.premises:
+		r = int(ref) - 1
+	case ref < 0 && int(^ref) < len(ck.steps):
+		j := int(^ref) // −ref−1, without overflowing at the minimum
+		switch {
+		case j > i:
+			return 0, fmt.Errorf("ref %d names a later step", ref)
+		case j == i:
+			return 0, fmt.Errorf("ref %d names the step itself", ref)
+		case ck.steps[j].Del:
+			return 0, fmt.Errorf("ref %d names a deletion step", ref)
+		}
+		r = ck.premises + j
+	default:
+		return 0, fmt.Errorf("ref %d is out of range", ref)
 	}
-	return k
+	if ck.hdrs[r].deleted {
+		return 0, fmt.Errorf("ref %d names a deleted clause", ref)
+	}
+	return uint32(r), nil
 }
 
-// index chains clause r, the next ref in order, into byKey under its
-// literal set's key.
-func (ck *checker) index(r uint32) {
-	k := setKey(ck.lits(r))
-	ck.next = append(ck.next, ck.byKey[k])
-	ck.byKey[k] = r + 1
-}
-
-// sameSet reports whether clause r holds exactly the literals of the
-// just-normalized clause c (whose marks are still current).
-func (ck *checker) sameSet(r uint32, c []int32) bool {
+// remove processes deletion step i: its one hint must name a live clause
+// with exactly the step's literals, which then leaves the database
+// (watch lists drop it lazily in propagate).
+func (ck *checker) remove(i int, st Step) error {
+	ck.hdrs = append(ck.hdrs, hdr{deleted: true}) // the step itself is no clause
+	if len(st.Hints) != 1 {
+		return fmt.Errorf("names %d clauses, want 1", len(st.Hints))
+	}
+	ref := st.Hints[0]
+	r, err := ck.resolve(i, ref)
+	if err != nil {
+		return err
+	}
+	norm, _ := ck.normalize(st.Lits)
 	ls := ck.lits(r)
-	if len(ls) != len(c) {
-		return false
+	if len(ls) != len(norm) {
+		return fmt.Errorf("ref %d names a clause with other literals", ref)
 	}
 	for _, l := range ls {
 		if ck.mark[l] != ck.markGen {
-			return false
+			return fmt.Errorf("ref %d names a clause with other literals", ref)
 		}
 	}
-	return true
-}
-
-// remove processes a deletion step: a live clause with the same literal
-// set is detached. Unit clauses and clauses the checker never attached
-// are skipped (their consequences are already persistent).
-func (ck *checker) remove(c Clause) {
-	norm, taut := ck.normalize(c)
-	if taut || len(norm) <= 1 {
-		return
-	}
-	if ck.byKey == nil {
-		ck.byKey = make(map[uint64]uint32, len(ck.hdrs))
-		ck.next = make([]uint32, 0, len(ck.hdrs))
-		for r := range ck.hdrs {
-			ck.index(uint32(r))
-		}
-	}
-	for r := ck.byKey[setKey(norm)]; r != 0; r = ck.next[r-1] {
-		if h := &ck.hdrs[r-1]; !h.deleted && ck.sameSet(r-1, norm) {
-			h.deleted = true // watch lists prune lazily in propagate
-			return
-		}
-	}
+	ck.hdrs[r].deleted = true
+	return nil
 }

@@ -3,8 +3,11 @@ package drat
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,8 +18,8 @@ import (
 // recorder attached. With pigeons > holes the formula is UNSAT but not
 // refutable by unit propagation on the premises alone, so the learned
 // steps of the proof are load-bearing.
-func pigeonhole(t *testing.T, pigeons, holes int) (*sat.Solver, *Recorder) {
-	t.Helper()
+func pigeonhole(tb testing.TB, pigeons, holes int) (*sat.Solver, *Recorder) {
+	tb.Helper()
 	s := sat.New()
 	rec := NewRecorder()
 	s.Proof = rec
@@ -44,13 +47,23 @@ func pigeonhole(t *testing.T, pigeons, holes int) (*sat.Solver, *Recorder) {
 	return s, rec
 }
 
-func refutation(t *testing.T, pigeons, holes int) *Certificate {
-	t.Helper()
-	s, rec := pigeonhole(t, pigeons, holes)
+func refutation(tb testing.TB, pigeons, holes int) *Certificate {
+	tb.Helper()
+	s, rec := pigeonhole(tb, pigeons, holes)
 	if got := s.Solve(); got != sat.Unsat {
-		t.Fatalf("PHP(%d,%d): Solve = %v, want Unsat", pigeons, holes, got)
+		tb.Fatalf("PHP(%d,%d): Solve = %v, want Unsat", pigeons, holes, got)
 	}
 	return rec.Certificate()
+}
+
+// cloneSteps deep-copies steps, literals and hints alike, so a corruption
+// never writes through to the recorder's shared storage.
+func cloneSteps(steps []Step) []Step {
+	out := make([]Step, len(steps))
+	for i, s := range steps {
+		out[i] = Step{Del: s.Del, Lits: slices.Clone(s.Lits), Hints: slices.Clone(s.Hints)}
+	}
+	return out
 }
 
 func TestSolverProofChecks(t *testing.T) {
@@ -96,16 +109,8 @@ func TestCorruptProofRejected(t *testing.T) {
 		t.Fatalf("baseline proof rejected: %v", err)
 	}
 
-	copySteps := func() []Step {
-		out := make([]Step, len(cert.Steps))
-		for i, s := range cert.Steps {
-			out[i] = Step{Del: s.Del, Lits: append(Clause(nil), s.Lits...)}
-		}
-		return out
-	}
-
 	t.Run("truncated before empty clause", func(t *testing.T) {
-		steps := copySteps()
+		steps := cloneSteps(cert.Steps)
 		for len(steps) > 0 {
 			last := steps[len(steps)-1]
 			steps = steps[:len(steps)-1]
@@ -132,7 +137,7 @@ func TestCorruptProofRejected(t *testing.T) {
 			if cert.Steps[i].Del || len(cert.Steps[i].Lits) == 0 {
 				continue
 			}
-			steps := copySteps()
+			steps := cloneSteps(cert.Steps)
 			steps = append(steps[:i], steps[i+1:]...)
 			if Check(cert.Formula, steps) != nil {
 				broke = true
@@ -149,7 +154,7 @@ func TestCorruptProofRejected(t *testing.T) {
 			if cert.Steps[i].Del || len(cert.Steps[i].Lits) == 0 {
 				continue
 			}
-			steps := copySteps()
+			steps := cloneSteps(cert.Steps)
 			steps[i].Lits[0] = -steps[i].Lits[0]
 			if Check(cert.Formula, steps) != nil {
 				broke = true
@@ -192,27 +197,156 @@ func TestCorruptProofRejected(t *testing.T) {
 			t.Fatal("checker accepted a refutation of a satisfiable formula")
 		}
 	})
+
+	t.Run("hints", func(t *testing.T) {
+		for _, c := range hintCorruptions(t) {
+			err := Check(c.Formula, c.Steps)
+			if err == nil {
+				t.Errorf("%s: accepted", c.Name)
+				continue
+			}
+			if step := fmt.Sprintf("drat: step %d:", c.step); !strings.HasPrefix(err.Error(), step) || !strings.Contains(err.Error(), c.why) {
+				t.Errorf("%s: %v, want a failure at step %d because %q", c.Name, err, c.step, c.why)
+			}
+		}
+	})
+}
+
+// hintCase is a proof whose hints were broken, the step whose check must
+// fail, and words of the reason it must give.
+type hintCase struct {
+	RefCase
+	step int
+	why  string
+}
+
+// hintCorruptions breaks valid proofs' hints every way the checker must
+// reject. Most cases edit the first lemma of a PHP(4,3) proof: the
+// checker's root there is the solver's top level, empty, so every hint is
+// load-bearing, and the lemma is RUP whatever its hints say — emptying
+// them shows there is no fallback. PHP(8,7)'s proof deletes clauses, so
+// it serves the cases that point a hint at a deletion step, at a deleted
+// clause, and a deletion at the wrong clause.
+func hintCorruptions(t *testing.T) []hintCase {
+	t.Helper()
+	php := refutation(t, 4, 3)
+	if len(php.Steps) < 2 || php.Steps[0].Del || len(php.Steps[0].Hints) < 3 {
+		t.Fatalf("PHP(4,3) proof does not open with a lemma of three or more hints: %+v", php.Steps)
+	}
+	edit := func(name string, cert *Certificate, i int, why string, f func(h []int32) []int32) hintCase {
+		steps := cloneSteps(cert.Steps)
+		steps[i].Hints = f(steps[i].Hints)
+		return hintCase{RefCase{name, cert.Formula, steps}, i, why}
+	}
+	retarget := func(name string, cert *Certificate, i int, ref int32, why string) hintCase {
+		return edit(name, cert, i, why, func(h []int32) []int32 { h[len(h)-1] = ref; return h })
+	}
+	const notUnit, noConflict = "is not unit", "without a conflict"
+	cases := []hintCase{
+		edit("hint dropped", php, 0, notUnit, func(h []int32) []int32 { return h[1:] }),
+		edit("conflict hint dropped", php, 0, noConflict, func(h []int32) []int32 { return h[:len(h)-1] }),
+		edit("hints reversed", php, 0, notUnit, func(h []int32) []int32 { slices.Reverse(h); return h }),
+		edit("hints emptied", php, 0, noConflict, func([]int32) []int32 { return nil }),
+		// The chain behind it still ends in a conflict, so only the rule
+		// that a non-unit hint fails the step rejects this.
+		edit("conflict hint also first", php, 0, notUnit, func(h []int32) []int32 { return append([]int32{h[len(h)-1]}, h...) }),
+		retarget("hint to a later step", php, 0, ^int32(1), "later step"),
+		retarget("hint to the step itself", php, 0, ^int32(0), "step itself"),
+		retarget("hint past the premises", php, 0, int32(len(php.Formula)+1), "out of range"),
+		retarget("hint past the steps", php, 0, ^int32(len(php.Steps)), "out of range"),
+		retarget("zero hint", php, 0, 0, "out of range"),
+	}
+	big := refutation(t, 8, 7)
+	d := slices.IndexFunc(big.Steps, func(s Step) bool { return s.Del })
+	if d < 0 {
+		t.Fatal("PHP(8,7) proof deletes nothing")
+	}
+	j := d + 1
+	for j < len(big.Steps) && (big.Steps[j].Del || len(big.Steps[j].Hints) == 0) {
+		j++
+	}
+	if j == len(big.Steps) {
+		t.Fatal("PHP(8,7) proof has no hinted lemma after its first deletion")
+	}
+	return append(cases,
+		retarget("hint to a deletion step", big, j, ^int32(d), "deletion step"),
+		retarget("hint to a deleted clause", big, j, big.Steps[d].Hints[0], "deleted clause"),
+		retarget("deletion of another clause", big, d, 1, "other literals"),
+	)
+}
+
+// RefCase is one formula and derivation the checker and the RUP
+// reference both judge.
+type RefCase struct {
+	Name    string
+	Formula []Clause
+	Steps   []Step
+}
+
+// solverProofs builds the solver's proofs both checkers must accept: the
+// UNSAT corpus, also under shuffled clause order, and PHP(n+1,n) for n =
+// 2..7, whose larger instances exercise deletion steps.
+func solverProofs(t *testing.T) []RefCase {
+	t.Helper()
+	var cases []RefCase
+	files, err := filepath.Glob(filepath.Join(corpusDir, "*.unsat.cnf"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no UNSAT corpus CNFs under %s: %v", corpusDir, err)
+	}
+	for _, f := range files {
+		base := filepath.Base(f)
+		vars, clauses := readDIMACS(t, f)
+		rng := rand.New(rand.NewSource(int64(len(base))))
+		for round := 0; round < 4; round++ {
+			_, cert := solveWithProof(vars, clauses)
+			cases = append(cases, RefCase{fmt.Sprintf("%s/%d", base, round), clauses, cert.Steps})
+			clauses = slices.Clone(clauses)
+			rng.Shuffle(len(clauses), func(i, j int) { clauses[i], clauses[j] = clauses[j], clauses[i] })
+		}
+	}
+	for n := 2; n <= 7; n++ {
+		cert := refutation(t, n+1, n)
+		cases = append(cases, RefCase{fmt.Sprintf("php%d-%d", n+1, n), cert.Formula, cert.Steps})
+	}
+	return cases
+}
+
+// corruptions builds every corruption TestCorruptProofRejected makes:
+// of a PHP(4,3) proof, the truncation, each lemma dropped, each lemma
+// with a literal flipped and the weakened formula; then every hint
+// corruption.
+func corruptions(t *testing.T) []RefCase {
+	t.Helper()
+	var cases []RefCase
+	cert := refutation(t, 4, 3)
+	steps := cloneSteps(cert.Steps)
+	for len(steps) > 0 {
+		last := steps[len(steps)-1]
+		steps = steps[:len(steps)-1]
+		if !last.Del && len(last.Lits) == 0 {
+			break
+		}
+	}
+	cases = append(cases, RefCase{"truncated", cert.Formula, append(steps, Step{})})
+	for i := range cert.Steps {
+		if cert.Steps[i].Del || len(cert.Steps[i].Lits) == 0 {
+			continue
+		}
+		dropped := cloneSteps(cert.Steps)
+		dropped = append(dropped[:i], dropped[i+1:]...)
+		cases = append(cases, RefCase{fmt.Sprintf("drop%d", i), cert.Formula, dropped})
+		flipped := cloneSteps(cert.Steps)
+		flipped[i].Lits[0] = -flipped[i].Lits[0]
+		cases = append(cases, RefCase{fmt.Sprintf("flip%d", i), cert.Formula, flipped})
+	}
+	cases = append(cases, RefCase{"weakened", cert.Formula[:len(cert.Formula)-1], cert.Steps})
+	for _, c := range hintCorruptions(t) {
+		cases = append(cases, c.RefCase)
+	}
+	return cases
 }
 
 // Wire format round-trips.
-
-func TestTextRoundTrip(t *testing.T) {
-	cert := refutation(t, 4, 3)
-	var buf bytes.Buffer
-	if err := WriteText(&buf, cert.Steps); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseText(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ParseText: %v", err)
-	}
-	if !stepsEqual(got, cert.Steps) {
-		t.Fatal("text round-trip mismatch")
-	}
-	if err := Check(cert.Formula, got); err != nil {
-		t.Fatalf("round-tripped proof rejected: %v", err)
-	}
-}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	cert := refutation(t, 4, 3)

@@ -1,13 +1,15 @@
 package drat
 
-import "testing"
-
-// Exports for the external test package, which builds golden-corpus
-// certificates through internal/core and so cannot be an internal test
-// of this package (core imports drat).
+// Exports for the external test package, which checks proofs against
+// the RUP reference in internal/drat/dratref and builds golden-corpus
+// certificates through internal/core, so it cannot be an internal test
+// of this package (dratref and core import drat).
 var (
-	RefCheck = refCheck
-	Verdict  = verdict
+	CloneSteps     = cloneSteps
+	Corruptions    = corruptions
+	DecodeInstance = decodeInstance
+	HintedSeed     = hintedSeed
+	Refutation     = refutation
+	SolverProofs   = solverProofs
+	StepsEqual     = stepsEqual
 )
-
-func ReferenceCases(t *testing.T) []RefCase { return referenceCases(t) }

@@ -1,12 +1,14 @@
 package drat_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/arch/alpha"
 	"repro/internal/axioms"
 	"repro/internal/core"
 	"repro/internal/drat"
+	"repro/internal/drat/dratref"
 	"repro/internal/lang"
 	"repro/internal/programs"
 )
@@ -64,28 +66,62 @@ func goldenCerts(tb testing.TB, only string) []drat.RefCase {
 	return out
 }
 
-// TestCheckerAgainstReference runs the flat arena checker and the
-// pointer-based checker it replaced side by side: on solver proofs of
-// the DIMACS corpus (also permuted), PHP(n+1,n) proofs with deletions,
-// every corruption TestCorruptProofRejected makes, and every
-// golden-corpus certificate, both must reach the same verdict — and a
-// rejection must name the same failing step.
+// TestCheckerAgainstReference runs the hinted checker and the RUP
+// reference in internal/drat/dratref side by side. Both must accept every
+// proof the solver produces: the UNSAT DIMACS corpus in four clause
+// orders, PHP(3,2)…PHP(8,7) and every golden-corpus certificate. On every
+// corruption TestCorruptProofRejected makes, the hinted checker may be
+// stricter than the reference but never looser: its acceptance implies
+// the reference's.
 func TestCheckerAgainstReference(t *testing.T) {
-	cases := drat.ReferenceCases(t)
 	golden := goldenCerts(t, "")
 	if len(golden) == 0 {
 		t.Fatal("the golden corpus produced no certificates")
 	}
-	seen := map[string]int{}
-	for _, c := range append(cases, golden...) {
-		got := drat.Verdict(drat.Check(c.Formula, c.Steps))
-		want := drat.Verdict(drat.RefCheck(c.Formula, c.Steps))
-		if got != want {
-			t.Errorf("%s: checker %s, reference %s", c.Name, got, want)
+	for _, c := range append(drat.SolverProofs(t), golden...) {
+		if err := drat.Check(c.Formula, c.Steps); err != nil {
+			t.Errorf("%s: checker rejected a solver proof: %v", c.Name, err)
 		}
-		seen[want[:4]]++
+		if err := dratref.Check(c.Formula, c.Steps); err != nil {
+			t.Errorf("%s: reference rejected a solver proof: %v", c.Name, err)
+		}
 	}
-	if seen["acce"] == 0 || seen["reje"] == 0 {
-		t.Fatalf("verdicts %v: the cases must include both valid and broken proofs", seen)
+	rejected, stricter := 0, 0
+	for _, c := range drat.Corruptions(t) {
+		got, want := drat.Check(c.Formula, c.Steps), dratref.Check(c.Formula, c.Steps)
+		if got == nil && want != nil {
+			t.Errorf("%s: checker accepted what the reference rejects: %v", c.Name, want)
+		}
+		if got != nil {
+			rejected++
+			if want == nil {
+				stricter++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("the checker rejected no corruption: the cases must include broken proofs")
+	}
+	t.Logf("checker rejected %d corruptions, %d of them accepted by the reference", rejected, stricter)
+}
+
+// TestTextRoundTrip writes a PHP(4,3) proof as DRAT text, parses it back
+// and checks the parsed proof with the RUP reference: the text carries no
+// hints, so it is plain DRAT.
+func TestTextRoundTrip(t *testing.T) {
+	cert := drat.Refutation(t, 4, 3)
+	var buf bytes.Buffer
+	if err := drat.WriteText(&buf, cert.Steps); err != nil {
+		t.Fatal(err)
+	}
+	got, err := drat.ParseText(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("ParseText: %v", err)
+	}
+	if !drat.StepsEqual(got, cert.Steps) {
+		t.Fatal("text round-trip mismatch")
+	}
+	if err := dratref.Check(cert.Formula, got); err != nil {
+		t.Fatalf("round-tripped proof rejected: %v", err)
 	}
 }

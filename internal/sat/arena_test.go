@@ -4,14 +4,34 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
-// logProof records a solver's derivation, copying each clause.
+// logProof records a solver's derivation, copying each clause: a tag
+// (1<<30 input, -1 learned, -2 deleted), then the deleted clause's ID or
+// the learned clause's hints, a -3 separator, and the literals.
 type logProof struct{ steps [][]Lit }
 
-func (p *logProof) Input(lits []Lit)  { p.steps = append(p.steps, append([]Lit{1 << 30}, lits...)) }
-func (p *logProof) Learn(lits []Lit)  { p.steps = append(p.steps, append([]Lit(nil), lits...)) }
-func (p *logProof) Delete(lits []Lit) { p.steps = append(p.steps, append([]Lit{-2}, lits...)) }
+func (p *logProof) Input(lits []Lit) { p.steps = append(p.steps, append([]Lit{1 << 30}, lits...)) }
+
+func (p *logProof) Learn(lits []Lit, hints []int32) {
+	step := []Lit{-1}
+	for _, h := range hints {
+		step = append(step, Lit(h))
+	}
+	p.steps = append(p.steps, append(append(step, -3), lits...))
+}
+
+func (p *logProof) Delete(lits []Lit, id int32) {
+	p.steps = append(p.steps, append([]Lit{-2, Lit(id), -3}, lits...))
+}
+
+// TestClauseHdrSize: the proof ID lives in the header's padding.
+func TestClauseHdrSize(t *testing.T) {
+	if got := unsafe.Sizeof(clauseHdr{}); got != 24 {
+		t.Fatalf("clauseHdr is %d bytes, want 24", got)
+	}
+}
 
 // random3SAT adds a seeded random 3-SAT instance to s.
 func random3SAT(s *Solver, seed int64, vars, clauses int) *Solver {

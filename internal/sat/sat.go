@@ -64,12 +64,14 @@ type cref int32
 const crefUndef cref = -1
 
 // clauseHdr locates one clause's literals in the arena and carries its
-// database bookkeeping.
+// database bookkeeping. The proof ID sits in the padding after the two
+// flags, so a header stays 24 bytes.
 type clauseHdr struct {
 	start    int32 // index of the first literal in Solver.arena
 	size     int32
 	learned  bool
 	deleted  bool
+	id       int32 // the clause's proof ID (see Proof); 0 with no Proof attached
 	activity float64
 }
 
@@ -145,12 +147,13 @@ type Solver struct {
 	unsat bool
 
 	// Scratch buffers reused across calls: AddClause's sorted copy and
-	// its proof-log copy, analyze's learned clause and its seen marks
-	// (all false between calls).
+	// its proof-log copy, analyze's learned clause, its seen marks (all
+	// false between calls) and, with a Proof attached, its hints.
 	addBuf   []Lit
 	inputBuf []Lit
 	learnBuf []Lit
 	seen     []bool
+	hints    []int32
 
 	// model is the assignment snapshot of the last Sat answer. Solve
 	// backtracks to level 0 before returning (so clauses can be added and
@@ -170,10 +173,13 @@ type Solver struct {
 	MaxConflicts int64
 
 	// Proof, when non-nil, receives the clausal derivation (original
-	// clauses, learned clauses, deletions) so an UNSAT answer can be
-	// checked independently; see the Proof interface. Attach it before
-	// the first AddClause or the premises will be incomplete.
+	// clauses, learned clauses with their hints, deletions) so an UNSAT
+	// answer can be checked independently; see the Proof interface.
+	// Attach it before the first AddClause or the premises will be
+	// incomplete.
 	Proof Proof
+	// proofID is the ID of the clause most recently logged to Proof.
+	proofID int32
 
 	// stop is the cancellation flag: Interrupt (from any goroutine) makes
 	// the running Solve return Unknown with Stats().Cancelled set.
@@ -308,13 +314,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	case 0:
 		// The clause is falsified by top-level units alone, so the empty
 		// clause is derivable by unit propagation: the refutation is done.
-		s.logLearn(nil)
+		s.logEmpty(s.proofID)
 		s.unsat = true
 		return false
 	case 1:
 		s.enqueue(out[0], crefUndef)
-		if s.propagate() != crefUndef {
-			s.logLearn(nil)
+		if confl := s.propagate(); confl != crefUndef {
+			s.logEmpty(s.hdrs[confl].id)
 			s.unsat = true
 			return false
 		}
@@ -328,9 +334,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 }
 
 // newClause copies lits into the arena and returns the new clause's ref.
+// The clause takes the proof ID of the clause logged last: AddClause and
+// the conflict loop create a clause right after logging it.
 func (s *Solver) newClause(lits []Lit, learned bool) cref {
 	c := cref(len(s.hdrs))
-	s.hdrs = append(s.hdrs, clauseHdr{start: int32(len(s.arena)), size: int32(len(lits)), learned: learned})
+	s.hdrs = append(s.hdrs, clauseHdr{start: int32(len(s.arena)), size: int32(len(lits)), learned: learned, id: s.proofID})
 	s.arena = append(s.arena, lits...)
 	return c
 }
@@ -456,7 +464,9 @@ func (s *Solver) propagate() cref {
 
 // analyze derives a first-UIP learned clause from a conflict. The asserting
 // literal is placed at index 0 and the backtrack level returned. The
-// clause lives in a buffer reused by the next conflict.
+// clause lives in a buffer reused by the next conflict. With a Proof
+// attached, s.hints receives the IDs of the clauses the derivation
+// resolves, in propagation order: the reasons, then the conflict clause.
 func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	learnt := append(s.learnBuf[:0], litUndef)
 	seen := s.seen
@@ -464,7 +474,12 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	p := litUndef
 	index := len(s.trail) - 1
 	curLevel := int32(len(s.lim))
+	logging := s.Proof != nil
+	hints := s.hints[:0]
 	for {
+		if logging {
+			hints = append(hints, s.hdrs[confl].id)
+		}
 		if s.hdrs[confl].learned {
 			s.bumpClause(confl)
 		}
@@ -497,6 +512,11 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 		}
 	}
 	learnt[0] = p.Not()
+	if logging {
+		// Collected from the conflict backwards along the trail.
+		slices.Reverse(hints)
+		s.hints = hints
+	}
 	// Every current-level mark was cleared on the walk; the lower-level
 	// ones are exactly learnt[1:].
 	for _, q := range learnt[1:] {
@@ -606,8 +626,8 @@ func (s *Solver) solve(assumps []Lit) Result {
 	if s.unsat {
 		return Unsat
 	}
-	if s.propagate() != crefUndef {
-		s.logLearn(nil)
+	if confl := s.propagate(); confl != crefUndef {
+		s.logEmpty(s.hdrs[confl].id)
 		s.unsat = true
 		return Unsat
 	}
@@ -629,12 +649,12 @@ func (s *Solver) solve(assumps []Lit) Result {
 		if confl != crefUndef {
 			s.stats.Conflicts++
 			if len(s.lim) == 0 {
-				s.logLearn(nil)
+				s.logEmpty(s.hdrs[confl].id)
 				s.unsat = true
 				return Unsat
 			}
 			learnt, bt := s.analyze(confl)
-			s.logLearn(learnt)
+			s.logLearn(learnt, s.hints)
 			s.backtrack(bt)
 			if len(learnt) == 1 {
 				s.enqueue(learnt[0], crefUndef)
@@ -933,7 +953,7 @@ func (s *Solver) reduceDB() {
 		}
 		h.deleted = true
 		s.wasted += int(h.size)
-		s.logDelete(s.lits(c))
+		s.logDelete(c)
 		toDelete--
 	}
 	before := len(s.learned)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/drat"
+	"repro/internal/drat/dratref"
 	"repro/internal/programs"
 	"repro/internal/sat"
 )
@@ -58,7 +59,8 @@ func solveCNF(t *testing.T, clauses []drat.Clause) sat.Result {
 // byteswap4 and checksum_loop — both answered by the incremental engine,
 // so the CNF is the engine's window plus the probed budget selector as a
 // final unit — and checks what the export claims: the proof parses back
-// and passes drat.Check against the CNF, and a fresh solver refutes the
+// and the RUP reference (dratref; the export carries no hints, so it is
+// plain DRAT) accepts it against the CNF, and a fresh solver refutes the
 // CNF. Without the selector unit the CNF is satisfiable (the window alone
 // asks nothing), and without the ¬sel_j units the engine committed for
 // smaller refuted budgets it is still refuted: those units do not narrow
@@ -95,7 +97,7 @@ func TestProofExportRechecks(t *testing.T) {
 			t.Fatalf("%s: proof does not parse: %v", tc.gma, err)
 		}
 		clauses := parseCNF(t, cnf.String())
-		if err := drat.Check(clauses, steps); err != nil {
+		if err := dratref.Check(clauses, steps); err != nil {
 			t.Fatalf("%s: exported proof rejected: %v", tc.gma, err)
 		}
 		if got := solveCNF(t, clauses); got != sat.Unsat {

@@ -288,9 +288,10 @@ func (c *CompiledGMA) EGraphDot() string {
 // note a 0-cycle optimum is certified vacuously with no proof to export.
 var ErrNoCertificate = errors.New("repro: no certificate recorded (compile with Options.Certify)")
 
-// WriteProof exports the checked K−1 refutation in textual DRAT format.
-// Together with the WriteProofCNF output it can be re-checked by any
-// external DRAT checker (e.g. drat-trim).
+// WriteProof exports the checked K−1 refutation in textual DRAT format,
+// without the hints the internal checker walks. Together with the
+// WriteProofCNF output it can be re-checked by any external DRAT checker
+// (e.g. drat-trim).
 func (c *CompiledGMA) WriteProof(w io.Writer) error {
 	if c.cert == nil {
 		return ErrNoCertificate

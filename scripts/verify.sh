@@ -65,6 +65,7 @@ go test -run '^$' -fuzz '^FuzzSolver$' -fuzztime 10s ./internal/sat
 go test -run '^$' -fuzz '^FuzzSolveAssumptions$' -fuzztime 10s ./internal/sat
 go test -run '^$' -fuzz '^FuzzDRATChecker$' -fuzztime 10s ./internal/drat
 go test -run '^$' -fuzz '^FuzzCheckerVsReference$' -fuzztime 10s ./internal/drat
+go test -run '^$' -fuzz '^FuzzHintedProof$' -fuzztime 10s ./internal/drat
 go test -run '^$' -fuzz '^FuzzDRATParse$' -fuzztime 10s ./internal/drat
 go test -run '^$' -fuzz '^FuzzKey$' -fuzztime 10s ./internal/compilecache
 go test -run '^$' -fuzz '^FuzzScreenVsSim$' -fuzztime 10s ./internal/stoke
