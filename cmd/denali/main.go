@@ -17,7 +17,8 @@
 //
 //	-trace out.json   write a Chrome trace_event file of the whole run
 //	                  (open in chrome://tracing or https://ui.perfetto.dev)
-//	-metrics          print a per-phase wall-time and counter table on stderr
+//	-metrics          print a per-phase wall-time table on stderr, then the
+//	                  run's counts summed from its flight records
 //	-pprof addr       serve net/http/pprof on addr (e.g. localhost:6060)
 //	-report-out f     append this run's flight report (request ID, per-GMA
 //	                  fingerprints, the full SAT probe ladder, outcome) as
@@ -79,7 +80,7 @@ func main() {
 		quiet     = flag.Bool("q", false, "print only the summary line per GMA")
 		dotPath   = flag.String("dot", "", "write each GMA's saturated E-graph as <path>_<gma>.dot")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON file of the compile pipeline")
-		metrics   = flag.Bool("metrics", false, "print the per-phase metrics summary table on stderr")
+		metrics   = flag.Bool("metrics", false, "print the per-phase wall-time table and the run's counts on stderr")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		reportOut = flag.String("report-out", "", "append this run's flight report as one JSON line to this file")
 		requestID = flag.String("request-id", "", "request ID for the flight report and provenance comments (default: generated)")
@@ -244,6 +245,7 @@ func main() {
 	}
 	if *metrics {
 		fmt.Fprint(os.Stderr, tr.MetricsTable())
+		fmt.Fprint(os.Stderr, countsTable(res))
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -258,6 +260,46 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", *tracePath)
 	}
+}
+
+// countNames are the rows of the -metrics counts block, in print order.
+var countNames = []string{
+	"matcher.classes", "matcher.instantiations", "matcher.nodes", "matcher.rounds", "probes",
+	"sat.conflicts", "sat.decisions", "sat.learned", "sat.propagations", "sat.restarts",
+}
+
+// countsTable renders the -metrics counts block: each count summed over
+// the flight records of the GMAs res compiled. A cache-hit or coalesced
+// GMA replays an origin compile's record and did no work in this run, so
+// it adds nothing, as on serve's /metrics.
+func countsTable(res *repro.Result) string {
+	n := map[string]int64{}
+	for _, proc := range res.Procs {
+		for _, g := range proc.GMAs {
+			r := g.FlightReport()
+			if r.CacheHit || r.Coalesced {
+				continue
+			}
+			n["matcher.classes"] += int64(r.EGraphClasses)
+			n["matcher.instantiations"] += int64(r.MatchInstantiations)
+			n["matcher.nodes"] += int64(r.EGraphNodes)
+			n["matcher.rounds"] += int64(r.MatchRounds)
+			n["probes"] += int64(len(r.Probes))
+			for _, p := range r.Probes {
+				n["sat.conflicts"] += p.Conflicts
+				n["sat.decisions"] += p.Decisions
+				n["sat.learned"] += int64(p.Learned)
+				n["sat.propagations"] += p.Propagations
+				n["sat.restarts"] += p.Restarts
+			}
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-36s %12s\n", "counter", "value")
+	for _, name := range countNames {
+		fmt.Fprintf(&b, "%-36s %12d\n", name, n[name])
+	}
+	return b.String()
 }
 
 // serveMain runs the long-lived HTTP compile service.

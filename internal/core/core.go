@@ -139,10 +139,11 @@ type Options struct {
 	// DIMACS instances and proof artifacts carry their provenance. Empty
 	// disables the tagging.
 	RequestID string
-	// Trace records the whole pipeline's telemetry — the compile root
-	// span, per-round matcher spans, and one span per SAT probe tagged
-	// with its outcome. Nil disables tracing at zero cost; the field is
-	// also propagated into Matcher.Trace and Schedule.Trace.
+	// Trace records the whole pipeline's spans — the compile root span,
+	// per-round matcher spans, and one span per SAT probe tagged with its
+	// outcome. Nil disables tracing at zero cost; the field is also
+	// propagated into Matcher.Trace and Schedule.Trace. Counts are not
+	// traced: Compiled carries them.
 	Trace *obs.Trace
 }
 
@@ -248,8 +249,6 @@ func CompileGMA(gm *gma.GMA, opt Options) (*Compiled, error) {
 	msp := tr.Start("matcher")
 	mres, err := matcher.Saturate(c.Graph, opt.Axioms, opt.Matcher)
 	msp.End(obs.Tint("nodes", int64(mres.Nodes)), obs.Tint("classes", int64(mres.Classes)))
-	tr.Add("matcher.nodes", int64(mres.Nodes))
-	tr.Add("matcher.classes", int64(mres.Classes))
 	if err != nil {
 		return nil, err
 	}
@@ -260,9 +259,9 @@ func CompileGMA(gm *gma.GMA, opt Options) (*Compiled, error) {
 	case ParallelSearch:
 		err = c.parallelSearch(gm, opt)
 	case StochasticSearch:
-		err = c.stochasticSearch(gm, opt)
+		err = c.stochasticSearch(gm, opt, root)
 	case PortfolioSearch:
-		err = c.portfolioSearch(gm, opt)
+		err = c.portfolioSearch(gm, opt, root)
 	default:
 		err = c.satSearch(gm, opt, opt.Search)
 	}

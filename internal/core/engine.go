@@ -38,7 +38,6 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(e *schedule.E
 	}
 	return func(k int) (*schedule.Schedule, sat.Result, error) {
 		psp := tr.Startf("probe K=%d", k)
-		tr.Add("probes", 1)
 		if hook != nil {
 			hook(eng, k)
 		}

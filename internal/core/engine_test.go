@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gma"
+	"repro/internal/obs"
 )
 
 // TestEveryProbeOnEngine: every SAT strategy answers every budget on the
@@ -172,12 +173,16 @@ func TestStochasticEngine(t *testing.T) {
 		found = true
 		o := opts(t)
 		o.Search = StochasticSearch
+		o.Trace = obs.New()
 		c, err := CompileGMA(g, o)
 		if err != nil {
 			t.Fatalf("fallback: %v", err)
 		}
 		if c.Engine != "sat" {
 			t.Errorf("memory GMA engine = %q, want sat fallback", c.Engine)
+		}
+		if root := spanArgs(t, o.Trace, "compile"); len(root) != 1 || root[0]["fallback"] == nil {
+			t.Errorf("compile span does not record the fallback reason: %v", root)
 		}
 		if !c.OptimalProven {
 			t.Error("fallback sweep should prove optimality")

@@ -21,7 +21,7 @@ import (
 //     K' < K are interrupted and count as refuted;
 //   - SAT at K makes every probe with K' > K moot, so those are
 //     interrupted and their answers discarded; a SAT answer at K' > K
-//     that arrived first is superseded and counted as wasted.
+//     that arrived first is superseded.
 //
 // The search finishes when the smallest satisfiable budget is known and
 // everything below it is either directly or transitively resolved. With
@@ -43,8 +43,7 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	c.Engine = "sat"
 	// Worker probes must not touch the trace's span cursor (they run
 	// concurrently with each other); each probe instead records one
-	// detached span, and the aggregate solver counters are bumped from
-	// the completed Stat. Counters and detached spans are goroutine-safe.
+	// detached span, which is goroutine-safe.
 	sopt := opt.Schedule
 	sopt.Trace = nil
 
@@ -73,7 +72,6 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	// registered under its budget before solving so a completed answer
 	// elsewhere can interrupt it mid-search.
 	launch := func(k int) {
-		tr.Add("parallel.launched", 1)
 		go func() {
 			var sp *obs.Span
 			if tr.Enabled() {
@@ -135,16 +133,12 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 		}()
 	}
 	// cancelMoot interrupts every in-flight probe the predicate marks as
-	// no longer needed. Interrupting twice is harmless; the guard only
-	// keeps the trace's cancellation counter honest.
-	cancelled := map[int]bool{}
+	// no longer needed. Interrupting a probe twice is harmless.
 	cancelMoot := func(moot func(k int) bool) {
 		mu.Lock()
 		for k, eng := range running {
-			if moot(k) && !cancelled[k] {
-				cancelled[k] = true
+			if moot(k) {
 				eng.Interrupt()
-				tr.Add("parallel.cancelled", 1)
 			}
 		}
 		mu.Unlock()
@@ -214,7 +208,6 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 		}
 		out := <-results
 		inflight--
-		tr.Add("probes", 1)
 		if out.err != nil {
 			if firstErr == nil {
 				firstErr = out.err
@@ -224,40 +217,26 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 		c.EncodeTime += out.encode
 		c.SolveTime += out.elapsed - out.encode
 		c.Probes = append(c.Probes, Probe{Stat: out.stat, Elapsed: out.elapsed - out.encode})
-		tr.Add("sat.conflicts", out.stat.Solver.Conflicts)
-		tr.Add("sat.decisions", out.stat.Solver.Decisions)
-		tr.Add("sat.propagations", out.stat.Solver.Propagations)
-		tr.Add("sat.learned", int64(out.stat.Solver.Learned))
-		tr.Add("sat.restarts", out.stat.Solver.Restarts)
 		resolved[out.k] = true
+		// An Unknown answer is either cancelled (its budget's answer is
+		// implied) or a conflict-budget timeout; a timeout below the
+		// optimum blocks the optimality proof, exactly as in linearSearch.
 		switch out.stat.Result {
 		case sat.Sat:
+			// A smaller SAT supersedes the previous best, whose schedule
+			// is discarded.
 			if bestSat < 0 || out.k < bestSat {
-				if bestSat >= 0 {
-					// A smaller SAT supersedes the previous best: that
-					// probe's schedule is discarded, so its work was wasted.
-					tr.Add("parallel.wasted", 1)
-				}
 				bestSat = out.k
 				c.Schedule = out.sched
 				c.Cycles = out.k
 				// Probes above the optimum would only reconfirm SAT.
 				cancelMoot(func(k int) bool { return k > out.k })
-			} else {
-				tr.Add("parallel.wasted", 1)
 			}
 		case sat.Unsat:
 			if out.k > maxUnsat {
 				maxUnsat = out.k
 				// Monotonicity: smaller budgets are refuted a fortiori.
 				cancelMoot(func(k int) bool { return k < out.k })
-			}
-		default:
-			// Unknown: either cancelled (implied answer already known) or
-			// a conflict-budget timeout; a timeout below the optimum
-			// blocks the optimality proof, exactly as in linearSearch.
-			if out.stat.Solver.Cancelled {
-				tr.Add("parallel.wasted", 1)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/gma"
@@ -130,10 +132,13 @@ func TestParallelTimeoutTolerance(t *testing.T) {
 }
 
 // TestParallelSearchStress drives the worker pool hard (run under -race by
-// the tier-1 gate): many GMAs, Workers=8, shared trace, repeated.
+// the tier-1 gate): many GMAs, Workers=8, shared trace, repeated. Every
+// launched probe must complete and be counted in its compile's Probes:
+// each budget once, and one detached span per probe in the trace.
 func TestParallelSearchStress(t *testing.T) {
 	gmas := corpusGMAs(t)
 	tr := obs.New()
+	probes := 0
 	for round := 0; round < 3; round++ {
 		for _, g := range gmas {
 			o := opts(t)
@@ -147,19 +152,28 @@ func TestParallelSearchStress(t *testing.T) {
 			if c.Schedule == nil {
 				t.Fatalf("round %d %s: nil schedule", round, g.Name)
 			}
+			seen := map[int]bool{}
+			for _, p := range c.Probes {
+				if seen[p.K] {
+					t.Errorf("round %d %s: budget %d counted twice", round, g.Name, p.K)
+				}
+				seen[p.K] = true
+			}
+			probes += len(c.Probes)
 		}
 	}
-	if tr.Counter("parallel.launched") == 0 {
+	if probes == 0 {
 		t.Fatal("no speculative probes recorded")
 	}
-	if tr.Counter("probes") != tr.Counter("parallel.launched") {
-		t.Errorf("probes=%d launched=%d: every launched probe should complete and be counted",
-			tr.Counter("probes"), tr.Counter("parallel.launched"))
+	if spans := spanArgs(t, tr, "probe K="); len(spans) != probes {
+		t.Errorf("probe spans=%d counted probes=%d: every launched probe should complete and be counted",
+			len(spans), probes)
 	}
 }
 
-// TestParallelObs: the trace must show per-probe detached spans tagged
-// with cancelled-vs-completed, and the speculation counters.
+// TestParallelObs: the compile must count every speculative probe, and
+// the trace must show one detached span per probe tagged with
+// cancelled-vs-completed.
 func TestParallelObs(t *testing.T) {
 	tr := obs.New()
 	o := opts(t)
@@ -168,17 +182,66 @@ func TestParallelObs(t *testing.T) {
 	o.Trace = tr
 	g := simpleGMA("sum5", []string{"a", "b", "c", "d", "e"}, "res",
 		"(add64 a (add64 b (add64 c (add64 d e))))")
-	if _, err := CompileGMA(g, o); err != nil {
+	c, err := CompileGMA(g, o)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Counter("parallel.launched") < 4 {
-		t.Errorf("launched = %d, want >= 4 (budgets 0..3 at least)", tr.Counter("parallel.launched"))
+	if len(c.Probes) < 4 {
+		t.Errorf("probes = %d, want >= 4 (budgets 0..3 at least)", len(c.Probes))
 	}
 	// With 6 workers and a 3-cycle optimum, budgets 4 and 5 were launched
-	// speculatively and must be accounted as cancelled or wasted.
-	if tr.Counter("parallel.cancelled")+tr.Counter("parallel.wasted") == 0 {
-		t.Error("no speculation accounting: expected cancelled or wasted probes")
+	// speculatively and must be accounted as cancelled or superseded.
+	cancelled, superseded := 0, 0
+	for _, p := range c.Probes {
+		if p.Solver.Cancelled {
+			cancelled++
+		} else if p.Result == sat.Sat && p.K > c.Cycles {
+			superseded++
+		}
 	}
+	if cancelled+superseded == 0 {
+		t.Error("no speculation accounting: expected cancelled or superseded probes")
+	}
+	spans := spanArgs(t, tr, "probe K=")
+	if len(spans) != len(c.Probes) {
+		t.Errorf("%d probe spans for %d probes", len(spans), len(c.Probes))
+	}
+	tagged := 0
+	for _, args := range spans {
+		if args["cancelled"] == "true" {
+			tagged++
+		}
+	}
+	if tagged != cancelled {
+		t.Errorf("%d probe spans tagged cancelled, %d probes cancelled", tagged, cancelled)
+	}
+}
+
+// spanArgs returns the tags of every span in tr's Chrome export whose
+// name starts with prefix, in start order.
+func spanArgs(t *testing.T, tr *obs.Trace, prefix string) []map[string]any {
+	t.Helper()
+	var sb strings.Builder
+	if err := tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &f); err != nil {
+		t.Fatal(err)
+	}
+	var spans []map[string]any
+	for _, e := range f.TraceEvents {
+		if e.Ph == "X" && strings.HasPrefix(e.Name, prefix) {
+			spans = append(spans, e.Args)
+		}
+	}
+	return spans
 }
 
 // TestParallelNoSchedule: an unreachable bound must yield ErrNoSchedule,

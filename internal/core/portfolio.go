@@ -28,9 +28,9 @@ import (
 // winner. A stochastic schedule lives outside the e-graph, so adopting
 // one never weakens the refutation story: OptimalProven still means
 // "every smaller budget was refuted", the documented e-graph-relative
-// contract.
-func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
-	tr := opt.Trace
+// contract. A fallback to the SAT sweep alone, or a failed stochastic
+// run, is tagged on the compile span root.
+func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options, root *obs.Span) error {
 	var (
 		mu      sync.Mutex
 		curEng  *schedule.Engine // engine of the in-flight SAT probe, registered by the hook
@@ -53,7 +53,6 @@ func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
 				// The probe in flight can only reconfirm what the bound
 				// already proves feasible — cut it.
 				curEng.Interrupt()
-				tr.Add("portfolio.cuts", 1)
 			}
 			mu.Unlock()
 		},
@@ -61,7 +60,7 @@ func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
 	if err != nil {
 		// Memory shapes (and any GMA the stochastic engine cannot seed)
 		// fall back to the proving SAT sweep alone.
-		tr.Event("portfolio.fallback", obs.T("gma", gm.Name), obs.T("reason", err.Error()))
+		root.SetTag("fallback", err.Error())
 		return c.satSearch(gm, opt, DescendSearch)
 	}
 	probe, err := c.probeLadder(gm, opt, func(e *schedule.Engine, k int) {
@@ -100,7 +99,7 @@ func (c *Compiled) portfolioSearch(gm *gma.GMA, opt Options) error {
 	st.Interrupt()
 	wg.Wait()
 	if stErr != nil {
-		tr.Event("portfolio.stoke_error", obs.T("gma", gm.Name), obs.T("error", stErr.Error()))
+		root.SetTag("stoke-error", stErr.Error())
 	} else {
 		c.Stochastic = stRes
 	}

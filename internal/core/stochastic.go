@@ -11,8 +11,8 @@ import (
 // a fast exactly-verified feasible schedule, deterministic in
 // Options.Seed. GMA shapes the stochastic engine cannot search (memory
 // operations) fall back to the proving SAT descend sweep so every
-// strategy value compiles every GMA.
-func (c *Compiled) stochasticSearch(gm *gma.GMA, opt Options) error {
+// strategy value compiles every GMA; the compile span root records why.
+func (c *Compiled) stochasticSearch(gm *gma.GMA, opt Options, root *obs.Span) error {
 	st, err := stoke.New(gm, opt.Desc, stoke.Options{
 		Seed:      int64(opt.Seed),
 		Steps:     opt.StochasticSteps,
@@ -20,7 +20,7 @@ func (c *Compiled) stochasticSearch(gm *gma.GMA, opt Options) error {
 		Trace:     opt.Trace,
 	})
 	if err != nil {
-		opt.Trace.Event("stochastic.fallback", obs.T("gma", gm.Name), obs.T("reason", err.Error()))
+		root.SetTag("fallback", err.Error())
 		return c.satSearch(gm, opt, DescendSearch)
 	}
 	res, err := st.Run()

@@ -19,13 +19,11 @@
 // rests entirely on the solver's UNSAT answers; a checked certificate
 // turns that from "the solver said so" into a machine-verifiable proof.
 //
-// Proofs round-trip through both drat-trim wire formats: the textual
-// format (one clause per line, "d" prefix for deletions, 0 terminated)
-// and the binary format ('a'/'d' step tags with 7-bit variable-length
-// literal encoding), so certificates can also be exported and re-checked
-// with an external drat-trim. The export carries no hints, so a parsed
-// proof is plain DRAT: drat-trim, or the test-only RUP reference in
-// internal/drat/dratref, checks it, not Check.
+// Proofs round-trip through drat-trim's textual format (one clause per
+// line, "d" prefix for deletions, 0 terminated), so certificates can also
+// be exported and re-checked with an external drat-trim. The export
+// carries no hints, so a parsed proof is plain DRAT: drat-trim, or the
+// test-only RUP reference in internal/drat/dratref, checks it, not Check.
 package drat
 
 import "repro/internal/sat"

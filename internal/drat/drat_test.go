@@ -348,38 +348,6 @@ func corruptions(t *testing.T) []RefCase {
 
 // Wire format round-trips.
 
-func TestBinaryRoundTrip(t *testing.T) {
-	cert := refutation(t, 4, 3)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, cert.Steps); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseBinary(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ParseBinary: %v", err)
-	}
-	if !stepsEqual(got, cert.Steps) {
-		t.Fatal("binary round-trip mismatch")
-	}
-}
-
-func TestParseAutoDetect(t *testing.T) {
-	cert := refutation(t, 4, 3)
-	var text, bin bytes.Buffer
-	if err := WriteText(&text, cert.Steps); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&bin, cert.Steps); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := Parse(text.Bytes()); err != nil || !stepsEqual(got, cert.Steps) {
-		t.Fatalf("auto-detect text failed: %v", err)
-	}
-	if got, err := Parse(bin.Bytes()); err != nil || !stepsEqual(got, cert.Steps) {
-		t.Fatalf("auto-detect binary failed: %v", err)
-	}
-}
-
 func stepsEqual(a, b []Step) bool {
 	if len(a) != len(b) {
 		return false
@@ -417,19 +385,6 @@ func TestParseTextErrors(t *testing.T) {
 	}
 	if !stepsEqual(steps, want) {
 		t.Fatalf("got %+v, want %+v", steps, want)
-	}
-}
-
-func TestParseBinaryErrors(t *testing.T) {
-	for _, bad := range [][]byte{
-		{'x', 0},    // bad tag
-		{'a', 0x81}, // truncated varint
-		{'a', 2},    // clause without terminator
-		{'a', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0}, // varint overflow
-	} {
-		if _, err := ParseBinary(bytes.NewReader(bad)); err == nil {
-			t.Errorf("ParseBinary(% x) accepted", bad)
-		}
 	}
 }
 

@@ -44,7 +44,7 @@ type Options struct {
 	DisablePow2 bool
 	// DisableOffsets turns off constant-offset distinctions.
 	DisableOffsets bool
-	// Trace records per-round saturation telemetry; nil disables it.
+	// Trace records one span per saturation round; nil disables it.
 	Trace *obs.Trace
 }
 
@@ -78,8 +78,9 @@ type Result struct {
 
 // Saturate runs the matching phase over g with the given axioms. When
 // opt.Trace is set, each round is recorded as a span tagged with the
-// nodes, classes, clauses and instantiations it added, and budget
-// exhaustion (node or round limits) is recorded as an event.
+// graph's nodes and classes after it and the clauses and instantiations
+// it added; a round that ends saturation on a node or round limit also
+// carries a budget-exhausted tag naming the limit.
 func Saturate(g *egraph.Graph, axs []*axioms.Axiom, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	tr := opt.Trace
@@ -98,10 +99,8 @@ func Saturate(g *egraph.Graph, axs []*axioms.Axiom, opt Options) (Result, error)
 		endRound := func() {
 			sp.End(obs.Tint("nodes", int64(g.NumNodes())),
 				obs.Tint("classes", int64(g.NumClasses())),
+				obs.Tint("clauses", int64(g.NumClauses()-clausesBefore)),
 				obs.Tint("instantiations", int64(res.Instantiations-instBefore)))
-			tr.Add("matcher.rounds", 1)
-			tr.Add("matcher.instantiations", int64(res.Instantiations-instBefore))
-			tr.Add("matcher.clauses-added", int64(g.NumClauses()-clausesBefore))
 		}
 		if !opt.DisablePow2 {
 			enrichPow2(g)
@@ -156,32 +155,26 @@ func Saturate(g *egraph.Graph, axs []*axioms.Axiom, opt Options) (Result, error)
 			endRound()
 			return res, err
 		}
+		quiescent := g.NumNodes() == nodesBefore && g.NumClasses() == classesBefore
+		overNodes := !quiescent && g.NumNodes() > opt.MaxNodes
+		switch {
+		case overNodes:
+			sp.SetTag("budget-exhausted", "nodes")
+		case !quiescent && round == opt.MaxRounds:
+			sp.SetTag("budget-exhausted", "rounds")
+		}
 		endRound()
-		if g.NumNodes() == nodesBefore && g.NumClasses() == classesBefore {
+		if quiescent {
 			res.Quiescent = true
 			break
 		}
-		if g.NumNodes() > opt.MaxNodes {
-			tr.Event("matcher.budget-exhausted", obs.T("reason", "nodes"),
-				obs.Tint("nodes", int64(g.NumNodes())), obs.Tint("budget", int64(opt.MaxNodes)))
+		if overNodes {
 			break
-		}
-		if round == opt.MaxRounds {
-			tr.Event("matcher.budget-exhausted", obs.T("reason", "rounds"),
-				obs.Tint("budget", int64(opt.MaxRounds)))
 		}
 	}
 	res.Nodes = g.NumNodes()
 	res.Classes = g.NumClasses()
-	tr.Gauge("matcher.quiescent", b2f(res.Quiescent))
 	return res, nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // allConstant reports whether every class bound by the substitution holds a

@@ -1,10 +1,13 @@
 package matcher
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/axioms"
 	"repro/internal/egraph"
+	"repro/internal/obs"
 	"repro/internal/term"
 )
 
@@ -229,6 +232,75 @@ func TestRoundBudget(t *testing.T) {
 	if res.Rounds != 1 {
 		t.Fatalf("rounds = %d", res.Rounds)
 	}
+}
+
+// TestBudgetExhaustedTag: the round that ends saturation on a limit
+// carries a budget-exhausted tag naming it; a quiescent run tags none.
+// Every round span carries the clauses it added.
+func TestBudgetExhaustedTag(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		goal string
+		opt  Options
+		want string
+	}{
+		{"nodes", "(add64 a (add64 b (add64 c (add64 d (add64 e (add64 f (add64 h (add64 i j))))))))", Options{MaxNodes: 60, MaxRounds: 50}, "nodes"},
+		{"rounds", "(add64 a (add64 b (add64 c (add64 d e))))", Options{MaxRounds: 1}, "rounds"},
+		{"quiescent", "(add64 (mul64 reg6 4) 1)", Options{}, ""},
+	} {
+		g := egraph.New()
+		g.AddTerm(term.MustParse(tc.goal))
+		tr := obs.New()
+		tc.opt.Trace = tr
+		res := saturate(t, g, builtinAxioms(t), tc.opt)
+		if res.Quiescent != (tc.want == "") {
+			t.Fatalf("%s: quiescent = %v", tc.name, res.Quiescent)
+		}
+		rounds := roundSpans(t, tr)
+		if len(rounds) != res.Rounds {
+			t.Fatalf("%s: %d round spans for %d rounds", tc.name, len(rounds), res.Rounds)
+		}
+		for i, args := range rounds {
+			if _, ok := args["clauses"]; !ok {
+				t.Errorf("%s: round %d has no clauses tag: %v", tc.name, i+1, args)
+			}
+			got, _ := args["budget-exhausted"].(string)
+			want := ""
+			if i == len(rounds)-1 {
+				want = tc.want
+			}
+			if got != want {
+				t.Errorf("%s: round %d budget-exhausted = %q, want %q", tc.name, i+1, got, want)
+			}
+		}
+	}
+}
+
+// roundSpans returns the tags of every "round N" span in tr's Chrome
+// export, in start order.
+func roundSpans(t *testing.T, tr *obs.Trace) []map[string]any {
+	t.Helper()
+	var sb strings.Builder
+	if err := tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &f); err != nil {
+		t.Fatal(err)
+	}
+	var rounds []map[string]any
+	for _, e := range f.TraceEvents {
+		if e.Ph == "X" && strings.HasPrefix(e.Name, "round ") {
+			rounds = append(rounds, e.Args)
+		}
+	}
+	return rounds
 }
 
 func TestOffsetDistinctions(t *testing.T) {

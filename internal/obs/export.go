@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,126 +8,10 @@ import (
 	"time"
 )
 
-// WriteText renders the trace for humans: the span tree with durations,
-// then counters, gauges and events.
-func (t *Trace) WriteText(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, "trace disabled\n")
-		return err
-	}
-	s := t.snapshot()
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "spans (%d):\n", len(s.spans))
-	for _, sp := range s.spans {
-		open := ""
-		if sp.open {
-			open = " (open)"
-		}
-		fmt.Fprintf(bw, "  %s%-*s %12v%s%s\n",
-			strings.Repeat("  ", sp.depth), 40-2*sp.depth, sp.name,
-			sp.end.Sub(sp.start).Round(time.Microsecond), renderTags(sp.tags), open)
-	}
-	if len(s.counters) > 0 {
-		fmt.Fprintf(bw, "counters:\n")
-		for _, k := range sortedKeys(s.counters) {
-			fmt.Fprintf(bw, "  %-40s %12d\n", k, s.counters[k])
-		}
-	}
-	if len(s.gauges) > 0 {
-		fmt.Fprintf(bw, "gauges:\n")
-		for _, k := range sortedKeys(s.gauges) {
-			fmt.Fprintf(bw, "  %-40s %12g\n", k, s.gauges[k])
-		}
-	}
-	if len(s.events) > 0 {
-		fmt.Fprintf(bw, "events (%d, %d dropped):\n", len(s.events), s.dropped)
-		for _, e := range s.events {
-			fmt.Fprintf(bw, "  %10v %s%s\n", e.Time.Sub(s.epoch).Round(time.Microsecond), e.Name, renderTags(e.Tags))
-		}
-	}
-	return bw.Flush()
-}
-
-func renderTags(tags []Tag) string {
-	if len(tags) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(" [")
-	for i, tg := range tags {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%s", tg.Key, tg.Value)
-	}
-	b.WriteString("]")
-	return b.String()
-}
-
-// jsonLine is the one-object-per-line shape of WriteJSONL.
-type jsonLine struct {
-	Type  string            `json:"type"` // "span" | "counter" | "gauge" | "event"
-	Name  string            `json:"name"`
-	Usecs float64           `json:"us,omitempty"`  // span start / event time, µs since epoch
-	Dur   float64           `json:"dur,omitempty"` // span duration in µs
-	Depth int               `json:"depth,omitempty"`
-	Value float64           `json:"value,omitempty"` // counter/gauge value
-	Tags  map[string]string `json:"tags,omitempty"`
-}
-
-// WriteJSONL writes the trace as JSON lines: one object per span, event,
-// counter and gauge. Times are microseconds relative to the trace epoch.
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	s := t.snapshot()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, sp := range s.spans {
-		if err := enc.Encode(jsonLine{
-			Type: "span", Name: sp.name,
-			Usecs: usec(sp.start.Sub(s.epoch)), Dur: usec(sp.end.Sub(sp.start)),
-			Depth: sp.depth, Tags: tagMap(sp.tags),
-		}); err != nil {
-			return err
-		}
-	}
-	for _, e := range s.events {
-		if err := enc.Encode(jsonLine{Type: "event", Name: e.Name,
-			Usecs: usec(e.Time.Sub(s.epoch)), Tags: tagMap(e.Tags)}); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(s.counters) {
-		if err := enc.Encode(jsonLine{Type: "counter", Name: k, Value: float64(s.counters[k])}); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(s.gauges) {
-		if err := enc.Encode(jsonLine{Type: "gauge", Name: k, Value: s.gauges[k]}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-func tagMap(tags []Tag) map[string]string {
-	if len(tags) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(tags))
-	for _, tg := range tags {
-		m[tg.Key] = tg.Value
-	}
-	return m
-}
-
-// chromeEvent is one entry of the Chrome trace_event "traceEvents" array.
-// Spans are "complete" events (ph=X), log entries instant events (ph=i),
-// counters counter events (ph=C).
+// chromeEvent is one entry of the Chrome trace_event "traceEvents" array:
+// a span as a "complete" event (ph=X), or thread-name metadata (ph=M).
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -136,7 +19,6 @@ type chromeEvent struct {
 	Dur  *float64       `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant-event scope
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -147,9 +29,8 @@ type chromeFile struct {
 
 // WriteChromeTrace writes the trace in Chrome trace_event JSON format,
 // loadable in chrome://tracing or https://ui.perfetto.dev. Nested spans
-// become stacked slices on the pipeline thread track (tid 1); events
-// become instants; final counter values become a counter track sample at
-// the trace end. Detached spans — concurrent work such as speculative
+// become stacked slices on the pipeline thread track (tid 1), their tags
+// the slices' args. Detached spans — concurrent work such as speculative
 // K-probes — are laid out on their own thread tracks (tid 2+): spans
 // that overlap in time get distinct tids so Perfetto renders them as
 // parallel rows instead of stacking them into a false nesting, while
@@ -164,30 +45,24 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	f := chromeFile{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	lanes := assignLanes(s.spans)
 	maxLane := 0
-	var last time.Duration
 	for i, sp := range s.spans {
 		d := usec(sp.end.Sub(sp.start))
-		args := map[string]any{}
-		for _, tg := range sp.tags {
-			args[tg.Key] = tg.Value
-		}
-		if len(args) == 0 {
-			args = nil
+		var args map[string]any
+		if len(sp.tags) > 0 {
+			args = map[string]any{}
+			for _, tg := range sp.tags {
+				args[tg.Key] = tg.Value
+			}
 		}
 		tid := 1
 		if sp.detached {
 			tid = lanes[i]
-			if tid > maxLane {
-				maxLane = tid
-			}
+			maxLane = max(maxLane, tid)
 		}
 		f.TraceEvents = append(f.TraceEvents, chromeEvent{
 			Name: sp.name, Ph: "X", Ts: usec(sp.start.Sub(s.epoch)), Dur: &d,
 			Pid: 1, Tid: tid, Args: args,
 		})
-		if end := sp.end.Sub(s.epoch); end > last {
-			last = end
-		}
 	}
 	// Name the thread tracks so the lanes read as what they are.
 	f.TraceEvents = append(f.TraceEvents, chromeEvent{
@@ -200,30 +75,7 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 			Args: map[string]any{"name": fmt.Sprintf("detached-%d", tid-1)},
 		})
 	}
-	for _, e := range s.events {
-		args := map[string]any{}
-		for _, tg := range e.Tags {
-			args[tg.Key] = tg.Value
-		}
-		if len(args) == 0 {
-			args = nil
-		}
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: e.Name, Ph: "i", Ts: usec(e.Time.Sub(s.epoch)),
-			Pid: 1, Tid: 1, S: "t", Args: args,
-		})
-		if at := e.Time.Sub(s.epoch); at > last {
-			last = at
-		}
-	}
-	for _, k := range sortedKeys(s.counters) {
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: k, Ph: "C", Ts: usec(last), Pid: 1, Tid: 1,
-			Args: map[string]any{"value": s.counters[k]},
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
+	return json.NewEncoder(w).Encode(f)
 }
 
 // assignLanes maps each detached span (by index into spans) to a thread
@@ -256,8 +108,10 @@ func assignLanes(spans []spanCopy) map[int]int {
 }
 
 // MetricsTable aggregates spans by name — count, total/min/max wall time,
-// share of the trace — followed by the counters, as a fixed-width table
-// for terminal output.
+// and share of the trace — as a fixed-width table for terminal output.
+// The share's denominator is the wall time of the root spans on the
+// pipeline chain; detached spans (parallel probes) overlap it and are
+// left out, so a root compile span always reads 100%.
 func (t *Trace) MetricsTable() string {
 	if t == nil {
 		return "trace disabled\n"
@@ -268,28 +122,23 @@ func (t *Trace) MetricsTable() string {
 		count    int
 		total    time.Duration
 		min, max time.Duration
-		first    int // order of first appearance
 	}
 	byName := map[string]*agg{}
 	var order []string
 	var span time.Duration
-	for i, sp := range s.spans {
+	for _, sp := range s.spans {
 		d := sp.end.Sub(sp.start)
 		a, ok := byName[sp.name]
 		if !ok {
-			a = &agg{name: sp.name, min: d, max: d, first: i}
+			a = &agg{name: sp.name, min: d, max: d}
 			byName[sp.name] = a
 			order = append(order, sp.name)
 		}
 		a.count++
 		a.total += d
-		if d < a.min {
-			a.min = d
-		}
-		if d > a.max {
-			a.max = d
-		}
-		if sp.depth == 0 {
+		a.min = min(a.min, d)
+		a.max = max(a.max, d)
+		if sp.depth == 0 && !sp.detached {
 			span += d
 		}
 	}
@@ -304,17 +153,6 @@ func (t *Trace) MetricsTable() string {
 		fmt.Fprintf(&b, "%-36s %6d %12v %12v %12v %5.1f%%\n",
 			a.name, a.count, a.total.Round(time.Microsecond),
 			a.min.Round(time.Microsecond), a.max.Round(time.Microsecond), pct)
-	}
-	if len(s.counters) > 0 {
-		fmt.Fprintf(&b, "%-36s %12s\n", "counter", "value")
-		for _, k := range sortedKeys(s.counters) {
-			fmt.Fprintf(&b, "%-36s %12d\n", k, s.counters[k])
-		}
-	}
-	if len(s.gauges) > 0 {
-		for _, k := range sortedKeys(s.gauges) {
-			fmt.Fprintf(&b, "%-36s %12g\n", k, s.gauges[k])
-		}
 	}
 	return b.String()
 }

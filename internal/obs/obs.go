@@ -1,35 +1,36 @@
-// Package obs is the pipeline's observability substrate: span-based
-// wall-clock tracing with nesting, named counters and gauges, and a
-// bounded in-memory event log, with exporters for human-readable text,
-// JSON lines, and the Chrome trace_event format (loadable in
-// chrome://tracing or Perfetto).
+// Package obs is the pipeline's observability substrate. A *Trace records
+// one unit of work — usually one compilation — as timed, nested spans
+// carrying key/value tags, and exports them in the Chrome trace_event
+// format (loadable in chrome://tracing or Perfetto) or as a per-phase
+// wall-time table. It holds no counts: every per-compile count lives in
+// the flight record (internal/flight), and the Trace is only the optional
+// fine-grained view of where the time went. A *Registry (registry.go)
+// aggregates process-level metrics for /metrics.
 //
 // The package is dependency-free (standard library plus the leaf
 // internal/buildinfo package that stamps build identity) and every
-// recording method is safe on a nil *Trace, so instrumented code pays
-// nothing when tracing is disabled:
+// method is safe on a nil *Trace, so instrumented code pays nothing when
+// tracing is disabled:
 //
 //	var tr *obs.Trace            // nil: everything below is a no-op
 //	sp := tr.Start("matcher")
-//	tr.Add("matcher.rounds", 1)
-//	sp.End()
+//	sp.End(obs.Tint("nodes", 654))
 //
 // A Trace maintains a cursor of the currently open span: Start nests the
 // new span under it, End pops back to the parent. This matches the
 // single-goroutine structure of the compile pipeline (one Trace per
-// compilation); all state is mutex-guarded so concurrent counter updates
+// compilation); all state is mutex-guarded so concurrent detached spans
 // and exports are race-free, but interleaving Start/End of one Trace
 // across goroutines will produce surprising (though safe) nesting.
 package obs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Tag is one key/value annotation on a span or event.
+// Tag is one key/value annotation on a span.
 type Tag struct {
 	Key   string
 	Value string
@@ -42,7 +43,7 @@ func T(key, value string) Tag { return Tag{Key: key, Value: value} }
 func Tint(key string, v int64) Tag { return Tag{Key: key, Value: fmt.Sprintf("%d", v)} }
 
 // Span is one timed region. The zero of *Span (nil) is a valid no-op
-// span: Child, End and SetTag on it do nothing.
+// span: End and SetTag on it do nothing.
 type Span struct {
 	tr     *Trace
 	parent *Span
@@ -56,57 +57,26 @@ type Span struct {
 	detached bool
 }
 
-// Event is one entry of the bounded event log.
-type Event struct {
-	Time time.Time
-	Name string
-	Tags []Tag
-}
-
-// DefaultMaxEvents bounds the event log unless overridden with
-// SetMaxEvents.
-const DefaultMaxEvents = 4096
-
-// Trace accumulates spans, counters, gauges and events for one
-// compilation (or any other unit of work). The nil *Trace is the
-// disabled tracer: every method is a cheap no-op.
+// Trace accumulates the spans of one compilation (or any other unit of
+// work). The nil *Trace is the disabled tracer: every method is a cheap
+// no-op.
 type Trace struct {
-	mu        sync.Mutex
-	now       func() time.Time // injectable clock for deterministic tests
-	epoch     time.Time
-	spans     []*Span // in start order, open and closed
-	current   *Span
-	counters  map[string]int64
-	gauges    map[string]float64
-	events    []Event
-	maxEvents int
-	dropped   int64
+	mu      sync.Mutex
+	now     func() time.Time // injectable clock for deterministic tests
+	epoch   time.Time
+	spans   []*Span // in start order, open and closed
+	current *Span
 }
 
 // New returns an enabled, empty trace whose epoch is now.
 func New() *Trace {
-	t := &Trace{
-		now:       time.Now,
-		counters:  map[string]int64{},
-		gauges:    map[string]float64{},
-		maxEvents: DefaultMaxEvents,
-	}
+	t := &Trace{now: time.Now}
 	t.epoch = t.now()
 	return t
 }
 
 // Enabled reports whether the trace records anything.
 func (t *Trace) Enabled() bool { return t != nil }
-
-// SetMaxEvents resizes the event-log bound (existing overflow is kept).
-func (t *Trace) SetMaxEvents(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.mu.Lock()
-	t.maxEvents = n
-	t.mu.Unlock()
-}
 
 // Start opens a span nested under the currently open span (or at the
 // root) and makes it current. It returns nil on a nil trace.
@@ -199,138 +169,11 @@ func (sp *Span) SetTag(key, value string) {
 	sp.tr.mu.Unlock()
 }
 
-// SetInt appends an integer annotation to the span.
-func (sp *Span) SetInt(key string, v int64) {
-	if sp == nil {
-		return
-	}
-	sp.SetTag(key, fmt.Sprintf("%d", v))
-}
-
-// Name returns the span's name ("" on nil).
-func (sp *Span) Name() string {
-	if sp == nil {
-		return ""
-	}
-	return sp.name
-}
-
-// Duration returns the span's elapsed time (0 on nil or while open).
-func (sp *Span) Duration() time.Duration {
-	if sp == nil || sp.tr == nil {
-		return 0
-	}
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
-	if !sp.ended {
-		return 0
-	}
-	return sp.end.Sub(sp.start)
-}
-
-// Add increments a named counter.
-func (t *Trace) Add(name string, delta int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.counters[name] += delta
-	t.mu.Unlock()
-}
-
-// Counter reads a named counter (0 on nil or unknown).
-func (t *Trace) Counter(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counters[name]
-}
-
-// Gauge records the latest value of a named gauge.
-func (t *Trace) Gauge(name string, v float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.gauges[name] = v
-	t.mu.Unlock()
-}
-
-// GaugeValue reads a gauge (0, false on nil or unknown).
-func (t *Trace) GaugeValue(name string) (float64, bool) {
-	if t == nil {
-		return 0, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, ok := t.gauges[name]
-	return v, ok
-}
-
-// Event appends to the bounded event log; past the bound events are
-// dropped and counted (see Dropped).
-func (t *Trace) Event(name string, tags ...Tag) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.events) >= t.maxEvents {
-		t.dropped++
-		return
-	}
-	t.events = append(t.events, Event{Time: t.now(), Name: name, Tags: tags})
-}
-
-// Eventf is Event with a formatted name, free on a nil trace.
-func (t *Trace) Eventf(format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.Event(fmt.Sprintf(format, args...))
-}
-
-// Dropped reports how many events the bound discarded.
-func (t *Trace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Events returns a copy of the event log.
-func (t *Trace) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
-}
-
-// Elapsed is the time since the trace epoch.
-func (t *Trace) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.now().Sub(t.epoch)
-}
-
 // snapshot copies the trace state under the lock, finishing open spans at
 // the current instant so exporters always see well-formed intervals.
 type snapshot struct {
-	epoch    time.Time
-	spans    []spanCopy
-	counters map[string]int64
-	gauges   map[string]float64
-	events   []Event
-	dropped  int64
+	epoch time.Time
+	spans []spanCopy
 }
 
 type spanCopy struct {
@@ -346,19 +189,7 @@ func (t *Trace) snapshot() snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
-	s := snapshot{
-		epoch:    t.epoch,
-		counters: map[string]int64{},
-		gauges:   map[string]float64{},
-		events:   append([]Event(nil), t.events...),
-		dropped:  t.dropped,
-	}
-	for k, v := range t.counters {
-		s.counters[k] = v
-	}
-	for k, v := range t.gauges {
-		s.gauges[k] = v
-	}
+	s := snapshot{epoch: t.epoch}
 	for _, sp := range t.spans {
 		c := spanCopy{name: sp.name, start: sp.start, end: sp.end, depth: sp.depth,
 			tags: append([]Tag(nil), sp.tags...), open: !sp.ended, detached: sp.detached}
@@ -368,15 +199,4 @@ func (t *Trace) snapshot() snapshot {
 		s.spans = append(s.spans, c)
 	}
 	return s
-}
-
-// sortedKeys returns the map's keys in lexical order, for deterministic
-// export.
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

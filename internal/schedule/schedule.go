@@ -55,8 +55,8 @@ type Options struct {
 	// holds the recorded refutation, which internal/drat can re-check
 	// independently of the solver.
 	Certify bool
-	// Trace records constraint-generation and solving telemetry for this
-	// one compilation; nil disables it.
+	// Trace records this one compilation's encode, solve and decode
+	// spans; nil disables it.
 	Trace *obs.Trace
 	// RequestID names the compile request this problem belongs to; when
 	// set it is stamped into exported DIMACS provenance comments so an
@@ -244,8 +244,6 @@ func newProblem(g *egraph.Graph, gm *gma.GMA, K int, opt Options, layered bool) 
 	p.encode()
 	sp.End(obs.Tint("terms", int64(len(p.terms))), obs.Tint("cone", int64(len(p.cone))),
 		obs.Tint("vars", int64(p.solver.NumVars())), obs.Tint("clauses", int64(p.solver.NumClauses())))
-	tr.Add("schedule.encoded-vars", int64(p.solver.NumVars()))
-	tr.Add("schedule.encoded-clauses", int64(p.solver.NumClauses()))
 	return p, nil
 }
 
@@ -969,11 +967,6 @@ func (p *Problem) solve(stat Stat, assumps ...sat.Lit) (*Schedule, Stat, error) 
 		sp.SetTag("cancelled", "true")
 	}
 	sp.End(obs.T("result", res.String()), obs.Tint("conflicts", st.Conflicts))
-	tr.Add("sat.conflicts", st.Conflicts)
-	tr.Add("sat.decisions", st.Decisions)
-	tr.Add("sat.propagations", st.Propagations)
-	tr.Add("sat.learned", int64(st.Learned))
-	tr.Add("sat.restarts", st.Restarts)
 	stat.Vars, stat.Clauses = st.Vars, st.Clauses
 	stat.Result, stat.Solver = res, st
 	stat.MachineTerms, stat.ConeClasses = len(p.terms), len(p.cone)
@@ -990,11 +983,11 @@ func (p *Problem) solve(stat Stat, assumps ...sat.Lit) (*Schedule, Stat, error) 
 	p.K = stat.K
 	sched, err := p.decode()
 	p.K = saved
-	dsp.End()
 	if sched != nil {
-		tr.Add("schedule.instructions", int64(len(sched.Launches)))
-		tr.Add("schedule.cycles", int64(sched.K))
+		dsp.SetTag("cycles", strconv.Itoa(sched.K))
+		dsp.SetTag("instructions", strconv.Itoa(len(sched.Launches)))
 	}
+	dsp.End()
 	return sched, stat, err
 }
 

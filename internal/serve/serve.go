@@ -151,8 +151,10 @@ type Server struct {
 	reg     *obs.Registry
 	sink    *obs.Sink
 	limiter chan struct{}
-	ready   atomic.Bool
-	addr    atomic.Value // string, set once the listener is bound
+	// inflight counts the HTTP requests instrument is serving right now.
+	inflight atomic.Int64
+	ready    atomic.Bool
+	addr     atomic.Value // string, set once the listener is bound
 	// ring keeps the last N flight reports for /debug/requests; hist
 	// accumulates them into the per-key warehouse behind /debug/history.
 	ring *flight.Ring
@@ -518,7 +520,7 @@ func (s *Server) logAccess(r *http.Request, info *reqInfo, code int, d time.Dura
 }
 
 // instrument wraps a handler with the request-ID front door, panic
-// isolation, the HTTP metrics (in-flight gauge, per-path latency
+// isolation, the HTTP metrics (in-flight count, per-path latency
 // histogram, per-path/code counter) and the access log. The request ID is
 // taken from X-Request-ID when present — sanitized, since it is untrusted
 // input headed for logs and DIMACS provenance — or generated, and always
@@ -532,7 +534,8 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		r = r.WithContext(context.WithValue(r.Context(), ctxKey{}, info))
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		t0 := time.Now()
-		s.sink.Set(mHTTPInflight, float64(len(s.limiter)))
+		s.inflight.Add(1)
+		defer s.inflight.Add(-1)
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.sink.Add(mHTTPPanics, 1)
@@ -1017,14 +1020,17 @@ func buildResponse(res *repro.Result, wall time.Duration, tr *obs.Trace, verifie
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Refresh the process gauges at scrape time so they are always
-	// current without a background ticker.
+	// Refresh the process gauges, and the in-flight count instrument
+	// keeps, at scrape time so they are always current without a
+	// background ticker. The scrape itself is one of the requests in
+	// flight.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	s.sink.Set(mUptimeSeconds, time.Since(s.reg.StartTime()).Seconds())
 	s.sink.Set(mGoroutines, float64(runtime.NumGoroutine()))
 	s.sink.Set(mHeapBytes, float64(ms.HeapAlloc))
 	s.sink.Set(mNumGC, float64(ms.NumGC))
+	s.sink.Set(mHTTPInflight, float64(s.inflight.Load()))
 	s.hist.PublishSLO(s.sink)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)

@@ -569,6 +569,19 @@ func TestServePprofMounted(t *testing.T) {
 	}
 }
 
+// TestServeInflightCountsRequests: the in-flight gauge counts HTTP
+// requests, not held compile slots. With both slots held and nothing
+// else running, the scrape is the one request in flight.
+func TestServeInflightCountsRequests(t *testing.T) {
+	s, ts := newTestServer(t, Config{Options: repro.Options{Arch: "ev6"}, MaxConcurrent: 2})
+	s.limiter <- struct{}{}
+	s.limiter <- struct{}{}
+	defer func() { <-s.limiter; <-s.limiter }()
+	if got := scrapeMetrics(t, ts.URL)["denali_http_inflight_requests"]; got != 1 {
+		t.Errorf("denali_http_inflight_requests = %g with both slots held, want 1 (the scrape)", got)
+	}
+}
+
 func TestServeProcessGaugesRefreshOnScrape(t *testing.T) {
 	_, ts := newTestServer(t, Config{Options: repro.Options{Arch: "ev6"}})
 	samples := scrapeMetrics(t, ts.URL)

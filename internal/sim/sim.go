@@ -61,15 +61,14 @@ func Run(s *schedule.Schedule, d *arch.Description, m *Machine) error {
 	return RunTraced(s, d, m, nil)
 }
 
-// RunTraced is Run with telemetry: one "sim.run" span plus simulated
-// cycle and launched-instruction counters. A nil trace is free.
+// RunTraced is Run under one "sim.run" span tagged with the schedule's
+// cycles and launched instructions, and with the violated rule when the
+// run fails. A nil trace is free.
 func RunTraced(s *schedule.Schedule, d *arch.Description, m *Machine, tr *obs.Trace) error {
 	sp := tr.Start("sim.run", obs.Tint("cycles", int64(s.K)), obs.Tint("instructions", int64(len(s.Launches))))
-	tr.Add("sim.cycles", int64(s.K))
-	tr.Add("sim.instructions", int64(len(s.Launches)))
 	err := run(s, d, m)
 	if err != nil {
-		tr.Event("sim.violation", obs.T("error", err.Error()))
+		sp.SetTag("violation", err.Error())
 	}
 	sp.End()
 	return err

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/arch/alpha"
+	"repro/internal/obs"
 	"repro/internal/schedule"
 )
 
@@ -99,8 +101,19 @@ func TestRunRejectsWrongUnit(t *testing.T) {
 	}
 	m := NewMachine()
 	m.Regs["$16"] = 1
-	if err := Run(s, d, m); err == nil || !strings.Contains(err.Error(), "cannot execute") {
+	tr := obs.New()
+	err := RunTraced(s, d, m, tr)
+	if err == nil || !strings.Contains(err.Error(), "cannot execute") {
 		t.Fatalf("expected unit-capability error, got %v", err)
+	}
+	// The sim.run span names the violated rule.
+	var sb strings.Builder
+	if err := tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	violation, _ := json.Marshal(err.Error())
+	if !strings.Contains(sb.String(), `"violation":`+string(violation)) {
+		t.Errorf("sim.run span lacks the violation tag:\n%s", sb.String())
 	}
 }
 

@@ -24,8 +24,8 @@ func Verify(g *gma.GMA, s *schedule.Schedule, d *arch.Description, rng *rand.Ran
 	return VerifyTraced(g, s, d, rng, n, nil)
 }
 
-// VerifyTraced is Verify under one "verify" span counting trials and
-// simulated cycles. A nil trace is free.
+// VerifyTraced is Verify under one "verify" span tagged with the trial
+// count, holding one "sim.run" span per trial. A nil trace is free.
 func VerifyTraced(g *gma.GMA, s *schedule.Schedule, d *arch.Description, rng *rand.Rand, n int, tr *obs.Trace) error {
 	sp := tr.Start("verify", obs.T("gma", g.Name), obs.Tint("trials", int64(n)))
 	defer sp.End()
@@ -37,7 +37,6 @@ func VerifyTraced(g *gma.GMA, s *schedule.Schedule, d *arch.Description, rng *ra
 		if err := verifyOnce(g, s, d, env, tr); err != nil {
 			return fmt.Errorf("trial %d: %w", trial, err)
 		}
-		tr.Add("verify.trials", 1)
 	}
 	return nil
 }

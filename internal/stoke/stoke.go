@@ -63,7 +63,7 @@ type Options struct {
 	// MaxLen caps the sequence length insert moves can reach
 	// (0 = twice the seed length plus six).
 	MaxLen int
-	// Trace records the run's span and events; nil disables it.
+	// Trace records the run's span; nil disables it.
 	Trace *obs.Trace
 	// OnImprove, when set, is called (from Run's goroutine) each time a
 	// strictly better schedule passes exact verification — the portfolio
@@ -266,8 +266,7 @@ func (e *Engine) screen(p *prog, vals []uint64) (int, bool) {
 // returns the best exactly-verified schedule.
 func (e *Engine) Run() (*Result, error) {
 	t0 := time.Now()
-	tr := e.opt.Trace
-	sp := tr.Start("stoke", obs.T("gma", e.g.Name), obs.Tint("steps", int64(e.opt.Steps)))
+	sp := e.opt.Trace.Start("stoke", obs.T("gma", e.g.Name), obs.Tint("steps", int64(e.opt.Steps)))
 	res := &Result{}
 	defer func() {
 		res.Elapsed = time.Since(t0)
@@ -368,7 +367,6 @@ func (e *Engine) Run() (*Result, error) {
 			// exact verification caught. Sharpen the screen so this
 			// candidate (and its neighbourhood) stops passing.
 			res.Rejected++
-			tr.Event("stoke.reject", obs.T("gma", e.g.Name), obs.T("error", err.Error()))
 			if extra, verr := sim.Vectors(e.g, e.vecRng, 2); verr == nil {
 				e.vectors = append(e.vectors, extra...)
 			}

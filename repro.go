@@ -99,11 +99,11 @@ type Options struct {
 	// input performs by hand (section 8). Ineligible loops compile
 	// unchanged.
 	SoftwarePipeline bool
-	// Trace collects pipeline telemetry (spans, counters, events) across
-	// every GMA compiled with these options: matcher rounds, SAT probes,
-	// scheduling and verification. Nil (the default) disables tracing at
-	// zero cost. Export with its WriteChromeTrace / MetricsTable /
-	// WriteJSONL methods.
+	// Trace collects the pipeline's timed spans across every GMA compiled
+	// with these options: matcher rounds, SAT probes, scheduling and
+	// verification. Nil (the default) disables tracing at zero cost.
+	// Export with its WriteChromeTrace / MetricsTable methods. Counts are
+	// not traced: each CompiledGMA's flight record carries them.
 	Trace *obs.Trace
 	// Cache, when set, answers each GMA compilation from the
 	// content-addressed compile cache instead of re-running the pipeline
@@ -835,7 +835,7 @@ func (c *CompiledGMA) Execute(inputs map[string]uint64, memory map[uint64]uint64
 // Verify executes the schedule on n random inputs and compares against the
 // GMA's reference semantics ("correct by design", section 1 of the paper).
 // When the GMA was compiled with a trace, the verification run is recorded
-// into it as a "verify" span with trial and simulated-cycle counters.
+// into it as a "verify" span holding one "sim.run" span per trial.
 func (c *CompiledGMA) Verify(n int, seed int64) error {
 	if c.sched == nil {
 		return errors.New("repro: no schedule available (degenerate cache entry)")

@@ -41,6 +41,20 @@ bash perfbench/run.sh --workload deep-certify --seed 1 --seconds 0 --trace 0
 echo "== serve smoke (HTTP compile + request-id echo + flight report + cache hit/bypass + every default probe on the incremental engine + /metrics scrape + graceful shutdown; then fleet: router + 2 workers via -route-file, routed /compile + /compile/batch, cache affinity on the owning shard, SIGTERM'd worker routed around)"
 go run ./scripts/servesmoke
 
+echo "== CLI trace smoke (-strategy parallel -trace -metrics on byteswap4: the Chrome trace holds the compile span and probe spans; the stderr table shows compile at 100.0% and the counts block)"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/denali -strategy parallel -workers 2 -trace "$tmp/t.json" -metrics -q examples/byteswap/byteswap.dn 2>"$tmp/stderr"
+cat "$tmp/stderr"
+if ! grep -q '"name":"compile","ph":"X"' "$tmp/t.json" || ! grep -q '"name":"probe K=[0-9]*","ph":"X"' "$tmp/t.json"; then
+    echo "CLI trace smoke: t.json lacks the compile span or a probe K= span" >&2
+    exit 1
+fi
+if ! grep -Eq '^compile +.* 100\.0%$' "$tmp/stderr" || ! grep -Eq '^sat\.conflicts +[0-9]+$' "$tmp/stderr"; then
+    echo "CLI trace smoke: -metrics must show compile at 100.0% and a sat.conflicts row" >&2
+    exit 1
+fi
+
 echo "== certification gate (drat checker tests + end-to-end -certify)"
 go test ./internal/drat
 out=$(go run ./cmd/denali -certify -q examples/byteswap/byteswap.dn)
