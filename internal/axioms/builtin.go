@@ -1,5 +1,10 @@
 package axioms
 
+import (
+	"slices"
+	"sync"
+)
+
 // MathSource is the built-in mathematical axiom file: facts about functions
 // and relations useful for describing many target architectures (section 4
 // of the paper). Every axiom here is universally valid for the reference
@@ -181,8 +186,19 @@ func Math() ([]*Axiom, error) { return ParseAll(MathSource, "math") }
 // Alpha returns the parsed built-in Alpha EV6 architectural axioms.
 func Alpha() ([]*Axiom, error) { return ParseAll(AlphaSource, "alpha") }
 
-// Builtin returns both built-in axiom sets, math first.
+// Builtin returns both built-in axiom sets, math first. They are parsed
+// once per process: every call returns a fresh slice, which the caller
+// may append to, over the same shared *Axiom values, which nobody may
+// modify.
 func Builtin() ([]*Axiom, error) {
+	axs, err := builtin()
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(axs), nil
+}
+
+var builtin = sync.OnceValues(func() ([]*Axiom, error) {
 	m, err := Math()
 	if err != nil {
 		return nil, err
@@ -192,4 +208,4 @@ func Builtin() ([]*Axiom, error) {
 		return nil, err
 	}
 	return append(m, a...), nil
-}
+})

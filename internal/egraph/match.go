@@ -2,40 +2,12 @@ package egraph
 
 import (
 	"slices"
-	"strconv"
 
 	"repro/internal/term"
 )
 
 // Subst binds pattern variables to equivalence classes.
 type Subst map[string]ClassID
-
-// Fingerprint returns a canonical key for the substitution, used to avoid
-// re-instantiating an axiom with bindings already seen: "name=class;" per
-// binding, in name order, each class canonical. Its only allocation is
-// the returned string.
-func (s Subst) Fingerprint(g *Graph) string {
-	var arr [8]string
-	names := arr[:0]
-	for n := range s {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	var buf [128]byte
-	b := buf[:0]
-	for _, n := range names {
-		b = appendBinding(b, n, g.Find(s[n]))
-	}
-	return string(b)
-}
-
-// appendBinding appends one fingerprint entry, "name=class;".
-func appendBinding(b []byte, name string, c ClassID) []byte {
-	b = append(b, name...)
-	b = append(b, '=')
-	b = strconv.AppendInt(b, int64(c), 10)
-	return append(b, ';')
-}
 
 // Match finds every substitution θ of the pattern's variables (the names in
 // patVars) such that the instance θ(pat) is represented in the graph. This
@@ -44,8 +16,8 @@ func appendBinding(b []byte, name string, c ClassID) []byte {
 // k * 2**n match the term reg6*4 once 4 = 2**2 has been recorded
 // (Figure 2 of the paper).
 //
-// The pattern must be an application. Substitutions are deduplicated by
-// fingerprint.
+// The pattern must be an application. Equal substitutions are reported
+// once.
 func (g *Graph) Match(pat *term.Term, patVars map[string]bool) []Subst {
 	return g.MatchPattern(NewPattern([]*term.Term{pat}, patVars))
 }
@@ -118,28 +90,48 @@ func NewPattern(pats []*term.Term, patVars map[string]bool) *Pattern {
 	return p
 }
 
-// AppendFingerprint appends the Fingerprint of s, a substitution this
-// pattern matched, to b, without sorting or allocating: the pattern
-// already knows the variable names in order. A caller deduplicating
-// against a map[string] looks the key up as m[string(b)] and pays for a
-// string only when the key is new.
-func (p *Pattern) AppendFingerprint(b []byte, g *Graph, s Subst) []byte {
-	for _, n := range p.names {
-		b = appendBinding(b, n, g.Find(s[n]))
+// Width returns the number of pattern variables: the width of a row of
+// this pattern's matches.
+func (p *Pattern) Width() int { return len(p.names) }
+
+// Subst returns the substitution that row, one of this pattern's
+// matches, binds.
+func (p *Pattern) Subst(row []ClassID) Subst {
+	s := make(Subst, len(p.names))
+	for slot, n := range p.names {
+		s[n] = row[slot]
 	}
-	return b
+	return s
 }
 
-// MatchPattern finds every substitution for the compiled pattern. They
-// come out in search order — patterns left to right, candidate nodes in
-// graph order, arguments left to right — deduplicated by fingerprint.
+// MatchPattern finds every substitution for the compiled pattern, in the
+// order of MatchRows, as maps.
 func (g *Graph) MatchPattern(p *Pattern) []Subst {
-	m := &matchState{g: g, p: p, env: make([]ClassID, len(p.names)), seen: map[string]bool{}}
+	var rows RowSet
+	g.MatchRows(p, &rows)
+	if rows.Len() == 0 {
+		return nil
+	}
+	out := make([]Subst, rows.Len())
+	for i := range out {
+		out[i] = p.Subst(rows.Row(i))
+	}
+	return out
+}
+
+// MatchRows finds every match of the compiled pattern and leaves them in
+// out, which it first resets to the pattern's width. Each distinct match
+// is one row: the classes bound to the pattern variables in sorted-name
+// order, canonical at match time. Rows come out in search order —
+// patterns left to right, candidate nodes in graph order, arguments left
+// to right — and a match equal to an earlier one is not recorded again.
+func (g *Graph) MatchRows(p *Pattern, out *RowSet) {
+	out.Reset(p.Width())
+	m := matchState{g: g, p: p, env: make([]ClassID, len(p.names)), out: out}
 	for i := range m.env {
 		m.env[i] = -1
 	}
 	m.step(0)
-	return m.out
 }
 
 // goal is one pending obligation: pattern node n must match class c.
@@ -155,9 +147,7 @@ type matchState struct {
 	p     *Pattern
 	env   []ClassID // slot -> bound class, -1 while unbound
 	goals []goal    // pending goals, the next one last
-	seen  map[string]bool
-	key   []byte
-	out   []Subst
+	out   *RowSet
 }
 
 // step continues the search: it discharges the next pending goal, or,
@@ -244,24 +234,10 @@ func (m *matchState) matchOne(pi int32, class ClassID, i int) {
 	}
 }
 
-// record keeps the completed match unless an equal substitution was
-// already found. The key is the Fingerprint of the bindings, built from
-// the slots (already in name order); a duplicate allocates nothing.
-func (m *matchState) record() {
-	m.key = m.key[:0]
-	for slot, n := range m.p.names {
-		m.key = appendBinding(m.key, n, m.g.Find(m.env[slot]))
-	}
-	if m.seen[string(m.key)] {
-		return
-	}
-	m.seen[string(m.key)] = true
-	s := make(Subst, len(m.p.names))
-	for slot, n := range m.p.names {
-		s[n] = m.env[slot]
-	}
-	m.out = append(m.out, s)
-}
+// record keeps the completed match unless an equal one was already
+// found. The slots are the row: every class was canonical when bound, and
+// the search merges nothing.
+func (m *matchState) record() { m.out.Add(m.env) }
 
 // Instantiate interns the instance of t under substitution s: pattern
 // variables become their bound classes, other leaves are interned directly.

@@ -71,9 +71,6 @@ type Result struct {
 	Quiescent bool
 	// Nodes and Classes are the final graph size.
 	Nodes, Classes int
-	// ByAxiom counts instantiations per axiom name — the diagnostic for
-	// spotting axioms that dominate saturation cost.
-	ByAxiom map[string]int
 }
 
 // Saturate runs the matching phase over g with the given axioms. When
@@ -84,14 +81,8 @@ type Result struct {
 func Saturate(g *egraph.Graph, axs []*axioms.Axiom, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	tr := opt.Trace
-	res := Result{ByAxiom: map[string]int{}}
-	done := make([]map[string]bool, len(axs))
-	pats := make([]*egraph.Pattern, len(axs))
-	var fpBuf []byte
-	for i, ax := range axs {
-		done[i] = map[string]bool{}
-		pats[i] = egraph.NewPattern(ax.Patterns, ax.VarSet())
-	}
+	s := newSaturation(g, axs, opt)
+	res := &s.res
 	for round := 1; round <= opt.MaxRounds; round++ {
 		res.Rounds = round
 		sp := tr.Startf("round %d", round)
@@ -108,54 +99,28 @@ func Saturate(g *egraph.Graph, axs []*axioms.Axiom, opt Options) (Result, error)
 		if !opt.DisableOffsets {
 			if err := enrichOffsetDistinctions(g); err != nil {
 				endRound()
-				return res, err
+				return *res, err
 			}
 		}
 		nodesBefore, classesBefore := g.NumNodes(), g.NumClasses()
-		for i, ax := range axs {
-			subs := g.MatchPattern(pats[i])
-			if len(subs) > opt.MaxMatchesPerAxiom {
-				subs = subs[:opt.MaxMatchesPerAxiom]
+		capped := false
+		for i := range axs {
+			cut, err := s.apply(i)
+			if err != nil {
+				return *res, err
 			}
-			for _, sub := range subs {
-				// Most subs of a later round are already done; looking
-				// one up in the reused key buffer allocates nothing.
-				fpBuf = pats[i].AppendFingerprint(fpBuf[:0], g, sub)
-				if done[i][string(fpBuf)] {
-					continue
-				}
-				fp := string(fpBuf)
-				// Fully-constant instances are redundant with constant
-				// folding and, worse, breed fresh constants without
-				// bound (0 -> add64(0,0) -> mul64(0,2) -> 2 -> 4 ...).
-				if len(sub) > 0 && allConstant(g, sub) {
-					done[i][fp] = true
-					continue
-				}
-				condOK, condGround := checkConditions(g, ax, sub)
-				if !condOK {
-					if condGround {
-						// Definitely false: never revisit.
-						done[i][fp] = true
-					}
-					continue
-				}
-				done[i][fp] = true
-				if err := instantiate(g, ax, sub); err != nil {
-					return res, fmt.Errorf("matcher: instantiating %s: %w", ax.Name, err)
-				}
-				res.Instantiations++
-				res.ByAxiom[ax.Name]++
-			}
+			capped = capped || cut
 			if g.NumNodes() > opt.MaxNodes {
 				break
 			}
 		}
 		if err := g.PropagateClauses(); err != nil {
 			endRound()
-			return res, err
+			return *res, err
 		}
-		quiescent := g.NumNodes() == nodesBefore && g.NumClasses() == classesBefore
+		// A round whose match list the cap cut left instances for the
+		// next round, even if it changed nothing.
+		quiescent := !capped && g.NumNodes() == nodesBefore && g.NumClasses() == classesBefore
 		overNodes := !quiescent && g.NumNodes() > opt.MaxNodes
 		switch {
 		case overNodes:
@@ -174,7 +139,82 @@ func Saturate(g *egraph.Graph, axs []*axioms.Axiom, opt Options) (Result, error)
 	}
 	res.Nodes = g.NumNodes()
 	res.Classes = g.NumClasses()
-	return res, nil
+	return *res, nil
+}
+
+// saturation is the matching state of one Saturate call.
+type saturation struct {
+	g    *egraph.Graph
+	axs  []*axioms.Axiom
+	opt  Options
+	pats []*egraph.Pattern // axs[i]'s compiled trigger patterns
+	// done[i] holds the rows of axs[i] that need no second look: the
+	// instantiated ones and those that are fully constant or whose
+	// conditions are definitely false. Each is keyed on its classes as
+	// they were canonical when it was checked.
+	done []egraph.RowSet
+	rows egraph.RowSet    // the current axiom's matches
+	key  []egraph.ClassID // a row re-canonicalized
+	res  Result
+}
+
+func newSaturation(g *egraph.Graph, axs []*axioms.Axiom, opt Options) *saturation {
+	s := &saturation{g: g, axs: axs, opt: opt}
+	s.pats = make([]*egraph.Pattern, len(axs))
+	s.done = make([]egraph.RowSet, len(axs))
+	for i, ax := range axs {
+		s.pats[i] = egraph.NewPattern(ax.Patterns, ax.VarSet())
+		s.done[i].Reset(s.pats[i].Width())
+	}
+	return s
+}
+
+// apply matches axiom i and instantiates, in match order, each of its
+// rows that is not done, up to opt.MaxMatchesPerAxiom of them. It
+// reports whether that cap cut the list.
+func (s *saturation) apply(i int) (capped bool, err error) {
+	g, ax, pat, done := s.g, s.axs[i], s.pats[i], &s.done[i]
+	g.MatchRows(pat, &s.rows)
+	kept := 0
+	for r := 0; r < s.rows.Len(); r++ {
+		row := s.rows.Row(r)
+		// Instantiating an earlier row may have merged this row's
+		// classes since the search, so the done check canonicalizes
+		// them again.
+		s.key = s.key[:0]
+		for _, c := range row {
+			s.key = append(s.key, g.Find(c))
+		}
+		if done.Has(s.key) {
+			continue
+		}
+		if kept == s.opt.MaxMatchesPerAxiom {
+			return true, nil
+		}
+		kept++
+		sub := pat.Subst(row)
+		// Fully-constant instances are redundant with constant folding
+		// and, worse, breed fresh constants without bound (0 ->
+		// add64(0,0) -> mul64(0,2) -> 2 -> 4 ...).
+		if len(sub) > 0 && allConstant(g, sub) {
+			done.Add(s.key)
+			continue
+		}
+		condOK, condGround := checkConditions(g, ax, sub)
+		if !condOK {
+			if condGround {
+				// Definitely false: never revisit.
+				done.Add(s.key)
+			}
+			continue
+		}
+		done.Add(s.key)
+		if err := instantiate(g, ax, sub); err != nil {
+			return false, fmt.Errorf("matcher: instantiating %s: %w", ax.Name, err)
+		}
+		s.res.Instantiations++
+	}
+	return false, nil
 }
 
 // allConstant reports whether every class bound by the substitution holds a
@@ -293,11 +333,7 @@ func enrichOffsetDistinctions(g *egraph.Graph) error {
 			if !g.Distinct(nodeCls, base) && g.Find(nodeCls) != g.Find(base) {
 				pending = append(pending, [2]egraph.ClassID{nodeCls, base})
 			}
-			key := baseConst{g.Find(base), c}
-			if prev, ok := offsets[key]; ok {
-				_ = prev // same base and offset: same class by congruence
-			}
-			offsets[key] = nodeCls
+			offsets[baseConst{g.Find(base), c}] = nodeCls
 		}
 	}
 	// Distinct offsets from the same base are distinct classes.

@@ -2,6 +2,7 @@ package matcher
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -346,18 +347,62 @@ func TestInstantiationsCounted(t *testing.T) {
 	}
 }
 
-func TestByAxiomStats(t *testing.T) {
+// TestCapDoesNotFakeQuiescence: the per-axiom cap counts only rows not
+// yet done. With a cap of 1 the first round instantiates gg(a) and the
+// second must still reach gg(b), whose row comes after the done one;
+// a round the cap cut is never reported quiescent.
+func TestCapDoesNotFakeQuiescence(t *testing.T) {
+	axs, err := axioms.ParseAll(`(\axiom (forall (x) (pats (\gg x)) (eq (\gg x) (\hh x))))`, "cap")
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := egraph.New()
-	g.AddTerm(term.MustParse("(add64 (mul64 reg6 4) 1)"))
-	res := saturate(t, g, builtinAxioms(t), Options{})
-	if len(res.ByAxiom) == 0 {
-		t.Fatal("no per-axiom counts")
+	ga := g.AddTerm(term.MustParse("(gg a)"))
+	gb := g.AddTerm(term.MustParse("(gg b)"))
+	res := saturate(t, g, axs, Options{MaxMatchesPerAxiom: 1, DisablePow2: true, DisableOffsets: true})
+	if !res.Quiescent || res.Instantiations != 2 || res.Rounds != 3 {
+		t.Errorf("got %+v, want 3 rounds, 2 instantiations, quiescent", res)
 	}
-	total := 0
-	for _, n := range res.ByAxiom {
-		total += n
+	for _, c := range []egraph.ClassID{ga, gb} {
+		if !hasInClass(g, c, "hh") {
+			t.Errorf("%s lacks its hh instance", g.TermOf(c))
+		}
 	}
-	if total != res.Instantiations {
-		t.Fatalf("per-axiom sum %d != total %d", total, res.Instantiations)
+}
+
+// TestDoneRoundAllocs: once every match of an axiom is done, matching it
+// again allocates nothing per match — the done check re-canonicalizes a
+// row into a reused key and probes a hash set — so a round's allocations
+// do not grow with the number of done matches.
+func TestDoneRoundAllocs(t *testing.T) {
+	axs, err := axioms.ParseAll(`(\axiom (forall (x y) (pats (\gg x y)) (eq (\gg x y) (\hh y x))))`, "done")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		g := egraph.New()
+		for i := 0; i < n; i++ {
+			g.AddTerm(term.MustParse(fmt.Sprintf("(gg a%d b%d)", i, i)))
+		}
+		s := newSaturation(g, axs, Options{}.withDefaults())
+		if _, err := s.apply(0); err != nil {
+			t.Fatal(err)
+		}
+		if s.res.Instantiations != n {
+			t.Fatalf("%d goals: %d instantiations", n, s.res.Instantiations)
+		}
+		a := testing.AllocsPerRun(20, func() {
+			if _, err := s.apply(0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if s.res.Instantiations != n {
+			t.Fatalf("%d goals: a done round instantiated again", n)
+		}
+		return a
+	}
+	small, large := allocs(4), allocs(400)
+	if large > small {
+		t.Errorf("a round of done matches allocates %.0f times with 400 matches and %.0f with 4; want no growth", large, small)
 	}
 }

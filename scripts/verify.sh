@@ -25,8 +25,8 @@ go test ./...
 echo "== benchmark module (perfbench/ is its own Go module, which the root go build/vet/test skip)"
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "== race gate (core, schedule, sat, obs, serve, flight, compilecache, history, stoke)"
-go test -race ./internal/core ./internal/schedule ./internal/sat ./internal/obs ./internal/serve ./internal/flight ./internal/compilecache ./internal/history ./internal/stoke
+echo "== race gate (core, schedule, sat, obs, serve, flight, compilecache, history, stoke, axioms)"
+go test -race ./internal/core ./internal/schedule ./internal/sat ./internal/obs ./internal/serve ./internal/flight ./internal/compilecache ./internal/history ./internal/stoke ./internal/axioms
 
 echo "== flake guard (parallel speculation accounting under -race, 20 runs)"
 go test -race -run '^TestParallelObs$' -count=20 ./internal/core
