@@ -321,21 +321,12 @@ func serveMain(args []string) {
 		historyDir = fs.String("history-dir", "", "persist the compile-history warehouse in this directory (aggregates survive restarts)")
 		sloAvail   = fs.Float64("slo-availability", 0, "availability objective for /debug/slo and denali_slo_* (0 = default 0.999)")
 		sloP95MS   = fs.Float64("slo-p95-ms", 0, "p95 latency objective in ms for /debug/slo and denali_slo_* (0 = default 2000)")
-		route      = fs.String("route", "", "run as a fleet front door routing to these worker addresses (comma-separated host:port); no local compiling")
-		routeFile  = fs.String("route-file", "", "like -route, but read worker addresses from these files (comma-separated paths, each written by a worker's -addr-file)")
-		routeProbe = fs.Duration("route-probe", 0, "worker /readyz probe interval in router mode (0 = 1s)")
-		routeRetry = fs.Int("route-retries", 0, "dispatch attempts per routed request (0 = one per worker)")
-		routeWait  = fs.Duration("route-backoff", 0, "base retry backoff in router mode, doubled per attempt and capped at 1s (0 = 25ms)")
 	)
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: denali serve [flags]")
 		fs.Usage()
 		os.Exit(2)
-	}
-	workersList, err := routeMembers(*route, *routeFile)
-	if err != nil {
-		fatal(err)
 	}
 	cfg := serve.Config{
 		Addr: *addr,
@@ -344,23 +335,13 @@ func serveMain(args []string) {
 			Workers: *workers,
 			Certify: *certify,
 		},
-		MaxConcurrent:      *maxConc,
-		RequestTimeout:     *reqTimeout,
-		DrainTimeout:       *drain,
-		FlightRing:         *flightRing,
-		Route:              workersList,
-		RouteProbeInterval: *routeProbe,
-		RouteRetries:       *routeRetry,
-		RouteBackoff:       *routeWait,
+		MaxConcurrent:  *maxConc,
+		RequestTimeout: *reqTimeout,
+		DrainTimeout:   *drain,
+		FlightRing:     *flightRing,
 	}
 	if *accessLog {
 		cfg.AccessLog = os.Stderr
-	}
-	// A front door compiles nothing itself: routing keys need the options
-	// above, but the cache belongs on the workers (where the compiles run
-	// and where the ring sends each key), so router mode skips it.
-	if len(workersList) > 0 {
-		*cacheMax = 0
 	}
 	// The cache is on by default for the service — repeat-heavy request
 	// mixes are exactly what a long-lived compile server sees; -cache-max 0
@@ -401,12 +382,7 @@ func serveMain(args []string) {
 			case <-time.After(5 * time.Millisecond):
 			}
 		}
-		if len(workersList) > 0 {
-			fmt.Fprintf(os.Stderr, "denali: routing on http://%s for %d workers (%s)\n",
-				srv.Addr(), len(workersList), strings.Join(workersList, ", "))
-		} else {
-			fmt.Fprintf(os.Stderr, "denali: serving on http://%s (POST /compile, /metrics, /healthz, /readyz, /version, /debug/requests, /debug/history, /debug/slo, /debug/pprof/)\n", srv.Addr())
-		}
+		fmt.Fprintf(os.Stderr, "denali: serving on http://%s (POST /compile, /metrics, /healthz, /readyz, /version, /debug/requests, /debug/history, /debug/slo, /debug/pprof/)\n", srv.Addr())
 		if *addrFile != "" {
 			if err := os.WriteFile(*addrFile, []byte(srv.Addr()), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "denali: addr-file:", err)
@@ -417,43 +393,6 @@ func serveMain(args []string) {
 		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "denali: shut down cleanly")
-}
-
-// routeMembers resolves the router's worker set from -route (literal
-// addresses) and -route-file (paths to files each written by a worker's
-// -addr-file). Files are awaited briefly, so a fleet script can launch
-// router and workers together and let the -addr-file handshake order
-// them.
-func routeMembers(route, routeFile string) ([]string, error) {
-	var members []string
-	for _, m := range strings.Split(route, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			members = append(members, m)
-		}
-	}
-	for _, path := range strings.Split(routeFile, ",") {
-		if path = strings.TrimSpace(path); path == "" {
-			continue
-		}
-		var addr string
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			b, err := os.ReadFile(path)
-			if err == nil && len(strings.TrimSpace(string(b))) > 0 {
-				addr = strings.TrimSpace(string(b))
-				break
-			}
-			if time.Now().After(deadline) {
-				if err == nil {
-					err = fmt.Errorf("file is empty")
-				}
-				return nil, fmt.Errorf("route-file %s: %w", path, err)
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
-		members = append(members, addr)
-	}
-	return members, nil
 }
 
 // writeProof exports one GMA's checked refutation: the DRAT derivation

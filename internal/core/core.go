@@ -480,8 +480,8 @@ func (c *Compiled) Assembly() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "// %s\n", c.GMA)
 	fmt.Fprintf(&b, "// Register Map: {")
-	// Sorted iteration: the listing must be byte-stable across runs (and
-	// across fleet members) — identical compiles answer identical text.
+	// Sorted iteration: the listing must be byte-stable across runs and
+	// processes — identical compiles answer identical text.
 	inputs := make([]string, 0, len(c.Schedule.InputRegs))
 	for name := range c.Schedule.InputRegs {
 		inputs = append(inputs, name)

@@ -148,16 +148,6 @@ type Report struct {
 	WallMillis float64     `json:"wall_ms"`
 	GMAs       []GMAReport `json:"gmas,omitempty"`
 
-	// Upstream and Attempts record the router→worker hop for requests a
-	// fleet front door answered by forwarding: the worker address that
-	// produced the response and how many dispatch attempts the bounded
-	// retry loop needed (1 = first try; >1 means a drained or unreachable
-	// replica was routed around). The same request ID appears in the
-	// worker's own flight ring, so /debug/requests/{id} correlates the
-	// two tiers.
-	Upstream string `json:"upstream,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-
 	// Error/Panic capture a request-level failure (parse error, panic, or
 	// the first failing GMA's error joined by the compiler).
 	Error string `json:"error,omitempty"`

@@ -153,6 +153,12 @@ func TestLogRoundTrip(t *testing.T) {
 	if _, err := ReadLog(strings.NewReader("{\"id\":\"ok\"}\nnot-json\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("want line-2 error, got %v", err)
 	}
+	// Logs written by older builds still load: keys a report no longer
+	// has (the retired router's upstream/attempts) are ignored.
+	old, err := ReadLog(strings.NewReader(`{"id":"old","wall_ms":4,"upstream":"10.0.0.1:8473","attempts":2}` + "\n"))
+	if err != nil || len(old) != 1 || old[0].ID != "old" || old[0].WallMillis != 4 {
+		t.Errorf("older log: %+v, %v", old, err)
+	}
 	// Nil log swallows writes.
 	var nilLog *Log
 	if err := nilLog.Write(Report{}); err != nil {

@@ -159,13 +159,6 @@ type Totals struct {
 	Timeouts  uint64 `json:"timeouts,omitempty"`
 	CacheHits uint64 `json:"cache_hits,omitempty"`
 	Coalesced uint64 `json:"coalesced,omitempty"`
-	// Routed counts reports a fleet router answered by forwarding to an
-	// upstream worker; Retried counts the subset that needed more than
-	// one dispatch attempt (a drained or unreachable replica was routed
-	// around). A rising Retried/Routed ratio is an early fleet-health
-	// signal independent of the router's own metrics registry.
-	Routed  uint64 `json:"routed,omitempty"`
-	Retried uint64 `json:"retried,omitempty"`
 }
 
 // Row is one journal observation: the compact per-GMA (or per-failure)
@@ -196,10 +189,6 @@ type Row struct {
 	// First marks the first row of a report, so replay counts reports
 	// exactly as live ingest did.
 	First bool `json:"first,omitempty"`
-	// Upstream/Attempts carry the report's router→worker hop (set on the
-	// First row only), so replayed journals rebuild the routed totals.
-	Upstream string `json:"upstream,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
 }
 
 // Config configures a warehouse.
@@ -314,8 +303,6 @@ func rowsFromReport(rep flight.Report) []Row {
 		rows = append(rows, rowFromGMA(rep, g))
 	}
 	rows[0].First = true
-	rows[0].Upstream = rep.Upstream
-	rows[0].Attempts = rep.Attempts
 	return rows
 }
 
@@ -325,12 +312,6 @@ func rowsFromReport(rep flight.Report) []Row {
 func (w *Warehouse) applyTotalsLocked(row Row) {
 	if row.First {
 		w.tot.Reports++
-		if row.Upstream != "" {
-			w.tot.Routed++
-			if row.Attempts > 1 {
-				w.tot.Retried++
-			}
-		}
 	}
 	if row.Fingerprint != "" {
 		w.tot.GMAs++

@@ -48,6 +48,26 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalWithRetiredKeys: a journal row written by an older build,
+// carrying the retired router's upstream/attempts keys, still replays.
+func TestJournalWithRetiredKeys(t *testing.T) {
+	dir := t.TempDir()
+	row := `{"seq":1,"t":"2026-01-02T03:04:05Z","req":"r-0","fingerprint":"fp1","arch":"ev6",` +
+		`"strategy":"linear","incremental":false,"name":"g","cycles":1,"outcome":"ok","first":true,` +
+		`"upstream":"10.0.0.1:8473","attempts":2}`
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(row+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if tot := w.Totals(); tot.Reports != 1 || tot.GMAs != 1 || tot.Errors != 0 {
+		t.Fatalf("totals after replay = %+v, want 1 report, 1 GMA, no errors", tot)
+	}
+}
+
 func TestJournalReplayWithoutClose(t *testing.T) {
 	// A crash (no Close, no compaction) must lose nothing: every row was
 	// flushed at append time.

@@ -131,23 +131,6 @@ const (
 	MCacheHitSeconds  = "denali_cache_hit_seconds"
 	MCacheStoreErrors = "denali_cache_store_errors_total"
 
-	// The denali_router_* family instruments the fleet front door (serve
-	// router mode). MRouterForwards counts upstream hops by worker and
-	// final status class; MRouterRetries counts forwards re-dispatched to
-	// the next ring replica after a drain/connection failure;
-	// MRouterBackpressure counts worker 503s propagated to the client
-	// with a Retry-After instead of queueing in the router.
-	// MRouterMembers gauges ring membership by state (alive/down), and
-	// MRouterForwardSeconds is the per-hop latency including retries.
-	// MRouterBatchGMAs counts per-GMA units fanned out by /compile/batch,
-	// by outcome (ok/error).
-	MRouterForwards       = "denali_router_forwards_total"
-	MRouterRetries        = "denali_router_retries_total"
-	MRouterBackpressure   = "denali_router_backpressure_total"
-	MRouterMembers        = "denali_router_members"
-	MRouterForwardSeconds = "denali_router_forward_seconds"
-	MRouterBatchGMAs      = "denali_router_batch_gmas_total"
-
 	// MBuildInfo is the constant-1 build-identity gauge (version and
 	// goversion labels), the Prometheus idiom for joining a process's
 	// version onto any other series. The same version string is stamped
@@ -204,12 +187,6 @@ func NewCompilerRegistry() *Registry {
 	r.DeclareGauge(MCacheEntries, "Entries held by the in-memory compile-cache tier.")
 	r.DeclareHistogram(MCacheHitSeconds, "Latency of answering a compile from the cache.", DefSecondsBuckets)
 	r.DeclareCounter(MCacheStoreErrors, "Persistent compile-cache store failures (tolerated).")
-	r.DeclareCounter(MRouterForwards, "Router forwards to upstream workers, by worker and status class.")
-	r.DeclareCounter(MRouterRetries, "Router forwards retried onto the next ring replica after a drain or connection failure.")
-	r.DeclareCounter(MRouterBackpressure, "Worker 503s propagated to the client with a Retry-After (explicit backpressure).")
-	r.DeclareGauge(MRouterMembers, "Fleet ring members by state (alive/down).")
-	r.DeclareHistogram(MRouterForwardSeconds, "Latency of one routed request, including retries.", DefSecondsBuckets)
-	r.DeclareCounter(MRouterBatchGMAs, "Per-GMA units fanned out by /compile/batch, by outcome.")
 	r.DeclareGauge(MBuildInfo, "Build identity: constant 1, labeled by version and goversion.")
 	r.DeclareGauge(MUptimeSeconds, "Seconds since the registry was constructed.")
 	r.Set(MBuildInfo, 1,

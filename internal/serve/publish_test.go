@@ -228,7 +228,6 @@ func TestServeMetricsFromRecords(t *testing.T) {
 // replay an origin compile and publish nothing.
 func TestPublishPanicAndCachedRows(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	origin := flight.GMAReport{
 		Name: "g", Cycles: 3, EGraphNodes: 9, CompileMillis: 2,
 		Probes: []flight.ProbeRow{{K: 2, Result: "UNSAT", Conflicts: 4}, {K: 3, Result: "SAT"}},

@@ -121,28 +121,6 @@ type Config struct {
 	// gauges. Nil allocates a memory-only warehouse; pass one from
 	// history.Open to persist across restarts (the caller owns Close).
 	History *history.Warehouse
-
-	// Route turns the server into a fleet front door instead of a worker:
-	// the listed worker addresses (host:port) form a consistent-hash ring
-	// over canonical compile keys, POST /compile forwards to the owning
-	// shard, and POST /compile/batch fans a multi-GMA program out across
-	// the fleet. A routing server runs no compile pipeline of its own;
-	// Options only supply the defaults used to compute routing keys.
-	Route []string
-	// RouteProbeInterval is the /readyz membership probe period (default
-	// 1s): draining members leave the ring, returning members rejoin.
-	RouteProbeInterval time.Duration
-	// RouteRetries bounds dispatch attempts per forwarded request
-	// (default: one per configured worker). Only drains and connection
-	// failures are retried; saturation 503s propagate to the client.
-	RouteRetries int
-	// RouteBackoff is the base delay between retry attempts, doubled per
-	// attempt and capped at 1s (default 25ms).
-	RouteBackoff time.Duration
-	// BatchConcurrency bounds concurrently in-flight per-GMA units of one
-	// /compile/batch request (default: 2x the fleet size in router mode,
-	// MaxConcurrent in worker mode).
-	BatchConcurrency int
 }
 
 // Server is one compile service instance.
@@ -159,8 +137,6 @@ type Server struct {
 	// accumulates them into the per-key warehouse behind /debug/history.
 	ring *flight.Ring
 	hist *history.Warehouse
-	// router is non-nil in fleet front-door mode (Config.Route).
-	router *router
 	// accessMu serializes access-log lines so concurrent requests cannot
 	// interleave bytes within a line.
 	accessMu sync.Mutex
@@ -217,9 +193,6 @@ func New(cfg Config) *Server {
 	s.reg.DeclareGauge(mHeapBytes, "Heap bytes currently allocated.")
 	s.reg.DeclareGauge(mNumGC, "Completed GC cycles.")
 	history.DeclareSLOMetrics(s.reg)
-	if len(cfg.Route) > 0 {
-		s.router = newRouter(cfg, s.sink)
-	}
 	// Callers supplying their own (non-compiler) registry still get the
 	// build-identity gauge; declaring twice only refreshes help text.
 	s.reg.DeclareGauge(obs.MBuildInfo, "Build identity: constant 1, labeled by version and goversion.")
@@ -231,27 +204,6 @@ func New(cfg Config) *Server {
 
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Close releases background resources (the router's membership prober).
-// ListenAndServe calls it on exit; tests driving Handler() directly
-// should defer it. Safe on any server, idempotent.
-func (s *Server) Close() {
-	if s.router != nil {
-		s.router.Close()
-	}
-}
-
-// Drain flips readiness off: /readyz answers 503, new compile work is
-// rejected with X-Denali-Reject: draining, and a fleet router takes this
-// member off its ring at the next probe (or first failed forward). It is
-// the SIGTERM-equivalent a test or an operator can trigger without
-// stopping the listener; Resume undoes it.
-func (s *Server) Drain() { s.ready.Store(false) }
-
-// Resume flips readiness back on after a Drain: /readyz answers 200
-// again and a fleet router rejoins this member to its ring at the next
-// probe.
-func (s *Server) Resume() { s.ready.Store(true) }
 
 // History returns the server's compile-history warehouse.
 func (s *Server) History() *history.Warehouse { return s.hist }
@@ -365,12 +317,7 @@ func (s *Server) Addr() string {
 // Handler returns the full route table, for tests and embedding.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	compile := s.handleCompile
-	if s.router != nil {
-		compile = s.handleRouteCompile
-	}
-	mux.HandleFunc("/compile", s.instrument("/compile", compile))
-	mux.HandleFunc("/compile/batch", s.instrument("/compile/batch", s.handleBatch))
+	mux.HandleFunc("/compile", s.instrument("/compile", s.handleCompile))
 	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
 	mux.HandleFunc("/healthz", s.instrument("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
@@ -401,7 +348,6 @@ func (s *Server) Handler() http.Handler {
 // ListenAndServe binds cfg.Addr and serves until ctx is cancelled, then
 // drains gracefully. It returns nil on a clean shutdown.
 func (s *Server) ListenAndServe(ctx context.Context) error {
-	defer s.Close()
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return err
@@ -439,16 +385,6 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the wrapped writer: without it the instrumentation
-// wrapper would hide the underlying http.Flusher and /compile/batch
-// lines would buffer until the whole batch finished instead of
-// streaming as results land.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // reqInfo rides the request context from instrument (which mints the
 // request ID) into the handler, and carries the compile outcome back out
 // for the access log.
@@ -457,9 +393,6 @@ type reqInfo struct {
 	strategy string
 	cycles   int
 	cache    string
-	// upstream/attempts record the router→worker hop in route mode.
-	upstream string
-	attempts int
 }
 
 type ctxKey struct{}
@@ -486,11 +419,6 @@ type accessLine struct {
 	// Cache mirrors the response's X-Denali-Cache header
 	// (hit|miss|coalesced|bypass); empty when no cache is configured.
 	Cache string `json:"cache,omitempty"`
-	// Upstream/Attempts record the router→worker hop for requests a
-	// fleet front door forwarded: the worker that answered and how many
-	// dispatch attempts were needed.
-	Upstream string `json:"upstream,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
 }
 
 func (s *Server) logAccess(r *http.Request, info *reqInfo, code int, d time.Duration) {
@@ -508,8 +436,6 @@ func (s *Server) logAccess(r *http.Request, info *reqInfo, code int, d time.Dura
 		Strategy: info.strategy,
 		Cycles:   info.cycles,
 		Cache:    info.cache,
-		Upstream: info.upstream,
-		Attempts: info.attempts,
 	})
 	if err != nil {
 		return
@@ -558,6 +484,8 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 
 // CompileRequest is the POST /compile body. Only Source is required;
 // everything else overrides the server's base options for this request.
+// A field not listed here is a 400 that names it, so a misspelled
+// override is never silently ignored.
 type CompileRequest struct {
 	// Source is the program in the Denali input language (Figure 6).
 	Source string `json:"source"`
@@ -585,11 +513,6 @@ type CompileRequest struct {
 	// claim is re-checked as a DRAT proof and each GMA's "certified" field
 	// reports the result. Absent (null) keeps the server's setting.
 	Certify *bool `json:"certify,omitempty"`
-	// Only restricts the compile to the single GMA with this name — the
-	// per-GMA unit a fleet router forwards, so each worker compiles
-	// exactly the shard it owns while seeing the whole program (axioms
-	// and operator declarations included). Unknown names are a 422.
-	Only string `json:"only,omitempty"`
 	// Trace returns the request's pipeline trace as Chrome trace_event
 	// JSON in the response (load in chrome://tracing or Perfetto).
 	Trace bool `json:"trace,omitempty"`
@@ -674,9 +597,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // options merges a request's overrides into the server's base options.
-func (s *Server) options(req *CompileRequest, tr *obs.Trace) (repro.Options, error) {
+func (s *Server) options(req *CompileRequest) (repro.Options, error) {
 	opt := s.cfg.Options
-	opt.Trace = tr
 	if req.Arch != "" {
 		opt.Arch = req.Arch
 	}
@@ -711,7 +633,6 @@ func (s *Server) options(req *CompileRequest, tr *obs.Trace) (repro.Options, err
 	if req.Certify != nil {
 		opt.Certify = *req.Certify
 	}
-	opt.Only = req.Only
 	opt.Cache = s.cfg.Cache
 	if len(req.Cache) > 0 {
 		mode, err := parseCacheMode(req.Cache)
@@ -772,37 +693,41 @@ func cacheOutcome(res *repro.Result) string {
 
 // readCompileRequest reads and decodes a compile body — either the JSON
 // envelope or raw Denali source (text/plain), so `curl --data-binary
-// @file.dn` works without quoting. The raw bytes come back too so a
-// router can forward them unchanged. A non-zero code (with its message)
-// means the request was rejected.
-func (s *Server) readCompileRequest(r *http.Request) (req CompileRequest, raw []byte, code int, msg string) {
+// @file.dn` works without quoting. The envelope admits only the fields
+// of CompileRequest. A non-zero code (with its message) means the
+// request was rejected.
+func (s *Server) readCompileRequest(r *http.Request) (req CompileRequest, code int, msg string) {
 	body := io.LimitReader(r.Body, s.cfg.MaxSourceBytes+1)
 	raw, err := io.ReadAll(body)
 	if err != nil {
-		return req, raw, http.StatusBadRequest, "read body: " + err.Error()
+		return req, http.StatusBadRequest, "read body: " + err.Error()
 	}
 	if int64(len(raw)) > s.cfg.MaxSourceBytes {
 		s.sink.Add(mRejected, 1, obs.T("reason", "too_large"))
-		return req, raw, http.StatusRequestEntityTooLarge,
+		return req, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("source exceeds %d bytes", s.cfg.MaxSourceBytes)
 	}
 	trimmed := strings.TrimSpace(string(raw))
 	if strings.HasPrefix(trimmed, "{") {
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return req, raw, http.StatusBadRequest, "decode request: " + err.Error()
+		dec := json.NewDecoder(strings.NewReader(trimmed))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			return req, http.StatusBadRequest, "decode request: " + err.Error()
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return req, http.StatusBadRequest, "decode request: data after the JSON object"
 		}
 	} else {
 		req.Source = string(raw)
 	}
 	if strings.TrimSpace(req.Source) == "" {
-		return req, raw, http.StatusBadRequest, "empty source"
+		return req, http.StatusBadRequest, "empty source"
 	}
-	return req, raw, 0, ""
+	return req, 0, ""
 }
 
-// retryAfterSeconds is the Retry-After a saturated worker attaches to
-// its 503s: explicit backpressure the router propagates to the client
-// instead of queueing the request itself.
+// retryAfterSeconds is the Retry-After a saturated server attaches to its
+// busy 503s: the queue timeout in whole seconds, at least one.
 func (s *Server) retryAfterSeconds() string {
 	secs := int(s.cfg.QueueTimeout / time.Second)
 	if secs < 1 {
@@ -828,16 +753,20 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	if !s.ready.Load() {
 		s.sink.Add(mRejected, 1, obs.T("reason", "draining"))
-		// The reject header tells a fleet router this 503 means "route
-		// around me" rather than "back off" — the two causes demand
-		// opposite reactions.
-		w.Header().Set(rejectHeader, "draining")
 		reject(http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	req, _, code, msg := s.readCompileRequest(r)
+	req, code, msg := s.readCompileRequest(r)
 	if code != 0 {
 		reject(code, msg)
+		return
+	}
+	// Resolve the options before admission: a request that can never
+	// succeed is a 400 now, not a busy 503 inviting a retry after it
+	// waited out the queue.
+	opt, err := s.options(&req)
+	if err != nil {
+		reject(http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -849,7 +778,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	case s.limiter <- struct{}{}:
 	case <-admit.C:
 		s.sink.Add(mRejected, 1, obs.T("reason", "busy"))
-		w.Header().Set(rejectHeader, "busy")
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
 		reject(http.StatusServiceUnavailable, "server busy: concurrency limit reached")
 		return
@@ -862,12 +790,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var tr *obs.Trace
 	if req.Trace {
 		tr = obs.New()
-	}
-	opt, err := s.options(&req, tr)
-	if err != nil {
-		<-s.limiter
-		reject(http.StatusBadRequest, err.Error())
-		return
+		opt.Trace = tr
 	}
 	// Thread the request ID through the pipeline and attach the flight
 	// recorder; the assembled report lands in the ring whenever the
@@ -972,9 +895,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// gmaJSON renders one compiled GMA into the response shape; /compile and
-// /compile/batch share it so the two endpoints answer byte-identical
-// per-GMA objects.
+// gmaJSON renders one compiled GMA into the response shape.
 func gmaJSON(g *repro.CompiledGMA, verified int) GMAJSON {
 	gj := GMAJSON{
 		Name:          g.Name,

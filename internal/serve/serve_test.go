@@ -200,6 +200,84 @@ func TestServeConcurrentCompile(t *testing.T) {
 	}
 }
 
+// normalizeGMA strips the timing fields — the only parts of a compiled
+// GMA that may differ between two compiles of the same unit — and
+// returns the canonical JSON of the rest. Everything else (assembly
+// text, probe ladder, certification verdicts) must be byte-identical.
+func normalizeGMA(t *testing.T, g GMAJSON) string {
+	t.Helper()
+	g.MatchMillis, g.SolveMillis, g.CertifyMillis = 0, 0, 0
+	for i := range g.Probes {
+		g.Probes[i].Millis = 0
+	}
+	b, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestBatchGoldenEqualsDirect is the served-answer conformance test: a
+// batch of golden corpus programs, each posted to POST /compile on a
+// single-node server with certification on, answers exactly what a
+// direct repro.Compile answers, byte for byte including the assembly,
+// the probe ladder and the certification fields, modulo timings.
+func TestBatchGoldenEqualsDirect(t *testing.T) {
+	corpus := []struct {
+		name string
+		src  string
+	}{
+		{"quickstart", programs.Quickstart},
+		{"lcp2", programs.Lcp2},
+		{"copyloop", programs.CopyLoop},
+		{"rowop", programs.Rowop},
+	}
+	certify := true
+	opt := repro.Options{Arch: "ev6", Workers: 1, Certify: certify}
+	t.Run("single-node", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{Options: opt, MaxConcurrent: 2})
+		for _, p := range corpus {
+			res, err := repro.Compile(p.src, opt)
+			if err != nil {
+				t.Fatalf("%s: direct compile: %v", p.name, err)
+			}
+			want := map[string]string{}
+			for _, proc := range res.Procs {
+				for _, g := range proc.GMAs {
+					gj := gmaJSON(g, 0)
+					if gj.OptimalProven && !gj.Certified {
+						t.Fatalf("%s/%s: optimality proven but not certified", p.name, g.Name)
+					}
+					want[proc.Name+"/"+g.Name] = normalizeGMA(t, gj)
+				}
+			}
+
+			resp, raw := postCompile(t, ts.URL, CompileRequest{Source: p.src, Certify: &certify})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", p.name, resp.StatusCode, raw)
+			}
+			var out CompileResponse
+			if err := json.Unmarshal(raw, &out); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]string{}
+			for _, proc := range out.Procs {
+				for _, g := range proc.GMAs {
+					got[proc.Name+"/"+g.Name] = normalizeGMA(t, g)
+				}
+			}
+			if len(got) != len(want) || len(want) == 0 {
+				t.Fatalf("%s: served %d GMAs, direct %d", p.name, len(got), len(want))
+			}
+			for k, w := range want {
+				if got[k] != w {
+					t.Errorf("%s: GMA %s differs from direct compile:\n served: %s\n direct: %s", p.name, k, got[k], w)
+				}
+			}
+		}
+	})
+}
+
 func TestServeRawSourceBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{Options: repro.Options{Arch: "ev6"}})
 	// Raw Denali source (no JSON envelope), as `curl --data-binary @f.dn`
@@ -397,10 +475,22 @@ func TestServeBadRequests(t *testing.T) {
 		Options:        repro.Options{Arch: "ev6"},
 		MaxSourceBytes: 256,
 	})
+	postJSON := func(body string) (*http.Response, []byte) {
+		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, raw
+	}
+	const tiny = `"(\\procdecl qs ((reg6 long)) long (:= (\\res (+ (* reg6 4) 1))))"`
 	cases := []struct {
 		name string
 		req  func() (*http.Response, []byte)
 		code int
+		// errHas, when set, must appear in the error message.
+		errHas string
 	}{
 		{"wrong method", func() (*http.Response, []byte) {
 			resp, err := http.Get(ts.URL + "/compile")
@@ -410,17 +500,28 @@ func TestServeBadRequests(t *testing.T) {
 			raw, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			return resp, raw
-		}, http.StatusMethodNotAllowed},
+		}, http.StatusMethodNotAllowed, ""},
 		{"empty source", func() (*http.Response, []byte) {
 			resp, raw := postCompile(t, ts.URL, CompileRequest{})
 			return resp, raw
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"unknown strategy", func() (*http.Response, []byte) {
 			return postCompile(t, ts.URL, CompileRequest{Source: "x", Strategy: "quantum"})
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"unknown arch", func() (*http.Response, []byte) {
 			return postCompile(t, ts.URL, CompileRequest{Source: "x", Arch: "z80"})
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
+		// A field the envelope does not define is named, never dropped: a
+		// misspelled override, or the retired "only" selector.
+		{"unknown field stratgy", func() (*http.Response, []byte) {
+			return postJSON(`{"source": ` + tiny + `, "stratgy": "binary"}`)
+		}, http.StatusBadRequest, `"stratgy"`},
+		{"unknown field only", func() (*http.Response, []byte) {
+			return postJSON(`{"source": ` + tiny + `, "only": "qs"}`)
+		}, http.StatusBadRequest, `"only"`},
+		{"data after the object", func() (*http.Response, []byte) {
+			return postJSON(`{"source": ` + tiny + `} {}`)
+		}, http.StatusBadRequest, ""},
 		{"source too large", func() (*http.Response, []byte) {
 			resp, err := http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(strings.Repeat("(", 300)))
 			if err != nil {
@@ -429,10 +530,10 @@ func TestServeBadRequests(t *testing.T) {
 			raw, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			return resp, raw
-		}, http.StatusRequestEntityTooLarge},
+		}, http.StatusRequestEntityTooLarge, ""},
 		{"invalid program", func() (*http.Response, []byte) {
 			return postCompile(t, ts.URL, CompileRequest{Source: "this is not denali"})
-		}, http.StatusUnprocessableEntity},
+		}, http.StatusUnprocessableEntity, ""},
 	}
 	for _, tc := range cases {
 		resp, raw := tc.req()
@@ -442,8 +543,8 @@ func TestServeBadRequests(t *testing.T) {
 		}
 		if tc.code != http.StatusMethodNotAllowed {
 			var e errorJSON
-			if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
-				t.Errorf("%s: want JSON error body, got %s", tc.name, raw)
+			if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" || !strings.Contains(e.Error, tc.errHas) {
+				t.Errorf("%s: want JSON error body naming %s, got %s", tc.name, tc.errHas, raw)
 			}
 		}
 	}
@@ -461,6 +562,23 @@ func TestServeLimiterBusy(t *testing.T) {
 	resp, raw := postCompile(t, ts.URL, CompileRequest{Source: programs.Quickstart})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, raw)
+	}
+	// A QueueTimeout under a second rounds up to the one-second floor.
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("busy 503 Retry-After = %q, want \"1\"", got)
+	}
+	// A request whose options can never resolve is a 400 at once, not a
+	// busy 503 whose Retry-After invites the client to send it again.
+	for name, req := range map[string]CompileRequest{
+		"strategy": {Source: programs.Quickstart, Strategy: "bogus"},
+		"arch":     {Source: programs.Quickstart, Arch: "z80"},
+		"cache":    {Source: programs.Quickstart, Cache: json.RawMessage(`"sometimes"`)},
+	} {
+		resp, raw := postCompile(t, ts.URL, req)
+		if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Retry-After") != "" {
+			t.Errorf("bad %s while saturated: status %d, Retry-After %q; want 400 and none: %s",
+				name, resp.StatusCode, resp.Header.Get("Retry-After"), raw)
+		}
 	}
 	samples := scrapeMetrics(t, ts.URL)
 	if samples[`denali_compile_rejected_total{reason="busy"}`] != 1 {

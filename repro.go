@@ -117,15 +117,6 @@ type Options struct {
 	// normally, "refresh" recomputes and overwrites the stored entries,
 	// "off" bypasses the cache entirely for this call.
 	CacheMode string
-	// Only restricts compilation to the single GMA with this name (after
-	// software pipelining); every other GMA of the program is skipped and
-	// procedures left with no compiled GMAs are dropped from the Result.
-	// It is how a fleet router fans a multi-GMA program out: each worker
-	// receives the whole source plus the name of the one GMA it owns, so
-	// the per-GMA answer is byte-identical to the same GMA's slot in a
-	// whole-program compile. Compiling with a name no GMA carries is an
-	// error. Empty (the default) compiles everything.
-	Only string
 	// RequestID correlates everything this compilation produces with the
 	// request that asked for it: trace spans, exported DIMACS provenance,
 	// and the flight report all carry it. Empty disables the tagging.
@@ -354,19 +345,11 @@ func Compile(src string, opt Options) (*Result, error) {
 				}
 			}
 			for _, g := range gmas {
-				if opt.Only != "" && g.Name != opt.Only {
-					continue
-				}
 				jobs = append(jobs, job{proc: cp, idx: len(cp.GMAs), g: g})
 				cp.GMAs = append(cp.GMAs, nil)
 			}
 		}
-		if opt.Only == "" || len(cp.GMAs) > 0 {
-			res.Procs = append(res.Procs, cp)
-		}
-	}
-	if opt.Only != "" && len(jobs) == 0 {
-		return nil, fmt.Errorf("repro: no GMA named %q in the program", opt.Only)
+		res.Procs = append(res.Procs, cp)
 	}
 
 	workers := opt.Workers
@@ -523,9 +506,8 @@ func cacheFor(opt Options, copts core.Options) *cacheCtx {
 
 // keyConfig derives the compile-cache key configuration from Options:
 // every option that shapes the result, plus the axiom bundle and build.
-// It is shared by the cache lookup path and by Keys, so the identity a
-// router hashes for shard placement is the same identity the owning
-// worker's cache stores under.
+// It is shared by the cache lookup path and by Keys, so both key a GMA
+// under the same configuration.
 func keyConfig(opt Options, axs []*axioms.Axiom) compilecache.KeyConfig {
 	return compilecache.KeyConfig{
 		Arch:              opt.Arch,
@@ -541,8 +523,7 @@ func keyConfig(opt Options, axs []*axioms.Axiom) compilecache.KeyConfig {
 }
 
 // KeyedGMA names one GMA of a parsed program together with its canonical
-// compile-cache key under a given configuration — the unit a fleet
-// router places on the consistent-hash ring.
+// compile-cache key under a given configuration.
 type KeyedGMA struct {
 	// Proc is the enclosing procedure; Name the GMA's unique name
 	// (procedure name plus block suffix).
@@ -550,19 +531,15 @@ type KeyedGMA struct {
 	Name string
 	// Key is the content-addressed compile identity (compilecache.Key):
 	// alpha-renamed canonical GMA text plus every result-shaping option,
-	// so identical computations land on the same shard — and on that
-	// shard, in the same cache entry.
+	// so identical computations share one cache entry.
 	Key string
 }
 
 // Keys parses a program and returns the canonical compile-cache key of
 // every GMA under the given options, in source order, without compiling
-// anything. A router uses this to consistently hash each GMA (and hence
-// each whole program) onto the worker fleet; because the key is exactly
-// the owning worker's cache key, repeated identical requests coalesce on
-// one shard's cache instead of warming N of them. Software pipelining is
-// a compile-time rewrite and is deliberately ignored here: routing keys
-// address source GMAs.
+// anything, so the cost of keying can be measured apart from the
+// compile. Software pipelining is a compile-time rewrite and is ignored
+// here, so the keys address source GMAs.
 func Keys(src string, opt Options) ([]KeyedGMA, error) {
 	prog, err := lang.Parse(src)
 	if err != nil {

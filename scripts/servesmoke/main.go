@@ -2,7 +2,8 @@
 // it builds the real binary, starts it on a random loopback port, compiles
 // one program over HTTP with an X-Request-ID, asserts the ID is echoed
 // and that /debug/requests/{id} serves a flight report consistent with
-// the compile response, checks that the default options answer every
+// the compile response, re-posts it for a cache hit and a "cache": false
+// bypass, checks that the default options answer every
 // probe of quickstart's tiny GMAs and of byteswap4 on the incremental
 // engine, checks /version, scrapes /metrics and asserts the
 // compile-latency histogram counted the request, then shuts the server
@@ -13,16 +14,9 @@
 // service path — listener bootstrap, addr-file handshake, raw-source
 // POST, the flight-report ring, the shared registry, graceful drain —
 // with no test harness in between.
-//
-// A second phase smokes the fleet: two workers plus a router started
-// with -route-file (reusing each worker's -addr-file handshake), a
-// routed /compile whose repeat must coalesce as a cache hit on the same
-// owning shard, a /compile/batch fanned out over the ring, and a
-// SIGTERM'd worker that the router must route around.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -39,16 +33,6 @@ import (
 )
 
 const source = `(\procdecl qs ((reg6 long)) long (:= (\res (+ (* reg6 4) 1))))`
-
-// batchSource has two GMAs so /compile/batch actually fans out.
-const batchSource = `
-(\procdecl scale4plus1 ((reg6 long)) long
-  (:= (\res (+ (* reg6 4) 1))))
-
-(\procdecl lcp2 ((a long) (b long)) long
-  (\var (t long (| a b))
-    (:= (\res (& t (\neg64 t))))))
-`
 
 func main() {
 	if err := run(); err != nil {
@@ -235,239 +219,7 @@ func run() error {
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
 		return err
 	}
-	if err := awaitExit(srv, "serve"); err != nil {
-		return err
-	}
-
-	return fleetSmoke(bin, dir)
-}
-
-// fleetSmoke is the router-mode phase: two workers, one front door wired
-// up via -route-file, then the routed single-compile, cache-affinity,
-// batch and route-around checks.
-func fleetSmoke(bin, dir string) error {
-	var workers [2]*exec.Cmd
-	var workerAddrs [2]string
-	addrFiles := make([]string, 2)
-	for i := range workers {
-		addrFiles[i] = filepath.Join(dir, fmt.Sprintf("worker%d.addr", i))
-		w := exec.Command(bin, "serve", "-addr", "127.0.0.1:0", "-addr-file", addrFiles[i], "-drain", "5s")
-		w.Stderr = os.Stderr
-		if err := w.Start(); err != nil {
-			return fmt.Errorf("start worker %d: %w", i, err)
-		}
-		defer w.Process.Kill()
-		workers[i] = w
-	}
-	for i := range workers {
-		addr, err := waitAddr(addrFiles[i], 10*time.Second)
-		if err != nil {
-			return err
-		}
-		workerAddrs[i] = addr
-	}
-
-	routerAddrFile := filepath.Join(dir, "router.addr")
-	router := exec.Command(bin, "serve", "-addr", "127.0.0.1:0", "-addr-file", routerAddrFile,
-		"-route-file", strings.Join(addrFiles, ","), "-route-probe", "100ms", "-drain", "5s")
-	router.Stderr = os.Stderr
-	if err := router.Start(); err != nil {
-		return fmt.Errorf("start router: %w", err)
-	}
-	defer router.Process.Kill()
-	base, err := waitAddr(routerAddrFile, 10*time.Second)
-	if err != nil {
-		return err
-	}
-	base = "http://" + base
-
-	// Routed compile: the answer comes from a worker, with the hop
-	// recorded in the response headers.
-	first, err := routedCompile(base, "fleetsmoke-1", source)
-	if err != nil {
-		return err
-	}
-	if first.upstream != workerAddrs[0] && first.upstream != workerAddrs[1] {
-		return fmt.Errorf("routed compile upstream %q is not a fleet worker (%v)", first.upstream, workerAddrs)
-	}
-	if first.cache != "miss" {
-		return fmt.Errorf("first routed compile X-Denali-Cache = %q, want \"miss\"", first.cache)
-	}
-
-	// Cache affinity: the identical program consistently hashes to the
-	// same shard, so the repeat must be a hit on the same worker.
-	second, err := routedCompile(base, "fleetsmoke-2", source)
-	if err != nil {
-		return err
-	}
-	if second.upstream != first.upstream {
-		return fmt.Errorf("repeat compile routed to %q, first went to %q — key affinity broken",
-			second.upstream, first.upstream)
-	}
-	if second.cache != "hit" {
-		return fmt.Errorf("repeat routed compile X-Denali-Cache = %q, want \"hit\" on the owning shard", second.cache)
-	}
-	if second.cycles != first.cycles {
-		return fmt.Errorf("cached routed compile answered %d cycles, fresh said %d", second.cycles, first.cycles)
-	}
-
-	// Batch over the fleet: every GMA answered, none failed, summary sane.
-	if err := routedBatch(base); err != nil {
-		return err
-	}
-
-	// Route-around: SIGTERM the worker that owns the smoke key; once it
-	// is gone the same program must still compile via the other worker.
-	victim := 0
-	if first.upstream == workerAddrs[1] {
-		victim = 1
-	}
-	if err := workers[victim].Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	if err := awaitExit(workers[victim], fmt.Sprintf("worker %d", victim)); err != nil {
-		return err
-	}
-	third, err := routedCompile(base, "fleetsmoke-3", source)
-	if err != nil {
-		return fmt.Errorf("compile after worker drain: %w", err)
-	}
-	if third.upstream != workerAddrs[1-victim] {
-		return fmt.Errorf("post-drain compile routed to %q, want the surviving worker %q",
-			third.upstream, workerAddrs[1-victim])
-	}
-	if third.cycles != first.cycles {
-		return fmt.Errorf("post-drain compile answered %d cycles, want %d", third.cycles, first.cycles)
-	}
-
-	for _, p := range []struct {
-		cmd  *exec.Cmd
-		name string
-	}{{router, "router"}, {workers[1-victim], fmt.Sprintf("worker %d", 1-victim)}} {
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return err
-		}
-		if err := awaitExit(p.cmd, p.name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// routedResult is what one routed /compile answered.
-type routedResult struct {
-	upstream string
-	attempts string
-	cache    string
-	cycles   int
-}
-
-// routedCompile POSTs one raw-source compile through the router and
-// checks the request ID and hop headers.
-func routedCompile(base, reqID, src string) (routedResult, error) {
-	req, err := http.NewRequest(http.MethodPost, base+"/compile", strings.NewReader(src))
-	if err != nil {
-		return routedResult{}, err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	req.Header.Set("X-Request-ID", reqID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return routedResult{}, fmt.Errorf("POST /compile (%s): %w", reqID, err)
-	}
-	var out struct {
-		RequestID string `json:"request_id"`
-		Procs     []struct {
-			GMAs []struct {
-				Cycles int `json:"cycles"`
-			} `json:"gmas"`
-		} `json:"procs"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	resp.Body.Close()
-	if err != nil {
-		return routedResult{}, fmt.Errorf("decode routed response (%s): %w", reqID, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return routedResult{}, fmt.Errorf("routed /compile (%s) answered %d", reqID, resp.StatusCode)
-	}
-	if out.RequestID != reqID {
-		return routedResult{}, fmt.Errorf("routed request id %q, want %q (must survive the hop)", out.RequestID, reqID)
-	}
-	if len(out.Procs) != 1 || len(out.Procs[0].GMAs) != 1 {
-		return routedResult{}, fmt.Errorf("unexpected routed response shape (%s): %+v", reqID, out)
-	}
-	r := routedResult{
-		upstream: resp.Header.Get("X-Denali-Upstream"),
-		attempts: resp.Header.Get("X-Denali-Attempts"),
-		cache:    resp.Header.Get("X-Denali-Cache"),
-		cycles:   out.Procs[0].GMAs[0].Cycles,
-	}
-	if r.upstream == "" || r.attempts == "" {
-		return routedResult{}, fmt.Errorf("routed response (%s) lacks hop headers: upstream %q attempts %q",
-			reqID, r.upstream, r.attempts)
-	}
-	return r, nil
-}
-
-// routedBatch POSTs a two-GMA /compile/batch and checks the NDJSON
-// stream: one line per GMA, no errors, and a done summary that agrees.
-func routedBatch(base string) error {
-	body, err := json.Marshal(map[string]any{"source": batchSource})
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/compile/batch", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		return fmt.Errorf("POST /compile/batch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/compile/batch answered %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		return fmt.Errorf("/compile/batch Content-Type = %q, want application/x-ndjson", ct)
-	}
-	type line struct {
-		Name   string          `json:"name"`
-		GMA    json.RawMessage `json:"gma"`
-		Error  string          `json:"error"`
-		Worker string          `json:"worker"`
-		Done   bool            `json:"done"`
-		GMAs   int             `json:"gmas"`
-		Errors int             `json:"errors"`
-	}
-	var units int
-	var summary *line
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var l line
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			return fmt.Errorf("bad batch line %q: %w", sc.Text(), err)
-		}
-		if l.Done {
-			summary = &l
-			continue
-		}
-		if l.Error != "" {
-			return fmt.Errorf("batch unit %s failed: %s", l.Name, l.Error)
-		}
-		if len(l.GMA) == 0 || l.Worker == "" {
-			return fmt.Errorf("batch unit %s lacks a result or worker: %q", l.Name, sc.Text())
-		}
-		units++
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if summary == nil {
-		return fmt.Errorf("batch stream ended without a done:true summary")
-	}
-	if units != 2 || summary.GMAs != 2 || summary.Errors != 0 {
-		return fmt.Errorf("batch answered %d units, summary %+v; want 2 units, 0 errors", units, *summary)
-	}
-	return nil
+	return awaitExit(srv, "serve")
 }
 
 // awaitExit waits for a SIGTERM'd process to exit cleanly.

@@ -38,7 +38,7 @@ echo "== benchmark answers (one pass of each gated perfbench workload, built fro
 bash perfbench/run.sh --workload kernels --seed 1 --seconds 0 --trace 0
 bash perfbench/run.sh --workload deep-certify --seed 1 --seconds 0 --trace 0
 
-echo "== serve smoke (HTTP compile + request-id echo + flight report + cache hit/bypass + every default probe on the incremental engine + /metrics scrape + graceful shutdown; then fleet: router + 2 workers via -route-file, routed /compile + /compile/batch, cache affinity on the owning shard, SIGTERM'd worker routed around)"
+echo "== serve smoke (one denali serve process: HTTP compile + request-id echo + flight report + cache hit/bypass + every default probe on the incremental engine + /version + /metrics scrape + SIGTERM graceful shutdown)"
 go run ./scripts/servesmoke
 
 echo "== CLI trace smoke (-strategy parallel -trace -metrics on byteswap4: the Chrome trace holds the compile span and probe spans; the stderr table shows compile at 100.0% and the counts block)"
