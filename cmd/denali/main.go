@@ -65,8 +65,8 @@ func main() {
 	}
 	var (
 		archName  = flag.String("arch", "ev6", "machine model: ev6, ev6-noclusters, ev6-single, ev6-dual")
-		strategy  = flag.String("strategy", "linear", "budget search engine: linear, binary, descend, parallel, stochastic, or portfolio")
-		seed      = flag.Uint64("seed", 0, "random seed for the stochastic/portfolio engines (default: derived from the request ID)")
+		strategy  = flag.String("strategy", "linear", "budget search engine: linear, binary, descend, parallel, or stochastic")
+		seed      = flag.Uint64("seed", 0, "random seed for the stochastic engine (default: derived from the request ID)")
 		workers   = flag.Int("workers", 0, "worker bound for -strategy parallel probes and multi-GMA compilation (0 = GOMAXPROCS)")
 		maxCycles = flag.Int("max-cycles", 24, "largest cycle budget to try")
 		maxRounds = flag.Int("matcher-rounds", 0, "matcher round budget (0 = default)")
@@ -122,7 +122,7 @@ func main() {
 		Certify:          *certify || *proofOut != "",
 		Trace:            tr,
 	}
-	// -seed pins the stochastic engines' randomness (flag.Visit
+	// -seed pins the stochastic engine's randomness (flag.Visit
 	// distinguishes an explicit -seed 0 from the absent default).
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" {
@@ -176,7 +176,7 @@ func main() {
 		for _, g := range proc.GMAs {
 			fmt.Printf("=== %s: %d cycles, %d instructions", g.Name, g.Cycles, g.Instructions)
 			if g.OptimalProven {
-				fmt.Printf(" (optimal: %d-cycle budget refuted)", g.Cycles-1)
+				fmt.Print(optimalNote(g.Cycles))
 			}
 			if g.Certified {
 				fmt.Printf(" [certified: DRAT check %v]", g.CertifyTime.Round(time.Microsecond))
@@ -260,6 +260,16 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", *tracePath)
 	}
+}
+
+// optimalNote is a proven optimum's note in the per-GMA header: the
+// refuted budget one below it, or none for a 0-cycle optimum, which has
+// no smaller budget to refute.
+func optimalNote(cycles int) string {
+	if cycles == 0 {
+		return " (optimal)"
+	}
+	return fmt.Sprintf(" (optimal: %d-cycle budget refuted)", cycles-1)
 }
 
 // countNames are the rows of the -metrics counts block, in print order.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/egraph"
 	"repro/internal/gma"
 	"repro/internal/matcher"
+	"repro/internal/naivegen"
 	"repro/internal/obs"
 	"repro/internal/sat"
 	"repro/internal/schedule"
@@ -38,13 +39,12 @@ const (
 	// faster when the optimum is large, at the cost of probing some
 	// larger-K problems.
 	BinarySearch
-	// DescendSearch starts from an upper bound (Options.UpperBoundHint,
-	// typically the conventional baseline's cycle count) and probes
-	// downward while satisfiable. Near-optimal SAT probes are usually
-	// cheap while the just-infeasible refutations are the hard
-	// pigeonhole-like instances, so descending pays the expensive probe
-	// only once — the alternative strategy the paper says it has not
-	// explored (section 1.3).
+	// DescendSearch starts from an upper bound, the conventional
+	// baseline's cycle count (naivegen), and probes downward while
+	// satisfiable. Near-optimal SAT probes are usually cheap while the
+	// just-infeasible refutations are the hard pigeonhole-like instances,
+	// so descending pays the expensive probe only once — the alternative
+	// strategy the paper says it has not explored (section 1.3).
 	DescendSearch
 	// ParallelSearch probes several budgets speculatively on a bounded
 	// worker pool (Options.Workers), interrupting probes made moot by a
@@ -59,18 +59,10 @@ const (
 	// acceptance. Deterministic in Options.Seed; OptimalProven is never
 	// set (the engine proves feasibility, not optimality).
 	StochasticSearch
-	// PortfolioSearch races the stochastic engine against the SAT descend
-	// sweep and cancels the loser through the Interrupt plumbing: every
-	// exactly-verified stochastic schedule becomes an upper bound that
-	// skips (or interrupts) SAT probes at or above it, while the SAT side
-	// keeps supplying the refutations that prove optimality, so -certify
-	// still works. See portfolioSearch.
-	PortfolioSearch
 )
 
 // String names the strategy ("linear", "binary", "descend", "parallel",
-// "stochastic", "portfolio"), used as the strategy label on process-level
-// metrics.
+// "stochastic"), used as the strategy label on process-level metrics.
 func (s SearchStrategy) String() string {
 	switch s {
 	case BinarySearch:
@@ -81,28 +73,26 @@ func (s SearchStrategy) String() string {
 		return "parallel"
 	case StochasticSearch:
 		return "stochastic"
-	case PortfolioSearch:
-		return "portfolio"
 	}
 	return "linear"
 }
 
 // ParseStrategy resolves a strategy name ("linear", "binary", "descend",
-// "parallel", "stochastic", "portfolio") to its SearchStrategy; the empty
-// string means linear, the paper's own sweep. It is the single place a
-// strategy name is validated: repro.Options.Strategy, the denali
-// -strategy flag, serve's per-request "strategy" field and the benchmark
-// harness all resolve through it.
+// "parallel", "stochastic") to its SearchStrategy; the empty string means
+// linear, the paper's own sweep. It is the single place a strategy name
+// is validated: repro.Options.Strategy, the denali -strategy flag,
+// serve's per-request "strategy" field and the benchmark harness all
+// resolve through it.
 func ParseStrategy(name string) (SearchStrategy, error) {
 	if name == "" {
 		return LinearSearch, nil
 	}
-	for s := LinearSearch; s <= PortfolioSearch; s++ {
+	for s := LinearSearch; s <= StochasticSearch; s++ {
 		if s.String() == name {
 			return s, nil
 		}
 	}
-	return LinearSearch, fmt.Errorf("unknown strategy %q (want linear, binary, descend, parallel, stochastic or portfolio)", name)
+	return LinearSearch, fmt.Errorf("unknown strategy %q (want linear, binary, descend, parallel or stochastic)", name)
 }
 
 // Options configures compilation of a GMA.
@@ -120,15 +110,12 @@ type Options struct {
 	MaxCycles int
 	// Search selects the probing strategy.
 	Search SearchStrategy
-	// UpperBoundHint seeds DescendSearch with a known-feasible budget
-	// (e.g. the baseline compiler's cycle count); 0 means MaxCycles.
-	UpperBoundHint int
 	// Workers bounds the number of concurrently in-flight SAT probes for
 	// ParallelSearch; <= 0 means GOMAXPROCS. Other strategies ignore it.
 	Workers int
 	// Seed drives every random choice of the stochastic engine, making
-	// StochasticSearch and PortfolioSearch runs reproducible. Callers
-	// normally derive it from the request ID; 0 is a valid seed.
+	// StochasticSearch runs reproducible. Callers normally derive it from
+	// the request ID; 0 is a valid seed.
 	Seed uint64
 	// StochasticSteps bounds the MCMC proposal budget for the stochastic
 	// engine (0 = the engine's default).
@@ -192,11 +179,11 @@ type Compiled struct {
 	// (DIMACS formula + DRAT proof) when Certified and Cycles > 0.
 	Cert *drat.Certificate
 	// Engine names the engine family that produced Schedule ("sat" or
-	// "stochastic"); under PortfolioSearch it records the race winner.
+	// "stochastic"); under StochasticSearch, "sat" marks a GMA that fell
+	// back to the descend sweep.
 	Engine string
-	// Stochastic carries the MCMC engine's run statistics whenever the
-	// stochastic engine participated (StochasticSearch, or a
-	// PortfolioSearch race that got far enough to start it).
+	// Stochastic carries the MCMC engine's run statistics whenever
+	// StochasticSearch ran the stochastic engine.
 	Stochastic *stoke.Result
 }
 
@@ -260,10 +247,8 @@ func CompileGMA(gm *gma.GMA, opt Options) (*Compiled, error) {
 		err = c.parallelSearch(gm, opt)
 	case StochasticSearch:
 		err = c.stochasticSearch(gm, opt, root)
-	case PortfolioSearch:
-		err = c.portfolioSearch(gm, opt, root)
 	default:
-		err = c.satSearch(gm, opt, opt.Search)
+		err = c.satSearch(gm, opt)
 	}
 	if err != nil {
 		return c, err
@@ -276,84 +261,42 @@ func CompileGMA(gm *gma.GMA, opt Options) (*Compiled, error) {
 	return c, nil
 }
 
-// descendSearch probes downward from a feasible upper bound, paying the
-// expensive just-below-optimal refutation exactly once. If the hint turns
-// out infeasible it falls back to searching upward from there.
-//
-// bound, when non-nil, feeds in externally verified feasible schedules
-// (the portfolio's stochastic racer): at the top of every step, and at
-// every budget of the upward search, a bound at or below the next budget
-// is adopted outright and the walk resumes strictly below it. A probe the
-// feed interrupted (Unknown with Solver.Cancelled) is retried, and the
-// retry adopts the bound that cut it. Without a feed nothing can
-// interrupt a probe, so a cancelled answer is never retried and the walk
-// cannot spin. c.Engine records which side supplied the final schedule.
-func (c *Compiled) descendSearch(probe probeFunc, maxCycles, hint int, bound boundFeed) error {
-	ub := hint
-	if ub <= 0 || ub > maxCycles {
-		ub = maxCycles
-	}
+// descendSearch probes downward from start, a budget expected to be
+// feasible, paying the expensive just-below-optimal refutation exactly
+// once. If start turns out infeasible it falls back to searching upward
+// from there.
+func (c *Compiled) descendSearch(probe probeFunc, maxCycles, start int) error {
 	found := false
-	adopt := func(k int) bool {
-		if bound == nil {
-			return false
-		}
-		b, sched := bound()
-		if b < 0 || b > k {
-			return false
-		}
-		c.Schedule, c.Cycles, c.Engine = sched, b, "stochastic"
-		found = true
-		return true
-	}
-	interrupted := func(res sat.Result) bool {
-		return bound != nil && res == sat.Unknown && c.Probes[len(c.Probes)-1].Solver.Cancelled
-	}
 descend:
-	for k := ub; k >= 0; {
-		if adopt(k) {
-			k = c.Cycles - 1
-			continue
-		}
+	for k := start; k >= 0; k-- {
 		sched, res, err := probe(k)
 		if err != nil {
 			return err
 		}
 		switch {
 		case res == sat.Sat:
-			c.Schedule, c.Cycles, c.Engine = sched, k, "sat"
+			c.Schedule, c.Cycles = sched, k
 			found = true
-			k--
-		case interrupted(res):
-			// Retry k: the adopt at the top of the loop takes the bound.
 		case found:
 			// The first failing budget below a success: optimal if the
 			// failure is a proof, merely best-known on a budget timeout.
 			c.OptimalProven = res == sat.Unsat
 			return nil
 		default:
-			break descend // the hint itself failed; search upward instead
+			break descend // start itself failed; search upward instead
 		}
 	}
 	if found {
-		c.OptimalProven = true // descended (or was bounded) all the way to K=0
+		c.OptimalProven = true // descended all the way to K=0
 		return nil
 	}
-	for k := ub + 1; k <= maxCycles; k++ {
-		if adopt(k) {
-			c.OptimalProven = false
-			return nil
-		}
+	for k := start + 1; k <= maxCycles; k++ {
 		sched, res, err := probe(k)
 		if err != nil {
 			return err
 		}
-		if interrupted(res) {
-			k-- // retry k against the bound that cut it
-			continue
-		}
 		if res == sat.Sat {
-			c.Schedule, c.Cycles, c.Engine = sched, k, "sat"
+			c.Schedule, c.Cycles = sched, k
 			c.OptimalProven = false
 			return nil
 		}
@@ -361,35 +304,33 @@ descend:
 	return ErrNoSchedule
 }
 
-// boundFeed reports the best externally verified feasible schedule found
-// so far, or a negative cycle count when there is none yet.
-type boundFeed func() (cycles int, sched *schedule.Schedule)
+// descendStart is descend's first budget: the cycle count of the
+// conventional baseline compiler's schedule (naivegen), which is
+// feasible, capped at MaxCycles; MaxCycles when the baseline cannot
+// compile the GMA.
+func descendStart(gm *gma.GMA, opt Options) int {
+	s, err := naivegen.Compile(gm, opt.Desc)
+	if err != nil || s.K > opt.MaxCycles {
+		return opt.MaxCycles
+	}
+	return s.K
+}
 
 type probeFunc func(k int) (*schedule.Schedule, sat.Result, error)
 
-// initialWindow sizes the incremental engine's first encoded window to the
-// budgets its strategy probes early: descend starts at its upper bound, so
-// anything smaller would grow the window immediately; linear walks up from
-// 0 and binary doubles from 1, so a small window covers the common case and
-// the engine grows it in place, to each probed budget, past that. The
-// up-front size shapes the search itself, heavily and not monotonically:
-// checksum_loop's K=4 refutation takes 853, 797, 3,616 and 10,274 lemmas
-// with windows of 5, 6, 7 and 8 cycles.
+// initialWindow sizes the incremental engine's first encoded window for
+// linear, binary and parallel search (descend's window is its start, the
+// first budget it probes): linear walks up from 0 and binary doubles from
+// 1, so a small window covers the common case and the engine grows it in
+// place, to each probed budget, past that. The up-front size shapes the
+// search itself, heavily and not monotonically: checksum_loop's K=4
+// refutation takes 853, 797, 3,616 and 10,274 lemmas with windows of 5,
+// 6, 7 and 8 cycles.
 func initialWindow(opt Options) int {
-	w := 7
-	switch opt.Search {
-	case DescendSearch, PortfolioSearch:
-		w = opt.MaxCycles
-		if opt.UpperBoundHint > 0 && opt.UpperBoundHint <= opt.MaxCycles {
-			w = opt.UpperBoundHint
-		}
-	case BinarySearch:
-		w = 8
+	if opt.Search == BinarySearch {
+		return 8
 	}
-	if w > opt.MaxCycles {
-		w = opt.MaxCycles
-	}
-	return w
+	return 7
 }
 
 func (c *Compiled) linearSearch(probe probeFunc, maxCycles int) error {

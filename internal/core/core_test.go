@@ -2,12 +2,16 @@ package core
 
 import (
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/arch/alpha"
 	"repro/internal/axioms"
 	"repro/internal/gma"
+	"repro/internal/naivegen"
+	"repro/internal/sat"
+	"repro/internal/schedule"
 	"repro/internal/term"
 )
 
@@ -443,57 +447,89 @@ func TestProbeSummaryFormat(t *testing.T) {
 	}
 }
 
+// stubProbe answers every budget from optimum up SAT and every smaller
+// one UNSAT, recording the budgets it is asked in *probed.
+func stubProbe(optimum int, probed *[]int) probeFunc {
+	return func(k int) (*schedule.Schedule, sat.Result, error) {
+		*probed = append(*probed, k)
+		if k < optimum {
+			return nil, sat.Unsat, nil
+		}
+		return &schedule.Schedule{K: k}, sat.Sat, nil
+	}
+}
+
 func TestDescendSearch(t *testing.T) {
-	o := opts(t)
-	o.Search = DescendSearch
-	o.UpperBoundHint = 8
-	g := simpleGMA("sum5", []string{"a", "b", "c", "d", "e"}, "res",
-		"(add64 a (add64 b (add64 c (add64 d e))))")
-	c, err := CompileGMA(g, o)
-	if err != nil {
+	var probed []int
+	c := &Compiled{}
+	if err := c.descendSearch(stubProbe(3, &probed), 24, 8); err != nil {
 		t.Fatal(err)
 	}
 	if c.Cycles != 3 || !c.OptimalProven {
-		t.Fatalf("descend: %d cycles, optimal=%v\n%s", c.Cycles, c.OptimalProven, c.ProbeSummary())
+		t.Fatalf("descend: %d cycles, optimal=%v", c.Cycles, c.OptimalProven)
 	}
-	// Probes descend from the hint.
-	if c.Probes[0].K != 8 {
-		t.Fatalf("first probe K = %d, want 8", c.Probes[0].K)
-	}
-	for i := 1; i < len(c.Probes); i++ {
-		if c.Probes[i].K != c.Probes[i-1].K-1 {
-			t.Fatalf("non-descending probes:\n%s", c.ProbeSummary())
-		}
+	// Probes descend from the start to the first refuted budget.
+	if want := []int{8, 7, 6, 5, 4, 3, 2}; !slices.Equal(probed, want) {
+		t.Fatalf("probed %v, want %v", probed, want)
 	}
 }
 
 func TestDescendSearchBadHint(t *testing.T) {
-	// An infeasible hint (too small) must fall back to searching upward.
-	o := opts(t)
-	o.Search = DescendSearch
-	o.UpperBoundHint = 1
-	g := simpleGMA("sum5b", []string{"a", "b", "c", "d", "e"}, "res",
-		"(add64 a (add64 b (add64 c (add64 d e))))")
-	c, err := CompileGMA(g, o)
-	if err != nil {
+	// An infeasible start (too small) must fall back to searching upward.
+	var probed []int
+	c := &Compiled{}
+	if err := c.descendSearch(stubProbe(3, &probed), 24, 1); err != nil {
 		t.Fatal(err)
 	}
-	if c.Cycles != 3 {
-		t.Fatalf("fallback found %d cycles\n%s", c.Cycles, c.ProbeSummary())
+	if c.Cycles != 3 || c.OptimalProven {
+		t.Fatalf("fallback found %d cycles (optimal=%v), want 3 unproven", c.Cycles, c.OptimalProven)
+	}
+	if want := []int{1, 2, 3}; !slices.Equal(probed, want) {
+		t.Fatalf("probed %v, want %v", probed, want)
 	}
 }
 
 func TestDescendToZero(t *testing.T) {
 	// A free goal descends all the way to K=0 and is proven optimal.
-	o := opts(t)
-	o.Search = DescendSearch
-	o.UpperBoundHint = 2
-	g := simpleGMA("free", []string{"a"}, "res", "(add64 a 0)")
-	c, err := CompileGMA(g, o)
-	if err != nil {
+	var probed []int
+	c := &Compiled{}
+	if err := c.descendSearch(stubProbe(0, &probed), 24, 2); err != nil {
 		t.Fatal(err)
 	}
 	if c.Cycles != 0 || !c.OptimalProven {
 		t.Fatalf("cycles=%d optimal=%v", c.Cycles, c.OptimalProven)
+	}
+	if want := []int{2, 1, 0}; !slices.Equal(probed, want) {
+		t.Fatalf("probed %v, want %v", probed, want)
+	}
+}
+
+// TestDescendStartsAtBaseline: descend's first probe is the baseline
+// compiler's cycle count, which core computes itself.
+func TestDescendStartsAtBaseline(t *testing.T) {
+	for _, tc := range []struct {
+		g      *gma.GMA
+		cycles int
+	}{
+		{simpleGMA("sum5", []string{"a", "b", "c", "d", "e"}, "res",
+			"(add64 a (add64 b (add64 c (add64 d e))))"), 3},
+		{simpleGMA("free", []string{"a"}, "res", "(add64 a 0)"), 0},
+	} {
+		o := opts(t)
+		o.Search = DescendSearch
+		base, err := naivegen.Compile(tc.g, o.Desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := CompileGMA(tc.g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Cycles != tc.cycles || !c.OptimalProven {
+			t.Fatalf("%s: %d cycles, optimal=%v\n%s", tc.g.Name, c.Cycles, c.OptimalProven, c.ProbeSummary())
+		}
+		if c.Probes[0].K != base.K {
+			t.Errorf("%s: first probe K=%d, want the baseline's %d", tc.g.Name, c.Probes[0].K, base.K)
+		}
 	}
 }

@@ -17,35 +17,24 @@ import (
 func PrefersScratch(*gma.GMA) bool { return false }
 
 // probeLadder builds the probe function the sequential budget strategies
-// walk: one persistent schedule.Engine answers every budget under a
-// budget assumption, so conflict clauses learned refuting one budget keep
-// pruning every later probe. Each K-probe is one span tagged with the
-// outcome (SAT/UNSAT/UNKNOWN); the encode/solve/decode sub-phases nest
-// inside it via Schedule.Trace.
-//
-// hook, when non-nil, is called with the engine just before each solve
-// and with (nil, -1) right after — the portfolio racer's cancellation
-// seam. The hook owns the ClearInterrupt re-arm (it must happen
-// atomically with registration, or a stale stop flag aimed at the
-// previous budget could kill the new probe).
-func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(e *schedule.Engine, k int)) (probeFunc, error) {
+// walk: one persistent schedule.Engine, whose first encoded window covers
+// budgets 0..window, answers every budget under a budget assumption, so
+// conflict clauses learned refuting one budget keep pruning every later
+// probe. Each K-probe is one span tagged with the outcome
+// (SAT/UNSAT/UNKNOWN); the encode/solve/decode sub-phases nest inside it
+// via Schedule.Trace.
+func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, window int) (probeFunc, error) {
 	tr := opt.Trace
 	t0 := time.Now()
-	eng, err := schedule.NewEngine(c.Graph, gm, initialWindow(opt), opt.MaxCycles, opt.Schedule)
+	eng, err := schedule.NewEngine(c.Graph, gm, window, opt.MaxCycles, opt.Schedule)
 	c.EncodeTime += time.Since(t0)
 	if err != nil {
 		return nil, err
 	}
 	return func(k int) (*schedule.Schedule, sat.Result, error) {
 		psp := tr.Startf("probe K=%d", k)
-		if hook != nil {
-			hook(eng, k)
-		}
 		t0 := time.Now()
 		sched, stat, err := eng.SolveBudget(k)
-		if hook != nil {
-			hook(nil, -1)
-		}
 		// A probe that grew the window spent stat.Encode of its time
 		// encoding, not solving.
 		elapsed := time.Since(t0) - stat.Encode
@@ -64,17 +53,24 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, hook func(e *schedule.E
 
 // satSearch walks one persistent engine's probe ladder with a sequential
 // strategy from the paper's budget sweep: linear, binary or descend.
-func (c *Compiled) satSearch(gm *gma.GMA, opt Options, strategy SearchStrategy) error {
+// Descend starts at the baseline's bound and encodes exactly that window
+// up front, since any smaller one would grow at its first probe.
+func (c *Compiled) satSearch(gm *gma.GMA, opt Options) error {
 	c.Engine = "sat"
-	probe, err := c.probeLadder(gm, opt, nil)
+	window, start := initialWindow(opt), 0
+	if opt.Search == DescendSearch {
+		start = descendStart(gm, opt)
+		window = start
+	}
+	probe, err := c.probeLadder(gm, opt, window)
 	if err != nil {
 		return err
 	}
-	switch strategy {
+	switch opt.Search {
 	case BinarySearch:
 		return c.binarySearch(probe, opt.MaxCycles)
 	case DescendSearch:
-		return c.descendSearch(probe, opt.MaxCycles, opt.UpperBoundHint, nil)
+		return c.descendSearch(probe, opt.MaxCycles, start)
 	default:
 		return c.linearSearch(probe, opt.MaxCycles)
 	}

@@ -33,7 +33,6 @@ func TestEveryProbeOnEngine(t *testing.T) {
 				for _, certify := range []bool{false, true} {
 					o := opts(t)
 					o.Search, o.Workers = st.search, st.workers
-					o.UpperBoundHint = 6 // descend's start, as a baseline would set it
 					o.Schedule.Certify = certify
 					c, err := CompileGMA(tc.g, o)
 					if err != nil {
@@ -67,73 +66,6 @@ func TestEveryProbeOnEngine(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestPortfolioGolden is the portfolio acceptance bar: racing the
-// stochastic engine against the SAT descend sweep must stay answer- and
-// proof-equivalent to descend alone on the whole corpus — same cycle
-// count, same OptimalProven verdict, certification intact — whichever
-// racer happens to win each GMA.
-func TestPortfolioGolden(t *testing.T) {
-	for _, g := range corpusGMAs(t) {
-		od := opts(t)
-		od.Search = DescendSearch
-		od.Schedule.Certify = true
-		desc, err := CompileGMA(g, od)
-		if err != nil {
-			t.Fatalf("%s: descend: %v", g.Name, err)
-		}
-		op := opts(t)
-		op.Search = PortfolioSearch
-		op.Seed = 7
-		op.Schedule.Certify = true
-		port, err := CompileGMA(g, op)
-		if err != nil {
-			t.Fatalf("%s: portfolio: %v", g.Name, err)
-		}
-		if port.Cycles != desc.Cycles {
-			t.Errorf("%s: portfolio %d cycles, descend %d", g.Name, port.Cycles, desc.Cycles)
-		}
-		if port.OptimalProven != desc.OptimalProven {
-			t.Errorf("%s: portfolio optimal=%v, descend %v", g.Name, port.OptimalProven, desc.OptimalProven)
-		}
-		if desc.Certified && !port.Certified {
-			t.Errorf("%s: descend certified but portfolio did not", g.Name)
-		}
-		switch port.Engine {
-		case "sat", "stochastic":
-		default:
-			t.Errorf("%s: portfolio engine label = %q, want sat or stochastic", g.Name, port.Engine)
-		}
-		if port.Schedule == nil {
-			t.Errorf("%s: portfolio returned no schedule", g.Name)
-		}
-	}
-}
-
-// TestPortfolioDeterministic: with a pinned seed the portfolio's answer
-// (cycles and optimality, not wall-clock or win attribution) must be
-// stable across runs.
-func TestPortfolioDeterministic(t *testing.T) {
-	g := simpleGMA("bs4", []string{"a"}, "res",
-		"(storeb (storeb (storeb (storeb 0 0 (selectb a 3)) 1 (selectb a 2)) 2 (selectb a 1)) 3 (selectb a 0))")
-	var cycles []int
-	for i := 0; i < 2; i++ {
-		o := opts(t)
-		o.Search = PortfolioSearch
-		o.Seed = 42
-		c, err := CompileGMA(g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !c.OptimalProven {
-			t.Errorf("run %d: portfolio did not prove optimality", i)
-		}
-		cycles = append(cycles, c.Cycles)
-	}
-	if cycles[0] != cycles[1] {
-		t.Errorf("same seed, different answers: %v", cycles)
 	}
 }
 

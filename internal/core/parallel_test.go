@@ -54,7 +54,7 @@ func TestStrategyEquivalence(t *testing.T) {
 			set  func(*Options)
 		}{
 			{"binary", func(o *Options) { o.Search = BinarySearch }},
-			{"descend", func(o *Options) { o.Search = DescendSearch; o.UpperBoundHint = lin.Cycles + 2 }},
+			{"descend", func(o *Options) { o.Search = DescendSearch }},
 			{"parallel", func(o *Options) { o.Search = ParallelSearch; o.Workers = 4 }},
 		} {
 			o := opts(t)

@@ -21,7 +21,8 @@ func (c *Compiled) stochasticSearch(gm *gma.GMA, opt Options, root *obs.Span) er
 	})
 	if err != nil {
 		root.SetTag("fallback", err.Error())
-		return c.satSearch(gm, opt, DescendSearch)
+		opt.Search = DescendSearch
+		return c.satSearch(gm, opt)
 	}
 	res, err := st.Run()
 	if err != nil {

@@ -49,7 +49,7 @@ type ProbeRow struct {
 	Incremental bool `json:"incremental,omitempty"`
 	Reused      bool `json:"reused,omitempty"`
 	// Cancelled marks a probe interrupted as moot (Result UNKNOWN): a
-	// parallel speculation another answer settled, or a portfolio cut.
+	// parallel speculation another answer settled.
 	Cancelled bool `json:"cancelled,omitempty"`
 }
 
@@ -104,8 +104,9 @@ type GMAReport struct {
 	StokeRejects  int `json:"stoke_rejects,omitempty"`
 
 	// Engine names the search-engine family that produced the schedule
-	// ("sat" or "stochastic"); under the portfolio strategy it is the race
-	// winner, which is what `denali report` win rates aggregate.
+	// ("sat" or "stochastic"); under the stochastic strategy, "sat" marks
+	// a GMA that fell back to the descend sweep. `denali report` counts
+	// it per strategy.
 	Engine string `json:"engine,omitempty"`
 
 	// Error/Panic capture a failed compilation of this GMA; the match
@@ -140,7 +141,7 @@ type Report struct {
 	SourceBytes int    `json:"source_bytes,omitempty"`
 	// Seed is the stochastic-engine seed this request resolved to (an
 	// explicit override, or the hash of the request ID), recorded so any
-	// stochastic or portfolio compile can be replayed bit-for-bit.
+	// stochastic compile can be replayed bit-for-bit.
 	// SeedSet distinguishes a real recorded seed from the zero value.
 	Seed    uint64 `json:"seed,omitempty"`
 	SeedSet bool   `json:"seed_set,omitempty"`

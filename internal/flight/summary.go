@@ -32,8 +32,9 @@ type StrategyStat struct {
 	EncodeMillis float64 // total, across compiles
 	Conflicts    int64   // total, across probes
 	// Engines counts which search engine produced each schedule ("sat" or
-	// "stochastic") — under the portfolio strategy, the racers' win rate.
-	// Rows from logs predating the engine label stay uncounted (nil map).
+	// "stochastic"); under the stochastic strategy, "sat" counts the GMAs
+	// that fell back to the descend sweep. Rows from logs predating the
+	// engine label stay uncounted (nil map).
 	Engines map[string]int
 }
 

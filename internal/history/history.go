@@ -19,6 +19,7 @@ package history
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -83,8 +84,9 @@ type Aggregate struct {
 	MaxProbeConflicts int64  `json:"max_probe_conflicts,omitempty"`
 
 	// Engines counts which search engine produced each fresh compile's
-	// schedule ("sat" or "stochastic") — under the portfolio strategy,
-	// the racers' win rate. Rows predating the label stay uncounted.
+	// schedule ("sat" or "stochastic"); under the stochastic strategy,
+	// "sat" counts the GMAs that fell back to the descend sweep. Rows
+	// predating the label stay uncounted.
 	Engines map[string]uint64 `json:"engines,omitempty"`
 
 	LastSeen time.Time `json:"last_seen"`
@@ -134,6 +136,7 @@ func (a *Aggregate) clone() *Aggregate {
 	for k, v := range a.Cycles {
 		c.Cycles[k] = v
 	}
+	c.Engines = maps.Clone(a.Engines)
 	c.Name = topName(c.Names)
 	return &c
 }

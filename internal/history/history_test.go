@@ -1,6 +1,7 @@
 package history
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -273,5 +274,43 @@ func TestSLOEmptyWindow(t *testing.T) {
 	}
 	if st.AvailabilityObjective != DefaultAvailabilityObjective {
 		t.Fatalf("objective = %v", st.AvailabilityObjective)
+	}
+}
+
+// TestSnapshotEncodeDuringIngest: a snapshot owns its maps. /debug/history
+// encodes Snapshot() after the warehouse lock is released, so a map the
+// snapshot shared with the live aggregate (Engines once was) would be read
+// by the encoder while Ingest writes it; -race reports that.
+func TestSnapshotEncodeDuringIngest(t *testing.T) {
+	w := New(Config{})
+	ingest := func(i int) {
+		r := mkReport(fmt.Sprintf("r-%d", i), "fp", "gma", true, 0.1, 0.2, 1+i%3)
+		r.GMAs[0].Engine = []string{"sat", "stochastic"}[i%2]
+		w.Ingest(r)
+	}
+	ingest(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 200; i++ {
+			ingest(i)
+		}
+	}()
+	for encoding := true; encoding; {
+		select {
+		case <-done:
+			encoding = false
+		default:
+		}
+		if _, err := json.Marshal(w.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := w.Snapshot()
+	if len(snap.Keys) != 1 {
+		t.Fatalf("%d keys, want 1", len(snap.Keys))
+	}
+	if e := snap.Keys[0].Engines; e["sat"]+e["stochastic"] != 201 {
+		t.Fatalf("engines = %v, want 201 compiles counted", e)
 	}
 }

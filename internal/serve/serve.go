@@ -492,12 +492,12 @@ type CompileRequest struct {
 	// Arch overrides the machine model (ev6, ev6-noclusters, ...).
 	Arch string `json:"arch,omitempty"`
 	// Strategy overrides the budget search: linear, binary, descend,
-	// parallel, stochastic, portfolio.
+	// parallel, stochastic.
 	Strategy string `json:"strategy,omitempty"`
-	// Seed fixes the random seed of the stochastic/portfolio engines for
-	// this request, making their searches reproducible. Absent (null), the
-	// seed is derived from the request ID — so replaying a request by ID
-	// replays its search exactly. Ignored by the SAT-only strategies.
+	// Seed fixes the random seed of the stochastic engine for this
+	// request, making its search reproducible. Absent (null), the seed is
+	// derived from the request ID — so replaying a request by ID replays
+	// its search exactly. Ignored by the SAT-only strategies.
 	Seed *uint64 `json:"seed,omitempty"`
 	// Workers overrides the parallel worker bound, capped at the server's
 	// configured Options.Workers (or MaxConcurrent when unset).
@@ -555,7 +555,8 @@ type GMAJSON struct {
 	Certified     bool    `json:"certified,omitempty"`
 	CertifyMillis float64 `json:"certify_ms,omitempty"`
 	// Engine names the search engine that produced the schedule ("sat" or
-	// "stochastic") — under the portfolio strategy, which racer won.
+	// "stochastic"); under the stochastic strategy, "sat" marks a GMA
+	// that fell back to the descend sweep.
 	Engine string      `json:"engine,omitempty"`
 	Probes []ProbeJSON `json:"probes,omitempty"`
 }

@@ -323,7 +323,7 @@ func TestServeTraceInResponse(t *testing.T) {
 
 func TestServeStrategyOverride(t *testing.T) {
 	_, ts := newTestServer(t, Config{Options: repro.Options{Arch: "ev6", Workers: 2}})
-	for _, strategy := range []string{"linear", "binary", "descend", "parallel", "stochastic", "portfolio"} {
+	for _, strategy := range []string{"linear", "binary", "descend", "parallel", "stochastic"} {
 		resp, raw := postCompile(t, ts.URL, CompileRequest{Source: programs.Quickstart, Strategy: strategy})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("strategy %s: status %d: %s", strategy, resp.StatusCode, raw)
@@ -331,7 +331,7 @@ func TestServeStrategyOverride(t *testing.T) {
 	}
 	samples := scrapeMetrics(t, ts.URL)
 	// Quickstart holds two GMAs, so each request counts two compiles.
-	for _, strategy := range []string{"linear", "binary", "descend", "parallel", "stochastic", "portfolio"} {
+	for _, strategy := range []string{"linear", "binary", "descend", "parallel", "stochastic"} {
 		key := fmt.Sprintf(`denali_compiles_total{strategy=%q}`, strategy)
 		if samples[key] != 2 {
 			t.Errorf("%s = %g, want 2", key, samples[key])
@@ -508,6 +508,9 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown strategy", func() (*http.Response, []byte) {
 			return postCompile(t, ts.URL, CompileRequest{Source: "x", Strategy: "quantum"})
 		}, http.StatusBadRequest, ""},
+		{"retired strategy portfolio", func() (*http.Response, []byte) {
+			return postCompile(t, ts.URL, CompileRequest{Source: programs.Quickstart, Strategy: "portfolio"})
+		}, http.StatusBadRequest, `"portfolio"`},
 		{"unknown arch", func() (*http.Response, []byte) {
 			return postCompile(t, ts.URL, CompileRequest{Source: "x", Arch: "z80"})
 		}, http.StatusBadRequest, ""},

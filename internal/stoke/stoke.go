@@ -12,10 +12,10 @@
 // only exactly-verified schedules are ever reported.
 //
 // The engine is an anytime search: it never proves optimality, but every
-// reported schedule is a machine-checkable feasible upper bound, which
-// is exactly what the portfolio mode in internal/core feeds to the SAT
-// sweep to shrink its budget ladder. Runs are deterministic in the seed:
-// no wall-clock dependence, a fixed step budget, and all randomness from
+// reported schedule is a machine-checkable feasible upper bound. It is
+// the comparator behind core's stochastic strategy, as internal/brute is
+// for the GNU superoptimizer. Runs are deterministic in the seed: no
+// wall-clock dependence, a fixed step budget, and all randomness from
 // one seeded source.
 package stoke
 
@@ -25,7 +25,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -65,16 +64,6 @@ type Options struct {
 	MaxLen int
 	// Trace records the run's span; nil disables it.
 	Trace *obs.Trace
-	// OnImprove, when set, is called (from Run's goroutine) each time a
-	// strictly better schedule passes exact verification — the portfolio
-	// racer's upper-bound feed.
-	OnImprove func(Best)
-}
-
-// Best is one verified improvement: a schedule that passed sim.Verify.
-type Best struct {
-	Schedule *schedule.Schedule
-	Cycles   int
 }
 
 // Result summarizes one run.
@@ -96,14 +85,12 @@ type Result struct {
 	// Restarts counts chain resets back to the best verified program
 	// after a stall with no new best.
 	Restarts int
-	// Interrupted reports the run was cancelled via Interrupt.
-	Interrupted bool
 	// Elapsed is the wall-clock cost of Run.
 	Elapsed time.Duration
 }
 
-// Engine is one stochastic search over one GMA. It is single-goroutine
-// (Run), with Interrupt callable from any goroutine.
+// Engine is one stochastic search over one GMA. It is not safe for
+// concurrent use.
 type Engine struct {
 	g       *gma.GMA
 	desc    *arch.Description
@@ -117,7 +104,6 @@ type Engine struct {
 	pool    map[int][]string // eligible ALU opcodes by arity
 	sem     map[string]semantics.WordOp
 	maxLen  int
-	stop    atomic.Bool
 }
 
 // New builds an engine for one GMA, seeding the chain with the
@@ -202,13 +188,6 @@ func (e *Engine) arity(op string) int {
 	return e.sem[op].Arity
 }
 
-// Interrupt asks a running Run to stop at its next step; the best
-// verified schedule so far is still returned. Safe from any goroutine.
-func (e *Engine) Interrupt() { e.stop.Store(true) }
-
-// ClearInterrupt re-arms the engine after an Interrupt.
-func (e *Engine) ClearInterrupt() { e.stop.Store(false) }
-
 // screen evaluates the candidate on every test vector and returns the
 // total correctness penalty in bits (Hamming distance on value targets,
 // a fixed charge for a guard whose zero-ness flips).
@@ -262,8 +241,8 @@ func (e *Engine) screen(p *prog, vals []uint64) (int, bool) {
 	return penalty, true
 }
 
-// Run executes the MCMC search to its step budget (or Interrupt) and
-// returns the best exactly-verified schedule.
+// Run executes the MCMC search to its step budget and returns the best
+// exactly-verified schedule.
 func (e *Engine) Run() (*Result, error) {
 	t0 := time.Now()
 	sp := e.opt.Trace.Start("stoke", obs.T("gma", e.g.Name), obs.Tint("steps", int64(e.opt.Steps)))
@@ -302,9 +281,6 @@ func (e *Engine) Run() (*Result, error) {
 	adopt := func(p *prog, s *schedule.Schedule) {
 		bestProg, best = p, s
 		res.Schedule, res.Cycles = s, s.K
-		if e.opt.OnImprove != nil {
-			e.opt.OnImprove(Best{Schedule: s, Cycles: s.K})
-		}
 	}
 	if e.opt.MaxCycles <= 0 || seedSched.K <= e.opt.MaxCycles {
 		if err := sim.Verify(e.g, seedSched, e.desc, e.verRng, e.opt.VerifyTrials); err != nil {
@@ -324,10 +300,6 @@ func (e *Engine) Run() (*Result, error) {
 	stall := 0
 
 	for step := 0; step < e.opt.Steps; step++ {
-		if e.stop.Load() {
-			res.Interrupted = true
-			break
-		}
 		if stall >= restartAfter && best != nil {
 			cur, curCost = bestProg.clone(), cost(0, best.K)
 			res.Restarts++

@@ -99,8 +99,8 @@ func TestDeterministic(t *testing.T) {
 }
 
 // TestUnsupportedMemory checks that memory-touching GMAs are declined
-// with ErrUnsupported (the portfolio's fallback trigger) rather than
-// searched incorrectly.
+// with ErrUnsupported (the stochastic strategy's fallback trigger)
+// rather than searched incorrectly.
 func TestUnsupportedMemory(t *testing.T) {
 	desc := alpha.EV6()
 	for _, g := range corpusGMAs(t, programs.CopyLoop) {
@@ -113,31 +113,6 @@ func TestUnsupportedMemory(t *testing.T) {
 		return
 	}
 	t.Fatal("copyloop program has no memory GMA")
-}
-
-// TestInterrupt checks that an engine interrupted before running stops
-// after at most a handful of steps and still reports its baseline.
-func TestInterrupt(t *testing.T) {
-	desc := alpha.EV6()
-	g := corpusGMAs(t, programs.Quickstart)[0]
-	e, err := New(g, desc, Options{Seed: 1, Steps: 100000})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	e.Interrupt()
-	res, err := e.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !res.Interrupted {
-		t.Error("Interrupted not set")
-	}
-	if res.Steps != 0 {
-		t.Errorf("ran %d steps after interrupt", res.Steps)
-	}
-	if res.Schedule == nil {
-		t.Error("interrupted run lost the verified baseline")
-	}
 }
 
 // FuzzScreenVsSim is the differential property behind the screening

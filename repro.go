@@ -56,14 +56,14 @@ type Options struct {
 	// "ev6-single", "ev6-dual", or "itanium".
 	Arch string
 	// Strategy selects the budget search: "linear" (the default, also
-	// spelled ""), "binary", "descend", "parallel", "stochastic" or
-	// "portfolio"; see core.SearchStrategy for what each does. Every
-	// strategy except stochastic finds the same optimum. A stochastic
-	// result depends on Seed, so that strategy bypasses the compile cache.
-	// Unknown names are a compile error (core.ParseStrategy).
+	// spelled ""), "binary", "descend", "parallel" or "stochastic"; see
+	// core.SearchStrategy for what each does. Every strategy except
+	// stochastic finds the same optimum. A stochastic result depends on
+	// Seed, so that strategy bypasses the compile cache. Unknown names are
+	// a compile error (core.ParseStrategy).
 	Strategy string
 	// Seed drives every random choice of the stochastic engine, making
-	// the stochastic and portfolio strategies reproducible. Nil (the
+	// the stochastic strategy reproducible. Nil (the
 	// default) derives the seed from a hash of RequestID, so re-running a
 	// request with the same ID replays the same search; the resolved
 	// value is recorded in the flight report either way.
@@ -239,7 +239,8 @@ type CompiledGMA struct {
 
 	// Engine names the search engine that produced the schedule: "sat"
 	// for the refutation-probe family, "stochastic" for the MCMC engine.
-	// Under the portfolio strategy it records which racer won.
+	// Under the stochastic strategy, "sat" marks a GMA that fell back to
+	// the descend sweep.
 	Engine string
 
 	// MaxLive is the peak number of simultaneously live temporaries.
@@ -456,7 +457,7 @@ func (o Options) coreOptions(progAxioms []*axioms.Axiom) (core.Options, error) {
 		Trace:     o.Trace,
 		RequestID: o.RequestID,
 	}
-	if search == core.StochasticSearch || search == core.PortfolioSearch {
+	if search == core.StochasticSearch {
 		copts.Seed = o.ResolveSeed()
 		o.Flight.SetSeed(copts.Seed)
 	}
@@ -479,13 +480,12 @@ func cacheFor(opt Options, copts core.Options) *cacheCtx {
 	if opt.Cache == nil {
 		return nil
 	}
-	// A pure stochastic compile is deterministic only in its seed, and the
+	// A stochastic compile is deterministic only in its seed, and the
 	// seed (defaulting to a hash of the request ID) is deliberately not
 	// part of the cache key — identical programs with different seeds are
 	// different searches. Serving one seed's answer to another seed's
 	// request would silently break reproducibility, so the strategy
-	// bypasses the cache. Portfolio results are SAT-validated against the
-	// same optimum every seed converges to, so they cache normally.
+	// bypasses the cache.
 	if copts.Search == core.StochasticSearch {
 		return nil
 	}
@@ -655,13 +655,6 @@ func compileFresh(g *gma.GMA, copts core.Options, fr *flight.Recorder) (cg *Comp
 			fr.AddGMA(gr)
 		}
 	}()
-	if (copts.Search == core.DescendSearch || copts.Search == core.PortfolioSearch) &&
-		copts.UpperBoundHint == 0 {
-		// The baseline compiler's schedule is a feasible upper bound.
-		if s, err := naivegen.Compile(g, desc); err == nil {
-			copts.UpperBoundHint = s.K
-		}
-	}
 	t0 := time.Now()
 	c, err := core.CompileGMA(g, copts)
 	rep := report(g, c, time.Since(t0), err)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -259,6 +260,54 @@ func TestUnrolledSumLoop(t *testing.T) {
 	}
 }
 
+// TestStochasticFallbackMatchesDescend: a memory GMA, which the
+// stochastic engine cannot search, falls back to the descend sweep, and
+// descend starts at the baseline's bound under either strategy: the
+// same probed budgets and the same code. A 0-cycle optimum takes
+// descend one probe.
+func TestStochasticFallbackMatchesDescend(t *testing.T) {
+	budgets := func(g *CompiledGMA) []int {
+		var ks []int
+		for _, p := range g.Probes {
+			ks = append(ks, p.K)
+		}
+		return ks
+	}
+	var fellBack []string
+	for _, src := range []string{programs.CopyLoop, programs.SumLoop} {
+		desc, err := Compile(src, Options{Strategy: "descend"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stoch, err := Compile(src, Options{Strategy: "stochastic"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, proc := range desc.Procs {
+			for j, d := range proc.GMAs {
+				if d.Cycles == 0 && len(d.Probes) != 1 {
+					t.Errorf("%s: 0-cycle optimum took descend %d probes, want 1: %v", d.Name, len(d.Probes), budgets(d))
+				}
+				s := stoch.Procs[i].GMAs[j]
+				if s.Engine != "sat" {
+					continue // the stochastic engine searched it
+				}
+				fellBack = append(fellBack, s.Name)
+				if got, want := budgets(s), budgets(d); !slices.Equal(got, want) {
+					t.Errorf("%s: stochastic fallback probed %v, descend %v", s.Name, got, want)
+				}
+				if s.Cycles != d.Cycles || s.Instructions != d.Instructions {
+					t.Errorf("%s: stochastic fallback %d cycles, %d instructions; descend %d, %d",
+						s.Name, s.Cycles, s.Instructions, d.Cycles, d.Instructions)
+				}
+			}
+		}
+	}
+	if want := []string{"copyloop_loop", "sumloop_loop"}; !slices.Equal(fellBack, want) {
+		t.Errorf("fell back on %v, want %v", fellBack, want)
+	}
+}
+
 func TestArchVariants(t *testing.T) {
 	for _, a := range []string{"ev6", "ev6-noclusters", "ev6-single", "ev6-dual"} {
 		res, err := Compile(programs.Quickstart, Options{Arch: a})
@@ -319,8 +368,10 @@ func TestBinarySearchOption(t *testing.T) {
 	if len(g.Probes) >= 6 && g.Probes[0].K == 0 && g.Probes[1].K == 1 && g.Probes[2].K == 2 {
 		t.Fatalf("probe sequence looks linear: %+v", g.Probes)
 	}
-	if _, err := Compile(programs.Byteswap4, Options{Strategy: "quantum"}); err == nil {
-		t.Fatal("unknown strategy should fail")
+	for _, name := range []string{"quantum", "portfolio"} {
+		if _, err := Compile(programs.Byteswap4, Options{Strategy: name}); err == nil {
+			t.Fatalf("unknown strategy %q should fail", name)
+		}
 	}
 }
 

@@ -31,6 +31,9 @@ go test -race ./internal/core ./internal/schedule ./internal/sat ./internal/obs 
 echo "== flake guard (parallel speculation accounting under -race, 20 runs)"
 go test -race -run '^TestParallelObs$' -count=20 ./internal/core
 
+echo "== snapshot race guard (history snapshots encoded while Ingest writes, under -race, 10 runs)"
+go test -race -run '^TestSnapshotEncodeDuringIngest$' -count=10 ./internal/history
+
 echo "== benchmark smoke (every per-layer benchmark once)"
 go test -run '^$' -bench . -benchtime 1x ./internal/sat ./internal/schedule ./internal/egraph ./internal/matcher ./internal/drat
 
