@@ -67,7 +67,7 @@ func main() {
 		archName  = flag.String("arch", "ev6", "machine model: ev6, ev6-noclusters, ev6-single, ev6-dual")
 		strategy  = flag.String("strategy", "linear", "budget search engine: linear, binary, descend, parallel, or stochastic")
 		seed      = flag.Uint64("seed", 0, "random seed for the stochastic engine (default: derived from the request ID)")
-		workers   = flag.Int("workers", 0, "worker bound for -strategy parallel probes and multi-GMA compilation (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "GMAs of the program compiled at once (0 or 1 = one at a time, as under -trace and -metrics) and, under -strategy parallel, SAT probes in flight per GMA (0 = GOMAXPROCS)")
 		maxCycles = flag.Int("max-cycles", 24, "largest cycle budget to try")
 		maxRounds = flag.Int("matcher-rounds", 0, "matcher round budget (0 = default)")
 		maxNodes  = flag.Int("matcher-nodes", 0, "matcher node budget (0 = default)")
@@ -320,7 +320,7 @@ func serveMain(args []string) {
 		addrFile   = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
 		archName   = fs.String("arch", "ev6", "machine model: ev6, ev6-noclusters, ev6-single, ev6-dual, itanium")
 		certify    = fs.Bool("certify", false, "default to DRAT-certifying optimality claims (requests may override with \"certify\")")
-		workers    = fs.Int("workers", 0, "worker bound per compilation and ceiling for request overrides (0 = GOMAXPROCS)")
+		workers    = fs.Int("workers", 0, "GMAs of one request compiled at once (and parallel-strategy probes in flight per GMA), and the ceiling for request overrides (0 = the -max-concurrent bound)")
 		maxConc    = fs.Int("max-concurrent", 0, "concurrent /compile requests (0 = workers)")
 		reqTimeout = fs.Duration("timeout", 60*time.Second, "per-request compile timeout")
 		drain      = fs.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")

@@ -9,10 +9,10 @@
 //
 //	Key        a canonical compile identity — SHA-256 over the GMA's
 //	           alpha-renamed canonical rendering (flight.Canonical) plus
-//	           every option that shapes the result (arch, axiom-bundle
-//	           version, certify, search budgets) and the
-//	           build version, so a stale hit across builds or option
-//	           changes is impossible by construction
+//	           every option that shapes the result (arch, search
+//	           strategy, axiom-bundle version, certify, search budgets)
+//	           and the build version, so a stale hit across builds or
+//	           option changes is impossible by construction
 //	Cache      a goroutine-safe in-process LRU bounded by entries and
 //	           bytes, with single-flight dedup: a thundering herd of
 //	           identical requests costs exactly one compile, the rest
@@ -46,15 +46,19 @@ const schemaVersion = "denali-cache/v2"
 
 // KeyConfig is the option slice of a compile identity: everything beyond
 // the GMA itself that can change the result a compile produces. The
-// budget-search *strategy* (linear/binary/descend/parallel) and worker
-// count are deliberately absent — every strategy provably finds the same
-// optimum (the equivalence gates pin this), so results cache across
-// strategies; options with result-shape impact (certify, search budgets,
-// the axiom bundle, the build itself) all key. There is no probe-mode
-// field: every probe runs on the persistent engine.
+// budget-search strategy keys: the SAT strategies agree on the optimal
+// cycle count (the equivalence gates pin this), but each walks its own
+// probe ladder, so the model its solver finds at the optimum, and with
+// it the emitted code and the probe record, differ between them. The
+// worker count is absent: it bounds concurrency, and the parallel
+// strategy's code varies from run to run at any bound. There is no
+// probe-mode field: every probe runs on the persistent engine.
 type KeyConfig struct {
 	// Arch is the machine-model name ("" normalizes to "ev6").
 	Arch string
+	// Strategy is the budget-search strategy name ("" normalizes to
+	// "linear", the compiler's default).
+	Strategy string
 	// AxiomVersion identifies the axiom bundle the compile ran under
 	// (built-in + program-local + extra); see AxiomVersion.
 	AxiomVersion string
@@ -81,6 +85,9 @@ func (c KeyConfig) normalized() KeyConfig {
 	if c.Arch == "" {
 		c.Arch = "ev6"
 	}
+	if c.Strategy == "" {
+		c.Strategy = "linear"
+	}
 	if c.MaxCycles <= 0 {
 		c.MaxCycles = 24
 	}
@@ -96,8 +103,8 @@ func Key(g *gma.GMA, cfg KeyConfig) string {
 	cfg = cfg.normalized()
 	text, _ := flight.Canonical(g)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\narch=%s\naxioms=%s\nbuild=%s\nmax-cycles=%d\nmax-conflicts=%d\nmatcher-rounds=%d\nmatcher-nodes=%d\nno-amo=%v\ncertify=%v\ngma:\n",
-		schemaVersion, cfg.Arch, cfg.AxiomVersion, cfg.BuildVersion,
+	fmt.Fprintf(&b, "%s\narch=%s\nstrategy=%s\naxioms=%s\nbuild=%s\nmax-cycles=%d\nmax-conflicts=%d\nmatcher-rounds=%d\nmatcher-nodes=%d\nno-amo=%v\ncertify=%v\ngma:\n",
+		schemaVersion, cfg.Arch, cfg.Strategy, cfg.AxiomVersion, cfg.BuildVersion,
 		cfg.MaxCycles, cfg.MaxConflicts, cfg.MatcherMaxRounds, cfg.MatcherMaxNodes,
 		cfg.DisableAtMostOnce, cfg.Certify)
 	b.WriteString(text)

@@ -142,7 +142,7 @@ func TestKeyStructureSeparates(t *testing.T) {
 func TestKeyConfigSeparates(t *testing.T) {
 	g := parseGMAs(t, programs.Quickstart)[0]
 	base := KeyConfig{
-		Arch: "ev6", AxiomVersion: "ax0", BuildVersion: "b0",
+		Arch: "ev6", Strategy: "linear", AxiomVersion: "ax0", BuildVersion: "b0",
 		MaxCycles: 24, MaxConflicts: 0,
 		MatcherMaxRounds: 0, MatcherMaxNodes: 0,
 		DisableAtMostOnce: false, Certify: false,
@@ -152,6 +152,11 @@ func TestKeyConfigSeparates(t *testing.T) {
 	m := base
 	m.Arch = "itanium"
 	mutations["Arch"] = m
+	for _, strategy := range []string{"binary", "descend", "parallel"} {
+		m = base
+		m.Strategy = strategy
+		mutations["Strategy="+strategy] = m
+	}
 	m = base
 	m.AxiomVersion = "ax1"
 	mutations["AxiomVersion"] = m
@@ -193,6 +198,11 @@ func TestKeyNormalization(t *testing.T) {
 	archDefault.Arch = "ev6"
 	if Key(g, base) != Key(g, archDefault) {
 		t.Error(`Arch "" and "ev6" should share a key`)
+	}
+	strategyDefault := base
+	strategyDefault.Strategy = "linear"
+	if Key(g, base) != Key(g, strategyDefault) {
+		t.Error(`Strategy "" and "linear" should share a key`)
 	}
 	cyclesDefault := base
 	cyclesDefault.MaxCycles = 24

@@ -18,10 +18,12 @@
 //
 // A Trace maintains a cursor of the currently open span: Start nests the
 // new span under it, End pops back to the parent. This matches the
-// single-goroutine structure of the compile pipeline (one Trace per
-// compilation); all state is mutex-guarded so concurrent detached spans
-// and exports are race-free, but interleaving Start/End of one Trace
-// across goroutines will produce surprising (though safe) nesting.
+// single-goroutine structure of the compile pipeline, so one Trace
+// follows one goroutine at a time: repro.Compile compiles a program's
+// GMAs one after another whenever a Trace is attached. All state is
+// mutex-guarded, so concurrent detached spans and exports are race-free,
+// but interleaving Start/End of one Trace across goroutines nests spans
+// across unrelated work and lets them close each other early.
 package obs
 
 import (

@@ -83,7 +83,8 @@ type Config struct {
 	Addr string
 	// Options are the base compile options applied to every request;
 	// requests may override arch/strategy/budget knobs but cannot raise
-	// Workers above the configured value.
+	// Workers above the configured value (MaxConcurrent when Workers is
+	// unset).
 	Options repro.Options
 	// MaxConcurrent bounds concurrently executing /compile requests.
 	// <= 0 derives the bound from Options.Workers (or GOMAXPROCS).
@@ -499,8 +500,12 @@ type CompileRequest struct {
 	// derived from the request ID — so replaying a request by ID replays
 	// its search exactly. Ignored by the SAT-only strategies.
 	Seed *uint64 `json:"seed,omitempty"`
-	// Workers overrides the parallel worker bound, capped at the server's
-	// configured Options.Workers (or MaxConcurrent when unset).
+	// Workers overrides repro.Options.Workers for this request: how many
+	// of its GMAs compile at once and, under the parallel strategy, how
+	// many SAT probes per GMA are in flight. It is capped at the server's
+	// configured Options.Workers (or MaxConcurrent when unset), which is
+	// also the default. A request with "trace" compiles its GMAs one at a
+	// time.
 	Workers int `json:"workers,omitempty"`
 	// MaxCycles / MaxConflicts override the search bounds.
 	MaxCycles    int   `json:"max_cycles,omitempty"`

@@ -58,9 +58,10 @@ type Options struct {
 	// Strategy selects the budget search: "linear" (the default, also
 	// spelled ""), "binary", "descend", "parallel" or "stochastic"; see
 	// core.SearchStrategy for what each does. Every strategy except
-	// stochastic finds the same optimum. A stochastic result depends on
-	// Seed, so that strategy bypasses the compile cache. Unknown names are
-	// a compile error (core.ParseStrategy).
+	// stochastic finds the same optimum, though not always the same code,
+	// so the compile cache keys on the strategy. A stochastic result
+	// depends on Seed, so that strategy bypasses the compile cache.
+	// Unknown names are a compile error (core.ParseStrategy).
 	Strategy string
 	// Seed drives every random choice of the stochastic engine, making
 	// the stochastic strategy reproducible. Nil (the
@@ -70,8 +71,9 @@ type Options struct {
 	Seed *uint64
 	// Workers bounds the concurrency: in-flight SAT probes per GMA under
 	// the parallel strategy, and concurrently compiled GMAs in Compile.
-	// <= 1 means sequential compilation; the parallel strategy with
-	// Workers <= 0 uses GOMAXPROCS probes.
+	// <= 1 means sequential compilation, and so does a Compile with a
+	// Trace (see Trace); the parallel strategy with Workers <= 0 uses
+	// GOMAXPROCS probes.
 	Workers int
 	// MaxCycles bounds the budget search (default 24).
 	MaxCycles int
@@ -103,7 +105,11 @@ type Options struct {
 	// with these options: matcher rounds, SAT probes, scheduling and
 	// verification. Nil (the default) disables tracing at zero cost.
 	// Export with its WriteChromeTrace / MetricsTable methods. Counts are
-	// not traced: each CompiledGMA's flight record carries them.
+	// not traced: each CompiledGMA's flight record carries them. A Trace
+	// nests each new span under the one open span of its single cursor,
+	// so Compile compiles one GMA at a time while Trace is set, whatever
+	// Workers says: GMAs compiled at once would nest their spans in each
+	// other's and close them early.
 	Trace *obs.Trace
 	// Cache, when set, answers each GMA compilation from the
 	// content-addressed compile cache instead of re-running the pipeline
@@ -357,7 +363,7 @@ func Compile(src string, opt Options) (*Result, error) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	if workers <= 1 {
+	if workers <= 1 || opt.Trace != nil {
 		for _, j := range jobs {
 			cg, err := compileOne(j.g, copts, opt.Flight, cc)
 			if err != nil {
@@ -511,6 +517,7 @@ func cacheFor(opt Options, copts core.Options) *cacheCtx {
 func keyConfig(opt Options, axs []*axioms.Axiom) compilecache.KeyConfig {
 	return compilecache.KeyConfig{
 		Arch:              opt.Arch,
+		Strategy:          opt.Strategy,
 		AxiomVersion:      compilecache.AxiomVersion(axs),
 		BuildVersion:      buildinfo.Version(),
 		MaxCycles:         opt.MaxCycles,

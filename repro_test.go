@@ -1,12 +1,14 @@
 package repro
 
 import (
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/compilecache"
 	"repro/internal/flight"
+	"repro/internal/obs"
 	"repro/internal/programs"
 )
 
@@ -823,5 +825,89 @@ func TestCompileCacheOptions(t *testing.T) {
 	}
 	if got := plain.Procs[0].GMAs[0].Cache; got != "" {
 		t.Fatalf("uncached compile Cache = %q, want \"\"", got)
+	}
+}
+
+// TestCacheKeysOnStrategy: the SAT strategies agree on rowop's optimum
+// but not on its code or probe ladder (descend, linear and binary emit
+// 12, 14 and 11 instructions), so one cache must hand each strategy the
+// answer that strategy computes, never another strategy's entry.
+func TestCacheKeysOnStrategy(t *testing.T) {
+	cache := compilecache.New(compilecache.Config{MaxEntries: 16})
+	compile := func(strategy string, cache *compilecache.Cache) *CompiledGMA {
+		t.Helper()
+		res, err := Compile(programs.Rowop, Options{Strategy: strategy, Cache: cache})
+		if err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		return res.Procs[0].GMAs[0]
+	}
+	answers := map[string]*CompiledGMA{}
+	for _, strategy := range []string{"descend", "linear", "binary"} {
+		got, want := compile(strategy, cache), compile(strategy, nil)
+		if got.Cache != "miss" {
+			t.Errorf("%s: Cache = %q, want \"miss\" (another strategy's entry answered)", strategy, got.Cache)
+		}
+		if got.Assembly != want.Assembly || len(got.Probes) != len(want.Probes) {
+			t.Errorf("%s through the cache: %d probes, %d instructions; without: %d probes, %d instructions",
+				strategy, len(got.Probes), got.Instructions, len(want.Probes), want.Instructions)
+		}
+		answers[strategy] = got
+	}
+	// The default strategy is linear, and shares its entry.
+	if got := compile("", cache); got.Cache != "hit" || got.Assembly != answers["linear"].Assembly {
+		t.Errorf("default strategy: Cache = %q, same code as linear: %v", got.Cache, got.Assembly == answers["linear"].Assembly)
+	}
+}
+
+// TestTraceCompilesOneGMAAtATime: a Trace nests every span under its one
+// cursor, so Compile runs a program's GMAs one at a time while tracing,
+// whatever Workers says. Checksum's three compile spans then follow one
+// another, and together they are the whole traced time.
+func TestTraceCompilesOneGMAAtATime(t *testing.T) {
+	tr := obs.New()
+	if _, err := Compile(programs.Checksum, Options{Workers: 2, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Ts   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &f); err != nil {
+		t.Fatal(err)
+	}
+	// Spans are exported in start order.
+	var starts, ends []float64
+	for _, e := range f.TraceEvents {
+		if e.Ph == "X" && e.Name == "compile" {
+			starts = append(starts, e.Ts)
+			ends = append(ends, e.Ts+e.Dur)
+		}
+	}
+	if len(starts) != 3 {
+		t.Fatalf("%d compile spans, want 3", len(starts))
+	}
+	for i := 1; i < len(starts); i++ {
+		if starts[i] < ends[i-1] {
+			t.Errorf("compile span %d starts at %.0fµs, before span %d ends at %.0fµs", i, starts[i], i-1, ends[i-1])
+		}
+	}
+	table := tr.MetricsTable()
+	var row string
+	for _, l := range strings.Split(table, "\n") {
+		if strings.HasPrefix(l, "compile ") {
+			row = l
+		}
+	}
+	if !strings.HasSuffix(row, "100.0%") {
+		t.Errorf("compile row = %q, want 100.0%% of the trace:\n%s", row, table)
 	}
 }
