@@ -304,11 +304,13 @@ descend:
 	return ErrNoSchedule
 }
 
-// descendStart is descend's first budget: the cycle count of the
-// conventional baseline compiler's schedule (naivegen), which is
-// feasible, capped at MaxCycles; MaxCycles when the baseline cannot
-// compile the GMA.
-func descendStart(gm *gma.GMA, opt Options) int {
+// baselineBound is the cycle count of the conventional baseline
+// compiler's schedule (naivegen), capped at MaxCycles; MaxCycles when the
+// baseline cannot compile the GMA. The baseline's schedule is feasible,
+// so the optimum never lies above the bound: descend starts there, and
+// linear search, which stops at its first satisfiable budget, never
+// probes past it.
+func baselineBound(gm *gma.GMA, opt Options) int {
 	s, err := naivegen.Compile(gm, opt.Desc)
 	if err != nil || s.K > opt.MaxCycles {
 		return opt.MaxCycles
@@ -318,19 +320,25 @@ func descendStart(gm *gma.GMA, opt Options) int {
 
 type probeFunc func(k int) (*schedule.Schedule, sat.Result, error)
 
-// initialWindow sizes the incremental engine's first encoded window for
-// linear, binary and parallel search (descend's window is its start, the
-// first budget it probes): linear walks up from 0 and binary doubles from
-// 1, so a small window covers the common case and the engine grows it in
-// place, to each probed budget, past that. The up-front size shapes the
-// search itself, heavily and not monotonically: checksum_loop's K=4
-// refutation takes 853, 797, 3,616 and 10,274 lemmas with windows of 5,
-// 6, 7 and 8 cycles.
-func initialWindow(opt Options) int {
-	if opt.Search == BinarySearch {
+// initialWindow sizes the incremental engine's first encoded window,
+// given bound, a budget known to be feasible (baselineBound), or
+// MaxCycles when none is known. Descend's window is the bound, the first
+// budget it probes. Linear walks up from 0 and stops at or below the
+// bound, so it encodes min(7, bound) cycles; binary doubles from 1 past
+// any bound, so it encodes 8, and parallel, which computes no bound, 7.
+// A probe beyond the window grows it in place, so the window only sets
+// speed, never an answer. The up-front size shapes the search itself,
+// heavily and not monotonically: checksum_loop's K=4 refutation takes
+// 853, 797, 3,616 and 10,274 lemmas with windows of 5, 6, 7 and 8 cycles
+// (its bound, 9, keeps it at 7).
+func initialWindow(opt Options, bound int) int {
+	switch opt.Search {
+	case BinarySearch:
 		return 8
+	case DescendSearch:
+		return bound
 	}
-	return 7
+	return min(7, bound)
 }
 
 func (c *Compiled) linearSearch(probe probeFunc, maxCycles int) error {

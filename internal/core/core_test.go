@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/arch/alpha"
 	"repro/internal/axioms"
 	"repro/internal/gma"
+	"repro/internal/lang"
 	"repro/internal/naivegen"
 	"repro/internal/sat"
 	"repro/internal/schedule"
@@ -530,6 +532,118 @@ func TestDescendStartsAtBaseline(t *testing.T) {
 		}
 		if c.Probes[0].K != base.K {
 			t.Errorf("%s: first probe K=%d, want the baseline's %d", tc.g.Name, c.Probes[0].K, base.K)
+		}
+	}
+}
+
+// gmaCase is one GMA with the options it compiles under.
+type gmaCase struct {
+	g *gma.GMA
+	o Options
+}
+
+// goldenCases is every golden-corpus GMA with the builtin axioms plus
+// its program's own, and the default cycle bound (which baselineBound
+// reads; CompileGMA fills it in only for its own copy).
+func goldenCases(t *testing.T) []gmaCase {
+	t.Helper()
+	var cases []gmaCase
+	for _, p := range goldenCorpus {
+		prog, err := lang.Parse(p.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", p.name, err)
+		}
+		for _, proc := range prog.Procs {
+			for _, g := range proc.GMAs {
+				o := opts(t)
+				o.Axioms = append(o.Axioms, prog.Axioms...)
+				o.MaxCycles = 24
+				cases = append(cases, gmaCase{g, o})
+			}
+		}
+	}
+	return cases
+}
+
+// TestLinearWindowAtBaseline pins the up-front window of the two upward
+// sweeps on the golden corpus: linear encodes min(7, baselineBound)
+// cycles, since it stops at or below the bound, and binary encodes 8,
+// since its doubling probes past it. Each first probe's variable and
+// clause counts must equal those of a fresh engine with that window.
+func TestLinearWindowAtBaseline(t *testing.T) {
+	for _, gc := range goldenCases(t) {
+		g, o := gc.g, gc.o
+		for _, tc := range []struct {
+			search SearchStrategy
+			window int
+		}{
+			{LinearSearch, min(7, baselineBound(g, o))},
+			{BinarySearch, 8},
+		} {
+			o.Search = tc.search
+			c, err := CompileGMA(g, o)
+			if err != nil {
+				t.Fatalf("%s %s: %v", g.Name, tc.search, err)
+			}
+			sopt := o.Schedule
+			sopt.Desc = o.Desc
+			eng, err := schedule.NewEngine(c.Graph.Clone(), g, tc.window, o.MaxCycles, sopt)
+			if err != nil {
+				t.Fatalf("%s: NewEngine(window %d): %v", g.Name, tc.window, err)
+			}
+			first := c.Probes[0]
+			_, want, err := eng.SolveBudget(first.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Vars != want.Vars || first.Clauses != want.Clauses {
+				t.Errorf("%s %s: first probe K=%d has %d vars / %d clauses, want window %d's %d / %d",
+					g.Name, tc.search, first.K, first.Vars, first.Clauses, tc.window, want.Vars, want.Clauses)
+			}
+		}
+	}
+}
+
+// sumTrees returns every association tree of the sum of ops, in order.
+func sumTrees(ops []string) []string {
+	if len(ops) == 1 {
+		return ops
+	}
+	var out []string
+	for k := 1; k < len(ops); k++ {
+		for _, l := range sumTrees(ops[:k]) {
+			for _, r := range sumTrees(ops[k:]) {
+				out = append(out, "(add64 "+l+" "+r+")")
+			}
+		}
+	}
+	return out
+}
+
+// TestBaselineBoundCoversOptimum pins the premise behind linear's capped
+// window: the baseline's bound is never below the proven optimum, so a
+// linear ladder stops inside its up-front window whenever the bound caps
+// it. It covers the golden corpus, the zero-cycle sum of
+// TestDescendStartsAtBaseline and every association tree of the 4-, 5-
+// and 6-operand sums the kernels workload draws.
+func TestBaselineBoundCoversOptimum(t *testing.T) {
+	cases := goldenCases(t)
+	o := opts(t)
+	o.MaxCycles = 24
+	ops := []string{"a", "b", "c", "d", "e", "f"}
+	for n := 4; n <= len(ops); n++ {
+		for i, tree := range sumTrees(ops[:n]) {
+			cases = append(cases, gmaCase{simpleGMA(fmt.Sprintf("sum%d_%d", n, i), ops[:n], "res", tree), o})
+		}
+	}
+	cases = append(cases, gmaCase{simpleGMA("free", []string{"a"}, "res", "(add64 a 0)"), o})
+	for _, gc := range cases {
+		c, err := CompileGMA(gc.g, gc.o)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.g.Name, err)
+		}
+		if bound := baselineBound(gc.g, gc.o); !c.OptimalProven || bound < c.Cycles {
+			t.Errorf("%s: baseline bound %d, optimum %d (proven=%v)", gc.g.Name, bound, c.Cycles, c.OptimalProven)
 		}
 	}
 }

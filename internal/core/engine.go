@@ -52,17 +52,17 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, window int) (probeFunc,
 }
 
 // satSearch walks one persistent engine's probe ladder with a sequential
-// strategy from the paper's budget sweep: linear, binary or descend.
-// Descend starts at the baseline's bound and encodes exactly that window
-// up front, since any smaller one would grow at its first probe.
+// strategy from the paper's budget sweep: linear, binary or descend. The
+// baseline's bound is computed once and sizes the engine's first window
+// (initialWindow): linear stops at its first satisfiable budget, which
+// never lies above the bound, and descend starts at the bound itself.
 func (c *Compiled) satSearch(gm *gma.GMA, opt Options) error {
 	c.Engine = "sat"
-	window, start := initialWindow(opt), 0
-	if opt.Search == DescendSearch {
-		start = descendStart(gm, opt)
-		window = start
+	bound := opt.MaxCycles // binary's window does not depend on it
+	if opt.Search != BinarySearch {
+		bound = baselineBound(gm, opt)
 	}
-	probe, err := c.probeLadder(gm, opt, window)
+	probe, err := c.probeLadder(gm, opt, initialWindow(opt, bound))
 	if err != nil {
 		return err
 	}
@@ -70,7 +70,7 @@ func (c *Compiled) satSearch(gm *gma.GMA, opt Options) error {
 	case BinarySearch:
 		return c.binarySearch(probe, opt.MaxCycles)
 	case DescendSearch:
-		return c.descendSearch(probe, opt.MaxCycles, start)
+		return c.descendSearch(probe, opt.MaxCycles, bound)
 	default:
 		return c.linearSearch(probe, opt.MaxCycles)
 	}

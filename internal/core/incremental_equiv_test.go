@@ -39,7 +39,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 				}
 				// The engine gets its own clone: Problem setup adds input and
 				// constant terms to the graph it encodes.
-				eng, err := schedule.NewEngine(c.Graph.Clone(), g, initialWindow(o), o.MaxCycles, sopt)
+				eng, err := schedule.NewEngine(c.Graph.Clone(), g, initialWindow(o, baselineBound(g, o)), o.MaxCycles, sopt)
 				if err != nil {
 					t.Fatalf("%s/%s: NewEngine: %v", p.name, g.Name, err)
 				}

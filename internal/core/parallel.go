@@ -66,7 +66,7 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 	// so a pool of ~workers engines serves the whole search with learned
 	// clauses accumulating across budgets.
 	var enginePool []*schedule.Engine
-	window := initialWindow(opt)
+	window := initialWindow(opt, maxCycles)
 
 	// launch starts one speculative probe. The probe's engine is
 	// registered under its budget before solving so a completed answer

@@ -1,7 +1,10 @@
 package schedule
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/egraph"
 	"repro/internal/gma"
 	"repro/internal/matcher"
+	"repro/internal/obs"
 	"repro/internal/sat"
 	"repro/internal/term"
 )
@@ -37,6 +41,32 @@ func buildEngine(t *testing.T, g *gma.GMA, window, maxK int, opt Options) *Engin
 		t.Fatal(err)
 	}
 	return e
+}
+
+// encodeWindows returns the window tag of every encode span in tr, in
+// the order the spans started.
+func encodeWindows(t *testing.T, tr *obs.Trace) []string {
+	t.Helper()
+	var sb strings.Builder
+	if err := tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &f); err != nil {
+		t.Fatal(err)
+	}
+	var windows []string
+	for _, e := range f.TraceEvents {
+		if e.Name == "encode" {
+			windows = append(windows, e.Args["window"])
+		}
+	}
+	return windows
 }
 
 // engineGMAs are small programs with known phase transitions: each needs
@@ -143,10 +173,12 @@ func TestEngineDescendingSweep(t *testing.T) {
 
 // TestEngineWindowGrowth starts with a window too small for the program
 // and confirms the engine grows it in place: no re-encode, and the probe
-// after the growth still reuses the warm solver.
+// after the growth still reuses the warm solver. Both encode spans, the
+// up-front one and the growth, carry the window they encoded.
 func TestEngineWindowGrowth(t *testing.T) {
 	g := simpleGMA("(add64 (add64 a b) c)", "a", "b", "c")
-	e := buildEngine(t, g, 1, 8, Options{})
+	tr := obs.New()
+	e := buildEngine(t, g, 1, 8, Options{Trace: tr})
 	if e.Window() != 1 {
 		t.Fatalf("initial window = %d", e.Window())
 	}
@@ -172,6 +204,9 @@ func TestEngineWindowGrowth(t *testing.T) {
 	}
 	if !st.Reused {
 		t.Fatal("the probe after an in-place growth must reuse the solver")
+	}
+	if got := encodeWindows(t, tr); !slices.Equal(got, []string{"1", "3"}) {
+		t.Fatalf("encode span windows = %q, want the up-front 1 and the grown 3", got)
 	}
 	// Out-of-range probes are rejected, not silently clamped.
 	if _, _, err := e.SolveBudget(9); err == nil {

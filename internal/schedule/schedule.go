@@ -236,7 +236,7 @@ func newProblem(g *egraph.Graph, gm *gma.GMA, K int, opt Options, layered bool) 
 		p.bClusters = p.Desc.NumClusters
 	}
 	tr := opt.Trace
-	sp := tr.Start("encode")
+	sp := tr.Start("encode", obs.Tint("window", int64(K)))
 	if err := p.setup(); err != nil {
 		sp.End(obs.T("error", err.Error()))
 		return nil, err

@@ -73,8 +73,8 @@ esac
 echo "== incremental-equivalence gate (golden corpus, every budget 0..optimum: one-shot reference Problem vs persistent Engine)"
 go test -run '^TestIncrementalEquivalence$' -count=1 ./internal/core
 
-echo "== trajectory gate (golden corpus: per-probe solver counters, assembly, certificate and DIMACS hashes match testdata/trajectory.json)"
-go test -run '^TestSolverTrajectory$' -count=1 ./internal/core
+echo "== trajectory gate (golden corpus: per-probe solver counters, assembly, certificate and DIMACS hashes match testdata/trajectory.json; linear encodes min(7, baseline bound) cycles up front, binary 8)"
+go test -run '^(TestSolverTrajectory|TestLinearWindowAtBaseline)$' -count=1 ./internal/core
 
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/lang
