@@ -16,21 +16,14 @@ import (
 // for callers that still branch on it.
 func PrefersScratch(*gma.GMA) bool { return false }
 
-// probeLadder builds the probe function the sequential budget strategies
-// walk: one persistent schedule.Engine, whose first encoded window covers
-// budgets 0..window, answers every budget under a budget assumption, so
-// conflict clauses learned refuting one budget keep pruning every later
-// probe. Each K-probe is one span tagged with the outcome
-// (SAT/UNSAT/UNKNOWN); the encode/solve/decode sub-phases nest inside it
-// via Schedule.Trace.
-func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, window int) (probeFunc, error) {
+// probeLadder returns the probe function the sequential budget
+// strategies walk: one persistent schedule.Engine answers every budget
+// under a budget assumption, so conflict clauses learned refuting one
+// budget keep pruning every later probe. Each K-probe is one span tagged
+// with the outcome (SAT/UNSAT/UNKNOWN); the encode/solve/decode
+// sub-phases nest inside it via Schedule.Trace.
+func (c *Compiled) probeLadder(eng *schedule.Engine, opt Options) probeFunc {
 	tr := opt.Trace
-	t0 := time.Now()
-	eng, err := schedule.NewEngine(c.Graph, gm, window, opt.MaxCycles, opt.Schedule)
-	c.EncodeTime += time.Since(t0)
-	if err != nil {
-		return nil, err
-	}
 	return func(k int) (*schedule.Schedule, sat.Result, error) {
 		psp := tr.Startf("probe K=%d", k)
 		t0 := time.Now()
@@ -48,7 +41,7 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, window int) (probeFunc,
 			return nil, stat.Result, err
 		}
 		return sched, stat.Result, nil
-	}, nil
+	}
 }
 
 // satSearch walks one persistent engine's probe ladder with a sequential
@@ -56,16 +49,22 @@ func (c *Compiled) probeLadder(gm *gma.GMA, opt Options, window int) (probeFunc,
 // baseline's bound is computed once and sizes the engine's first window
 // (initialWindow): linear stops at its first satisfiable budget, which
 // never lies above the bound, and descend starts at the bound itself.
+// The engine's solver tables are released for the next GMA's engine
+// when the ladder ends.
 func (c *Compiled) satSearch(gm *gma.GMA, opt Options) error {
 	c.Engine = "sat"
 	bound := opt.MaxCycles // binary's window does not depend on it
 	if opt.Search != BinarySearch {
 		bound = baselineBound(gm, opt)
 	}
-	probe, err := c.probeLadder(gm, opt, initialWindow(opt, bound))
+	t0 := time.Now()
+	eng, err := schedule.NewEngine(c.Graph, gm, initialWindow(opt, bound), opt.MaxCycles, opt.Schedule)
+	c.EncodeTime += time.Since(t0)
 	if err != nil {
 		return err
 	}
+	defer eng.Release()
+	probe := c.probeLadder(eng, opt)
 	switch opt.Search {
 	case BinarySearch:
 		return c.binarySearch(probe, opt.MaxCycles)

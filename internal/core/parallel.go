@@ -240,6 +240,11 @@ func (c *Compiled) parallelSearch(gm *gma.GMA, opt Options) error {
 			}
 		}
 	}
+	// Every probe has sent its outcome, and each parked its engine before
+	// sending, so the pool holds every engine and no goroutine uses one.
+	for _, eng := range enginePool {
+		eng.Release()
+	}
 	if firstErr != nil {
 		return firstErr
 	}

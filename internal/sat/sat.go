@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -117,43 +118,20 @@ type Stats struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	// arena holds every clause's literals back to back; hdrs[c] says
-	// where clause c's run starts and how long it is. wasted counts the
-	// arena literals of deleted clauses, which reduceDB reclaims by
-	// compacting once they are half the arena.
-	arena   []Lit
-	hdrs    []clauseHdr
-	wasted  int
-	clauses []cref
-	learned []cref
-	watches [][]cref
-	slab    []cref // the chunk short watch lists are carved from (see watch)
+	// tables holds every slice sized by the problem; Release hands them
+	// to the next New.
+	tables
 
-	assigns []int8
-	level   []int32
-	reason  []cref
-	trail   []Lit
-	lim     []int
-	qhead   int
+	slab []cref // the chunk short watch lists are carved from (see watch)
+	// wasted counts the arena literals of deleted clauses, which reduceDB
+	// reclaims by compacting once they are half the arena.
+	wasted int
+	qhead  int
 
-	activity []float64
-	varInc   float64
-	claInc   float64
-	heap     []int32 // binary max-heap of variables by activity
-	heapPos  []int32 // var -> heap index, -1 if absent
-	phase    []bool
-	defPhase []bool // per-var reset polarity: SetPhase overrides, ResetPhases restores
+	varInc float64
+	claInc float64
 
 	unsat bool
-
-	// Scratch buffers reused across calls: AddClause's sorted copy and
-	// its proof-log copy, analyze's learned clause, its seen marks (all
-	// false between calls) and, with a Proof attached, its hints.
-	addBuf   []Lit
-	inputBuf []Lit
-	learnBuf []Lit
-	seen     []bool
-	hints    []int32
 
 	// model is the assignment snapshot of the last Sat answer. Solve
 	// backtracks to level 0 before returning (so clauses can be added and
@@ -186,9 +164,120 @@ type Solver struct {
 	stop atomic.Bool
 }
 
-// New returns an empty solver.
+// tables are the solver's problem-sized slices: what Reserve sizes, and
+// what a process that builds one solver after another would otherwise
+// allocate, zero and fault in afresh for each. Release parks them as the
+// spare with every length cut to 0, and New hands the spare to the next
+// solver, whose appends then reuse the capacity. Nothing outside the
+// solver may keep a slice into them across Release.
+type tables struct {
+	// arena holds every clause's literals back to back; hdrs[c] says
+	// where clause c's run starts and how long it is.
+	arena   []Lit
+	hdrs    []clauseHdr
+	clauses []cref
+	learned []cref
+	// watches is indexed by literal. Release drops the inner lists (their
+	// slab chunks and heap arrays), keeping only the outer table.
+	watches [][]cref
+
+	assigns []int8
+	level   []int32
+	reason  []cref
+	trail   []Lit
+	lim     []int
+
+	activity []float64
+	heap     []int32 // binary max-heap of variables by activity
+	heapPos  []int32 // var -> heap index, -1 if absent
+	phase    []bool
+	defPhase []bool // per-var reset polarity: SetPhase overrides, ResetPhases restores
+
+	// Scratch buffers reused across calls: AddClause's sorted copy and
+	// its proof-log copy, analyze's learned clause, its seen marks (all
+	// false between calls) and, with a Proof attached, its hints.
+	addBuf   []Lit
+	inputBuf []Lit
+	learnBuf []Lit
+	seen     []bool
+	hints    []int32
+
+	// idle counts the solvers in a row that reserved less than a quarter
+	// of these tables (see age).
+	idle int
+}
+
+// truncate cuts every table to length 0, keeping its capacity. The
+// watch lists are cleared first, so a parked set pins no slab chunk or
+// list array of the solver it came from.
+func (t *tables) truncate() {
+	clear(t.watches)
+	*t = tables{
+		arena: t.arena[:0], hdrs: t.hdrs[:0], clauses: t.clauses[:0], learned: t.learned[:0],
+		watches: t.watches[:0],
+		assigns: t.assigns[:0], level: t.level[:0], reason: t.reason[:0], trail: t.trail[:0], lim: t.lim[:0],
+		activity: t.activity[:0], heap: t.heap[:0], heapPos: t.heapPos[:0], phase: t.phase[:0], defPhase: t.defPhase[:0],
+		addBuf: t.addBuf[:0], inputBuf: t.inputBuf[:0], learnBuf: t.learnBuf[:0], seen: t.seen[:0], hints: t.hints[:0],
+		idle: t.idle,
+	}
+}
+
+// maxIdle is how many solvers in a row may reserve less than a quarter
+// of a recycled set before it is dropped. A compile's GMAs, and the
+// programs a process compiles one after another, mix problem sizes a
+// hundredfold apart, so a set one solver finds far too large is often
+// needed whole a few solvers later; a set that sits unneeded this long
+// goes, so the one parked follows the recent problems rather than the
+// largest the process ever built.
+const maxIdle = 16
+
+// age counts a solver that asks for room for vars variables and lits
+// clause literals against the set, and drops the set once maxIdle
+// solvers in a row, this one included, have needed less than a quarter
+// of it.
+func (t *tables) age(vars, lits int) {
+	if cap(t.assigns) <= 4*vars && cap(t.arena) <= 4*lits {
+		t.idle = 0
+	} else if t.idle++; t.idle >= maxIdle {
+		*t = tables{}
+	}
+}
+
+// spare holds the tables of the most recently released solver until the
+// next New takes them. One set is what a sequential run uses: it
+// releases and takes back one set per GMA. A release replaces the set
+// already parked, so at most one set outlives its solver. A mutex
+// rather than a sync.Pool, whose per-processor slots and victim cache
+// keep more sets alive and lose them at every GC (see DESIGN.md).
+var spare struct {
+	sync.Mutex
+	tables
+}
+
+// New returns an empty solver. When an earlier solver was released, its
+// tables come with it: every length and scalar starts as in a fresh
+// solver, so the search cannot tell the two apart, but NewVar, AddClause
+// and Reserve fill the released capacity instead of allocating.
 func New() *Solver {
-	return &Solver{varInc: 1.0, claInc: 1.0}
+	s := &Solver{varInc: 1.0, claInc: 1.0}
+	spare.Lock()
+	s.tables, spare.tables = spare.tables, tables{}
+	spare.Unlock()
+	return s
+}
+
+// Release hands the solver's tables to the next New, in place of any
+// set released before and not yet taken, and leaves the solver empty.
+// The caller must use neither the solver nor the slice Core returned
+// afterwards. Models, Stats and proof logs already taken are copies and
+// stay valid.
+func (s *Solver) Release() {
+	t := s.tables
+	s.tables = tables{}
+	t.truncate()
+	spare.Lock()
+	spare.tables = t
+	spare.Unlock()
 }
 
 // NewVar allocates a fresh variable and returns its index.
@@ -211,9 +300,14 @@ func (s *Solver) NewVar() int {
 // Reserve makes room for vars more variables, clauses more problem
 // clauses and lits more clause literals, so a caller that knows its
 // problem size can build it without regrowing the per-variable tables or
-// the clause arena. It is only a capacity hint: the solver still grows
-// past it, and the answer does not depend on it.
+// the clause arena. Tables that came from a released solver (see New)
+// and are already large enough are kept as they are, unless they have
+// been far too large for too long (see age). It is only a capacity hint:
+// the solver still grows past it, and the answer does not depend on it.
 func (s *Solver) Reserve(vars, clauses, lits int) {
+	if s.NumVars() == 0 {
+		s.age(vars, lits)
+	}
 	s.assigns = slices.Grow(s.assigns, vars)
 	s.level = slices.Grow(s.level, vars)
 	s.reason = slices.Grow(s.reason, vars)
@@ -784,7 +878,8 @@ func (s *Solver) saveModel() {
 // assumptions whose conjunction with the clause database is
 // unsatisfiable. It returns nil when the refutation was global (the
 // database alone is unsatisfiable — no assumptions needed) and after
-// Sat or Unknown answers. The slice is valid until the next Solve.
+// Sat or Unknown answers. The slice is valid until the next Solve and
+// invalid after Release.
 func (s *Solver) Core() []Lit { return s.core }
 
 func (s *Solver) pickBranchVar() int {

@@ -10,19 +10,20 @@ import (
 	"repro/internal/lang"
 	"repro/internal/matcher"
 	"repro/internal/programs"
+	"repro/internal/sat"
 )
 
 // saturated parses src, picks the GMA named name and saturates its goals
 // with the builtin axioms plus the program's own.
-func saturated(b *testing.B, src, name string) (*egraph.Graph, *gma.GMA) {
-	b.Helper()
+func saturated(tb testing.TB, src, name string) (*egraph.Graph, *gma.GMA) {
+	tb.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	axs, err := axioms.Builtin()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	axs = append(axs, prog.Axioms...)
 	for _, proc := range prog.Procs {
@@ -35,12 +36,12 @@ func saturated(b *testing.B, src, name string) (*egraph.Graph, *gma.GMA) {
 				g.AddTerm(goal)
 			}
 			if _, err := matcher.Saturate(g, axs, matcher.Options{}); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			return g, gm
 		}
 	}
-	b.Fatalf("no GMA %q", name)
+	tb.Fatalf("no GMA %q", name)
 	return nil, nil
 }
 
@@ -70,4 +71,52 @@ func BenchmarkEncode(b *testing.B) {
 			}
 		}
 	})
+}
+
+// byteswap4Ladder probes byteswap4's budgets 0…5 on one engine with
+// linear search's window, 7 cycles: five refutations, then the 5-cycle
+// optimum.
+func byteswap4Ladder(tb testing.TB, g *egraph.Graph, gm *gma.GMA) *Engine {
+	tb.Helper()
+	e, err := NewEngine(g, gm, 7, 24, Options{Desc: alpha.EV6()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k := 0; k <= 5; k++ {
+		_, st, err := e.SolveBudget(k)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if want := k == 5; (st.Result == sat.Sat) != want {
+			tb.Fatalf("byteswap4 K=%d: %v", k, st.Result)
+		}
+	}
+	return e
+}
+
+// BenchmarkEngineLadder measures byteswap4's ladder, encode included,
+// on solver tables allocated afresh for every engine and on tables the
+// previous engine released.
+func BenchmarkEngineLadder(b *testing.B) {
+	g, gm := saturated(b, programs.Byteswap4, "byteswap4")
+	for _, release := range []bool{false, true} {
+		name := "fresh"
+		if release {
+			name = "recycled"
+		}
+		b.Run(name, func(b *testing.B) {
+			if release {
+				// Park a set, so the first timed ladder recycles too.
+				byteswap4Ladder(b, g, gm).Release()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := byteswap4Ladder(b, g, gm)
+				if release {
+					e.Release()
+				}
+			}
+		})
+	}
 }

@@ -85,6 +85,16 @@ func (e *Engine) Interrupt() { e.p.solver.Interrupt() }
 // engine's next probe is not cancelled by a stale stop flag.
 func (e *Engine) ClearInterrupt() { e.p.solver.ClearInterrupt() }
 
+// Release hands the engine's solver tables to the next solver built in
+// this process (see sat.Solver.Release). Nothing the engine returned
+// points into them: schedules are decoded through the solver's Value and
+// certificates are drat.Recorder copies. The engine must not be used
+// afterwards: a later SolveBudget or Release panics.
+func (e *Engine) Release() {
+	e.p.solver.Release()
+	e.p.solver = nil
+}
+
 // SolveBudget probes "does a program of at most k cycles exist?" under
 // the budget assumption. The returned Stat mirrors Problem.Solve's, with
 // Incremental set, Solver holding this call's deltas and Encode the

@@ -3,6 +3,7 @@ package schedule
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/gma"
 	"repro/internal/matcher"
 	"repro/internal/obs"
+	"repro/internal/programs"
 	"repro/internal/sat"
 	"repro/internal/term"
 )
@@ -238,6 +240,33 @@ func TestEngineInterruptClear(t *testing.T) {
 	if st.Result != sat.Sat {
 		t.Fatalf("probe after ClearInterrupt = %v, want SAT", st.Result)
 	}
+}
+
+// TestEngineReleaseReusesTables: an engine built after another engine
+// was released fills the released solver tables instead of allocating
+// its own, and a released engine cannot be used again.
+func TestEngineReleaseReusesTables(t *testing.T) {
+	g, gm := saturated(t, programs.Byteswap4, "byteswap4")
+	sat.New() // take the tables an earlier test released, so the first ladder allocates its own
+	ladder := func() (*Engine, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e := byteswap4Ladder(t, g, gm)
+		e.Release()
+		runtime.ReadMemStats(&after)
+		return e, after.TotalAlloc - before.TotalAlloc
+	}
+	_, first := ladder()
+	e, second := ladder()
+	if second*3 > first {
+		t.Fatalf("a ladder on released tables allocated %d bytes, the first %d; want at most a third", second, first)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SolveBudget on a released engine did not panic")
+		}
+	}()
+	e.SolveBudget(5)
 }
 
 // TestEngineGuardAndMemory exercises the layered encoding on a GMA with a

@@ -34,6 +34,9 @@ go test -race -run '^TestParallelObs$' -count=20 ./internal/core
 echo "== snapshot race guard (history snapshots encoded while Ingest writes, under -race, 10 runs)"
 go test -race -run '^TestSnapshotEncodeDuringIngest$' -count=10 ./internal/history
 
+echo "== solver recycle race guard (New/Solve/Release cycles on 8 goroutines passing released solver tables through the spare, under -race, 10 runs)"
+go test -race -run '^TestSolverRecycleConcurrent$' -count=10 ./internal/sat
+
 echo "== benchmark smoke (every per-layer benchmark once)"
 go test -run '^$' -bench . -benchtime 1x ./internal/sat ./internal/schedule ./internal/egraph ./internal/matcher ./internal/drat
 
