@@ -49,7 +49,6 @@ import (
 	"repro/internal/compilecache"
 	"repro/internal/core"
 	"repro/internal/flight"
-	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -195,11 +194,8 @@ func main() {
 					g.Match.Quiescent, g.Match.Elapsed.Round(time.Microsecond))
 				for _, p := range g.Probes {
 					mark := ""
-					if p.Incremental {
-						mark = "  inc"
-						if p.Reused {
-							mark = "  inc+warm"
-						}
+					if p.Reused {
+						mark = "  warm"
 					}
 					fmt.Printf("  K=%-3d %-7s %6d vars %7d clauses %7d conflicts %8d decisions %9d props %10v%s\n",
 						p.K, p.Result, p.Vars, p.Clauses, p.Conflicts, p.Decisions, p.Propagations,
@@ -328,9 +324,6 @@ func serveMain(args []string) {
 		flightRing = fs.Int("flight-ring", 0, "flight reports kept for /debug/requests (0 = default)")
 		cacheMax   = fs.Int("cache-max", 1024, "in-memory compile-cache entries (0 disables the cache)")
 		cacheDir   = fs.String("cache-dir", "", "persist the compile cache in this directory (entries survive restarts)")
-		historyDir = fs.String("history-dir", "", "persist the compile-history warehouse in this directory (aggregates survive restarts)")
-		sloAvail   = fs.Float64("slo-availability", 0, "availability objective for /debug/slo and denali_slo_* (0 = default 0.999)")
-		sloP95MS   = fs.Float64("slo-p95-ms", 0, "p95 latency objective in ms for /debug/slo and denali_slo_* (0 = default 2000)")
 	)
 	fs.Parse(args)
 	if fs.NArg() != 0 {
@@ -367,18 +360,6 @@ func serveMain(args []string) {
 		}
 		cfg.Cache = compilecache.New(ccfg)
 	}
-	// The history warehouse is always on (memory-only by default);
-	// -history-dir makes the per-key aggregates survive restarts.
-	hcfg := history.Config{
-		Dir: *historyDir,
-		SLO: history.SLOConfig{Availability: *sloAvail, LatencyP95MS: *sloP95MS},
-	}
-	warehouse, err := history.Open(hcfg)
-	if err != nil {
-		fatal(err)
-	}
-	defer warehouse.Close()
-	cfg.History = warehouse
 	srv := serve.New(cfg)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -392,7 +373,7 @@ func serveMain(args []string) {
 			case <-time.After(5 * time.Millisecond):
 			}
 		}
-		fmt.Fprintf(os.Stderr, "denali: serving on http://%s (POST /compile, /metrics, /healthz, /readyz, /version, /debug/requests, /debug/history, /debug/slo, /debug/pprof/)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "denali: serving on http://%s (POST /compile, /metrics, /healthz, /readyz, /version, /debug/requests, /debug/history, /debug/pprof/)\n", srv.Addr())
 		if *addrFile != "" {
 			if err := os.WriteFile(*addrFile, []byte(srv.Addr()), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "denali: addr-file:", err)

@@ -484,28 +484,17 @@ func exitLabel(g *gma.GMA) string {
 // problem sizes ("1639 variables and 4613 clauses for the 4-cycle
 // refutation ... 9203 variables and 26415 clauses for the 8-cycle
 // solution").
-// Incremental probes are marked "inc" ("inc+warm" once the persistent
-// solver carries learned clauses from an earlier probe), and a trailing
-// line summarizes how much of the search reused a warm solver.
+// A probe whose persistent solver carried learned clauses from an earlier
+// probe is marked "warm".
 func (c *Compiled) ProbeSummary() string {
 	var b strings.Builder
-	inc, warm := 0, 0
 	for _, p := range c.Probes {
 		mark := ""
-		if p.Incremental {
-			inc++
-			mark = "  inc"
-			if p.Reused {
-				warm++
-				mark = "  inc+warm"
-			}
+		if p.Reused {
+			mark = "  warm"
 		}
 		fmt.Fprintf(&b, "K=%-3d %-7s %6d vars %7d clauses %7d conflicts %10s%s\n",
 			p.K, p.Result, p.Vars, p.Clauses, p.Solver.Conflicts, p.Elapsed.Round(time.Microsecond), mark)
-	}
-	if inc > 0 {
-		fmt.Fprintf(&b, "incremental: %d/%d probes on a persistent engine, %d on a warm solver\n",
-			inc, len(c.Probes), warm)
 	}
 	return b.String()
 }

@@ -29,9 +29,9 @@ import (
 	"repro/internal/term"
 )
 
-// ProbeRow is one SAT probe of the budget search. For incremental
-// (persistent-engine) probes the solver-work fields are per-probe deltas,
-// so summing rows never double-counts; Vars/Clauses stay window totals.
+// ProbeRow is one SAT probe of the budget search. Every probe runs on the
+// persistent engine, so the solver-work fields are per-probe deltas and
+// summing rows never double-counts; Vars/Clauses stay window totals.
 type ProbeRow struct {
 	K            int     `json:"k"`
 	Result       string  `json:"result"`
@@ -43,11 +43,9 @@ type ProbeRow struct {
 	Learned      int     `json:"learned"`
 	Restarts     int64   `json:"restarts"`
 	Millis       float64 `json:"ms"`
-	// Incremental marks a probe answered by the persistent engine under a
-	// budget assumption; Reused additionally marks a warm solver (learned
-	// clauses carried over from earlier probes).
-	Incremental bool `json:"incremental,omitempty"`
-	Reused      bool `json:"reused,omitempty"`
+	// Reused marks a warm solver (learned clauses carried over from
+	// earlier probes).
+	Reused bool `json:"reused,omitempty"`
 	// Cancelled marks a probe interrupted as moot (Result UNKNOWN): a
 	// parallel speculation another answer settled.
 	Cancelled bool `json:"cancelled,omitempty"`

@@ -7,19 +7,16 @@ import (
 // digestBoundsMS are the fixed bucket upper bounds (milliseconds) every
 // Digest uses: log-spaced from 10µs to one minute, covering the observed
 // range from sub-millisecond cache hits to multi-second checksum
-// compiles. Fixed package-wide bounds keep persisted digests mergeable
-// across processes and versions; changing them requires bumping
-// SnapshotSchema so stale snapshots are quarantined rather than
-// misinterpreted.
+// compiles. A digest's Counts are read against these bounds, so changing
+// them changes SnapshotSchema.
 var digestBoundsMS = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50,
 	100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000,
 }
 
 // Digest is a bounded-memory latency/work sketch: a fixed-bucket
-// histogram with tracked extremes, good for p50/p95/max estimation under
-// concurrent ingest and cheap to persist (one small JSON array). The
-// zero value is ready to use.
+// histogram with tracked extremes, good for p50/p95/max estimation and
+// cheap to serve (one small JSON array). The zero value is ready to use.
 type Digest struct {
 	Count uint64  `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -33,8 +30,6 @@ type Digest struct {
 // Observe records one value (milliseconds for latency digests).
 func (d *Digest) Observe(v float64) {
 	if len(d.Counts) != len(digestBoundsMS)+1 {
-		// Fresh digest, or one restored from a snapshot written under
-		// different bounds (guarded by SnapshotSchema, but stay safe).
 		d.Counts = make([]uint64, len(digestBoundsMS)+1)
 	}
 	i := 0
@@ -50,33 +45,6 @@ func (d *Digest) Observe(v float64) {
 	}
 	d.Count++
 	d.Sum += v
-}
-
-// Merge folds another digest into this one.
-func (d *Digest) Merge(o Digest) {
-	if o.Count == 0 {
-		return
-	}
-	if len(d.Counts) != len(digestBoundsMS)+1 {
-		d.Counts = make([]uint64, len(digestBoundsMS)+1)
-	}
-	if len(o.Counts) == len(d.Counts) {
-		for i, c := range o.Counts {
-			d.Counts[i] += c
-		}
-	} else {
-		// Bound mismatch (foreign snapshot): keep the scalar moments, drop
-		// the shape into the overflow bucket rather than inventing one.
-		d.Counts[len(d.Counts)-1] += o.Count
-	}
-	if d.Count == 0 || o.Min < d.Min {
-		d.Min = o.Min
-	}
-	if d.Count == 0 || o.Max > d.Max {
-		d.Max = o.Max
-	}
-	d.Count += o.Count
-	d.Sum += o.Sum
 }
 
 // Quantile estimates the q-quantile by linear interpolation within the

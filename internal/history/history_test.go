@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
+	"repro"
 	"repro/internal/flight"
+	"repro/internal/programs"
 )
 
 // mkReport builds a one-GMA flight report for tests.
-func mkReport(id, fp, name string, incremental bool, solveMS, wallMS float64, cycles int) flight.Report {
+func mkReport(id, fp, name string, solveMS, wallMS float64, cycles int) flight.Report {
 	return flight.Report{
 		ID:         id,
 		Arch:       "ev6",
@@ -23,8 +24,8 @@ func mkReport(id, fp, name string, incremental bool, solveMS, wallMS float64, cy
 			SolveMillis: solveMS,
 			Cycles:      cycles,
 			Probes: []flight.ProbeRow{
-				{K: cycles, Result: "sat", Conflicts: 3, Incremental: incremental},
-				{K: cycles - 1, Result: "unsat", Conflicts: 7, Incremental: incremental},
+				{K: cycles, Result: "sat", Conflicts: 3},
+				{K: cycles - 1, Result: "unsat", Conflicts: 7},
 			},
 			OptimalProven: true,
 		}},
@@ -34,41 +35,67 @@ func mkReport(id, fp, name string, incremental bool, solveMS, wallMS float64, cy
 func TestIngestAggregates(t *testing.T) {
 	w := New(Config{})
 	for i := 0; i < 5; i++ {
-		w.Ingest(mkReport(fmt.Sprintf("r-%d", i), "fp1", "double", false, 0.5, 1.0, 2))
+		w.Ingest(mkReport(fmt.Sprintf("r-%d", i), "fp1", "double", 0.5, 1.0, 2))
 	}
-	w.Ingest(mkReport("r-inc", "fp1", "double", true, 0.2, 0.8, 2))
+	w.Ingest(mkReport("r-5", "fp1", "double", 0.2, 0.8, 2))
 
-	if got := w.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2 (scratch + incremental keys)", got)
+	if got := w.Len(); got != 1 {
+		t.Fatalf("Len = %d, want 1 (one key per fingerprint, arch and strategy)", got)
 	}
 	tot := w.Totals()
 	if tot.Reports != 6 || tot.GMAs != 6 {
 		t.Fatalf("totals = %+v, want 6 reports / 6 gmas", tot)
 	}
 
-	both := aggregates(w, "fp1")
-	if len(both) != 2 {
-		t.Fatalf("snapshot holds %d aggregates for fp1, want 2", len(both))
+	as := aggregates(w, "fp1")
+	if len(as) != 1 {
+		t.Fatalf("snapshot holds %d aggregates for fp1, want 1", len(as))
 	}
-	// Sorted most-compiled first: the scratch key has 5 compiles.
-	if both[0].Incremental || !both[1].Incremental {
-		t.Fatalf("snapshot order wrong: %v then %v", both[0].Key, both[1].Key)
+	a := as[0]
+	if a.Compiles != 6 || a.Name != "double" || a.TopCycles() != 2 {
+		t.Fatalf("aggregate = %+v", a)
 	}
-	a := both[0]
-	if a.Compiles != 5 || a.Name != "double" || a.TopCycles() != 2 {
-		t.Fatalf("scratch aggregate = %+v", a)
-	}
-	if a.Conflicts != 5*10 {
-		t.Fatalf("conflicts = %d, want 50", a.Conflicts)
+	if a.Conflicts != 6*10 {
+		t.Fatalf("conflicts = %d, want 60", a.Conflicts)
 	}
 	if a.MaxProbeConflicts != 7 {
 		t.Fatalf("max probe conflicts = %d, want 7", a.MaxProbeConflicts)
 	}
-	if a.Solve.Count != 5 || a.Solve.Max != 0.5 {
+	if a.Solve.Count != 6 || a.Solve.Min != 0.2 || a.Solve.Max != 0.5 {
 		t.Fatalf("solve digest = %+v", a.Solve)
 	}
-	if a.Optimal != 5 {
-		t.Fatalf("optimal = %d, want 5", a.Optimal)
+	if a.Optimal != 6 {
+		t.Fatalf("optimal = %d, want 6", a.Optimal)
+	}
+}
+
+// TestFailedCompileSharesItsGMAsKey: a GMA that compiled and a compile of
+// it that failed before its first probe land on one aggregate. Byteswap4
+// compiles once with default budgets and once with a matcher node budget
+// too small to find its machine computation.
+func TestFailedCompileSharesItsGMAsKey(t *testing.T) {
+	w := New(Config{})
+	for _, maxNodes := range []int{0, 1} {
+		fr := flight.NewRecorder(fmt.Sprintf("bs4-nodes-%d", maxNodes))
+		_, err := repro.Compile(programs.Byteswap4, repro.Options{MatcherMaxNodes: maxNodes, Flight: fr})
+		if (err != nil) != (maxNodes == 1) {
+			t.Fatalf("matcher nodes %d: err = %v", maxNodes, err)
+		}
+		rep := fr.Report(0)
+		if len(rep.GMAs) != 1 || (maxNodes == 1) != (len(rep.GMAs[0].Probes) == 0) {
+			t.Fatalf("matcher nodes %d: want one GMA record, probed only when it compiled: %+v", maxNodes, rep.GMAs)
+		}
+		w.Ingest(rep)
+	}
+	snap := w.Snapshot()
+	if len(snap.Keys) != 1 {
+		for _, a := range snap.Keys {
+			t.Logf("key %s: compiles=%d errors=%d", a.Key, a.Compiles, a.Errors)
+		}
+		t.Fatalf("%d aggregates for one GMA, want 1", len(snap.Keys))
+	}
+	if a := snap.Keys[0]; a.Compiles != 1 || a.Errors != 1 || a.ErrorRate() != 0.5 {
+		t.Fatalf("aggregate: compiles=%d errors=%d error rate %v, want 1, 1 and 0.5", a.Compiles, a.Errors, a.ErrorRate())
 	}
 }
 
@@ -94,11 +121,11 @@ func TestIngestFailuresAndCacheOutcomes(t *testing.T) {
 	w.Ingest(flight.Report{ID: "pan", Error: "runtime error", Panic: true})
 	// A cache hit replays the origin's probes; solver work must not be
 	// double counted.
-	hit := mkReport("h", "fp2", "inc4", false, 0.4, 0.1, 3)
+	hit := mkReport("h", "fp2", "inc4", 0.4, 0.1, 3)
 	hit.GMAs[0].CacheHit = true
 	w.Ingest(hit)
 	// A per-GMA error.
-	bad := mkReport("e", "fp2", "inc4", false, 0.4, 0.1, 3)
+	bad := mkReport("e", "fp2", "inc4", 0.4, 0.1, 3)
 	bad.GMAs[0].Error = "unsat at max budget"
 	w.Ingest(bad)
 
@@ -143,10 +170,8 @@ func TestConcurrentIngest(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				fp := fmt.Sprintf("fp-%d", i%8)
-				w.Ingest(mkReport(fmt.Sprintf("r-%d-%d", g, i), fp, "gma", g%2 == 0, 0.1, 0.2, 1))
-				w.RecordRequest(true, 0.2)
+				w.Ingest(mkReport(fmt.Sprintf("r-%d-%d", g, i), fp, "gma", 0.1, 0.2, 1))
 				_ = w.Snapshot()
-				_ = w.SLOStatus()
 			}
 		}(g)
 	}
@@ -162,9 +187,6 @@ func TestConcurrentIngest(t *testing.T) {
 	}
 	if compiles != goroutines*perG {
 		t.Fatalf("sum of compiles = %d, want %d", compiles, goroutines*perG)
-	}
-	if st := w.SLOStatus(); st.Requests != goroutines*perG {
-		t.Fatalf("slo requests = %d, want %d", st.Requests, goroutines*perG)
 	}
 }
 
@@ -193,23 +215,16 @@ func TestDigestQuantiles(t *testing.T) {
 	if e.Quantile(0.5) > 0.01 {
 		t.Fatalf("tiny observation p50 = %v, want clamped to max 0.001", e.Quantile(0.5))
 	}
-
-	var m Digest
-	m.Merge(d)
-	m.Merge(e)
-	if m.Count != 101 || m.Min != 0.001 || m.Max != 100 {
-		t.Fatalf("merged = count %d min %v max %v", m.Count, m.Min, m.Max)
-	}
 }
 
 // TestSnapshotKeyAxes: an empty arch folds into the canonical "ev6" key,
 // while a different strategy keeps a key of its own.
 func TestSnapshotKeyAxes(t *testing.T) {
 	w := New(Config{})
-	r := mkReport("r1", "fpX", "g", false, 0.1, 0.2, 1)
+	r := mkReport("r1", "fpX", "g", 0.1, 0.2, 1)
 	r.Arch = "" // normalized to ev6
 	w.Ingest(r)
-	r2 := mkReport("r2", "fpX", "g", false, 0.1, 0.2, 1)
+	r2 := mkReport("r2", "fpX", "g", 0.1, 0.2, 1)
 	r2.Strategy = "parallel"
 	w.Ingest(r2)
 
@@ -232,51 +247,6 @@ func TestSnapshotKeyAxes(t *testing.T) {
 	}
 }
 
-func TestSLOTracker(t *testing.T) {
-	base := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
-	tr := NewSLOTracker(SLOConfig{Availability: 0.999, LatencyP95MS: 100, Window: time.Hour})
-
-	// 998 fast successes, 1 failure, 1 slow request.
-	for i := 0; i < 998; i++ {
-		tr.Record(true, 10, base)
-	}
-	tr.Record(false, 10, base)
-	tr.Record(true, 500, base)
-
-	st := tr.Status(base)
-	if st.Requests != 1000 || st.Failures != 1 || st.SlowRequests != 1 {
-		t.Fatalf("status = %+v", st)
-	}
-	if st.Availability != 0.999 {
-		t.Fatalf("availability = %v", st.Availability)
-	}
-	// Failure rate 0.001 against a 0.001 budget: burning exactly at rate 1.
-	if st.AvailabilityBurn < 0.99 || st.AvailabilityBurn > 1.01 {
-		t.Fatalf("availability burn = %v, want ~1", st.AvailabilityBurn)
-	}
-	// Slow fraction 0.001 against the 5% a p95 objective allows: 0.02.
-	if st.LatencyBurn < 0.01 || st.LatencyBurn > 0.03 {
-		t.Fatalf("latency burn = %v, want ~0.02", st.LatencyBurn)
-	}
-
-	// The whole window ages out after an hour.
-	later := tr.Status(base.Add(2 * time.Hour))
-	if later.Requests != 0 || later.Availability != 1 || later.AvailabilityBurn != 0 {
-		t.Fatalf("aged status = %+v", later)
-	}
-}
-
-func TestSLOEmptyWindow(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{})
-	st := tr.Status(time.Now())
-	if st.Availability != 1 || st.AvailabilityBurn != 0 || st.Requests != 0 {
-		t.Fatalf("empty window status = %+v", st)
-	}
-	if st.AvailabilityObjective != DefaultAvailabilityObjective {
-		t.Fatalf("objective = %v", st.AvailabilityObjective)
-	}
-}
-
 // TestSnapshotEncodeDuringIngest: a snapshot owns its maps. /debug/history
 // encodes Snapshot() after the warehouse lock is released, so a map the
 // snapshot shared with the live aggregate (Engines once was) would be read
@@ -284,7 +254,7 @@ func TestSLOEmptyWindow(t *testing.T) {
 func TestSnapshotEncodeDuringIngest(t *testing.T) {
 	w := New(Config{})
 	ingest := func(i int) {
-		r := mkReport(fmt.Sprintf("r-%d", i), "fp", "gma", true, 0.1, 0.2, 1+i%3)
+		r := mkReport(fmt.Sprintf("r-%d", i), "fp", "gma", 0.1, 0.2, 1+i%3)
 		r.GMAs[0].Engine = []string{"sat", "stochastic"}[i%2]
 		w.Ingest(r)
 	}

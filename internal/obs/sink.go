@@ -88,11 +88,8 @@ const (
 	MProbesLaunched  = "denali_parallel_probes_launched_total"
 	MProbesCancelled = "denali_parallel_probes_cancelled_total"
 	MProbeWaste      = "denali_probe_waste_total"
-	// MProbeIncremental counts probes answered by a persistent incremental
-	// engine under a budget assumption (by result); MProbeIncrementalReused
-	// counts the subset whose solver had already answered an earlier probe,
-	// so learned clauses carried over.
-	MProbeIncremental       = "denali_probe_incremental_total"
+	// MProbeIncrementalReused counts the probes whose engine's solver had
+	// already answered an earlier probe, so learned clauses carried over.
 	MProbeIncrementalReused = "denali_probe_incremental_reused_total"
 	// MCertifySeconds is the latency of re-checking one DRAT refutation,
 	// and MCertifyChecks counts checks by result (ok/failed).
@@ -168,7 +165,6 @@ func NewCompilerRegistry() *Registry {
 	r.DeclareCounter(MProbesLaunched, "Speculative probes launched by the parallel budget search.")
 	r.DeclareCounter(MProbesCancelled, "Speculative probes that ended cancelled as moot.")
 	r.DeclareCounter(MProbeWaste, "Probes whose completed answer was discarded, by strategy.")
-	r.DeclareCounter(MProbeIncremental, "Probes answered incrementally under a budget assumption, by result.")
 	r.DeclareCounter(MProbeIncrementalReused, "Incremental probes that reused a warm solver (learned clauses carried over).")
 	r.DeclareHistogram(MCertifySeconds, "Latency of re-checking one DRAT refutation.", DefSecondsBuckets)
 	r.DeclareHistogram(MCertifySteps, "DRAT proof length (addition steps) per check.", DefCountBuckets)

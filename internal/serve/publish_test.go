@@ -54,11 +54,8 @@ func recordCounters(reps []flight.Report) map[string]float64 {
 				add("denali_sat_solve_seconds_count"+result, 1)
 				add("denali_sat_conflicts_count", 1)
 				add("denali_probe_conflicts_count"+result, 1)
-				if p.Incremental {
-					add("denali_probe_incremental_total"+result, 1)
-					if p.Reused {
-						add("denali_probe_incremental_reused_total", 1)
-					}
+				if p.Reused {
+					add("denali_probe_incremental_reused_total", 1)
 				}
 				if p.Cancelled {
 					cancelled++
@@ -105,8 +102,7 @@ var recordFamilies = []string{
 	"denali_sat_decisions_total", "denali_sat_propagations_total",
 	"denali_sat_restarts_total", "denali_sat_learned_total",
 	"denali_sat_solve_seconds_count", "denali_sat_conflicts_count",
-	"denali_probe_conflicts_count", "denali_probe_incremental_total",
-	"denali_probe_incremental_reused_total",
+	"denali_probe_conflicts_count", "denali_probe_incremental_reused_total",
 	"denali_parallel_probes_launched_total", "denali_parallel_probes_cancelled_total",
 	"denali_probe_waste_total", "denali_certify_total",
 	"denali_certify_seconds_count", "denali_certify_proof_steps_count",

@@ -14,13 +14,11 @@
 //	GET  /debug/requests        the last N flight reports, newest first
 //	GET  /debug/requests/{id}   the full flight report for one request
 //	GET  /debug/history         the compile-history warehouse snapshot:
-//	                            rolling per-key aggregates (fingerprint ×
-//	                            arch × strategy × incremental)
+//	                            per-key aggregates (fingerprint × arch ×
+//	                            strategy) of every compile this process
+//	                            served
 //	GET  /debug/history/{fp}    the aggregates for one GMA fingerprint
 //	                            (prefix match)
-//	GET  /debug/slo             rolling availability and p95-latency
-//	                            objectives with burn rates (also exported
-//	                            as denali_slo_* gauges on /metrics)
 //	GET  /debug/pprof/   the standard net/http/pprof handlers
 //
 // Every request carries a request ID: accepted from an X-Request-ID
@@ -117,11 +115,6 @@ type Config struct {
 	// per-call with the "cache" field (true, false, or "refresh"). The
 	// cache's metrics sink is attached to the server's registry by New.
 	Cache *compilecache.Cache
-	// History is the compile-history warehouse every flight report is
-	// folded into, behind /debug/history, /debug/slo and the denali_slo_*
-	// gauges. Nil allocates a memory-only warehouse; pass one from
-	// history.Open to persist across restarts (the caller owns Close).
-	History *history.Warehouse
 }
 
 // Server is one compile service instance.
@@ -169,16 +162,13 @@ func New(cfg Config) *Server {
 	if cfg.FlightRing <= 0 {
 		cfg.FlightRing = flight.DefaultRingSize
 	}
-	if cfg.History == nil {
-		cfg.History = history.New(history.Config{})
-	}
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		sink:    obs.NewSink(cfg.Registry),
 		limiter: make(chan struct{}, cfg.MaxConcurrent),
 		ring:    flight.NewRing(cfg.FlightRing),
-		hist:    cfg.History,
+		hist:    history.New(history.Config{}),
 	}
 	// The cache is usually built at flag-parse time, before a registry
 	// exists; attach it to the server's sink so denali_cache_* metrics
@@ -193,7 +183,6 @@ func New(cfg Config) *Server {
 	s.reg.DeclareGauge(mGoroutines, "Current goroutine count.")
 	s.reg.DeclareGauge(mHeapBytes, "Heap bytes currently allocated.")
 	s.reg.DeclareGauge(mNumGC, "Completed GC cycles.")
-	history.DeclareSLOMetrics(s.reg)
 	// Callers supplying their own (non-compiler) registry still get the
 	// build-identity gauge; declaring twice only refreshes help text.
 	s.reg.DeclareGauge(obs.MBuildInfo, "Build identity: constant 1, labeled by version and goversion.")
@@ -210,8 +199,8 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 func (s *Server) History() *history.Warehouse { return s.hist }
 
 // file lands one finished flight report with its three consumers: the
-// ring (for /debug/requests), the warehouse (for /debug/history and the
-// sentinel) and the compile metrics on /metrics.
+// ring (for /debug/requests), the warehouse (for /debug/history) and the
+// compile metrics on /metrics.
 func (s *Server) file(rep flight.Report) {
 	s.ring.Add(rep)
 	s.hist.Ingest(rep)
@@ -253,11 +242,8 @@ func (s *Server) publish(rep flight.Report) {
 			s.sink.Observe(obs.MSolveSeconds, p.Millis/1e3, result)
 			s.sink.Observe(obs.MSolveConflicts, float64(p.Conflicts))
 			s.sink.Observe(obs.MProbeConflicts, float64(p.Conflicts), result)
-			if p.Incremental {
-				s.sink.Add(obs.MProbeIncremental, 1, result)
-				if p.Reused {
-					s.sink.Add(obs.MProbeIncrementalReused, 1)
-				}
+			if p.Reused {
+				s.sink.Add(obs.MProbeIncrementalReused, 1)
 			}
 			if p.Cancelled {
 				cancelled++
@@ -337,7 +323,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/requests/", s.instrument("/debug/requests/", s.handleRequestByID))
 	mux.HandleFunc("/debug/history", s.instrument("/debug/history", s.handleHistory))
 	mux.HandleFunc("/debug/history/", s.instrument("/debug/history/", s.handleHistoryByFingerprint))
-	mux.HandleFunc("/debug/slo", s.instrument("/debug/slo", s.handleSLO))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -471,12 +456,6 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			s.sink.Observe(mHTTPSeconds, time.Since(t0).Seconds(), obs.T("path", path))
 			s.sink.Add(mHTTPRequests, 1, obs.T("path", path), obs.T("code", fmt.Sprintf("%d", sw.code)))
-			if path == "/compile" {
-				// The SLO tracks the compile endpoint: 5xx-class answers
-				// (panics, timeouts, saturation) are server-account failures;
-				// a client's bad program (4xx) is not an outage.
-				s.hist.RecordRequest(sw.code < 500, float64(time.Since(t0).Microseconds())/1e3)
-			}
 			s.logAccess(r, info, sw.code, time.Since(t0))
 		}()
 		h(sw, r)
@@ -539,10 +518,8 @@ type ProbeJSON struct {
 	Clauses   int     `json:"clauses"`
 	Conflicts int64   `json:"conflicts"`
 	Millis    float64 `json:"ms"`
-	// Incremental marks a probe answered by the persistent engine;
-	// Reused additionally marks that the engine's solver was warm.
-	Incremental bool `json:"incremental,omitempty"`
-	Reused      bool `json:"reused,omitempty"`
+	// Reused marks that the engine's solver was warm.
+	Reused bool `json:"reused,omitempty"`
 }
 
 // GMAJSON is one compiled guarded multi-assignment in the response.
@@ -922,7 +899,7 @@ func gmaJSON(g *repro.CompiledGMA, verified int) GMAJSON {
 		gj.Probes = append(gj.Probes, ProbeJSON{
 			K: p.K, Result: p.Result, Vars: p.Vars, Clauses: p.Clauses,
 			Conflicts: p.Conflicts, Millis: float64(p.Elapsed.Microseconds()) / 1e3,
-			Incremental: p.Incremental, Reused: p.Reused,
+			Reused: p.Reused,
 		})
 	}
 	return gj
@@ -958,7 +935,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.sink.Set(mHeapBytes, float64(ms.HeapAlloc))
 	s.sink.Set(mNumGC, float64(ms.NumGC))
 	s.sink.Set(mHTTPInflight, float64(s.inflight.Load()))
-	s.hist.PublishSLO(s.sink)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
 }
@@ -995,8 +971,7 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHistory serves the full warehouse snapshot: every per-key
-// aggregate this process has accumulated (plus anything restored from a
-// persistent warehouse directory), sorted most-compiled first.
+// aggregate this process has accumulated, sorted most-compiled first.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -1040,17 +1015,6 @@ func (s *Server) handleHistoryByFingerprint(w http.ResponseWriter, r *http.Reque
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// handleSLO serves the rolling service-level objectives as JSON — the
-// same numbers the denali_slo_* gauges export at scrape time.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "GET only"})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.hist.SLOStatus())
 }
 
 // handleRequestByID serves the full flight report for one request ID.

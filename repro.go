@@ -189,11 +189,9 @@ type ProbeStat struct {
 	Learned      int
 	Restarts     int64
 	Elapsed      time.Duration
-	// Incremental marks a probe answered by the persistent engine under a
-	// budget assumption; Reused additionally marks that the engine's
-	// solver was warm (learned clauses carried over from earlier probes).
-	Incremental bool
-	Reused      bool
+	// Reused marks that the engine's solver was warm (learned clauses
+	// carried over from earlier probes).
+	Reused bool
 }
 
 // MatchStats describes the saturation phase.
@@ -704,7 +702,7 @@ func report(g *gma.GMA, c *core.Compiled, wall time.Duration, err error) flight.
 			Conflicts: p.Solver.Conflicts, Decisions: p.Solver.Decisions,
 			Propagations: p.Solver.Propagations, Learned: p.Solver.Learned,
 			Restarts: p.Solver.Restarts, Millis: millis(p.Elapsed),
-			Incremental: p.Incremental, Reused: p.Reused, Cancelled: p.Solver.Cancelled,
+			Reused: p.Reused, Cancelled: p.Solver.Cancelled,
 		})
 	}
 	gr.SolveMillis = millis(c.SolveTime)
@@ -758,8 +756,7 @@ func fromReport(rep flight.GMAReport, g *gma.GMA, sched *schedule.Schedule, copt
 			K: p.K, Result: p.Result, Vars: p.Vars, Clauses: p.Clauses,
 			Conflicts: p.Conflicts, Decisions: p.Decisions,
 			Propagations: p.Propagations, Learned: p.Learned,
-			Restarts: p.Restarts, Elapsed: unmillis(p.Millis),
-			Incremental: p.Incremental, Reused: p.Reused,
+			Restarts: p.Restarts, Elapsed: unmillis(p.Millis), Reused: p.Reused,
 		})
 	}
 	return cg

@@ -3,17 +3,17 @@
 // one program over HTTP with an X-Request-ID, asserts the ID is echoed
 // and that /debug/requests/{id} serves a flight report consistent with
 // the compile response, re-posts it for a cache hit and a "cache": false
-// bypass, checks that the default options answer every
-// probe of quickstart's tiny GMAs and of byteswap4 on the incremental
-// engine, checks /version, scrapes /metrics and asserts the
-// compile-latency histogram counted the request, then shuts the server
-// down with SIGTERM and requires a clean exit. The compile metrics are
-// derived from the filed flight reports, so the SAT probes counted on
-// /metrics must equal the probe rows of the fresh GMA records in
-// /debug/requests. It exercises the whole
-// service path — listener bootstrap, addr-file handshake, raw-source
-// POST, the flight-report ring, the shared registry, graceful drain —
-// with no test harness in between.
+// bypass, compiles quickstart and byteswap4 fresh, checks that
+// /debug/history holds an aggregate for every GMA fingerprint in the
+// filed flight reports and that /debug/slo answers 404, checks
+// /version, scrapes /metrics and asserts the compile-latency histogram
+// counted the request, then shuts the server down with SIGTERM and
+// requires a clean exit. The compile metrics are derived from the filed
+// flight reports, so the SAT probes counted on /metrics must equal the
+// probe rows of the fresh GMA records in /debug/requests. It exercises
+// the whole service path — listener bootstrap, addr-file handshake,
+// raw-source POST, the flight-report ring, the shared registry, graceful
+// drain — with no test harness in between.
 package main
 
 import (
@@ -169,13 +169,23 @@ func run() error {
 		return fmt.Errorf("cache:false compile X-Denali-Cache = %q, want \"bypass\"", hv)
 	}
 
-	// Every probe runs on the persistent incremental engine, quickstart's
-	// two tiny GMAs included.
-	if err := probeModes(base, "servesmoke-4", programs.Quickstart); err != nil {
+	// Every filed report lands in the per-GMA history view.
+	if err := compileFresh(base, "servesmoke-4", programs.Quickstart); err != nil {
 		return err
 	}
-	if err := probeModes(base, "servesmoke-5", programs.Byteswap4); err != nil {
+	if err := compileFresh(base, "servesmoke-5", programs.Byteswap4); err != nil {
 		return err
+	}
+	if err := historyCoversReports(base); err != nil {
+		return err
+	}
+	resp, err = http.Get(base + "/debug/slo")
+	if err != nil {
+		return fmt.Errorf("GET /debug/slo: %w", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		return fmt.Errorf("/debug/slo answered %d, want 404", resp.StatusCode)
 	}
 
 	resp, err = http.Get(base + "/version")
@@ -271,9 +281,9 @@ func compileOnce(base, reqID, body, contentType string) (string, int, error) {
 	return resp.Header.Get("X-Denali-Cache"), out.Procs[0].GMAs[0].Cycles, nil
 }
 
-// probeModes compiles src with the server's default options and checks
-// that every probe of every GMA was answered by the incremental engine.
-func probeModes(base, reqID, src string) error {
+// compileFresh compiles src with the server's default options, bypassing
+// the cache, and checks that every GMA has a probe ladder.
+func compileFresh(base, reqID, src string) error {
 	body, err := json.Marshal(map[string]any{"source": src, "cache": false})
 	if err != nil {
 		return err
@@ -291,11 +301,8 @@ func probeModes(base, reqID, src string) error {
 	var out struct {
 		Procs []struct {
 			GMAs []struct {
-				Name   string `json:"name"`
-				Probes []struct {
-					K           int  `json:"k"`
-					Incremental bool `json:"incremental"`
-				} `json:"probes"`
+				Name   string            `json:"name"`
+				Probes []json.RawMessage `json:"probes"`
 			} `json:"gmas"`
 		} `json:"procs"`
 	}
@@ -313,12 +320,6 @@ func probeModes(base, reqID, src string) error {
 			gmas++
 			if len(g.Probes) == 0 {
 				return fmt.Errorf("%s (%s): no probes in the response", g.Name, reqID)
-			}
-			for _, pr := range g.Probes {
-				if !pr.Incremental {
-					return fmt.Errorf("%s (%s): default compile probed K=%d off the incremental engine",
-						g.Name, reqID, pr.K)
-				}
 			}
 		}
 	}
@@ -383,13 +384,11 @@ func sampleSum(exposition, name string) (float64, error) {
 	return total, nil
 }
 
-// freshProbeRows counts the probe rows of every GMA record in
-// /debug/requests that the server compiled itself: cache-hit and
-// coalesced rows replay an origin compile's ladder.
-func freshProbeRows(base string) (int, error) {
+// filedReports returns the flight reports in /debug/requests.
+func filedReports(base string) ([]flight.Report, error) {
 	resp, err := http.Get(base + "/debug/requests?n=256")
 	if err != nil {
-		return 0, fmt.Errorf("GET /debug/requests: %w", err)
+		return nil, fmt.Errorf("GET /debug/requests: %w", err)
 	}
 	var index struct {
 		Reports []flight.Report `json:"reports"`
@@ -397,10 +396,61 @@ func freshProbeRows(base string) (int, error) {
 	err = json.NewDecoder(resp.Body).Decode(&index)
 	resp.Body.Close()
 	if err != nil {
-		return 0, fmt.Errorf("decode /debug/requests: %w", err)
+		return nil, fmt.Errorf("decode /debug/requests: %w", err)
+	}
+	return index.Reports, nil
+}
+
+// historyCoversReports checks that /debug/history holds an aggregate for
+// every GMA fingerprint in the filed flight reports.
+func historyCoversReports(base string) error {
+	reps, err := filedReports(base)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Get(base + "/debug/history")
+	if err != nil {
+		return fmt.Errorf("GET /debug/history: %w", err)
+	}
+	var snap struct {
+		Keys []struct {
+			Fingerprint string `json:"fingerprint"`
+		} `json:"keys"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("/debug/history: status %d, decode error %v", resp.StatusCode, err)
+	}
+	have := map[string]bool{}
+	for _, k := range snap.Keys {
+		have[k.Fingerprint] = true
+	}
+	gmas := 0
+	for _, rep := range reps {
+		for _, g := range rep.GMAs {
+			gmas++
+			if !have[g.Fingerprint] {
+				return fmt.Errorf("/debug/history has no aggregate for %s [%s] (request %s)", g.Name, g.Fingerprint, rep.ID)
+			}
+		}
+	}
+	if gmas == 0 {
+		return fmt.Errorf("/debug/requests holds no GMA records")
+	}
+	return nil
+}
+
+// freshProbeRows counts the probe rows of every GMA record in
+// /debug/requests that the server compiled itself: cache-hit and
+// coalesced rows replay an origin compile's ladder.
+func freshProbeRows(base string) (int, error) {
+	reps, err := filedReports(base)
+	if err != nil {
+		return 0, err
 	}
 	rows := 0
-	for _, rep := range index.Reports {
+	for _, rep := range reps {
 		for _, g := range rep.GMAs {
 			if !g.CacheHit && !g.Coalesced {
 				rows += len(g.Probes)
