@@ -83,8 +83,6 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		reportOut = flag.String("report-out", "", "append this run's flight report as one JSON line to this file")
 		requestID = flag.String("request-id", "", "request ID for the flight report and provenance comments (default: generated)")
-		cacheDir  = flag.String("cache-dir", "", "enable the compile cache, persisted in this directory: identical compiles (same GMA, options, axioms and build) are answered from it across runs")
-		cacheMax  = flag.Int("cache-max", 1024, "in-memory compile-cache entry bound (with -cache-dir)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -129,13 +127,6 @@ func main() {
 			opt.Seed = &s
 		}
 	})
-	if *cacheDir != "" {
-		store, err := compilecache.OpenDisk(*cacheDir)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Cache = compilecache.New(compilecache.Config{MaxEntries: *cacheMax, Store: store})
-	}
 	// The flight recorder captures this run as one structured report —
 	// request ID, per-GMA fingerprint and probe ladder, outcome — appended
 	// to -report-out as a JSON line (`denali report` summarizes such logs).
@@ -322,8 +313,7 @@ func serveMain(args []string) {
 		drain      = fs.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
 		accessLog  = fs.Bool("access-log", false, "log one JSON line per HTTP request to stderr (request ID, status, latency, strategy, cycles)")
 		flightRing = fs.Int("flight-ring", 0, "flight reports kept for /debug/requests (0 = default)")
-		cacheMax   = fs.Int("cache-max", 1024, "in-memory compile-cache entries (0 disables the cache)")
-		cacheDir   = fs.String("cache-dir", "", "persist the compile cache in this directory (entries survive restarts)")
+		cacheMax   = fs.Int("cache-max", 1024, "entries kept by the in-memory compile cache, least recently used evicted first; entries last until the process exits (0 disables the cache)")
 	)
 	fs.Parse(args)
 	if fs.NArg() != 0 {
@@ -348,17 +338,9 @@ func serveMain(args []string) {
 	}
 	// The cache is on by default for the service — repeat-heavy request
 	// mixes are exactly what a long-lived compile server sees; -cache-max 0
-	// turns it off, -cache-dir adds persistence across restarts.
+	// turns it off.
 	if *cacheMax > 0 {
-		ccfg := compilecache.Config{MaxEntries: *cacheMax}
-		if *cacheDir != "" {
-			store, err := compilecache.OpenDisk(*cacheDir)
-			if err != nil {
-				fatal(err)
-			}
-			ccfg.Store = store
-		}
-		cfg.Cache = compilecache.New(ccfg)
+		cfg.Cache = compilecache.New(compilecache.Config{MaxEntries: *cacheMax})
 	}
 	srv := serve.New(cfg)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -8,72 +8,57 @@ import (
 	"repro/internal/obs"
 )
 
-// Mode selects how one lookup treats the cache.
+// Mode selects how one lookup treats the cache. It has one value: a
+// caller that wants no cache compiles without one. It stays because
+// perfbench's traced replay, a module of its own, calls
+// GetOrCompute(key, ModeUse, …).
 type Mode int
 
-const (
-	// ModeUse is the default: serve a hit if present, compute and store
-	// otherwise, coalesce onto an identical in-flight compute.
-	ModeUse Mode = iota
-	// ModeRefresh skips the hit lookup and recomputes, overwriting the
-	// stored entry — but still coalesces onto an in-flight compute (its
-	// result is fresh by definition).
-	ModeRefresh
-	// ModeBypass ignores the cache entirely: no lookup, no coalescing,
-	// no store. The computed result is not published.
-	ModeBypass
-)
+// ModeUse serves a hit if present, computes and stores otherwise, and
+// coalesces onto an identical in-flight compute.
+const ModeUse Mode = 0
 
 // Outcome reports how a lookup was answered.
 type Outcome string
 
 const (
-	// OutcomeHit: answered from a cached entry (memory or disk tier).
+	// OutcomeHit: answered from a cached entry.
 	OutcomeHit Outcome = "hit"
 	// OutcomeMiss: this caller led the compute (fresh compile).
 	OutcomeMiss Outcome = "miss"
 	// OutcomeCoalesced: blocked on an identical in-flight compute and
 	// took the leader's result.
 	OutcomeCoalesced Outcome = "coalesced"
-	// OutcomeBypass: the cache was disabled or skipped for this call.
+	// OutcomeBypass: no cache answered; a nil *Cache ran compute directly.
 	OutcomeBypass Outcome = "bypass"
 )
 
 // Config sizes and wires a Cache.
 type Config struct {
-	// MaxEntries bounds the in-memory LRU by entry count (0 or negative
-	// disables the entry bound; at least one bound should be set).
+	// MaxEntries bounds the LRU by entry count (0 or negative uses 1024).
 	MaxEntries int
-	// MaxBytes bounds the in-memory LRU by summed Entry JSON size.
-	MaxBytes int64
-	// Store is the optional persistent tier consulted on memory misses
-	// and written through on computes. Store errors are tolerated.
-	Store Store
 	// Sink receives denali_cache_* metrics (nil-safe).
 	Sink *obs.Sink
 }
 
 // Cache is the in-process compile cache: a goroutine-safe LRU over
-// Entries, backed by an optional persistent Store, with single-flight
-// deduplication of concurrent identical computes. The zero value is not
-// usable; a nil *Cache is — every method degrades to pass-through.
+// Entries, bounded by entry count, with single-flight deduplication of
+// concurrent identical computes. Entries live as long as the process.
+// The zero value is not usable; a nil *Cache is — every method degrades
+// to pass-through.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element // key -> lru element (value *lruItem)
 	lru     *list.List               // front = most recently used
-	bytes   int64
 	flights map[string]*flightCall
 
 	maxEntries int
-	maxBytes   int64
-	store      Store
 	sink       *obs.Sink
 }
 
 type lruItem struct {
 	key   string
 	entry Entry
-	size  int64
 }
 
 // flightCall is one in-flight compute: the leader closes done once,
@@ -84,11 +69,10 @@ type flightCall struct {
 	err   error
 }
 
-// New returns a cache sized by cfg. If neither bound is positive the
-// entry bound defaults to 1024 so an unconfigured cache cannot grow
-// without limit.
+// New returns a cache sized by cfg. A non-positive MaxEntries defaults
+// to 1024 so an unconfigured cache cannot grow without limit.
 func New(cfg Config) *Cache {
-	if cfg.MaxEntries <= 0 && cfg.MaxBytes <= 0 {
+	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 1024
 	}
 	return &Cache{
@@ -96,8 +80,6 @@ func New(cfg Config) *Cache {
 		lru:        list.New(),
 		flights:    make(map[string]*flightCall),
 		maxEntries: cfg.MaxEntries,
-		maxBytes:   cfg.MaxBytes,
-		store:      cfg.Store,
 		sink:       cfg.Sink,
 	}
 }
@@ -114,7 +96,7 @@ func (c *Cache) SetSink(s *obs.Sink) {
 	c.mu.Unlock()
 }
 
-// Len returns the number of in-memory entries (0 on nil).
+// Len returns the number of cached entries (0 on nil).
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
@@ -124,43 +106,29 @@ func (c *Cache) Len() int {
 	return c.lru.Len()
 }
 
-// Bytes returns the summed JSON size of in-memory entries (0 on nil).
-func (c *Cache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // GetOrCompute answers one lookup. On a hit the cached Entry returns
 // immediately; on a miss the caller becomes the leader and compute runs
 // exactly once no matter how many identical requests arrive concurrently
 // — the rest block on the leader and share its result (or its error:
 // a failed compute is not stored, so a later request retries). A nil
 // *Cache runs compute directly with OutcomeBypass.
-func (c *Cache) GetOrCompute(key string, mode Mode, compute func() (Entry, error)) (Entry, Outcome, error) {
-	if c == nil || mode == ModeBypass {
+func (c *Cache) GetOrCompute(key string, _ Mode, compute func() (Entry, error)) (Entry, Outcome, error) {
+	if c == nil {
 		e, err := compute()
 		return e, OutcomeBypass, err
 	}
 	start := time.Now()
 
 	c.mu.Lock()
-	if mode != ModeRefresh {
-		if el, ok := c.entries[key]; ok {
-			c.lru.MoveToFront(el)
-			entry := el.Value.(*lruItem).entry
-			sink := c.sink
-			c.mu.Unlock()
-			sink.Add(obs.MCacheHits, 1, obs.T("tier", "memory"))
-			sink.Observe(obs.MCacheHitSeconds, time.Since(start).Seconds())
-			return entry, OutcomeHit, nil
-		}
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		entry := el.Value.(*lruItem).entry
+		sink := c.sink
+		c.mu.Unlock()
+		sink.Add(obs.MCacheHits, 1)
+		sink.Observe(obs.MCacheHitSeconds, time.Since(start).Seconds())
+		return entry, OutcomeHit, nil
 	}
-	// Coalesce onto an in-flight compute — in refresh mode too, since an
-	// in-flight result is fresh by definition.
 	if fl, ok := c.flights[key]; ok {
 		sink := c.sink
 		c.mu.Unlock()
@@ -172,24 +140,9 @@ func (c *Cache) GetOrCompute(key string, mode Mode, compute func() (Entry, error
 		sink.Observe(obs.MCacheHitSeconds, time.Since(start).Seconds())
 		return fl.entry, OutcomeCoalesced, nil
 	}
-	// No flight yet: register one BEFORE the (possibly slow) disk lookup,
-	// so a herd arriving during the disk read still coalesces.
 	fl := &flightCall{done: make(chan struct{})}
 	c.flights[key] = fl
-	store, sink := c.store, c.sink
 	c.mu.Unlock()
-
-	if mode != ModeRefresh && store != nil {
-		if entry, ok, err := store.Get(key); err != nil {
-			sink.Add(obs.MCacheStoreErrors, 1)
-		} else if ok {
-			c.insert(key, entry)
-			c.resolve(key, fl, entry, nil)
-			sink.Add(obs.MCacheHits, 1, obs.T("tier", "disk"))
-			sink.Observe(obs.MCacheHitSeconds, time.Since(start).Seconds())
-			return entry, OutcomeHit, nil
-		}
-	}
 
 	return c.lead(key, fl, compute)
 }
@@ -202,7 +155,6 @@ func (c *Cache) lead(key string, fl *flightCall, compute func() (Entry, error)) 
 	resolved := false
 	defer func() {
 		if !resolved {
-			fl.err = errComputePanic
 			c.resolve(key, fl, Entry{}, errComputePanic)
 		}
 	}()
@@ -219,11 +171,6 @@ func (c *Cache) lead(key string, fl *flightCall, compute func() (Entry, error)) 
 	c.resolve(key, fl, entry, err)
 	if err != nil {
 		return Entry{}, OutcomeMiss, err
-	}
-	if c.store != nil {
-		if serr := c.store.Put(key, entry); serr != nil {
-			c.sink.Add(obs.MCacheStoreErrors, 1)
-		}
 	}
 	return entry, OutcomeMiss, nil
 }
@@ -247,48 +194,22 @@ func (c *Cache) resolve(key string, fl *flightCall, entry Entry, err error) {
 	c.mu.Unlock()
 }
 
-// insert adds (or replaces) a memory entry and evicts LRU victims until
-// both bounds hold again.
+// insert adds the leader's entry and evicts least-recently-used entries
+// until the entry bound holds again. The key is never present already:
+// only a flight's leader inserts, and a key has one flight at a time.
 func (c *Cache) insert(key string, entry Entry) {
-	size := entry.size()
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		it := el.Value.(*lruItem)
-		c.bytes += size - it.size
-		it.entry, it.size = entry, size
-		c.lru.MoveToFront(el)
-	} else {
-		c.entries[key] = c.lru.PushFront(&lruItem{key: key, entry: entry, size: size})
-		c.bytes += size
-	}
+	c.entries[key] = c.lru.PushFront(&lruItem{key: key, entry: entry})
 	evicted := 0
-	for c.overLocked() {
-		back := c.lru.Back()
-		if back == nil || back.Value.(*lruItem).key == key && c.lru.Len() == 1 {
-			// Never evict the entry just inserted down to empty — a single
-			// oversized entry simply occupies the whole budget.
-			break
-		}
-		it := c.lru.Remove(back).(*lruItem)
+	for c.lru.Len() > c.maxEntries {
+		it := c.lru.Remove(c.lru.Back()).(*lruItem)
 		delete(c.entries, it.key)
-		c.bytes -= it.size
 		evicted++
 	}
-	bytes, entries, sink := c.bytes, c.lru.Len(), c.sink
+	entries, sink := c.lru.Len(), c.sink
 	c.mu.Unlock()
 	if evicted > 0 {
 		sink.Add(obs.MCacheEvictions, float64(evicted))
 	}
-	sink.Set(obs.MCacheBytes, float64(bytes))
 	sink.Set(obs.MCacheEntries, float64(entries))
-}
-
-func (c *Cache) overLocked() bool {
-	if c.maxEntries > 0 && c.lru.Len() > c.maxEntries {
-		return true
-	}
-	if c.maxBytes > 0 && c.bytes > c.maxBytes {
-		return true
-	}
-	return false
 }

@@ -3,7 +3,6 @@ package compilecache
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,20 +11,21 @@ import (
 	"repro/internal/obs"
 )
 
+// testKey returns a 64-hex key derived from i, shaped like Key's output.
+func testKey(i int) string {
+	return fmt.Sprintf("%064x", i+1)
+}
+
 func entryOf(key, payload string) Entry {
-	e := testEntry(key)
-	e.Assembly = payload
-	return e
+	return Entry{OriginRequest: "req-" + key[:6], Assembly: payload, Listing: "0: addq", MaxLive: 2}
 }
 
 // TestRepeatAfterCoalesceHits: a request issued the moment a coalesced
 // waiter is released must hit. The leader stores its entry before it
 // retires the flight, so a caller can never find neither and start a
-// second compute. A large entry widens the leader's store step (sizing
-// the entry marshals it), the window such a repeat would land in.
+// second compute.
 func TestRepeatAfterCoalesceHits(t *testing.T) {
 	c := New(Config{MaxEntries: 64})
-	payload := strings.Repeat("addq r1, r2, r3\n", 1<<15)
 	for round := 0; round < 20; round++ {
 		key := testKey(100 + round)
 		var computes atomic.Int32
@@ -35,7 +35,7 @@ func TestRepeatAfterCoalesceHits(t *testing.T) {
 				close(started)
 				<-release
 			}
-			return entryOf(key, payload), nil
+			return entryOf(key, "repeat"), nil
 		}
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -149,8 +149,8 @@ func TestHitAfterMiss(t *testing.T) {
 	if computes != 1 {
 		t.Fatalf("compute ran %d times, want 1", computes)
 	}
-	if v := reg.CounterValue(obs.MCacheHits, obs.T("tier", "memory")); v != 1 {
-		t.Errorf("memory hit counter = %v, want 1", v)
+	if v := reg.CounterValue(obs.MCacheHits); v != 1 {
+		t.Errorf("hit counter = %v, want 1", v)
 	}
 	if h := reg.Histogram(obs.MCacheHitSeconds); h.Count != 1 {
 		t.Errorf("hit latency histogram count = %d, want 1", h.Count)
@@ -243,43 +243,6 @@ func TestComputePanicReleasesWaiters(t *testing.T) {
 	}
 }
 
-func TestRefreshRecomputes(t *testing.T) {
-	c := New(Config{MaxEntries: 8})
-	key := testKey(15)
-	calls := 0
-	compute := func() (Entry, error) { calls++; return entryOf(key, fmt.Sprintf("v%d", calls)), nil }
-	c.GetOrCompute(key, ModeUse, compute)
-	e, out, err := c.GetOrCompute(key, ModeRefresh, compute)
-	if err != nil || out != OutcomeMiss || e.Assembly != "v2" {
-		t.Fatalf("refresh: out=%v err=%v entry=%+v", out, err, e)
-	}
-	// The refreshed entry replaced the old one.
-	e, out, _ = c.GetOrCompute(key, ModeUse, compute)
-	if out != OutcomeHit || e.Assembly != "v2" {
-		t.Fatalf("post-refresh hit: out=%v entry=%+v", out, e)
-	}
-	if calls != 2 {
-		t.Fatalf("compute ran %d times, want 2", calls)
-	}
-}
-
-func TestBypassSkipsEverything(t *testing.T) {
-	c := New(Config{MaxEntries: 8})
-	key := testKey(16)
-	c.GetOrCompute(key, ModeUse, func() (Entry, error) { return entryOf(key, "stored"), nil })
-	e, out, err := c.GetOrCompute(key, ModeBypass, func() (Entry, error) {
-		return entryOf(key, "bypassed"), nil
-	})
-	if err != nil || out != OutcomeBypass || e.Assembly != "bypassed" {
-		t.Fatalf("bypass: out=%v err=%v entry=%+v", out, err, e)
-	}
-	// Bypass neither read nor wrote the cached entry.
-	e, out, _ = c.GetOrCompute(key, ModeUse, func() (Entry, error) { t.Fatal("unexpected compute"); return Entry{}, nil })
-	if out != OutcomeHit || e.Assembly != "stored" {
-		t.Fatalf("after bypass: out=%v entry=%+v", out, e)
-	}
-}
-
 func TestNilCachePassesThrough(t *testing.T) {
 	var c *Cache
 	e, out, err := c.GetOrCompute(testKey(17), ModeUse, func() (Entry, error) {
@@ -288,8 +251,8 @@ func TestNilCachePassesThrough(t *testing.T) {
 	if err != nil || out != OutcomeBypass || e.Assembly != "direct" {
 		t.Fatalf("nil cache: out=%v err=%v entry=%+v", out, err, e)
 	}
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatal("nil cache should report zero sizes")
+	if c.Len() != 0 {
+		t.Fatal("nil cache should report zero entries")
 	}
 	c.SetSink(nil) // must not panic
 }
@@ -323,111 +286,6 @@ func TestLRUEvictionByEntries(t *testing.T) {
 		t.Errorf("entries gauge = %v, want 2", v)
 	}
 }
-
-// TestLRUEvictionByBytes: the byte bound evicts too, and a single entry
-// larger than the whole budget still caches (it just occupies it alone).
-func TestLRUEvictionByBytes(t *testing.T) {
-	small := entryOf(testKey(30), "x")
-	budget := 2*small.size() + small.size()/2 // fits two entries, not three
-	c := New(Config{MaxBytes: budget})
-	keys := []string{testKey(30), testKey(31), testKey(32)}
-	for _, k := range keys {
-		k := k
-		c.GetOrCompute(k, ModeUse, func() (Entry, error) { return entryOf(k, "x"), nil })
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 under the byte budget", c.Len())
-	}
-	if c.Bytes() > budget {
-		t.Fatalf("Bytes = %d exceeds budget %d", c.Bytes(), budget)
-	}
-	// One oversized entry: cached alone rather than rejected.
-	big := New(Config{MaxBytes: 10})
-	k := testKey(33)
-	big.GetOrCompute(k, ModeUse, func() (Entry, error) { return entryOf(k, "oversized"), nil })
-	if _, out, _ := big.GetOrCompute(k, ModeUse, func() (Entry, error) { return Entry{}, errors.New("no") }); out != OutcomeHit {
-		t.Fatalf("oversized entry not cached: %v", out)
-	}
-	if big.Len() != 1 {
-		t.Fatalf("oversized cache Len = %d, want 1", big.Len())
-	}
-}
-
-// TestDiskPromotion: a memory miss that the persistent store answers is
-// a disk-tier hit and is promoted into memory for the next lookup.
-func TestDiskPromotion(t *testing.T) {
-	reg := obs.NewCompilerRegistry()
-	store, err := OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(40)
-	if err := store.Put(key, entryOf(key, "persisted")); err != nil {
-		t.Fatal(err)
-	}
-	c := New(Config{MaxEntries: 8, Store: store, Sink: obs.NewSink(reg)})
-	e, out, err := c.GetOrCompute(key, ModeUse, func() (Entry, error) {
-		return Entry{}, errors.New("must not compute")
-	})
-	if err != nil || out != OutcomeHit || e.Assembly != "persisted" {
-		t.Fatalf("disk hit: out=%v err=%v entry=%+v", out, err, e)
-	}
-	if v := reg.CounterValue(obs.MCacheHits, obs.T("tier", "disk")); v != 1 {
-		t.Errorf("disk hit counter = %v, want 1", v)
-	}
-	// Promoted: second lookup is a memory hit.
-	c.GetOrCompute(key, ModeUse, func() (Entry, error) { return Entry{}, errors.New("no") })
-	if v := reg.CounterValue(obs.MCacheHits, obs.T("tier", "memory")); v != 1 {
-		t.Errorf("memory hit counter = %v, want 1", v)
-	}
-}
-
-// TestRestartSurvivesHit: a cache rebuilt over the same store directory
-// (process restart) answers without recomputing.
-func TestRestartSurvivesHit(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey(41)
-	s1, _ := OpenDisk(dir)
-	c1 := New(Config{MaxEntries: 8, Store: s1})
-	if _, out, err := c1.GetOrCompute(key, ModeUse, func() (Entry, error) {
-		return entryOf(key, "gen1"), nil
-	}); err != nil || out != OutcomeMiss {
-		t.Fatalf("gen1: out=%v err=%v", out, err)
-	}
-	s2, _ := OpenDisk(dir)
-	c2 := New(Config{MaxEntries: 8, Store: s2})
-	e, out, err := c2.GetOrCompute(key, ModeUse, func() (Entry, error) {
-		return Entry{}, errors.New("must not recompute after restart")
-	})
-	if err != nil || out != OutcomeHit || e.Assembly != "gen1" {
-		t.Fatalf("gen2: out=%v err=%v entry=%+v", out, err, e)
-	}
-}
-
-// TestStoreErrorsTolerated: a failing store degrades the cache to
-// memory-only; compiles still succeed and the failure is counted.
-func TestStoreErrorsTolerated(t *testing.T) {
-	reg := obs.NewCompilerRegistry()
-	c := New(Config{MaxEntries: 8, Store: failingStore{}, Sink: obs.NewSink(reg)})
-	key := testKey(42)
-	e, out, err := c.GetOrCompute(key, ModeUse, func() (Entry, error) {
-		return entryOf(key, "ok-anyway"), nil
-	})
-	if err != nil || out != OutcomeMiss || e.Assembly != "ok-anyway" {
-		t.Fatalf("with failing store: out=%v err=%v entry=%+v", out, err, e)
-	}
-	if _, out, _ = c.GetOrCompute(key, ModeUse, nil); out != OutcomeHit {
-		t.Fatalf("memory tier should still serve: %v", out)
-	}
-	if v := reg.CounterValue(obs.MCacheStoreErrors); v != 2 { // one Get, one Put
-		t.Errorf("store error counter = %v, want 2", v)
-	}
-}
-
-type failingStore struct{}
-
-func (failingStore) Get(string) (Entry, bool, error) { return Entry{}, false, errors.New("io down") }
-func (failingStore) Put(string, Entry) error         { return errors.New("io down") }
 
 // TestConcurrentDistinctKeys: the single-flight map must not serialize
 // unrelated keys — distinct keys compute concurrently and all land.

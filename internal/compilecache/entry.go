@@ -1,9 +1,6 @@
 package compilecache
 
 import (
-	"encoding/json"
-	"time"
-
 	"repro/internal/flight"
 	"repro/internal/gma"
 	"repro/internal/schedule"
@@ -19,42 +16,29 @@ import (
 // consumer must never mutate one in place; ScheduleFor returns a fresh
 // Schedule with remapped name tables for exactly that reason.
 type Entry struct {
-	// Key is the content address the entry was stored under; persistent
-	// stores reject a file whose body disagrees with its name.
-	Key string `json:"key"`
 	// OriginRequest is the request ID of the compile that produced the
-	// entry ("" for CLI compiles without one). Cached responses keep
-	// their own request ID but report this origin in their flight rows.
-	OriginRequest string    `json:"origin_request,omitempty"`
-	CreatedAt     time.Time `json:"created_at"`
+	// entry ("" for compiles without one). Cached responses keep their
+	// own request ID but report this origin in their flight rows.
+	OriginRequest string
 
 	// Report is the origin compile's per-GMA flight record: fingerprint,
 	// match stats, the full probe ladder, cycles and certification.
-	Report flight.GMAReport `json:"report"`
+	Report flight.GMAReport
 
-	Assembly string `json:"assembly"`
-	Listing  string `json:"listing"`
-	MaxLive  int    `json:"max_live"`
+	Assembly string
+	Listing  string
+	MaxLive  int
 
 	// Sched is the decoded schedule. Its register maps are keyed by the
 	// ORIGIN GMA's variable and target names; use ScheduleFor to obtain
 	// a schedule keyed for a (possibly alpha-renamed) requesting GMA.
-	Sched *schedule.Schedule `json:"schedule,omitempty"`
+	Sched *schedule.Schedule
 	// Vars is the origin GMA's variables in canonical first-use order
 	// (flight.Canonical) and Targets its target names in declaration
 	// order: position i in either list corresponds to position i of the
 	// requesting GMA's own lists, which is what makes the remap sound.
-	Vars    []string `json:"vars,omitempty"`
-	Targets []string `json:"targets,omitempty"`
-}
-
-// size is the entry's JSON footprint, the unit of the cache's byte bound.
-func (e *Entry) size() int64 {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return 0
-	}
-	return int64(len(b))
+	Vars    []string
+	Targets []string
 }
 
 // ScheduleFor returns the cached schedule keyed for the requesting GMA g,

@@ -28,7 +28,6 @@ func FuzzKey(f *testing.F) {
 		}
 		cfg := KeyConfig{
 			AxiomVersion:      "fuzz-ax",
-			BuildVersion:      "fuzz-build",
 			DisableAtMostOnce: cfgBits&1 != 0,
 			Certify:           cfgBits&2 != 0,
 			MaxCycles:         int(cfgBits>>4) + 1,

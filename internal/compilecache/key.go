@@ -1,30 +1,28 @@
 // Package compilecache is the content-addressed compile cache: real
 // workloads are heavy-tailed and repeat the same kernels, yet without a
 // cache every request re-saturates the E-graph and re-runs the whole SAT
-// budget sweep even for a GMA the process answered a second ago (Souper
-// and Minotaur both report a persistent result cache as their single
-// biggest throughput lever).
+// budget sweep even for a GMA the process answered a second ago. The
+// paper compiles every GMA from scratch; the cache serves `denali serve`
+// (on by default) and perfbench's serve workload.
 //
-// The cache is layered:
+// The cache has two parts:
 //
 //	Key        a canonical compile identity — SHA-256 over the GMA's
 //	           alpha-renamed canonical rendering (flight.Canonical) plus
 //	           every option that shapes the result (arch, search
-//	           strategy, axiom-bundle version, certify, search budgets)
-//	           and the build version, so a stale hit across builds or
-//	           option changes is impossible by construction
-//	Cache      a goroutine-safe in-process LRU bounded by entries and
-//	           bytes, with single-flight dedup: a thundering herd of
-//	           identical requests costs exactly one compile, the rest
-//	           block on the leader's result
-//	Store      a pluggable persistent tier behind the LRU; DiskStore
-//	           keeps one content-addressed JSON file per key with atomic
-//	           write-then-rename and corruption quarantine
+//	           strategy, axiom-bundle version, certify, search budgets),
+//	           so a hit across option changes is impossible by
+//	           construction
+//	Cache      a goroutine-safe in-process LRU bounded by entry count,
+//	           with single-flight dedup: a thundering herd of identical
+//	           requests costs exactly one compile, the rest block on the
+//	           leader's result
 //
-// Entries carry everything needed to reproduce a CompiledGMA — including
-// the decoded schedule with a variable-correspondence table, so a hit on
-// an alpha-renamed variant of the origin GMA still yields a schedule
-// whose register maps use the requester's variable names.
+// Entries live in memory only, for the life of the process. They carry
+// everything needed to reproduce a CompiledGMA — including the decoded
+// schedule with a variable-correspondence table, so a hit on an
+// alpha-renamed variant of the origin GMA still yields a schedule whose
+// register maps use the requester's variable names.
 package compilecache
 
 import (
@@ -39,11 +37,6 @@ import (
 	"repro/internal/gma"
 )
 
-// schemaVersion is baked into every key: bump it when the Entry layout or
-// the canonical key rendering changes incompatibly, and every old entry
-// (memory or disk) silently becomes unreachable instead of wrongly live.
-const schemaVersion = "denali-cache/v2"
-
 // KeyConfig is the option slice of a compile identity: everything beyond
 // the GMA itself that can change the result a compile produces. The
 // budget-search strategy keys: the SAT strategies agree on the optimal
@@ -52,7 +45,9 @@ const schemaVersion = "denali-cache/v2"
 // it the emitted code and the probe record, differ between them. The
 // worker count is absent: it bounds concurrency, and the parallel
 // strategy's code varies from run to run at any bound. There is no
-// probe-mode field: every probe runs on the persistent engine.
+// probe-mode field: every probe runs on the persistent engine. Nor is
+// there a build or schema field: keys and entries never leave the
+// process that made them.
 type KeyConfig struct {
 	// Arch is the machine-model name ("" normalizes to "ev6").
 	Arch string
@@ -62,9 +57,6 @@ type KeyConfig struct {
 	// AxiomVersion identifies the axiom bundle the compile ran under
 	// (built-in + program-local + extra); see AxiomVersion.
 	AxiomVersion string
-	// BuildVersion pins the producing binary (buildinfo.Version()), so
-	// entries never survive across builds with changed semantics.
-	BuildVersion string
 	// MaxCycles / MaxConflicts bound the search (0 normalizes to the
 	// compiler defaults: 24 cycles, unbounded conflicts).
 	MaxCycles    int
@@ -95,16 +87,16 @@ func (c KeyConfig) normalized() KeyConfig {
 }
 
 // Key computes the canonical compile identity of one GMA under one
-// configuration: a 64-hex-digit SHA-256 usable as a map key and as a
-// content-addressed filename. Alpha-renamed variants of one computation
-// (different variable, target or GMA names) collide by construction;
-// any difference in structure or in a result-shaping option separates.
+// configuration: a 64-hex-digit SHA-256, the cache's map key.
+// Alpha-renamed variants of one computation (different variable, target
+// or GMA names) collide by construction; any difference in structure or
+// in a result-shaping option separates.
 func Key(g *gma.GMA, cfg KeyConfig) string {
 	cfg = cfg.normalized()
 	text, _ := flight.Canonical(g)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\narch=%s\nstrategy=%s\naxioms=%s\nbuild=%s\nmax-cycles=%d\nmax-conflicts=%d\nmatcher-rounds=%d\nmatcher-nodes=%d\nno-amo=%v\ncertify=%v\ngma:\n",
-		schemaVersion, cfg.Arch, cfg.Strategy, cfg.AxiomVersion, cfg.BuildVersion,
+	fmt.Fprintf(&b, "arch=%s\nstrategy=%s\naxioms=%s\nmax-cycles=%d\nmax-conflicts=%d\nmatcher-rounds=%d\nmatcher-nodes=%d\nno-amo=%v\ncertify=%v\ngma:\n",
+		cfg.Arch, cfg.Strategy, cfg.AxiomVersion,
 		cfg.MaxCycles, cfg.MaxConflicts, cfg.MatcherMaxRounds, cfg.MatcherMaxNodes,
 		cfg.DisableAtMostOnce, cfg.Certify)
 	b.WriteString(text)

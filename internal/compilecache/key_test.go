@@ -97,7 +97,7 @@ func corpus() map[string]string {
 // computation MUST share a key — across the whole golden corpus, under
 // two different renamings (prefixing and full replacement).
 func TestKeyAlphaRenameCollides(t *testing.T) {
-	cfg := KeyConfig{AxiomVersion: "ax0", BuildVersion: "b0"}
+	cfg := KeyConfig{AxiomVersion: "ax0"}
 	renames := map[string]func(string) string{
 		"prefixed": func(s string) string { return "zz_" + s },
 		"numbered": func(s string) string { return "n" + s + "_x" },
@@ -119,7 +119,7 @@ func TestKeyAlphaRenameCollides(t *testing.T) {
 // TestKeyStructureSeparates: structurally different GMAs must not share
 // a key — pairwise across every GMA of the golden corpus.
 func TestKeyStructureSeparates(t *testing.T) {
-	cfg := KeyConfig{AxiomVersion: "ax0", BuildVersion: "b0"}
+	cfg := KeyConfig{AxiomVersion: "ax0"}
 	seen := map[string]string{}
 	for name, src := range corpus() {
 		for _, g := range parseGMAs(t, src) {
@@ -142,7 +142,7 @@ func TestKeyStructureSeparates(t *testing.T) {
 func TestKeyConfigSeparates(t *testing.T) {
 	g := parseGMAs(t, programs.Quickstart)[0]
 	base := KeyConfig{
-		Arch: "ev6", Strategy: "linear", AxiomVersion: "ax0", BuildVersion: "b0",
+		Arch: "ev6", Strategy: "linear", AxiomVersion: "ax0",
 		MaxCycles: 24, MaxConflicts: 0,
 		MatcherMaxRounds: 0, MatcherMaxNodes: 0,
 		DisableAtMostOnce: false, Certify: false,
@@ -160,9 +160,6 @@ func TestKeyConfigSeparates(t *testing.T) {
 	m = base
 	m.AxiomVersion = "ax1"
 	mutations["AxiomVersion"] = m
-	m = base
-	m.BuildVersion = "b1"
-	mutations["BuildVersion"] = m
 	m = base
 	m.MaxCycles = 12
 	mutations["MaxCycles"] = m
@@ -189,11 +186,11 @@ func TestKeyConfigSeparates(t *testing.T) {
 }
 
 // TestKeyNormalization: default-equivalent configurations share a key,
-// so e.g. a CLI compile (Arch "") and a serve compile (Arch "ev6") of
-// the same program hit the same entry.
+// so e.g. a compile with Arch "" and one with Arch "ev6" of the same
+// program hit the same entry.
 func TestKeyNormalization(t *testing.T) {
 	g := parseGMAs(t, programs.Quickstart)[0]
-	base := KeyConfig{AxiomVersion: "ax0", BuildVersion: "b0"}
+	base := KeyConfig{AxiomVersion: "ax0"}
 	archDefault := base
 	archDefault.Arch = "ev6"
 	if Key(g, base) != Key(g, archDefault) {
@@ -211,8 +208,21 @@ func TestKeyNormalization(t *testing.T) {
 	}
 }
 
-// TestKeyShape: keys are 64-hex SHA-256 digests, directly usable as
-// content-addressed filenames.
+// validKey reports whether key is shaped like a SHA-256 digest: 64
+// lowercase hex digits.
+func validKey(key string) bool {
+	if len(key) != 64 {
+		return false
+	}
+	for _, r := range key {
+		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// TestKeyShape: keys are deterministic 64-hex SHA-256 digests.
 func TestKeyShape(t *testing.T) {
 	g := parseGMAs(t, programs.Quickstart)[0]
 	k := Key(g, KeyConfig{})

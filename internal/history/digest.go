@@ -7,8 +7,9 @@ import (
 // digestBoundsMS are the fixed bucket upper bounds (milliseconds) every
 // Digest uses: log-spaced from 10µs to one minute, covering the observed
 // range from sub-millisecond cache hits to multi-second checksum
-// compiles. A digest's Counts are read against these bounds, so changing
-// them changes SnapshotSchema.
+// compiles. A digest's Counts are read against these bounds, which every
+// Snapshot carries as digest_bounds_ms, so changing them changes
+// SnapshotSchema.
 var digestBoundsMS = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50,
 	100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000,

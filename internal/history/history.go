@@ -1,7 +1,7 @@
 // Package history is the live per-GMA view of a compile service: it
 // folds every flight.Report the process files into rolling aggregates
 // keyed by GMA fingerprint × arch × strategy — compile counts, cycle
-// outcomes, wall/solve latency digests (p50/p95/max), probe-ladder
+// outcomes, per-GMA wall/solve latency digests (p50/p95/max), probe-ladder
 // conflict totals, cache-hit ratios and error/panic/timeout rates.
 // Where flight answers "what happened to request X?" and obs answers
 // "what is this process doing right now?", history answers "what has
@@ -15,6 +15,7 @@ package history
 
 import (
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -60,8 +61,8 @@ type Aggregate struct {
 	Optimal   uint64         `json:"optimal,omitempty"`
 	Certified uint64         `json:"certified,omitempty"`
 
-	// Wall is the request wall time attributed to this key's compiles
-	// (milliseconds); Solve is the per-GMA SAT time.
+	// Wall is each fresh compile's own wall time (the flight record's
+	// compile_ms, milliseconds); Solve is its SAT time.
 	Wall  Digest `json:"wall_ms"`
 	Solve Digest `json:"solve_ms"`
 
@@ -195,14 +196,14 @@ func (w *Warehouse) Ingest(rep flight.Report) {
 	}
 	key := Key{Arch: normalizeArch(rep.Arch), Strategy: rep.Strategy}
 	for _, g := range rep.GMAs {
-		w.ingestGMALocked(key, rep.WallMillis, g, now)
+		w.ingestGMALocked(key, g, now)
 	}
 }
 
 // ingestGMALocked folds one per-GMA record into the totals and into the
 // aggregate of key with the record's fingerprint. A record without a
 // fingerprint counts toward the totals only.
-func (w *Warehouse) ingestGMALocked(key Key, wallMS float64, g flight.GMAReport, now time.Time) {
+func (w *Warehouse) ingestGMALocked(key Key, g flight.GMAReport, now time.Time) {
 	switch {
 	case g.Error != "":
 		w.tot.Errors++
@@ -252,7 +253,7 @@ func (w *Warehouse) ingestGMALocked(key Key, wallMS float64, g flight.GMAReport,
 	if g.Certified {
 		a.Certified++
 	}
-	a.Wall.Observe(wallMS)
+	a.Wall.Observe(g.CompileMillis)
 	a.Solve.Observe(g.SolveMillis)
 	a.Probes += uint64(len(g.Probes))
 	for _, p := range g.Probes {
@@ -282,17 +283,22 @@ func (w *Warehouse) Len() int {
 }
 
 // SnapshotSchema tags the /debug/history body; it changes whenever the
-// key or aggregate layout does.
-const SnapshotSchema = "denali-history/v2"
+// key or aggregate layout, or the meaning of a field, does.
+const SnapshotSchema = "denali-history/v3"
 
 // Snapshot is the warehouse state at one instant: the /debug/history
 // body.
 type Snapshot struct {
 	Schema string `json:"schema"`
 	// SavedAt is when the snapshot was taken.
-	SavedAt time.Time    `json:"saved_at"`
-	Totals  Totals       `json:"totals"`
-	Keys    []*Aggregate `json:"keys"`
+	SavedAt time.Time `json:"saved_at"`
+	// DigestBoundsMS are the bucket upper bounds (milliseconds) every
+	// digest's Counts are read against; the final count slot is the
+	// overflow above the last bound. With them a client of the JSON can
+	// estimate a digest's quantiles as Digest.Quantile does.
+	DigestBoundsMS []float64    `json:"digest_bounds_ms"`
+	Totals         Totals       `json:"totals"`
+	Keys           []*Aggregate `json:"keys"`
 }
 
 // Snapshot captures the current state (deep copy, sorted most-compiled
@@ -302,10 +308,11 @@ func (w *Warehouse) Snapshot() Snapshot {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s := Snapshot{
-		Schema:  SnapshotSchema,
-		SavedAt: time.Now(),
-		Totals:  w.tot,
-		Keys:    make([]*Aggregate, 0, len(w.keys)),
+		Schema:         SnapshotSchema,
+		SavedAt:        time.Now(),
+		DigestBoundsMS: slices.Clone(digestBoundsMS),
+		Totals:         w.tot,
+		Keys:           make([]*Aggregate, 0, len(w.keys)),
 	}
 	for _, a := range w.keys {
 		s.Keys = append(s.Keys, a.clone())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/flight"
@@ -14,15 +15,15 @@ import (
 // mkReport builds a one-GMA flight report for tests.
 func mkReport(id, fp, name string, solveMS, wallMS float64, cycles int) flight.Report {
 	return flight.Report{
-		ID:         id,
-		Arch:       "ev6",
-		Strategy:   "linear",
-		WallMillis: wallMS,
+		ID:       id,
+		Arch:     "ev6",
+		Strategy: "linear",
 		GMAs: []flight.GMAReport{{
-			Name:        name,
-			Fingerprint: fp,
-			SolveMillis: solveMS,
-			Cycles:      cycles,
+			Name:          name,
+			Fingerprint:   fp,
+			CompileMillis: wallMS,
+			SolveMillis:   solveMS,
+			Cycles:        cycles,
 			Probes: []flight.ProbeRow{
 				{K: cycles, Result: "sat", Conflicts: 3},
 				{K: cycles - 1, Result: "unsat", Conflicts: 7},
@@ -96,6 +97,36 @@ func TestFailedCompileSharesItsGMAsKey(t *testing.T) {
 	}
 	if a := snap.Keys[0]; a.Compiles != 1 || a.Errors != 1 || a.ErrorRate() != 0.5 {
 		t.Fatalf("aggregate: compiles=%d errors=%d error rate %v, want 1, 1 and 0.5", a.Compiles, a.Errors, a.ErrorRate())
+	}
+}
+
+// TestWallDigestIsPerGMA: each GMA's wall digest observes that GMA's own
+// compile time, not the whole request's. Quickstart compiles two GMAs in
+// one request, so a request-wide wall would land in both digests.
+func TestWallDigestIsPerGMA(t *testing.T) {
+	fr := flight.NewRecorder("quickstart")
+	t0 := time.Now()
+	if _, err := repro.Compile(programs.Quickstart, repro.Options{Flight: fr}); err != nil {
+		t.Fatal(err)
+	}
+	rep := fr.Report(time.Since(t0))
+	if len(rep.GMAs) != 2 {
+		t.Fatalf("quickstart filed %d GMA records, want 2", len(rep.GMAs))
+	}
+	w := New(Config{})
+	w.Ingest(rep)
+	if n := w.Len(); n != len(rep.GMAs) {
+		t.Fatalf("%d aggregates, want one per GMA (%d)", n, len(rep.GMAs))
+	}
+	for _, g := range rep.GMAs {
+		as := aggregates(w, g.Fingerprint)
+		if len(as) != 1 {
+			t.Fatalf("%s: %d aggregates, want 1", g.Name, len(as))
+		}
+		if wall := as[0].Wall; wall.Count != 1 || wall.Sum != g.CompileMillis {
+			t.Errorf("%s: wall_ms count %d sum %v, want 1 and its compile_ms %v (request wall %v)",
+				g.Name, wall.Count, wall.Sum, g.CompileMillis, rep.WallMillis)
+		}
 	}
 }
 

@@ -111,22 +111,18 @@ const (
 	MStokeRejects  = "denali_stoke_rejects_total"
 
 	// MCacheHits counts compile-cache lookups answered from a cached
-	// entry, labeled by tier (memory/disk); MCacheMisses counts lookups
-	// that had to compile; MCacheCoalesced counts requests that blocked
-	// on an identical in-flight compile instead of starting their own
-	// (single-flight dedup). MCacheEvictions counts LRU evictions,
-	// MCacheBytes / MCacheEntries gauge the in-memory tier's size, and
-	// MCacheHitSeconds is the latency of answering from the cache.
-	// MCacheStoreErrors counts persistent-store failures (all tolerated:
-	// the cache degrades to memory-only).
-	MCacheHits        = "denali_cache_hits_total"
-	MCacheMisses      = "denali_cache_misses_total"
-	MCacheCoalesced   = "denali_cache_coalesced_total"
-	MCacheEvictions   = "denali_cache_evictions_total"
-	MCacheBytes       = "denali_cache_bytes"
-	MCacheEntries     = "denali_cache_entries"
-	MCacheHitSeconds  = "denali_cache_hit_seconds"
-	MCacheStoreErrors = "denali_cache_store_errors_total"
+	// entry; MCacheMisses counts lookups that had to compile;
+	// MCacheCoalesced counts requests that blocked on an identical
+	// in-flight compile instead of starting their own (single-flight
+	// dedup). MCacheEvictions counts LRU evictions, MCacheEntries gauges
+	// the cache's size, and MCacheHitSeconds is the latency of answering
+	// from the cache.
+	MCacheHits       = "denali_cache_hits_total"
+	MCacheMisses     = "denali_cache_misses_total"
+	MCacheCoalesced  = "denali_cache_coalesced_total"
+	MCacheEvictions  = "denali_cache_evictions_total"
+	MCacheEntries    = "denali_cache_entries"
+	MCacheHitSeconds = "denali_cache_hit_seconds"
 
 	// MBuildInfo is the constant-1 build-identity gauge (version and
 	// goversion labels), the Prometheus idiom for joining a process's
@@ -175,14 +171,12 @@ func NewCompilerRegistry() *Registry {
 	r.DeclareCounter(MStokeRejects, "Stochastic-engine screening false positives refuted by exact verification.")
 	r.DeclareCounter(MSimCycles, "Machine cycles executed by the simulator.")
 	r.DeclareCounter(MSimInstrs, "Instructions executed by the simulator.")
-	r.DeclareCounter(MCacheHits, "Compile-cache lookups answered from a cached entry, by tier.")
+	r.DeclareCounter(MCacheHits, "Compile-cache lookups answered from a cached entry.")
 	r.DeclareCounter(MCacheMisses, "Compile-cache lookups that had to compile.")
 	r.DeclareCounter(MCacheCoalesced, "Compile requests coalesced onto an identical in-flight compile.")
 	r.DeclareCounter(MCacheEvictions, "Compile-cache LRU evictions.")
-	r.DeclareGauge(MCacheBytes, "Bytes held by the in-memory compile-cache tier.")
-	r.DeclareGauge(MCacheEntries, "Entries held by the in-memory compile-cache tier.")
+	r.DeclareGauge(MCacheEntries, "Entries held by the compile cache.")
 	r.DeclareHistogram(MCacheHitSeconds, "Latency of answering a compile from the cache.", DefSecondsBuckets)
-	r.DeclareCounter(MCacheStoreErrors, "Persistent compile-cache store failures (tolerated).")
 	r.DeclareGauge(MBuildInfo, "Build identity: constant 1, labeled by version and goversion.")
 	r.DeclareGauge(MUptimeSeconds, "Seconds since the registry was constructed.")
 	r.Set(MBuildInfo, 1,

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 
@@ -54,8 +55,8 @@ func TestServeCacheHeaderHitMiss(t *testing.T) {
 	if id1, id2 := resp1.Header.Get("X-Request-ID"), resp2.Header.Get("X-Request-ID"); id1 == id2 {
 		t.Fatalf("cached response reused the origin's request ID %q", id1)
 	}
-	if v := reg.CounterValue(obs.MCacheHits, obs.T("tier", "memory")); v < 1 {
-		t.Errorf("memory hit counter = %v, want >= 1", v)
+	if v := reg.CounterValue(obs.MCacheHits); v < 1 {
+		t.Errorf("hit counter = %v, want >= 1", v)
 	}
 }
 
@@ -97,42 +98,69 @@ func normalizeResponse(t *testing.T, raw []byte) string {
 	return string(out)
 }
 
-// TestServeCacheTriState: the "cache" request field — absent (use),
-// false (bypass), "refresh" (recompute) — and its error case.
+// TestServeCacheTriState: the three answers to the "cache" request
+// field. true uses the cache (a hit once primed), false compiles without
+// it (bypass) and leaves the stored entry serving, and anything that is
+// not a bool, such as "refresh", is a 400.
 func TestServeCacheTriState(t *testing.T) {
 	url, _ := cacheServer(t, 64)
-
-	post := func(body string) (*http.Response, []byte) {
+	post := func(cache string) *http.Response {
 		t.Helper()
-		return postCompile(t, url, CompileRequest{
-			Source: programs.Quickstart,
-			Cache:  json.RawMessage(body),
-		})
+		src, _ := json.Marshal(programs.Quickstart)
+		resp, err := http.Post(url+"/compile", "application/json",
+			strings.NewReader(`{"source": `+string(src)+`, "cache": `+cache+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
 	}
 	// Prime the cache.
-	resp, raw := postCompile(t, url, CompileRequest{Source: programs.Quickstart})
-	if resp.StatusCode != http.StatusOK {
+	if resp, raw := postCompile(t, url, CompileRequest{Source: programs.Quickstart}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("prime: %d: %s", resp.StatusCode, raw)
 	}
-	// true → served from cache.
-	if resp, _ := post("true"); resp.Header.Get("X-Denali-Cache") != "hit" {
-		t.Errorf(`"cache": true: header = %q, want hit`, resp.Header.Get("X-Denali-Cache"))
+	for _, tc := range []struct{ cache, want string }{
+		{"true", "hit"},
+		{"false", "bypass"},
+		{"true", "hit"}, // the bypass neither evicted nor replaced the entry
+	} {
+		resp := post(tc.cache)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf(`"cache": %s: status %d`, tc.cache, resp.StatusCode)
+		}
+		if h := resp.Header.Get("X-Denali-Cache"); h != tc.want {
+			t.Errorf(`"cache": %s: header = %q, want %s`, tc.cache, h, tc.want)
+		}
 	}
-	// false → bypass, even though an entry exists.
-	if resp, _ := post("false"); resp.Header.Get("X-Denali-Cache") != "bypass" {
-		t.Errorf(`"cache": false: header = %q, want bypass`, resp.Header.Get("X-Denali-Cache"))
+	for _, bad := range []string{`"refresh"`, `"off"`, `1`} {
+		if resp := post(bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf(`"cache": %s: status = %d, want 400`, bad, resp.StatusCode)
+		}
 	}
-	// "refresh" → recompiles (a miss) and overwrites.
-	if resp, _ := post(`"refresh"`); resp.Header.Get("X-Denali-Cache") != "miss" {
-		t.Errorf(`"cache": "refresh": header = %q, want miss`, resp.Header.Get("X-Denali-Cache"))
+}
+
+// TestServeCacheBypassHeader: a caching server labels every answer it
+// gives without its cache "bypass" — a request with "cache": false and
+// stochastic requests alike — and neither touches the cache.
+func TestServeCacheBypassHeader(t *testing.T) {
+	url, reg := cacheServer(t, 64)
+	reqs := []CompileRequest{
+		{Source: programs.Quickstart, Cache: new(bool)},
+		{Source: programs.Quickstart, Strategy: "stochastic"},
+		{Source: programs.Quickstart, Strategy: "stochastic"},
 	}
-	// The refreshed entry still serves.
-	if resp, _ := postCompile(t, url, CompileRequest{Source: programs.Quickstart}); resp.Header.Get("X-Denali-Cache") != "hit" {
-		t.Errorf("post-refresh: header = %q, want hit", resp.Header.Get("X-Denali-Cache"))
+	for i, req := range reqs {
+		resp, raw := postCompile(t, url, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %d: %s", i, resp.StatusCode, raw)
+		}
+		if h := resp.Header.Get("X-Denali-Cache"); h != "bypass" {
+			t.Errorf("request %d (strategy %q): header = %q, want bypass", i, req.Strategy, h)
+		}
 	}
-	// Unknown mode → 400 before compiling.
-	if resp, raw := post(`"sideways"`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf(`"cache": "sideways": status = %d (%s), want 400`, resp.StatusCode, raw)
+	if hits, misses := reg.CounterValue(obs.MCacheHits), reg.CounterValue(obs.MCacheMisses); hits != 0 || misses != 0 {
+		t.Errorf("uncached requests touched the cache: %v hits, %v misses", hits, misses)
 	}
 }
 

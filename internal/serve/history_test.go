@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -117,6 +119,54 @@ func TestServeHistoryMatchesFlightRing(t *testing.T) {
 	}
 }
 
+// TestServeHistoryDigestBounds: /debug/history serves the digests'
+// bucket bounds, so a JSON client can place every count without the Go
+// package: a single compile's wall_ms sum lies inside the bucket that
+// holds its one observation.
+func TestServeHistoryDigestBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{Options: repro.Options{Arch: "ev6"}})
+	if resp, raw := postCompile(t, ts.URL, CompileRequest{Source: programs.Byteswap4}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d: %s", resp.StatusCode, raw)
+	}
+	var body struct {
+		Bounds []float64 `json:"digest_bounds_ms"`
+		Keys   []struct {
+			Wall struct {
+				Count  uint64   `json:"count"`
+				Sum    float64  `json:"sum"`
+				Counts []uint64 `json:"counts"`
+			} `json:"wall_ms"`
+		} `json:"keys"`
+	}
+	if r := getJSON(t, ts.URL+"/debug/history", &body); r.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/history status %d", r.StatusCode)
+	}
+	if len(body.Bounds) == 0 || !slices.IsSorted(body.Bounds) {
+		t.Fatalf("digest_bounds_ms = %v, want ascending bounds", body.Bounds)
+	}
+	if len(body.Keys) != 1 {
+		t.Fatalf("%d keys after one byteswap4 compile, want 1", len(body.Keys))
+	}
+	wall := body.Keys[0].Wall
+	if wall.Count != 1 || len(wall.Counts) != len(body.Bounds)+1 {
+		t.Fatalf("wall_ms: count %d, %d count slots for %d bounds", wall.Count, len(wall.Counts), len(body.Bounds))
+	}
+	i := slices.Index(wall.Counts, 1)
+	if i < 0 {
+		t.Fatalf("wall_ms counts %v hold no observation", wall.Counts)
+	}
+	lo, hi := 0.0, math.Inf(1)
+	if i > 0 {
+		lo = body.Bounds[i-1]
+	}
+	if i < len(body.Bounds) {
+		hi = body.Bounds[i]
+	}
+	if wall.Sum <= lo || wall.Sum > hi {
+		t.Fatalf("wall_ms sum %v outside its bucket (%v, %v]", wall.Sum, lo, hi)
+	}
+}
+
 // TestServeNoSLOEndpoint: availability and latency live on /metrics
 // (denali_http_requests_total, denali_http_request_seconds); there is no
 // /debug/slo view and no denali_slo_* family.
@@ -147,7 +197,7 @@ func TestServeAccessLogCacheOutcome(t *testing.T) {
 		id := fmt.Sprintf("cache-line-%d", i)
 		req := CompileRequest{Source: programs.Quickstart}
 		if want == "bypass" {
-			req.Cache = json.RawMessage("false")
+			req.Cache = new(bool)
 		}
 		body, _ := json.Marshal(req)
 		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/compile", bytes.NewReader(body))

@@ -29,6 +29,12 @@
 // "what happened to request X?" is answerable after the response is gone;
 // Config.AccessLog additionally emits one JSON line per request.
 //
+// With Config.Cache set, each /compile consults the in-memory compile
+// cache, and the X-Denali-Cache response header says how it answered:
+// hit, miss, coalesced (joined an identical compile in flight), or
+// bypass (answered without the cache: the request sent "cache": false,
+// or asked for the stochastic strategy, which the cache never answers).
+//
 // Every /compile request is panic-isolated, bounded by a per-request
 // timeout, and admitted through a concurrency limiter sized from
 // Options.Workers so a burst cannot oversubscribe the SAT workers.
@@ -109,11 +115,11 @@ type Config struct {
 	// strategy and total cycles. Nil disables access logging.
 	AccessLog io.Writer
 	// Cache, when non-nil, answers repeated identical compiles from the
-	// content-addressed compile cache and deduplicates concurrent ones
-	// (see internal/compilecache). The response reports the outcome in an
-	// X-Denali-Cache header (hit/miss/coalesced/bypass); requests override
-	// per-call with the "cache" field (true, false, or "refresh"). The
-	// cache's metrics sink is attached to the server's registry by New.
+	// in-memory compile cache and deduplicates concurrent ones (see
+	// internal/compilecache). Every successful compile then carries an
+	// X-Denali-Cache header (hit/miss/coalesced/bypass); a request opts
+	// out with "cache": false. The cache's metrics sink is attached to
+	// the server's registry by New.
 	Cache *compilecache.Cache
 }
 
@@ -500,14 +506,13 @@ type CompileRequest struct {
 	// Trace returns the request's pipeline trace as Chrome trace_event
 	// JSON in the response (load in chrome://tracing or Perfetto).
 	Trace bool `json:"trace,omitempty"`
-	// Cache overrides the compile cache for this request (tri-state, only
-	// meaningful when the server has one configured): absent or true uses
-	// the cache, false bypasses it for this request, and the string
-	// "refresh" recompiles and overwrites the stored entries. The response
-	// reports what happened in the X-Denali-Cache header — the body stays
+	// Cache, set to false, compiles this request without the server's
+	// compile cache: nothing is read from it or stored in it. Absent or
+	// true uses the cache when the server has one. The response reports
+	// what happened in the X-Denali-Cache header — the body stays
 	// byte-identical between cached and fresh answers (modulo request_id
 	// and timings), which the conformance tests rely on.
-	Cache json.RawMessage `json:"cache,omitempty"`
+	Cache *bool `json:"cache,omitempty"`
 }
 
 // ProbeJSON is one SAT probe in the response.
@@ -617,43 +622,19 @@ func (s *Server) options(req *CompileRequest) (repro.Options, error) {
 		opt.Certify = *req.Certify
 	}
 	opt.Cache = s.cfg.Cache
-	if len(req.Cache) > 0 {
-		mode, err := parseCacheMode(req.Cache)
-		if err != nil {
-			return opt, err
-		}
-		opt.CacheMode = mode
+	if req.Cache != nil && !*req.Cache {
+		opt.Cache = nil
 	}
 	return opt, nil
 }
 
-// parseCacheMode decodes the tri-state "cache" request field into a
-// repro.Options.CacheMode value: true → "" (use), false → "off",
-// "refresh" → "refresh".
-func parseCacheMode(raw json.RawMessage) (string, error) {
-	var b bool
-	if err := json.Unmarshal(raw, &b); err == nil {
-		if b {
-			return "", nil
-		}
-		return "off", nil
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err == nil {
-		switch s {
-		case "refresh":
-			return "refresh", nil
-		}
-		return "", fmt.Errorf("unknown cache mode %q (want true, false or \"refresh\")", s)
-	}
-	return "", errors.New(`invalid "cache" field (want true, false or "refresh")`)
-}
-
-// cacheOutcome aggregates the per-GMA cache outcomes of one compiled
-// program into the X-Denali-Cache header value, worst-first: a fresh
-// compile anywhere makes the whole response a "miss", else coalescing
-// wins over plain hits, so the header always names the most expensive
-// path any GMA took. "" (no cache configured) suppresses the header.
+// cacheOutcome aggregates the per-GMA cache outcomes of one program
+// compiled on a caching server into the X-Denali-Cache header value,
+// worst-first: a fresh compile anywhere makes the whole response a
+// "miss", else coalescing wins over plain hits, so the header always
+// names the most expensive path any GMA took. A program no GMA of which
+// went through the cache ("cache": false, or the stochastic strategy)
+// is a "bypass".
 func cacheOutcome(res *repro.Result) string {
 	saw := map[string]bool{}
 	for _, proc := range res.Procs {
@@ -668,10 +649,8 @@ func cacheOutcome(res *repro.Result) string {
 		return "coalesced"
 	case saw["hit"]:
 		return "hit"
-	case saw["bypass"]:
-		return "bypass"
 	}
-	return ""
+	return string(compilecache.OutcomeBypass)
 }
 
 // readCompileRequest reads and decodes a compile body — either the JSON
@@ -864,9 +843,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: out.err.Error(), RequestID: info.id})
 		return
 	}
-	if hv := cacheOutcome(out.res); hv != "" {
-		w.Header().Set("X-Denali-Cache", hv)
-		info.cache = hv
+	if s.cfg.Cache != nil {
+		info.cache = cacheOutcome(out.res)
+		w.Header().Set("X-Denali-Cache", info.cache)
 	}
 	resp := buildResponse(out.res, out.wall, tr, req.Verify)
 	resp.RequestID = info.id

@@ -34,7 +34,6 @@ import (
 	"repro/internal/arch/alpha"
 	"repro/internal/arch/itanium"
 	"repro/internal/axioms"
-	"repro/internal/buildinfo"
 	"repro/internal/compilecache"
 	"repro/internal/core"
 	"repro/internal/drat"
@@ -113,16 +112,13 @@ type Options struct {
 	Trace *obs.Trace
 	// Cache, when set, answers each GMA compilation from the
 	// content-addressed compile cache instead of re-running the pipeline
-	// when an identical compile (same canonical GMA, same result-shaping
-	// options, same axiom bundle and build) has already been answered.
+	// when this process has already answered an identical compile (same
+	// canonical GMA, same result-shaping options, same axiom bundle).
 	// Concurrent identical compiles are deduplicated: one leads, the rest
 	// coalesce onto its result. Nil (the default) disables caching. See
 	// internal/compilecache; CompiledGMA.Cache reports the outcome.
+	// Stochastic compiles never use it.
 	Cache *compilecache.Cache
-	// CacheMode overrides how this compilation treats Cache: "" uses it
-	// normally, "refresh" recomputes and overwrites the stored entries,
-	// "off" bypasses the cache entirely for this call.
-	CacheMode string
 	// RequestID correlates everything this compilation produces with the
 	// request that asked for it: trace spans, exported DIMACS provenance,
 	// and the flight report all carry it. Empty disables the tagging.
@@ -231,10 +227,10 @@ type CompiledGMA struct {
 	// cost of that check.
 	Certified   bool
 	CertifyTime time.Duration
-	// Cache reports how the compile cache answered this GMA: "" (no cache
-	// configured), "hit", "miss" (this compile led and populated the
-	// cache), "coalesced" (deduplicated onto an identical in-flight
-	// compile), or "bypass". On a hit or coalesced result the statistics
+	// Cache reports how the compile cache answered this GMA: "" (compiled
+	// without it: no cache configured, or the stochastic strategy), "hit",
+	// "miss" (this compile led and populated the cache), or "coalesced"
+	// (deduplicated onto an identical in-flight compile). On a hit or coalesced result the statistics
 	// above (Probes, Match, SolveTime) are the origin compile's, replayed
 	// from the cached entry; Assembly likewise shows the origin's variable
 	// names. The schedule is remapped to this GMA's names, so Execute and
@@ -469,11 +465,10 @@ func (o Options) coreOptions(progAxioms []*axioms.Axiom) (core.Options, error) {
 }
 
 // cacheCtx carries the compile-cache wiring of one Compile/CompileGMA
-// call: the cache, the per-call mode, and the option slice of the key
-// (everything but the GMA itself, which varies per job).
+// call: the cache and the option slice of the key (everything but the
+// GMA itself, which varies per job).
 type cacheCtx struct {
 	cache *compilecache.Cache
-	mode  compilecache.Mode
 	cfg   compilecache.KeyConfig
 	reqID string
 }
@@ -493,23 +488,15 @@ func cacheFor(opt Options, copts core.Options) *cacheCtx {
 	if copts.Search == core.StochasticSearch {
 		return nil
 	}
-	mode := compilecache.ModeUse
-	switch opt.CacheMode {
-	case "refresh":
-		mode = compilecache.ModeRefresh
-	case "off":
-		mode = compilecache.ModeBypass
-	}
 	return &cacheCtx{
 		cache: opt.Cache,
-		mode:  mode,
 		cfg:   keyConfig(opt, copts.Axioms),
 		reqID: opt.RequestID,
 	}
 }
 
 // keyConfig derives the compile-cache key configuration from Options:
-// every option that shapes the result, plus the axiom bundle and build.
+// every option that shapes the result, plus the axiom bundle.
 // It is shared by the cache lookup path and by Keys, so both key a GMA
 // under the same configuration.
 func keyConfig(opt Options, axs []*axioms.Axiom) compilecache.KeyConfig {
@@ -517,7 +504,6 @@ func keyConfig(opt Options, axs []*axioms.Axiom) compilecache.KeyConfig {
 		Arch:              opt.Arch,
 		Strategy:          opt.Strategy,
 		AxiomVersion:      compilecache.AxiomVersion(axs),
-		BuildVersion:      buildinfo.Version(),
 		MaxCycles:         opt.MaxCycles,
 		MaxConflicts:      opt.MaxConflicts,
 		MatcherMaxRounds:  opt.MatcherMaxRounds,
@@ -577,13 +563,13 @@ func compileOne(g *gma.GMA, copts core.Options, fr *flight.Recorder, cc *cacheCt
 	}
 	key := compilecache.Key(g, cc.cfg)
 	var fresh *CompiledGMA
-	entry, outcome, err := cc.cache.GetOrCompute(key, cc.mode, func() (compilecache.Entry, error) {
+	entry, outcome, err := cc.cache.GetOrCompute(key, compilecache.ModeUse, func() (compilecache.Entry, error) {
 		cg, cerr := compileFresh(g, copts, fr)
 		if cerr != nil {
 			return compilecache.Entry{}, cerr
 		}
 		fresh = cg
-		return entryFromCompiled(cg, key, cc.reqID), nil
+		return entryFromCompiled(cg, cc.reqID), nil
 	})
 	if err != nil {
 		// A leader's failure was already recorded by compileFresh into this
@@ -597,7 +583,7 @@ func compileOne(g *gma.GMA, copts core.Options, fr *flight.Recorder, cc *cacheCt
 		return nil, err
 	}
 	if fresh != nil {
-		// This caller ran the pipeline itself (cache miss or bypass).
+		// This caller ran the pipeline itself (a cache miss).
 		fresh.Cache = string(outcome)
 		return fresh, nil
 	}
@@ -609,17 +595,16 @@ func compileOne(g *gma.GMA, copts core.Options, fr *flight.Recorder, cc *cacheCt
 // variable/target correspondence tables that make it remappable onto
 // alpha-renamed requesters. Certificates and the E-graph are deliberately
 // not cached — WriteProof on a hit reports ErrNoCertificate, EGraphDot
-// returns "" — because both are large and replayable by a refresh.
-func entryFromCompiled(cg *CompiledGMA, key, requestID string) compilecache.Entry {
+// returns "" — because both are large and a compile without the cache
+// rebuilds them.
+func entryFromCompiled(cg *CompiledGMA, requestID string) compilecache.Entry {
 	_, vars := flight.Canonical(cg.gma)
 	targets := make([]string, len(cg.gma.Targets))
 	for i, t := range cg.gma.Targets {
 		targets[i] = t.Name
 	}
 	return compilecache.Entry{
-		Key:           key,
 		OriginRequest: requestID,
-		CreatedAt:     time.Now(),
 		Report:        cg.FlightReport(),
 		Assembly:      cg.Assembly,
 		Listing:       cg.Listing,

@@ -804,21 +804,7 @@ func TestCompileCacheOptions(t *testing.T) {
 	if err := hit.Verify(25, 7); err != nil {
 		t.Fatalf("cached schedule failed verification: %v", err)
 	}
-	// "refresh" recomputes (a miss), "off" bypasses, nil cache is inert.
-	ref, err := Compile(programs.Byteswap4, Options{Cache: cache, CacheMode: "refresh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ref.Procs[0].GMAs[0].Cache; got != "miss" {
-		t.Fatalf("refresh Cache = %q, want \"miss\"", got)
-	}
-	off, err := Compile(programs.Byteswap4, Options{Cache: cache, CacheMode: "off"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := off.Procs[0].GMAs[0].Cache; got != "bypass" {
-		t.Fatalf("off Cache = %q, want \"bypass\"", got)
-	}
+	// Without a cache the compile reports no outcome.
 	plain, err := Compile(programs.Byteswap4, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -3,21 +3,28 @@
 // one program over HTTP with an X-Request-ID, asserts the ID is echoed
 // and that /debug/requests/{id} serves a flight report consistent with
 // the compile response, re-posts it for a cache hit and a "cache": false
-// bypass, compiles quickstart and byteswap4 fresh, checks that
-// /debug/history holds an aggregate for every GMA fingerprint in the
-// filed flight reports and that /debug/slo answers 404, checks
-// /version, scrapes /metrics and asserts the compile-latency histogram
-// counted the request, then shuts the server down with SIGTERM and
-// requires a clean exit. The compile metrics are derived from the filed
-// flight reports, so the SAT probes counted on /metrics must equal the
-// probe rows of the fresh GMA records in /debug/requests. It exercises
+// bypass, requires "cache": "refresh" to answer 400, compiles quickstart
+// and byteswap4 fresh, checks that /debug/history holds an aggregate for
+// every GMA fingerprint in the filed flight reports and that /debug/slo
+// answers 404, checks /version, scrapes /metrics and asserts the
+// compile-latency histogram counted the request and the cache counted a
+// hit and a miss (with no tier label, and no byte-size or store-error
+// family), then shuts the server down with SIGTERM and requires a clean
+// exit. The compile metrics are derived from the filed flight reports, so
+// the SAT probes counted on /metrics must equal the probe rows of the
+// fresh GMA records in /debug/requests. Before the server starts it
+// requires `denali serve -cache-dir d` and `denali -cache-dir d file.dn`
+// to be usage errors (exit 2): the compile cache lives in memory only. It
+// exercises
 // the whole service path — listener bootstrap, addr-file handshake,
 // raw-source POST, the flight-report ring, the shared registry, graceful
 // drain — with no test harness in between.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -54,6 +61,19 @@ func run() error {
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
 		return fmt.Errorf("build: %w", err)
+	}
+
+	srcFile := filepath.Join(dir, "qs.dn")
+	if err := os.WriteFile(srcFile, []byte(source), 0o644); err != nil {
+		return err
+	}
+	for _, args := range [][]string{
+		{"serve", "-addr", "127.0.0.1:0", "-cache-dir", dir},
+		{"-cache-dir", dir, srcFile},
+	} {
+		if err := usageError(bin, args...); err != nil {
+			return err
+		}
 	}
 
 	addrFile := filepath.Join(dir, "addr")
@@ -168,6 +188,18 @@ func run() error {
 	if hv != "bypass" {
 		return fmt.Errorf("cache:false compile X-Denali-Cache = %q, want \"bypass\"", hv)
 	}
+	body, err = json.Marshal(map[string]any{"source": source, "cache": "refresh"})
+	if err != nil {
+		return err
+	}
+	resp, err = http.Post(base+"/compile", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		return fmt.Errorf("POST /compile (cache refresh): %w", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		return fmt.Errorf(`"cache": "refresh" answered %d, want 400`, resp.StatusCode)
+	}
 
 	// Every filed report lands in the per-GMA history view.
 	if err := compileFresh(base, "servesmoke-4", programs.Quickstart); err != nil {
@@ -225,11 +257,54 @@ func run() error {
 	if rows, err := freshProbeRows(base); err != nil || probes != float64(rows) {
 		return fmt.Errorf("denali_sat_probes_total = %g, fresh GMA records in /debug/requests hold %d probe rows (%v)", probes, rows, err)
 	}
+	if err := cacheMetrics(metrics.String()); err != nil {
+		return err
+	}
 
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
 		return err
 	}
 	return awaitExit(srv, "serve")
+}
+
+// usageError runs bin with args and requires exit status 2, the flag
+// package's answer to an undefined flag. A process that accepts the flags
+// and keeps running (a server) is killed after 10s and reported.
+func usageError(bin string, args ...string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := exec.CommandContext(ctx, bin, args...).Run()
+	var exit *exec.ExitError
+	if ctx.Err() != nil || !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		return fmt.Errorf("denali %s: %v (timed out: %v), want exit status 2", strings.Join(args, " "), err, ctx.Err() != nil)
+	}
+	return nil
+}
+
+// cacheMetrics checks the compile cache's families on /metrics after the
+// miss, hit and bypass above: a hit and a miss counted, no series
+// labeled by tier, and no byte-size or store-error family at all.
+func cacheMetrics(exposition string) error {
+	for _, name := range []string{"denali_cache_hits_total", "denali_cache_misses_total"} {
+		v, err := sampleSum(exposition, name)
+		if err != nil {
+			return err
+		}
+		if v < 1 {
+			return fmt.Errorf("%s = %g after a miss and a hit, want >= 1", name, v)
+		}
+	}
+	for _, line := range strings.Split(exposition, "\n") {
+		if strings.HasPrefix(line, "denali_cache_") && strings.Contains(line, "tier=") {
+			return fmt.Errorf("cache series labeled by tier: %q", line)
+		}
+		for _, gone := range []string{"denali_cache_bytes", "denali_cache_store_errors_total"} {
+			if strings.Contains(line, gone) {
+				return fmt.Errorf("/metrics still exports %s: %q", gone, line)
+			}
+		}
+	}
+	return nil
 }
 
 // awaitExit waits for a SIGTERM'd process to exit cleanly.

@@ -44,7 +44,7 @@ echo "== benchmark answers (one pass of each gated perfbench workload, built fro
 bash perfbench/run.sh --workload kernels --seed 1 --seconds 0 --trace 0
 bash perfbench/run.sh --workload deep-certify --seed 1 --seconds 0 --trace 0
 
-echo "== serve smoke (one denali serve process: HTTP compile + request-id echo + flight report + cache hit/bypass + /debug/history covers every filed GMA + /debug/slo 404 + /version + /metrics scrape + SIGTERM graceful shutdown)"
+echo "== serve smoke (-cache-dir is a usage error for denali and denali serve; one denali serve process: HTTP compile + request-id echo + flight report + cache miss/hit/bypass + a \"refresh\" cache field answers 400 + /debug/history covers every filed GMA + /debug/slo 404 + /version + /metrics scrape: cache hits and misses counted, no tier label, no denali_cache_bytes or denali_cache_store_errors_total + SIGTERM graceful shutdown)"
 go run ./scripts/servesmoke
 
 echo "== CLI trace smoke (-strategy parallel -trace -metrics on byteswap4: the Chrome trace holds the compile span and probe spans; the stderr table shows compile at 100.0% and the counts block)"
