@@ -26,10 +26,12 @@ func (p *logProof) Delete(lits []Lit, id int32) {
 	p.steps = append(p.steps, append([]Lit{-2, Lit(id), -3}, lits...))
 }
 
-// TestClauseHdrSize: the proof ID lives in the header's padding.
+// TestClauseHdrSize: a clause's size and flags live in the arena, ahead
+// of its literals, so the side header holds only the start, the proof ID
+// and the activity.
 func TestClauseHdrSize(t *testing.T) {
-	if got := unsafe.Sizeof(clauseHdr{}); got != 24 {
-		t.Fatalf("clauseHdr is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(clauseHdr{}); got != 16 {
+		t.Fatalf("clauseHdr is %d bytes, want 16", got)
 	}
 }
 
@@ -75,6 +77,7 @@ func TestCompactionKeepsTrajectory(t *testing.T) {
 				t.Fatalf("round %d: compaction left %d wasted literals, %d headers for %d live clauses",
 					i, a.wasted, len(a.hdrs), len(a.clauses)+len(a.learned))
 			}
+			checkWatches(t, i, a)
 		}
 		ra, rb := a.Solve(), b.Solve()
 		if ra != rb || a.LastStats() != b.LastStats() {
@@ -101,6 +104,34 @@ func TestCompactionKeepsTrajectory(t *testing.T) {
 	for i := range pa.steps {
 		if !slices.Equal(pa.steps[i], pb.steps[i]) {
 			t.Fatalf("proof step %d differs: %v vs %v", i, pa.steps[i], pb.steps[i])
+		}
+	}
+}
+
+// checkWatches walks every watch list of s right after a compaction.
+// Each entry is the offset of a clause's header words: the second word
+// names a live clause whose literals start two words later, and the
+// first has the deleted flag clear. Each clause is watched once by each
+// of its first two literals and nowhere else.
+func checkWatches(t *testing.T, round int, s *Solver) {
+	t.Helper()
+	watched := make([]int, len(s.hdrs))
+	for l, ws := range s.watches {
+		for _, o := range ws {
+			c := cref(s.arena[o+1])
+			if c < 0 || int(c) >= len(s.hdrs) || s.hdrs[c].start != int32(o)+2 || s.arena[o]&hdrDeleted != 0 {
+				t.Fatalf("round %d: literal %d watches offset %d, whose header names clause %d (%d headers)",
+					round, l, o, c, len(s.hdrs))
+			}
+			if ls := s.lits(c); Lit(l) != ls[0] && Lit(l) != ls[1] {
+				t.Fatalf("round %d: literal %d watches clause %d, %v", round, l, c, ls)
+			}
+			watched[c]++
+		}
+	}
+	for c, n := range watched {
+		if n != 2 {
+			t.Fatalf("round %d: clause %d is on %d watch lists, want 2", round, c, n)
 		}
 	}
 }

@@ -62,25 +62,40 @@ func recycleCases(t testing.TB) []recycleCase {
 		cases = append(cases, c)
 	}
 	for n := 2; n <= 6; n++ {
-		c := recycleCase{name: "php" + strconv.Itoa(n+1) + strconv.Itoa(n), vars: (n + 1) * n}
-		p := func(i, j int) int { return i*n + j }
-		for i := 0; i <= n; i++ {
-			var cl []Lit
-			for j := 0; j < n; j++ {
-				cl = append(cl, Pos(p(i, j)))
-			}
-			c.clauses = append(c.clauses, cl)
-		}
-		for j := 0; j < n; j++ {
-			for a := 0; a <= n; a++ {
-				for b := a + 1; b <= n; b++ {
-					c.clauses = append(c.clauses, []Lit{Neg(p(a, j)), Neg(p(b, j))})
-				}
-			}
-		}
-		cases = append(cases, c)
+		cases = append(cases, phpCase(n))
 	}
 	return cases
+}
+
+// phpCase is PHP(n+1, n) as a recycleCase.
+func phpCase(n int) recycleCase {
+	c := recycleCase{name: "php" + strconv.Itoa(n+1) + strconv.Itoa(n), vars: (n + 1) * n}
+	p := func(i, j int) int { return i*n + j }
+	for i := 0; i <= n; i++ {
+		var cl []Lit
+		for j := 0; j < n; j++ {
+			cl = append(cl, Pos(p(i, j)))
+		}
+		c.clauses = append(c.clauses, cl)
+	}
+	for j := 0; j < n; j++ {
+		for a := 0; a <= n; a++ {
+			for b := a + 1; b <= n; b++ {
+				c.clauses = append(c.clauses, []Lit{Neg(p(a, j)), Neg(p(b, j))})
+			}
+		}
+	}
+	return c
+}
+
+// build adds c's variables and clauses to s.
+func (c recycleCase) build(s *Solver) {
+	for s.NumVars() < c.vars {
+		s.NewVar()
+	}
+	for _, cl := range c.clauses {
+		s.AddClause(cl...)
+	}
 }
 
 // recycleRun is everything a caller can observe of one case's solves,
@@ -106,12 +121,7 @@ func solveCase(s *Solver, c recycleCase, proof *logProof) recycleRun {
 	if proof != nil {
 		s.Proof = proof
 	}
-	for s.NumVars() < c.vars {
-		s.NewVar()
-	}
-	for _, cl := range c.clauses {
-		s.AddClause(cl...)
-	}
+	c.build(s)
 	var r recycleRun
 	for _, assumps := range [][]Lit{{Neg(0), Pos(1), Neg(2)}, nil} {
 		res := s.Solve(assumps...)
@@ -337,7 +347,7 @@ func TestReserveDropsIdleTables(t *testing.T) {
 	smalls(maxIdle - 1)
 	s = New()
 	chain(t, s, small)
-	limit := 4 * 2 * small // four times the largest request, the watch table's
+	limit := 4 * 2 * small // four times what the watch and value tables ask for
 	checkCaps(t, "the small solver that found the huge tables idle the longest", s.tables, limit)
 	s.Release()
 	spare.Lock()

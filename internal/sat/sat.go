@@ -56,22 +56,30 @@ const (
 )
 
 // cref addresses one clause: an index into the solver's header table.
-// Clauses are values in a flat arena, not heap objects, so watch lists,
-// reasons and the clause lists all hold refs.
+// Clauses are values in a flat arena, not heap objects, so reasons and
+// the clause lists hold refs.
 type cref int32
 
 // crefUndef is "no clause": the reason of a decision, an assumption or a
 // top-level unit.
 const crefUndef cref = -1
 
-// clauseHdr locates one clause's literals in the arena and carries its
-// database bookkeeping. The proof ID sits in the padding after the two
-// flags, so a header stays 24 bytes.
+// coff is a clause's place in the arena: the offset of the first of the
+// two header words that precede its literals. Watch lists hold offsets,
+// so propagate reads a clause's size, flags and literals from one run of
+// the arena and reaches its cref, the second word, only to report it.
+type coff int32
+
+// The first header word is the clause's size<<2 with these flags.
+const (
+	hdrDeleted Lit = 1 << iota
+	hdrLearned
+)
+
+// clauseHdr locates one clause's literals in the arena and carries the
+// bookkeeping propagate never reads.
 type clauseHdr struct {
 	start    int32 // index of the first literal in Solver.arena
-	size     int32
-	learned  bool
-	deleted  bool
 	id       int32 // the clause's proof ID (see Proof); 0 with no Proof attached
 	activity float64
 }
@@ -122,9 +130,9 @@ type Solver struct {
 	// to the next New.
 	tables
 
-	slab []cref // the chunk short watch lists are carved from (see watch)
+	slab []coff // the chunk short watch lists are carved from (see watch)
 	// wasted counts the arena literals of deleted clauses, which reduceDB
-	// reclaims by compacting once they are half the arena.
+	// reclaims by compacting once they are half the arena's literals.
 	wasted int
 	qhead  int
 
@@ -171,21 +179,22 @@ type Solver struct {
 // solver, whose appends then reuse the capacity. Nothing outside the
 // solver may keep a slice into them across Release.
 type tables struct {
-	// arena holds every clause's literals back to back; hdrs[c] says
-	// where clause c's run starts and how long it is.
+	// arena holds every clause back to back: two header words (see
+	// coff), then the literals; hdrs[c] says where clause c's literals
+	// start.
 	arena   []Lit
 	hdrs    []clauseHdr
 	clauses []cref
 	learned []cref
 	// watches is indexed by literal. Release drops the inner lists (their
 	// slab chunks and heap arrays), keeping only the outer table.
-	watches [][]cref
+	watches [][]coff
 
-	assigns []int8
-	level   []int32
-	reason  []cref
-	trail   []Lit
-	lim     []int
+	vals   []int8 // indexed by literal: vals[l] is l's value, vals[l^1] its negation's
+	level  []int32
+	reason []cref
+	trail  []Lit
+	lim    []int
 
 	activity []float64
 	heap     []int32 // binary max-heap of variables by activity
@@ -215,7 +224,7 @@ func (t *tables) truncate() {
 	*t = tables{
 		arena: t.arena[:0], hdrs: t.hdrs[:0], clauses: t.clauses[:0], learned: t.learned[:0],
 		watches: t.watches[:0],
-		assigns: t.assigns[:0], level: t.level[:0], reason: t.reason[:0], trail: t.trail[:0], lim: t.lim[:0],
+		vals:    t.vals[:0], level: t.level[:0], reason: t.reason[:0], trail: t.trail[:0], lim: t.lim[:0],
 		activity: t.activity[:0], heap: t.heap[:0], heapPos: t.heapPos[:0], phase: t.phase[:0], defPhase: t.defPhase[:0],
 		addBuf: t.addBuf[:0], inputBuf: t.inputBuf[:0], learnBuf: t.learnBuf[:0], seen: t.seen[:0], hints: t.hints[:0],
 		idle: t.idle,
@@ -231,12 +240,11 @@ func (t *tables) truncate() {
 // largest the process ever built.
 const maxIdle = 16
 
-// age counts a solver that asks for room for vars variables and lits
-// clause literals against the set, and drops the set once maxIdle
-// solvers in a row, this one included, have needed less than a quarter
-// of it.
-func (t *tables) age(vars, lits int) {
-	if cap(t.assigns) <= 4*vars && cap(t.arena) <= 4*lits {
+// age counts a solver that asks for room for vars variables and words
+// arena words against the set, and drops the set once maxIdle solvers in
+// a row, this one included, have needed less than a quarter of it.
+func (t *tables) age(vars, words int) {
+	if cap(t.vals) <= 4*2*vars && cap(t.arena) <= 4*words {
 		t.idle = 0
 	} else if t.idle++; t.idle >= maxIdle {
 		*t = tables{}
@@ -282,8 +290,8 @@ func (s *Solver) Release() {
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := s.NumVars()
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
@@ -298,17 +306,19 @@ func (s *Solver) NewVar() int {
 }
 
 // Reserve makes room for vars more variables, clauses more problem
-// clauses and lits more clause literals, so a caller that knows its
-// problem size can build it without regrowing the per-variable tables or
-// the clause arena. Tables that came from a released solver (see New)
-// and are already large enough are kept as they are, unless they have
-// been far too large for too long (see age). It is only a capacity hint:
-// the solver still grows past it, and the answer does not depend on it.
+// clauses and lits more clause literals (plus each clause's two header
+// words), so a caller that knows its problem size can build it without
+// regrowing the per-variable tables or the clause arena. Tables that
+// came from a released solver (see New) and are already large enough
+// are kept as they are, unless they have been far too large for too long
+// (see age). It is only a capacity hint: the solver still grows past it,
+// and the answer does not depend on it.
 func (s *Solver) Reserve(vars, clauses, lits int) {
+	words := lits + 2*clauses
 	if s.NumVars() == 0 {
-		s.age(vars, lits)
+		s.age(vars, words)
 	}
-	s.assigns = slices.Grow(s.assigns, vars)
+	s.vals = slices.Grow(s.vals, 2*vars)
 	s.level = slices.Grow(s.level, vars)
 	s.reason = slices.Grow(s.reason, vars)
 	s.activity = slices.Grow(s.activity, vars)
@@ -321,11 +331,11 @@ func (s *Solver) Reserve(vars, clauses, lits int) {
 	s.trail = slices.Grow(s.trail, vars)
 	s.hdrs = slices.Grow(s.hdrs, clauses)
 	s.clauses = slices.Grow(s.clauses, clauses)
-	s.arena = slices.Grow(s.arena, lits)
+	s.arena = slices.Grow(s.arena, words)
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.vals) / 2 }
 
 // SetPhase overrides variable v's saved phase: the polarity the solver
 // tries first when branching on v. Incremental encodings use it to seed
@@ -343,16 +353,7 @@ func (s *Solver) SetPhase(v int, phase bool) {
 // after top-level simplification.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
-func (s *Solver) value(l Lit) int8 {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.IsNeg() {
-		return -v
-	}
-	return v
-}
+func (s *Solver) value(l Lit) int8 { return s.vals[l] }
 
 // AddClause adds a clause (a disjunction of literals). It returns false if
 // the formula is already unsatisfiable at the top level. Clauses may be
@@ -427,27 +428,38 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	return true
 }
 
-// newClause copies lits into the arena and returns the new clause's ref.
-// The clause takes the proof ID of the clause logged last: AddClause and
-// the conflict loop create a clause right after logging it.
+// newClause copies lits into the arena behind its two header words and
+// returns the new clause's ref. The clause takes the proof ID of the
+// clause logged last: AddClause and the conflict loop create a clause
+// right after logging it.
 func (s *Solver) newClause(lits []Lit, learned bool) cref {
 	c := cref(len(s.hdrs))
-	s.hdrs = append(s.hdrs, clauseHdr{start: int32(len(s.arena)), size: int32(len(lits)), learned: learned, id: s.proofID})
+	w := Lit(len(lits)) << 2
+	if learned {
+		w |= hdrLearned
+	}
+	s.arena = append(s.arena, w, Lit(c))
+	s.hdrs = append(s.hdrs, clauseHdr{start: int32(len(s.arena)), id: s.proofID})
 	s.arena = append(s.arena, lits...)
 	return c
 }
 
+// word returns clause c's first header word: its size<<2 and flags.
+func (s *Solver) word(c cref) *Lit { return &s.arena[s.hdrs[c].start-2] }
+
 // lits returns clause c's literals: a window onto the arena, permuted in
 // place as watches move.
 func (s *Solver) lits(c cref) []Lit {
-	h := &s.hdrs[c]
-	return s.arena[h.start : h.start+h.size : h.start+h.size]
+	start := s.hdrs[c].start
+	end := start + int32(*s.word(c)>>2)
+	return s.arena[start:end:end]
 }
 
 func (s *Solver) attach(c cref) {
 	ls := s.lits(c)
-	s.watch(ls[0], c)
-	s.watch(ls[1], c)
+	o := coff(s.hdrs[c].start - 2)
+	s.watch(ls[0], o)
+	s.watch(ls[1], o)
 }
 
 // Short watch lists are carved out of shared slab chunks instead of each
@@ -461,25 +473,25 @@ const (
 	watchSlabMax   = 64
 )
 
-// watch appends clause c to literal l's watch list.
-func (s *Solver) watch(l Lit, c cref) {
+// watch appends the clause at offset o to literal l's watch list.
+func (s *Solver) watch(l Lit, o coff) {
 	ws := s.watches[l]
 	if len(ws) == cap(ws) {
 		ws = s.growWatch(ws)
 	}
-	s.watches[l] = append(ws, c)
+	s.watches[l] = append(ws, o)
 }
 
 // growWatch returns ws moved to an array of twice its capacity (at least
 // 4). Abandoned slab slots are not reused; a chunk is freed once no list
 // points into it.
-func (s *Solver) growWatch(ws []cref) []cref {
+func (s *Solver) growWatch(ws []coff) []coff {
 	n := max(2*cap(ws), 4)
 	if n > watchSlabMax {
 		return slices.Grow(ws, n-len(ws))
 	}
 	if cap(s.slab)-len(s.slab) < n {
-		s.slab = make([]cref, 0, watchSlabChunk)
+		s.slab = make([]coff, 0, watchSlabChunk)
 	}
 	at := len(s.slab)
 	s.slab = s.slab[:at+n]
@@ -488,11 +500,7 @@ func (s *Solver) growWatch(ws []cref) []cref {
 
 func (s *Solver) enqueue(l Lit, from cref) {
 	v := l.Var()
-	if l.IsNeg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l], s.vals[l^1] = lTrue, lFalse
 	s.level[v] = int32(len(s.lim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -501,6 +509,8 @@ func (s *Solver) enqueue(l Lit, from cref) {
 // propagate performs unit propagation; it returns a conflicting clause or
 // crefUndef.
 func (s *Solver) propagate() cref {
+	// Propagation adds no clause and no variable, so neither table moves.
+	arena, vals := s.arena, s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -511,29 +521,29 @@ func (s *Solver) propagate() cref {
 		kept := ws[:0]
 		confl := crefUndef
 		for i := 0; i < len(ws); i++ {
-			c := ws[i]
-			h := &s.hdrs[c]
-			if h.deleted {
+			o := ws[i]
+			w := arena[o]
+			if w&hdrDeleted != 0 {
 				continue // dropped by reduceDB
 			}
 			if confl != crefUndef {
-				kept = append(kept, c)
+				kept = append(kept, o)
 				continue
 			}
-			ls := s.arena[h.start : h.start+h.size]
+			ls := arena[o+2 : o+2+coff(w>>2)]
 			// Normalize: watched false literal at position 1.
 			if ls[0] == falseLit {
 				ls[0], ls[1] = ls[1], ls[0]
 			}
-			if s.value(ls[0]) == lTrue {
-				kept = append(kept, c)
+			if vals[ls[0]] == lTrue {
+				kept = append(kept, o)
 				continue
 			}
 			moved := false
 			for k := 2; k < len(ls); k++ {
-				if s.value(ls[k]) != lFalse {
+				if vals[ls[k]] != lFalse {
 					ls[1], ls[k] = ls[k], ls[1]
-					s.watch(ls[1], c)
+					s.watch(ls[1], o)
 					moved = true
 					break
 				}
@@ -541,12 +551,12 @@ func (s *Solver) propagate() cref {
 			if moved {
 				continue // removed from this watch list
 			}
-			kept = append(kept, c)
-			if s.value(ls[0]) == lFalse {
-				confl = c
+			kept = append(kept, o)
+			if vals[ls[0]] == lFalse {
+				confl = cref(arena[o+1])
 				continue
 			}
-			s.enqueue(ls[0], c)
+			s.enqueue(ls[0], cref(arena[o+1]))
 		}
 		s.watches[falseLit] = kept
 		if confl != crefUndef {
@@ -574,7 +584,7 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 		if logging {
 			hints = append(hints, s.hdrs[confl].id)
 		}
-		if s.hdrs[confl].learned {
+		if *s.word(confl)&hdrLearned != 0 {
 			s.bumpClause(confl)
 		}
 		ls := s.lits(confl)
@@ -642,7 +652,7 @@ func (s *Solver) backtrack(level int) {
 		l := s.trail[i]
 		v := l.Var()
 		s.phase[v] = !l.IsNeg()
-		s.assigns[v] = lUndef
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
 		s.reason[v] = crefUndef
 		if s.heapPos[v] < 0 {
 			s.heapInsert(int32(v))
@@ -839,7 +849,7 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 	if len(s.lim) == 0 {
 		return core // ¬p holds at top level: p alone is contradictory
 	}
-	seen := make([]bool, len(s.assigns))
+	seen := make([]bool, s.NumVars())
 	seen[p.Var()] = true
 	for i := len(s.trail) - 1; i >= s.lim[0]; i-- {
 		v := s.trail[i].Var()
@@ -866,11 +876,14 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 
 // saveModel snapshots the current total assignment as the model.
 func (s *Solver) saveModel() {
-	if cap(s.model) < len(s.assigns) {
-		s.model = make([]int8, len(s.assigns))
+	n := s.NumVars()
+	if cap(s.model) < n {
+		s.model = make([]int8, n)
 	}
-	s.model = s.model[:len(s.assigns)]
-	copy(s.model, s.assigns)
+	s.model = s.model[:n]
+	for v := range s.model {
+		s.model[v] = s.vals[Pos(v)]
+	}
 }
 
 // Core returns the failed-assumption core of the most recent Solve call
@@ -885,7 +898,7 @@ func (s *Solver) Core() []Lit { return s.core }
 func (s *Solver) pickBranchVar() int {
 	for len(s.heap) > 0 {
 		v := s.heapPopMax()
-		if s.assigns[v] == lUndef {
+		if s.vals[Pos(int(v))] == lUndef {
 			return int(v)
 		}
 	}
@@ -897,13 +910,9 @@ func (s *Solver) pickBranchVar() int {
 // so the snapshot — not the live trail — is the model; it stays readable
 // while clauses are added for a follow-up incremental call.)
 func (s *Solver) Model() []bool {
-	m := make([]bool, len(s.assigns))
-	src := s.assigns
-	if s.model != nil {
-		src = s.model
-	}
-	for v := range src {
-		m[v] = src[v] == lTrue
+	m := make([]bool, s.NumVars())
+	for v := range m {
+		m[v] = s.Value(v)
 	}
 	return m
 }
@@ -917,7 +926,7 @@ func (s *Solver) Value(v int) bool {
 		}
 		return false
 	}
-	return s.assigns[v] == lTrue
+	return s.vals[Pos(v)] == lTrue
 }
 
 // Stats returns the lifetime search statistics, accumulated across every
@@ -1034,52 +1043,56 @@ func (s *Solver) reduceDB() {
 	sorted := append([]cref(nil), s.learned...)
 	sort.Slice(sorted, func(i, j int) bool { return s.hdrs[sorted[i]].activity < s.hdrs[sorted[j]].activity })
 	locked := func(c cref) bool {
-		v := s.lits(c)[0].Var()
-		return s.reason[v] == c && s.assigns[v] != lUndef
+		l := s.lits(c)[0]
+		return s.reason[l.Var()] == c && s.vals[l] != lUndef
 	}
 	toDelete := len(sorted) / 2
 	for _, c := range sorted {
 		if toDelete == 0 {
 			break
 		}
-		h := &s.hdrs[c]
-		if h.size <= 2 || locked(c) {
+		w := s.word(c)
+		if *w>>2 <= 2 || locked(c) {
 			continue
 		}
-		h.deleted = true
-		s.wasted += int(h.size)
+		*w |= hdrDeleted
+		s.wasted += int(*w >> 2)
 		s.logDelete(c)
 		toDelete--
 	}
 	before := len(s.learned)
 	kept := s.learned[:0]
 	for _, c := range s.learned {
-		if !s.hdrs[c].deleted {
+		if *s.word(c)&hdrDeleted == 0 {
 			kept = append(kept, c)
 		}
 	}
 	s.learned = kept
 	s.stats.Reduced += int64(before - len(kept))
-	if s.wasted > len(s.arena)/2 {
+	// wasted counts literals, so it is weighed against the literals alone.
+	if s.wasted > (len(s.arena)-2*len(s.hdrs))/2 {
 		s.compact()
 	}
 }
 
 // compact rebuilds the arena without the deleted clauses. Live clauses
 // keep their relative order and their literal order, refs are renumbered
-// densely, and deleted refs leave the watch lists — which changes nothing
-// propagate would do, since it skips deleted clauses anyway.
+// densely, and deleted clauses leave the watch lists — which changes
+// nothing propagate would do, since it skips deleted clauses anyway.
 func (s *Solver) compact() {
+	live := len(s.clauses) + len(s.learned)
 	remap := make([]cref, len(s.hdrs))
-	arena := make([]Lit, 0, len(s.arena)-s.wasted)
-	hdrs := make([]clauseHdr, 0, len(s.clauses)+len(s.learned))
+	arena := make([]Lit, 0, len(s.arena)-s.wasted-2*(len(s.hdrs)-live))
+	hdrs := make([]clauseHdr, 0, live)
 	for c, h := range s.hdrs {
-		if h.deleted {
+		w := s.arena[h.start-2]
+		if w&hdrDeleted != 0 {
 			remap[c] = crefUndef
 			continue
 		}
 		remap[c] = cref(len(hdrs))
-		lits := s.arena[h.start : h.start+h.size]
+		lits := s.arena[h.start : h.start+int32(w>>2)]
+		arena = append(arena, w, Lit(len(hdrs)))
 		h.start = int32(len(arena))
 		arena = append(arena, lits...)
 		hdrs = append(hdrs, h)
@@ -1090,11 +1103,12 @@ func (s *Solver) compact() {
 	for i, c := range s.learned {
 		s.learned[i] = remap[c]
 	}
+	// Each watch entry names its clause by the cref word in the old arena.
 	for l, ws := range s.watches {
 		kept := ws[:0]
-		for _, c := range ws {
-			if r := remap[c]; r != crefUndef {
-				kept = append(kept, r)
+		for _, o := range ws {
+			if r := remap[s.arena[o+1]]; r != crefUndef {
+				kept = append(kept, coff(hdrs[r].start-2))
 			}
 		}
 		s.watches[l] = kept
@@ -1133,7 +1147,7 @@ func (s *Solver) ResetActivities() {
 	for v := range s.heapPos {
 		s.heapPos[v] = -1
 	}
-	for v := 0; v < len(s.assigns); v++ {
+	for v := 0; v < s.NumVars(); v++ {
 		s.heapInsert(int32(v))
 	}
 }

@@ -120,3 +120,38 @@ func BenchmarkEngineLadder(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRefute measures the refutations behind checksum_loop's
+// certified optimum, the costliest SAT work of the certified corpus:
+// linear search's ladder K = 0…4 on one engine with its 7-cycle window,
+// every probe refuted. Encoding and Release are outside the timer, so
+// the time is the search's alone; conflicts/op reports its size.
+func BenchmarkRefute(b *testing.B) {
+	b.Run("checksum_loop", func(b *testing.B) {
+		g, gm := saturated(b, programs.Checksum, "checksum_loop")
+		var conflicts int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e, err := NewEngine(g, gm, 7, 24, Options{Desc: alpha.EV6()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for k := 0; k <= 4; k++ {
+				_, st, err := e.SolveBudget(k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Result != sat.Unsat {
+					b.Fatalf("checksum_loop K=%d: %v", k, st.Result)
+				}
+				conflicts += st.Solver.Conflicts
+			}
+			b.StopTimer()
+			e.Release()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
+	})
+}

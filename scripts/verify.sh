@@ -76,8 +76,9 @@ esac
 echo "== incremental-equivalence gate (golden corpus, every budget 0..optimum: one-shot reference Problem vs persistent Engine)"
 go test -run '^TestIncrementalEquivalence$' -count=1 ./internal/core
 
-echo "== trajectory gate (golden corpus: per-probe solver counters, assembly, certificate and DIMACS hashes match testdata/trajectory.json; linear encodes min(7, baseline bound) cycles up front, binary 8)"
+echo "== trajectory gate (golden corpus: per-probe solver counters, assembly, certificate and DIMACS hashes match testdata/trajectory.json; linear encodes min(7, baseline bound) cycles up front, binary 8; TestSearchPinned: the solver's counters, model and proof-log hashes on its own instances, database reduction, compaction and a failed assumption included, match internal/sat/testdata/search.json)"
 go test -run '^(TestSolverTrajectory|TestLinearWindowAtBaseline)$' -count=1 ./internal/core
+go test -run '^TestSearchPinned$' -count=1 ./internal/sat
 
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/lang
