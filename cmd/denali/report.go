@@ -8,12 +8,15 @@ import (
 	"strings"
 
 	"repro/internal/flight"
+	"repro/internal/history"
 )
 
 // reportMain implements `denali report`, the offline reader of flight
-// report logs (`denali -report-out`, `denali-bench -report-out`):
+// report logs (`denali -report-out`, `denali-bench -report-out`). It
+// folds the logs into a history warehouse, the per-GMA view `denali
+// serve` keeps live behind /debug/history, and prints its snapshot:
 //
-//	denali report reports.jsonl                     per-GMA flight summary
+//	denali report reports.jsonl                     per-GMA summary
 //	denali report -top 10 reports.jsonl             the 10 most-compiled GMAs
 //	denali report -fingerprint ab12 reports.jsonl   filter by fp prefix
 //	denali report -json reports.jsonl               the kept reports as JSONL
@@ -43,23 +46,20 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	var reps []flight.Report
-	for _, path := range fs.Args() {
-		r, err := flight.ReadLogFile(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "denali:", err)
-			return 1
-		}
-		reps = append(reps, r...)
+	reps, err := readLogs(fs.Args())
+	if err != nil {
+		fmt.Fprintln(stderr, "denali:", err)
+		return 1
 	}
 	if *fpPrefix != "" {
 		reps = keepGMAs(reps, func(fp string) bool { return strings.HasPrefix(fp, *fpPrefix) })
 	}
 	if *topN > 0 {
-		gmas := flight.Summarize(reps).GMAs // most-compiled first
 		top := map[string]bool{}
-		for _, g := range gmas[:min(*topN, len(gmas))] {
-			top[g.Fingerprint] = true
+		for _, a := range fold(reps).Snapshot().Keys { // most-compiled first
+			if len(top) < *topN {
+				top[a.Fingerprint] = true
+			}
 		}
 		reps = keepGMAs(reps, func(fp string) bool { return top[fp] })
 	}
@@ -74,11 +74,34 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := flight.Summarize(reps).WriteText(stdout); err != nil {
+	if err := fold(reps).Snapshot().WriteText(stdout); err != nil {
 		fmt.Fprintln(stderr, "denali:", err)
 		return 1
 	}
 	return 0
+}
+
+// readLogs reads the reports of every log, in order.
+func readLogs(paths []string) ([]flight.Report, error) {
+	var reps []flight.Report
+	for _, path := range paths {
+		r, err := flight.ReadLogFile(path)
+		if err != nil {
+			return nil, err
+		}
+		reps = append(reps, r...)
+	}
+	return reps, nil
+}
+
+// fold ingests reps into a fresh warehouse, as `denali serve` files each
+// report it records.
+func fold(reps []flight.Report) *history.Warehouse {
+	w := history.New(history.Config{})
+	for _, rep := range reps {
+		w.Ingest(rep)
+	}
+	return w
 }
 
 // keepGMAs keeps only the GMA records whose fingerprint passes keep;

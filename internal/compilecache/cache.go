@@ -37,8 +37,6 @@ const (
 type Config struct {
 	// MaxEntries bounds the LRU by entry count (0 or negative uses 1024).
 	MaxEntries int
-	// Sink receives denali_cache_* metrics (nil-safe).
-	Sink *obs.Sink
 }
 
 // Cache is the in-process compile cache: a goroutine-safe LRU over
@@ -53,7 +51,7 @@ type Cache struct {
 	flights map[string]*flightCall
 
 	maxEntries int
-	sink       *obs.Sink
+	reg        *obs.Registry // receives denali_cache_* metrics; nil publishes nothing
 }
 
 type lruItem struct {
@@ -80,19 +78,19 @@ func New(cfg Config) *Cache {
 		lru:        list.New(),
 		flights:    make(map[string]*flightCall),
 		maxEntries: cfg.MaxEntries,
-		sink:       cfg.Sink,
 	}
 }
 
-// SetSink (re)attaches a metrics sink; serve calls this so a cache built
-// at flag-parse time publishes into the server's registry. Nil-safe on
-// both sides.
-func (c *Cache) SetSink(s *obs.Sink) {
+// SetRegistry attaches the registry the cache publishes its
+// denali_cache_* metrics into; serve calls it so a cache built at
+// flag-parse time publishes into the server's registry. Nil-safe on both
+// sides.
+func (c *Cache) SetRegistry(r *obs.Registry) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.sink = s
+	c.reg = r
 	c.mu.Unlock()
 }
 
@@ -120,30 +118,30 @@ func (c *Cache) GetOrCompute(key string, _ Mode, compute func() (Entry, error)) 
 	start := time.Now()
 
 	c.mu.Lock()
+	reg := c.reg
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		entry := el.Value.(*lruItem).entry
-		sink := c.sink
 		c.mu.Unlock()
-		sink.Add(obs.MCacheHits, 1)
-		sink.Observe(obs.MCacheHitSeconds, time.Since(start).Seconds())
+		reg.Add(obs.MCacheHits, 1)
+		reg.Observe(obs.MCacheHitSeconds, time.Since(start).Seconds())
 		return entry, OutcomeHit, nil
 	}
 	if fl, ok := c.flights[key]; ok {
-		sink := c.sink
 		c.mu.Unlock()
 		<-fl.done
-		sink.Add(obs.MCacheCoalesced, 1)
+		reg.Add(obs.MCacheCoalesced, 1)
 		if fl.err != nil {
 			return Entry{}, OutcomeCoalesced, fl.err
 		}
-		sink.Observe(obs.MCacheHitSeconds, time.Since(start).Seconds())
+		reg.Observe(obs.MCacheHitSeconds, time.Since(start).Seconds())
 		return fl.entry, OutcomeCoalesced, nil
 	}
 	fl := &flightCall{done: make(chan struct{})}
 	c.flights[key] = fl
 	c.mu.Unlock()
 
+	reg.Add(obs.MCacheMisses, 1)
 	return c.lead(key, fl, compute)
 }
 
@@ -159,7 +157,6 @@ func (c *Cache) lead(key string, fl *flightCall, compute func() (Entry, error)) 
 		}
 	}()
 
-	c.sink.Add(obs.MCacheMisses, 1)
 	entry, err := compute()
 	resolved = true
 	if err == nil {
@@ -206,10 +203,10 @@ func (c *Cache) insert(key string, entry Entry) {
 		delete(c.entries, it.key)
 		evicted++
 	}
-	entries, sink := c.lru.Len(), c.sink
+	entries, reg := c.lru.Len(), c.reg
 	c.mu.Unlock()
 	if evicted > 0 {
-		sink.Add(obs.MCacheEvictions, float64(evicted))
+		reg.Add(obs.MCacheEvictions, float64(evicted))
 	}
-	sink.Set(obs.MCacheEntries, float64(entries))
+	reg.Set(obs.MCacheEntries, float64(entries))
 }

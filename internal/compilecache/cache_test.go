@@ -66,7 +66,8 @@ func TestRepeatAfterCoalesceHits(t *testing.T) {
 // -race (the package is in the tier-1 race gate).
 func TestStampede(t *testing.T) {
 	reg := obs.NewCompilerRegistry()
-	c := New(Config{MaxEntries: 8, Sink: obs.NewSink(reg)})
+	c := New(Config{MaxEntries: 8})
+	c.SetRegistry(reg)
 	key := testKey(10)
 
 	const n = 24
@@ -134,7 +135,8 @@ func TestStampede(t *testing.T) {
 
 func TestHitAfterMiss(t *testing.T) {
 	reg := obs.NewCompilerRegistry()
-	c := New(Config{MaxEntries: 8, Sink: obs.NewSink(reg)})
+	c := New(Config{MaxEntries: 8})
+	c.SetRegistry(reg)
 	key := testKey(11)
 	var computes int
 	compute := func() (Entry, error) { computes++; return entryOf(key, "one"), nil }
@@ -254,14 +256,15 @@ func TestNilCachePassesThrough(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("nil cache should report zero entries")
 	}
-	c.SetSink(nil) // must not panic
+	c.SetRegistry(nil) // must not panic
 }
 
 // TestLRUEvictionByEntries: the entry bound evicts least-recently-used
 // keys first, and a touched key is spared.
 func TestLRUEvictionByEntries(t *testing.T) {
 	reg := obs.NewCompilerRegistry()
-	c := New(Config{MaxEntries: 2, Sink: obs.NewSink(reg)})
+	c := New(Config{MaxEntries: 2})
+	c.SetRegistry(reg)
 	k1, k2, k3 := testKey(20), testKey(21), testKey(22)
 	mk := func(k string) func() (Entry, error) {
 		return func() (Entry, error) { return entryOf(k, k[:8]), nil }

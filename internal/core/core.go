@@ -117,9 +117,6 @@ type Options struct {
 	// StochasticSearch runs reproducible. Callers normally derive it from
 	// the request ID; 0 is a valid seed.
 	Seed uint64
-	// StochasticSteps bounds the MCMC proposal budget for the stochastic
-	// engine (0 = the engine's default).
-	StochasticSteps int
 	// RequestID correlates this compilation with the request that asked
 	// for it: it tags the compile root span and every detached parallel
 	// probe span, and is propagated into Schedule.RequestID so exported

@@ -9,13 +9,13 @@ import (
 // stochasticSearch runs the STOKE-style MCMC search alone: no SAT
 // probes, no refutations, so OptimalProven is never set — the result is
 // a fast exactly-verified feasible schedule, deterministic in
-// Options.Seed. GMA shapes the stochastic engine cannot search (memory
-// operations) fall back to the proving SAT descend sweep so every
-// strategy value compiles every GMA; the compile span root records why.
+// Options.Seed, from the engine's default proposal budget. GMA shapes
+// the stochastic engine cannot search (memory operations) fall back to
+// the proving SAT descend sweep so every strategy value compiles every
+// GMA; the compile span root records why.
 func (c *Compiled) stochasticSearch(gm *gma.GMA, opt Options, root *obs.Span) error {
 	st, err := stoke.New(gm, opt.Desc, stoke.Options{
 		Seed:      int64(opt.Seed),
-		Steps:     opt.StochasticSteps,
 		MaxCycles: opt.MaxCycles,
 		Trace:     opt.Trace,
 	})

@@ -6,8 +6,11 @@
 // or an error/panic). Where internal/obs aggregates across requests
 // (Registry) or records one run's spans (Trace), a flight.Report is the
 // durable answer to "what happened to request X?": serve keeps the last N
-// reports in a Ring behind /debug/requests, the CLIs append them to a
-// JSONL log (-report-out), and `denali report` summarizes such logs.
+// reports in a Ring behind /debug/requests, and the CLIs append them to a
+// JSONL log (-report-out). This package keeps no per-GMA aggregate of
+// its own: internal/history is the one fold of reports per GMA, which
+// serve keeps live behind /debug/history and `denali report` builds from
+// such logs.
 //
 // The package depends only on the IR layer (gma, term) and buildinfo, so
 // every layer above the scheduler can assemble or consume reports without
@@ -103,8 +106,8 @@ type GMAReport struct {
 
 	// Engine names the search-engine family that produced the schedule
 	// ("sat" or "stochastic"); under the stochastic strategy, "sat" marks
-	// a GMA that fell back to the descend sweep. `denali report` counts
-	// it per strategy.
+	// a GMA that fell back to the descend sweep. History counts it per
+	// key, so `denali report` and /debug/history show it per strategy.
 	Engine string `json:"engine,omitempty"`
 
 	// Error/Panic capture a failed compilation of this GMA; the match

@@ -201,78 +201,6 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	reps := []Report{
-		{ID: "r1", Strategy: "linear", GMAs: []GMAReport{{
-			Name: "qs", Fingerprint: "fp1", GoalSize: 5, Cycles: 3, OptimalProven: true, SolveMillis: 10,
-			Probes: []ProbeRow{{K: 2, Result: "unsat", Conflicts: 100}, {K: 3, Result: "sat", Conflicts: 5}},
-		}}},
-		{ID: "r2", Strategy: "parallel", GMAs: []GMAReport{{
-			Name: "qs_renamed", Fingerprint: "fp1", GoalSize: 5, Cycles: 3, OptimalProven: true, SolveMillis: 2, EncodeMillis: 4,
-			Probes: []ProbeRow{{K: 2, Result: "unsat", Conflicts: 80}, {K: 3, Result: "sat", Conflicts: 1}},
-		}}},
-		{ID: "r3", Strategy: "linear", Error: "parse error"},
-		{ID: "r4", Strategy: "linear", GMAs: []GMAReport{{
-			Name: "qs", Fingerprint: "fp1", Error: "no schedule",
-		}}},
-		// A cache hit replays r1's report (same probes, solve time). It
-		// must count as a compile and a cycle sample but not re-aggregate
-		// the ladder — that solver work ran exactly once, in r1.
-		{ID: "r5", Strategy: "linear", GMAs: []GMAReport{{
-			Name: "qs", Fingerprint: "fp1", GoalSize: 5, Cycles: 3, OptimalProven: true, SolveMillis: 10,
-			CacheHit: true, CacheOrigin: "r1",
-			Probes: []ProbeRow{{K: 2, Result: "unsat", Conflicts: 100}, {K: 3, Result: "sat", Conflicts: 5}},
-		}}},
-	}
-	s := Summarize(reps)
-	if s.Reports != 5 || s.Errors != 1 {
-		t.Fatalf("reports=%d errors=%d", s.Reports, s.Errors)
-	}
-	if s.Strategies["linear"] != 4 || s.Strategies["parallel"] != 1 {
-		t.Errorf("strategy counts = %v", s.Strategies)
-	}
-	if s.CacheHits != 1 || s.Coalesced != 0 {
-		t.Errorf("summary cache hits=%d coalesced=%d", s.CacheHits, s.Coalesced)
-	}
-	if len(s.GMAs) != 1 {
-		t.Fatalf("want 1 distinct GMA, got %d", len(s.GMAs))
-	}
-	g := s.GMAs[0]
-	if g.Name != "qs" || g.Compiles != 3 || g.Errors != 1 || g.CacheHits != 1 {
-		t.Errorf("gma = name %q compiles %d errors %d cache-hits %d", g.Name, g.Compiles, g.Errors, g.CacheHits)
-	}
-	if g.Cycles[3] != 3 {
-		t.Errorf("cycles histogram = %v", g.Cycles)
-	}
-	if g.ProbeHist[2].Unsat != 2 || g.ProbeHist[3].Sat != 2 {
-		t.Errorf("probe histogram double-counted the cached ladder: %+v", g.ProbeHist)
-	}
-	if g.TotalConflicts != 186 { // 100+5+80+1, r5's replayed 105 excluded
-		t.Errorf("TotalConflicts = %d, want 186", g.TotalConflicts)
-	}
-	if len(g.TopConflicts) == 0 || g.TopConflicts[0].Conflicts != 100 || g.TopConflicts[0].RequestID != "r1" {
-		t.Errorf("top conflicts = %+v", g.TopConflicts)
-	}
-	if g.Strategies["parallel"].MeanSolveMillis() != 2 {
-		t.Errorf("parallel mean = %v", g.Strategies["parallel"].MeanSolveMillis())
-	}
-	if g.Strategies["parallel"].MeanEncodeMillis() != 4 {
-		t.Errorf("parallel mean encode = %v", g.Strategies["parallel"].MeanEncodeMillis())
-	}
-	var sb strings.Builder
-	if err := s.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"5 reports, 1 errors, 1 distinct GMAs, 1 cache hits, 0 coalesced",
-		"qs", "fp1", "cache-hits=1",
-		"cycles=3   x3", "strategy parallel", "4.000 ms mean encode", "<- fastest", "K=2   sat=0    unsat=2", "top-conflicts K=2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary text missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestDescribeGMA(t *testing.T) {
 	gm := g("p", "r", term.NewApp("+", term.NewApp("*", term.NewVar("x"), term.NewConst(4)), term.NewConst(1)))
 	r := DescribeGMA(gm)

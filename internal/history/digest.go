@@ -48,6 +48,14 @@ func (d *Digest) Observe(v float64) {
 	d.Sum += v
 }
 
+// Mean is the mean observation, 0 on an empty digest.
+func (d Digest) Mean() float64 {
+	if d.Count == 0 {
+		return 0
+	}
+	return d.Sum / float64(d.Count)
+}
+
 // Quantile estimates the q-quantile by linear interpolation within the
 // holding bucket, clamped to the tracked extremes (the same estimator as
 // obs.HistogramSnapshot). Returns 0 on an empty digest so JSON views

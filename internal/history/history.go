@@ -1,14 +1,18 @@
-// Package history is the live per-GMA view of a compile service: it
-// folds every flight.Report the process files into rolling aggregates
-// keyed by GMA fingerprint × arch × strategy — compile counts, cycle
-// outcomes, per-GMA wall/solve latency digests (p50/p95/max), probe-ladder
-// conflict totals, cache-hit ratios and error/panic/timeout rates.
+// Package history is the one per-GMA fold of flight reports: it folds
+// every flight.Report it is given into aggregates keyed by GMA
+// fingerprint × arch × strategy — compile counts, cycle outcomes,
+// per-GMA wall/encode/solve latency digests (p50/p95/max), the probe
+// ladder's per-budget SAT/UNSAT/UNKNOWN histogram, conflict totals and
+// top-conflict probes, cache-hit ratios and error/panic/timeout rates.
 // Where flight answers "what happened to request X?" and obs answers
 // "what is this process doing right now?", history answers "what has
-// this GMA cost, under which configuration, since the process started?".
-// `denali serve` files every report here and serves the aggregates at
-// GET /debug/history; offline, flight.Summarize reads -report-out logs
-// (`denali report`).
+// this GMA cost, under which configuration?".
+//
+// One fold serves both views of that question. `denali serve` files
+// every report it records here and serves the Snapshot at GET
+// /debug/history; `denali report` ingests -report-out logs into a
+// warehouse of its own and prints the same Snapshot with WriteText. A
+// per-GMA field is therefore aggregated, tested and documented once.
 //
 // The warehouse is memory-only and goroutine-safe.
 package history
@@ -17,6 +21,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -39,8 +44,9 @@ func (k Key) String() string {
 // Aggregate is the rolling per-key record. All counters are cumulative
 // over everything ingested; the digests hold bounded-memory latency
 // sketches. Cache hits and coalesced waits are counted but excluded from
-// the solve/probe aggregates — a cached row replays the origin compile's
-// ladder and would double-count solver work that ran once.
+// the latency, probe and conflict aggregates — a cached row replays the
+// origin compile's ladder and would double-count solver work that ran
+// once.
 type Aggregate struct {
 	Key
 	// Name is the most frequent GMA name seen under this key
@@ -48,6 +54,9 @@ type Aggregate struct {
 	// the full census.
 	Name  string            `json:"name,omitempty"`
 	Names map[string]uint64 `json:"names,omitempty"`
+	// GoalSize is the GMA's total goal term size (the flight record's
+	// goal_size); one fingerprint has one goal size.
+	GoalSize int `json:"goal_size,omitempty"`
 
 	Compiles  uint64 `json:"compiles"`
 	CacheHits uint64 `json:"cache_hits,omitempty"`
@@ -62,13 +71,21 @@ type Aggregate struct {
 	Certified uint64         `json:"certified,omitempty"`
 
 	// Wall is each fresh compile's own wall time (the flight record's
-	// compile_ms, milliseconds); Solve is its SAT time.
-	Wall  Digest `json:"wall_ms"`
-	Solve Digest `json:"solve_ms"`
+	// compile_ms, milliseconds), Encode its constraint-generation time
+	// (encode_ms) and Solve its SAT time (solve_ms).
+	Wall   Digest `json:"wall_ms"`
+	Encode Digest `json:"encode_ms"`
+	Solve  Digest `json:"solve_ms"`
 
-	Probes            uint64 `json:"probes,omitempty"`
-	Conflicts         int64  `json:"conflicts,omitempty"`
-	MaxProbeConflicts int64  `json:"max_probe_conflicts,omitempty"`
+	Probes    uint64 `json:"probes,omitempty"`
+	Conflicts int64  `json:"conflicts,omitempty"`
+	// ProbeHist maps each budget K to its outcome histogram over the
+	// fresh compiles' probe ladders.
+	ProbeHist map[int]ProbeCell `json:"probe_hist,omitempty"`
+	// TopConflicts holds the highest-conflict probes of the fresh
+	// compiles (at most three, most conflicts first, the earlier probe
+	// first among equals), each with the request that ran it.
+	TopConflicts []ProbeRef `json:"top_conflicts,omitempty"`
 
 	// Engines counts which search engine produced each fresh compile's
 	// schedule ("sat" or "stochastic"); under the stochastic strategy,
@@ -76,8 +93,29 @@ type Aggregate struct {
 	// without an engine label stay uncounted.
 	Engines map[string]uint64 `json:"engines,omitempty"`
 
+	// LastSeen is the start of the latest request that filed a record
+	// under this key (the report's start; the clock when it has none), so
+	// a log read back later answers as the live process did.
 	LastSeen time.Time `json:"last_seen"`
 }
+
+// ProbeCell is one budget's outcome histogram.
+type ProbeCell struct {
+	Sat     uint64 `json:"sat,omitempty"`
+	Unsat   uint64 `json:"unsat,omitempty"`
+	Unknown uint64 `json:"unknown,omitempty"`
+}
+
+// ProbeRef is one recorded probe, for the top-conflicts list.
+type ProbeRef struct {
+	RequestID string `json:"request_id"`
+	K         int    `json:"k"`
+	Result    string `json:"result"`
+	Conflicts int64  `json:"conflicts"`
+}
+
+// topConflictsKept bounds Aggregate.TopConflicts.
+const topConflictsKept = 3
 
 // ErrorRate is the fraction of observations (fresh + cached + failed)
 // that ended in an error or panic.
@@ -114,10 +152,13 @@ func (a *Aggregate) TopCycles() int {
 func (a *Aggregate) clone() *Aggregate {
 	c := *a
 	c.Wall = a.Wall.clone()
+	c.Encode = a.Encode.clone()
 	c.Solve = a.Solve.clone()
 	c.Names = maps.Clone(a.Names)
 	c.Cycles = maps.Clone(a.Cycles)
 	c.Engines = maps.Clone(a.Engines)
+	c.ProbeHist = maps.Clone(a.ProbeHist)
+	c.TopConflicts = slices.Clone(a.TopConflicts)
 	c.Name = topName(c.Names)
 	return &c
 }
@@ -178,9 +219,12 @@ func normalizeArch(arch string) string {
 // described also counts as one request-level failure. Safe for concurrent
 // use.
 func (w *Warehouse) Ingest(rep flight.Report) {
+	seen := rep.Start
+	if seen.IsZero() {
+		seen = time.Now()
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	now := time.Now()
 	w.tot.Reports++
 	if len(rep.GMAs) == 0 || rep.Timeout {
 		switch {
@@ -196,14 +240,14 @@ func (w *Warehouse) Ingest(rep flight.Report) {
 	}
 	key := Key{Arch: normalizeArch(rep.Arch), Strategy: rep.Strategy}
 	for _, g := range rep.GMAs {
-		w.ingestGMALocked(key, g, now)
+		w.ingestGMALocked(key, rep.ID, g, seen)
 	}
 }
 
 // ingestGMALocked folds one per-GMA record into the totals and into the
 // aggregate of key with the record's fingerprint. A record without a
 // fingerprint counts toward the totals only.
-func (w *Warehouse) ingestGMALocked(key Key, g flight.GMAReport, now time.Time) {
+func (w *Warehouse) ingestGMALocked(key Key, id string, g flight.GMAReport, seen time.Time) {
 	switch {
 	case g.Error != "":
 		w.tot.Errors++
@@ -222,13 +266,18 @@ func (w *Warehouse) ingestGMALocked(key Key, g flight.GMAReport, now time.Time) 
 	key.Fingerprint = g.Fingerprint
 	a := w.keys[key]
 	if a == nil {
-		a = &Aggregate{Key: key, Names: map[string]uint64{}, Cycles: map[int]uint64{}}
+		a = &Aggregate{Key: key, Names: map[string]uint64{}, Cycles: map[int]uint64{}, ProbeHist: map[int]ProbeCell{}}
 		w.keys[key] = a
 	}
 	if g.Name != "" {
 		a.Names[g.Name]++
 	}
-	a.LastSeen = now
+	if g.GoalSize > 0 { // a record filed before the GMA was described has none
+		a.GoalSize = g.GoalSize
+	}
+	if seen.After(a.LastSeen) {
+		a.LastSeen = seen
+	}
 	switch {
 	case g.Error != "":
 		a.Errors++
@@ -254,11 +303,12 @@ func (w *Warehouse) ingestGMALocked(key Key, g flight.GMAReport, now time.Time) 
 		a.Certified++
 	}
 	a.Wall.Observe(g.CompileMillis)
+	a.Encode.Observe(g.EncodeMillis)
 	a.Solve.Observe(g.SolveMillis)
 	a.Probes += uint64(len(g.Probes))
 	for _, p := range g.Probes {
 		a.Conflicts += p.Conflicts
-		a.MaxProbeConflicts = max(a.MaxProbeConflicts, p.Conflicts)
+		a.noteProbe(id, p)
 	}
 	if g.Engine != "" {
 		if a.Engines == nil {
@@ -266,6 +316,30 @@ func (w *Warehouse) ingestGMALocked(key Key, g flight.GMAReport, now time.Time) 
 		}
 		a.Engines[g.Engine]++
 	}
+}
+
+// noteProbe counts one fresh probe into the budget histogram and, when it
+// is among the highest-conflict probes so far, into TopConflicts.
+func (a *Aggregate) noteProbe(id string, p flight.ProbeRow) {
+	c := a.ProbeHist[p.K]
+	switch strings.ToLower(p.Result) {
+	case "sat":
+		c.Sat++
+	case "unsat":
+		c.Unsat++
+	default:
+		c.Unknown++
+	}
+	a.ProbeHist[p.K] = c
+	i := len(a.TopConflicts)
+	for i > 0 && a.TopConflicts[i-1].Conflicts < p.Conflicts {
+		i--
+	}
+	if p.Conflicts == 0 || i == topConflictsKept {
+		return
+	}
+	a.TopConflicts = slices.Insert(a.TopConflicts, i, ProbeRef{RequestID: id, K: p.K, Result: p.Result, Conflicts: p.Conflicts})
+	a.TopConflicts = a.TopConflicts[:min(len(a.TopConflicts), topConflictsKept)]
 }
 
 // Totals returns the warehouse-level request counts.
@@ -284,10 +358,10 @@ func (w *Warehouse) Len() int {
 
 // SnapshotSchema tags the /debug/history body; it changes whenever the
 // key or aggregate layout, or the meaning of a field, does.
-const SnapshotSchema = "denali-history/v3"
+const SnapshotSchema = "denali-history/v4"
 
 // Snapshot is the warehouse state at one instant: the /debug/history
-// body.
+// body, and what `denali report` prints (WriteText).
 type Snapshot struct {
 	Schema string `json:"schema"`
 	// SavedAt is when the snapshot was taken.

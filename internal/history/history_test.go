@@ -3,6 +3,8 @@ package history
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,8 +61,19 @@ func TestIngestAggregates(t *testing.T) {
 	if a.Conflicts != 6*10 {
 		t.Fatalf("conflicts = %d, want 60", a.Conflicts)
 	}
-	if a.MaxProbeConflicts != 7 {
-		t.Fatalf("max probe conflicts = %d, want 7", a.MaxProbeConflicts)
+	// Every report's K=1 probe took 7 conflicts: the top three are the
+	// first three reports' (earlier first among equals), K=2's 3 never
+	// get in.
+	wantTop := []ProbeRef{
+		{RequestID: "r-0", K: 1, Result: "unsat", Conflicts: 7},
+		{RequestID: "r-1", K: 1, Result: "unsat", Conflicts: 7},
+		{RequestID: "r-2", K: 1, Result: "unsat", Conflicts: 7},
+	}
+	if !slices.Equal(a.TopConflicts, wantTop) {
+		t.Fatalf("top conflicts = %+v, want %+v", a.TopConflicts, wantTop)
+	}
+	if h := a.ProbeHist; len(h) != 2 || h[2] != (ProbeCell{Sat: 6}) || h[1] != (ProbeCell{Unsat: 6}) {
+		t.Fatalf("probe histogram = %+v, want K=2 sat 6 and K=1 unsat 6", h)
 	}
 	if a.Solve.Count != 6 || a.Solve.Min != 0.2 || a.Solve.Max != 0.5 {
 		t.Fatalf("solve digest = %+v", a.Solve)
@@ -313,5 +326,41 @@ func TestSnapshotEncodeDuringIngest(t *testing.T) {
 	}
 	if e := snap.Keys[0].Engines; e["sat"]+e["stochastic"] != 201 {
 		t.Fatalf("engines = %v, want 201 compiles counted", e)
+	}
+}
+
+// TestWriteText: the text view `denali report` prints. One GMA compiled
+// under two strategies gets a block per key, and the key with the lower
+// mean solve time is marked fastest; a cache hit is counted apart from
+// the compiles.
+func TestWriteText(t *testing.T) {
+	w := New(Config{})
+	w.Ingest(mkReport("r1", "fp1", "qs", 10, 12, 3))
+	fast := mkReport("r2", "fp1", "qs", 2, 3, 3)
+	fast.Strategy = "binary"
+	fast.GMAs[0].EncodeMillis = 4
+	w.Ingest(fast)
+	hit := mkReport("r3", "fp1", "qs", 10, 12, 3)
+	hit.GMAs[0].CacheHit = true
+	w.Ingest(hit)
+	var b strings.Builder
+	if err := w.Snapshot().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"3 reports, 0 errors, 1 distinct GMAs, 2 keys, 1 cache hits, 0 coalesced\n",
+		"\nqs  [fp1]  ev6  linear  goal-size=0  compiles=1  cache-hits=1\n  cycles=3   x2\n",
+		"\nqs  [fp1]  ev6  binary  goal-size=0  compiles=1\n  cycles=3   x1\n  100% optimal  0 certified  2 probes  10 conflicts  <- fastest\n",
+		"  encode     4.000 ms mean      4.000 p50      4.000 p95      4.000 max\n",
+		"  K=2   sat=0    unsat=1    unknown=0\n  K=3   sat=1    unsat=0    unknown=0\n",
+		"  top-conflicts K=2   unsat          7 conflicts  (request r2)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("text lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Count(out, "<- fastest") != 1 {
+		t.Errorf("want one fastest mark:\n%s", out)
 	}
 }

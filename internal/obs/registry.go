@@ -5,8 +5,9 @@ package obs
 // every compilation a process performs — counters, gauges and fixed-bucket
 // histograms — and renders them in the Prometheus text exposition format
 // (v0.0.4) so a long-running `denali serve` can be scraped. Like the rest
-// of the package it is standard-library only and goroutine-safe;
-// publishers go through the nil-safe *Sink (sink.go).
+// of the package it is standard-library only and goroutine-safe, and its
+// publishing methods (Add, Set, Observe) are no-ops on a nil *Registry,
+// as every *Trace method is on a nil *Trace.
 
 import (
 	"bufio"
@@ -79,7 +80,8 @@ func (h *histogram) observe(v float64) {
 // Registry is a process-global, goroutine-safe collection of named
 // counters, gauges and histograms, each optionally split by labels. The
 // zero value is not usable; call NewRegistry. All methods are safe for
-// concurrent use; nil-Registry safety lives one layer up in *Sink.
+// concurrent use, and Add, Set and Observe do nothing on a nil Registry,
+// so a publisher can be wired unconditionally.
 type Registry struct {
 	mu      sync.Mutex
 	decls   map[string]*metricDecl
@@ -175,7 +177,7 @@ func (r *Registry) touch(name string, k metricKey, fresh bool) {
 // Add increments a counter series by delta (negative deltas are dropped:
 // counters are monotone).
 func (r *Registry) Add(name string, delta float64, labels ...Tag) {
-	if delta < 0 {
+	if r == nil || delta < 0 {
 		return
 	}
 	r.mu.Lock()
@@ -189,6 +191,9 @@ func (r *Registry) Add(name string, delta float64, labels ...Tag) {
 
 // Set records the current value of a gauge series.
 func (r *Registry) Set(name string, v float64, labels ...Tag) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ensure(name, "gauge")
@@ -201,6 +206,9 @@ func (r *Registry) Set(name string, v float64, labels ...Tag) {
 // Observe records one observation into a histogram series. Undeclared
 // histograms use DefSecondsBuckets.
 func (r *Registry) Observe(name string, v float64, labels ...Tag) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	d := r.ensure(name, "histogram")

@@ -184,11 +184,12 @@ func TestCountersMonotoneAndLabelled(t *testing.T) {
 	}
 }
 
-func TestSinkNilSafety(t *testing.T) {
-	var sk *Sink
-	sk.Add("c", 1)
-	sk.Set("g", 2)
-	sk.Observe("h", 3)
+// TestRegistryNilSafety: publishing into a nil registry does nothing.
+func TestRegistryNilSafety(t *testing.T) {
+	var r *Registry
+	r.Add("c", 1)
+	r.Set("g", 2)
+	r.Observe("h", 3)
 }
 
 // TestRegistryConcurrent hammers one registry from many goroutines while

@@ -54,11 +54,10 @@ func random3SAT(s *Solver, seed int64, vars, clauses int) *Solver {
 // TestCompactionKeepsTrajectory: compacting the clause arena renumbers
 // refs and purges deleted clauses from the watch lists, which must change
 // nothing about the search. Two solvers run the same hard instance in
-// conflict-bounded slices. One compacts on its own and is also compacted
-// between slices; the reference never compacts, because its arena starts
-// with a long unused run that its deleted literals never reach half of.
-// Their per-slice answers and work counters, their proof logs and their
-// models must agree exactly.
+// conflict-bounded slices. Both compact at every database reduction; one
+// is also compacted between every two slices, and its watch lists are
+// checked after each of those compactions. Their per-slice answers and
+// work counters, their proof logs and their models must agree exactly.
 func TestCompactionKeepsTrajectory(t *testing.T) {
 	const vars, clauses, slice, rounds = 200, 852, 500, 40
 	pa, pb := &logProof{}, &logProof{}
@@ -67,18 +66,15 @@ func TestCompactionKeepsTrajectory(t *testing.T) {
 	random3SAT(a, 7, vars, clauses)
 	b := New()
 	b.Proof = pb
-	b.arena = make([]Lit, 1<<20)
 	random3SAT(b, 7, vars, clauses)
 	a.MaxConflicts, b.MaxConflicts = slice, slice
 	for i := 0; i < rounds; i++ {
-		if a.wasted > 0 {
-			a.compact()
-			if a.wasted != 0 || len(a.hdrs) != len(a.clauses)+len(a.learned) {
-				t.Fatalf("round %d: compaction left %d wasted literals, %d headers for %d live clauses",
-					i, a.wasted, len(a.hdrs), len(a.clauses)+len(a.learned))
-			}
-			checkWatches(t, i, a)
+		a.compact()
+		if len(a.hdrs) != len(a.clauses)+len(a.learned) {
+			t.Fatalf("round %d: compaction left %d headers for %d live clauses",
+				i, len(a.hdrs), len(a.clauses)+len(a.learned))
 		}
+		checkWatches(t, i, a)
 		ra, rb := a.Solve(), b.Solve()
 		if ra != rb || a.LastStats() != b.LastStats() {
 			t.Fatalf("round %d: compacted solver answered %v %+v, reference %v %+v",
@@ -94,9 +90,8 @@ func TestCompactionKeepsTrajectory(t *testing.T) {
 			break
 		}
 	}
-	if b.wasted == 0 || len(a.hdrs) >= len(b.hdrs) {
-		t.Fatalf("no compaction to compare (reference wasted %d literals; headers %d vs %d): make the instance harder",
-			b.wasted, len(a.hdrs), len(b.hdrs))
+	if a.Stats().Reduced == 0 {
+		t.Fatal("the database was never reduced: make the instance harder")
 	}
 	if len(pa.steps) != len(pb.steps) {
 		t.Fatalf("proof logs have %d and %d steps", len(pa.steps), len(pb.steps))

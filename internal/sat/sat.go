@@ -66,11 +66,13 @@ const crefUndef cref = -1
 
 // coff is a clause's place in the arena: the offset of the first of the
 // two header words that precede its literals. Watch lists hold offsets,
-// so propagate reads a clause's size, flags and literals from one run of
-// the arena and reaches its cref, the second word, only to report it.
+// so propagate reads a clause's size and literals from one run of the
+// arena and reaches its cref, the second word, only to report it.
 type coff int32
 
 // The first header word is the clause's size<<2 with these flags.
+// hdrDeleted marks a clause reduceDB dropped, for the compaction that
+// ends the same reduction.
 const (
 	hdrDeleted Lit = 1 << iota
 	hdrLearned
@@ -130,11 +132,8 @@ type Solver struct {
 	// to the next New.
 	tables
 
-	slab []coff // the chunk short watch lists are carved from (see watch)
-	// wasted counts the arena literals of deleted clauses, which reduceDB
-	// reclaims by compacting once they are half the arena's literals.
-	wasted int
-	qhead  int
+	slab  []coff // the chunk short watch lists are carved from (see watch)
+	qhead int
 
 	varInc float64
 	claInc float64
@@ -522,15 +521,11 @@ func (s *Solver) propagate() cref {
 		confl := crefUndef
 		for i := 0; i < len(ws); i++ {
 			o := ws[i]
-			w := arena[o]
-			if w&hdrDeleted != 0 {
-				continue // dropped by reduceDB
-			}
 			if confl != crefUndef {
 				kept = append(kept, o)
 				continue
 			}
-			ls := arena[o+2 : o+2+coff(w>>2)]
+			ls := arena[o+2 : o+2+coff(arena[o]>>2)]
 			// Normalize: watched false literal at position 1.
 			if ls[0] == falseLit {
 				ls[0], ls[1] = ls[1], ls[0]
@@ -1036,9 +1031,8 @@ func (s *Solver) learnedLimit() int {
 }
 
 // reduceDB deletes the lower-activity half of the learned clauses, keeping
-// binary clauses and clauses that are the reason for a current assignment.
-// Deleted clauses stay in the watch lists (propagate drops them lazily)
-// until their literals are half the arena; then the arena is compacted.
+// binary clauses and clauses that are the reason for a current assignment,
+// and compacts the arena, so no watch list ever holds a deleted clause.
 func (s *Solver) reduceDB() {
 	sorted := append([]cref(nil), s.learned...)
 	sort.Slice(sorted, func(i, j int) bool { return s.hdrs[sorted[i]].activity < s.hdrs[sorted[j]].activity })
@@ -1056,7 +1050,6 @@ func (s *Solver) reduceDB() {
 			continue
 		}
 		*w |= hdrDeleted
-		s.wasted += int(*w >> 2)
 		s.logDelete(c)
 		toDelete--
 	}
@@ -1069,20 +1062,19 @@ func (s *Solver) reduceDB() {
 	}
 	s.learned = kept
 	s.stats.Reduced += int64(before - len(kept))
-	// wasted counts literals, so it is weighed against the literals alone.
-	if s.wasted > (len(s.arena)-2*len(s.hdrs))/2 {
-		s.compact()
-	}
+	s.compact()
 }
 
-// compact rebuilds the arena without the deleted clauses. Live clauses
-// keep their relative order and their literal order, refs are renumbered
-// densely, and deleted clauses leave the watch lists — which changes
-// nothing propagate would do, since it skips deleted clauses anyway.
+// compact rebuilds the arena without the clauses marked deleted. Live
+// clauses keep their relative order and their literal order, refs are
+// renumbered densely, and deleted clauses leave the watch lists, whose
+// live entries keep their order — so compacting changes nothing about
+// the search. The new arena has room for all of the old one's words: the
+// clauses learned next refill what the deleted ones freed.
 func (s *Solver) compact() {
 	live := len(s.clauses) + len(s.learned)
 	remap := make([]cref, len(s.hdrs))
-	arena := make([]Lit, 0, len(s.arena)-s.wasted-2*(len(s.hdrs)-live))
+	arena := make([]Lit, 0, len(s.arena))
 	hdrs := make([]clauseHdr, 0, live)
 	for c, h := range s.hdrs {
 		w := s.arena[h.start-2]
@@ -1118,7 +1110,7 @@ func (s *Solver) compact() {
 			s.reason[v] = remap[r]
 		}
 	}
-	s.arena, s.hdrs, s.wasted = arena, hdrs, 0
+	s.arena, s.hdrs = arena, hdrs
 }
 
 // ResetPhases restores every saved phase to its default polarity —

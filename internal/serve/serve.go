@@ -118,8 +118,8 @@ type Config struct {
 	// in-memory compile cache and deduplicates concurrent ones (see
 	// internal/compilecache). Every successful compile then carries an
 	// X-Denali-Cache header (hit/miss/coalesced/bypass); a request opts
-	// out with "cache": false. The cache's metrics sink is attached to
-	// the server's registry by New.
+	// out with "cache": false. New attaches the cache to the server's
+	// registry.
 	Cache *compilecache.Cache
 }
 
@@ -127,7 +127,6 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	reg     *obs.Registry
-	sink    *obs.Sink
 	limiter chan struct{}
 	// inflight counts the HTTP requests instrument is serving right now.
 	inflight atomic.Int64
@@ -171,15 +170,14 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
-		sink:    obs.NewSink(cfg.Registry),
 		limiter: make(chan struct{}, cfg.MaxConcurrent),
 		ring:    flight.NewRing(cfg.FlightRing),
 		hist:    history.New(history.Config{}),
 	}
 	// The cache is usually built at flag-parse time, before a registry
-	// exists; attach it to the server's sink so denali_cache_* metrics
-	// land on /metrics. Nil-safe on both sides.
-	cfg.Cache.SetSink(s.sink)
+	// exists; attach it to the server's registry so denali_cache_*
+	// metrics land on /metrics. Nil-safe on both sides.
+	cfg.Cache.SetRegistry(s.reg)
 	s.reg.DeclareCounter(mHTTPRequests, "HTTP requests by path and status code.")
 	s.reg.DeclareHistogram(mHTTPSeconds, "HTTP request latency by path.", obs.DefSecondsBuckets)
 	s.reg.DeclareGauge(mHTTPInflight, "HTTP requests currently being served.")
@@ -223,33 +221,33 @@ func (s *Server) publish(rep flight.Report) {
 			continue
 		}
 		if g.Error != "" {
-			s.sink.Add(obs.MCompileErrors, 1)
+			s.reg.Add(obs.MCompileErrors, 1)
 		} else {
-			s.sink.Add(obs.MCompiles, 1, strategy)
-			s.sink.Observe(obs.MCyclesFound, float64(g.Cycles))
+			s.reg.Add(obs.MCompiles, 1, strategy)
+			s.reg.Observe(obs.MCyclesFound, float64(g.Cycles))
 		}
 		if g.Panic {
 			continue // a panicking compile never finished: only the error counts
 		}
-		s.sink.Observe(obs.MCompileSeconds, g.CompileMillis/1e3, strategy)
+		s.reg.Observe(obs.MCompileSeconds, g.CompileMillis/1e3, strategy)
 		if g.EGraphNodes > 0 { // saturation finished
-			s.sink.Observe(obs.MMatchSeconds, g.MatchMillis/1e3)
-			s.sink.Observe(obs.MEGraphNodes, float64(g.EGraphNodes))
+			s.reg.Observe(obs.MMatchSeconds, g.MatchMillis/1e3)
+			s.reg.Observe(obs.MEGraphNodes, float64(g.EGraphNodes))
 		}
 		cancelled, superseded := 0, 0
 		for _, p := range g.Probes {
 			result := obs.T("result", p.Result)
-			s.sink.Add(obs.MProbes, 1, result)
-			s.sink.Add(obs.MSolverConflicts, float64(p.Conflicts))
-			s.sink.Add(obs.MSolverDecisions, float64(p.Decisions))
-			s.sink.Add(obs.MSolverPropagations, float64(p.Propagations))
-			s.sink.Add(obs.MSolverRestarts, float64(p.Restarts))
-			s.sink.Add(obs.MSolverLearned, float64(p.Learned))
-			s.sink.Observe(obs.MSolveSeconds, p.Millis/1e3, result)
-			s.sink.Observe(obs.MSolveConflicts, float64(p.Conflicts))
-			s.sink.Observe(obs.MProbeConflicts, float64(p.Conflicts), result)
+			s.reg.Add(obs.MProbes, 1, result)
+			s.reg.Add(obs.MSolverConflicts, float64(p.Conflicts))
+			s.reg.Add(obs.MSolverDecisions, float64(p.Decisions))
+			s.reg.Add(obs.MSolverPropagations, float64(p.Propagations))
+			s.reg.Add(obs.MSolverRestarts, float64(p.Restarts))
+			s.reg.Add(obs.MSolverLearned, float64(p.Learned))
+			s.reg.Observe(obs.MSolveSeconds, p.Millis/1e3, result)
+			s.reg.Observe(obs.MSolveConflicts, float64(p.Conflicts))
+			s.reg.Observe(obs.MProbeConflicts, float64(p.Conflicts), result)
 			if p.Reused {
-				s.sink.Add(obs.MProbeIncrementalReused, 1)
+				s.reg.Add(obs.MProbeIncrementalReused, 1)
 			}
 			if p.Cancelled {
 				cancelled++
@@ -258,25 +256,25 @@ func (s *Server) publish(rep flight.Report) {
 			}
 		}
 		if rep.Strategy == core.ParallelSearch.String() {
-			s.sink.Add(obs.MProbesLaunched, float64(len(g.Probes)))
+			s.reg.Add(obs.MProbesLaunched, float64(len(g.Probes)))
 			if cancelled > 0 {
-				s.sink.Add(obs.MProbesCancelled, float64(cancelled))
+				s.reg.Add(obs.MProbesCancelled, float64(cancelled))
 			}
 			if cancelled+superseded > 0 {
-				s.sink.Add(obs.MProbeWaste, float64(cancelled+superseded), strategy)
+				s.reg.Add(obs.MProbeWaste, float64(cancelled+superseded), strategy)
 			}
 		}
 		if g.CertifyResult != "" {
 			if g.CertifyResult != "missing" {
-				s.sink.Observe(obs.MCertifySeconds, g.CertifyMillis/1e3)
-				s.sink.Observe(obs.MCertifySteps, float64(g.CertSteps))
+				s.reg.Observe(obs.MCertifySeconds, g.CertifyMillis/1e3)
+				s.reg.Observe(obs.MCertifySteps, float64(g.CertSteps))
 			}
-			s.sink.Add(obs.MCertifyChecks, 1, obs.T("result", g.CertifyResult))
+			s.reg.Add(obs.MCertifyChecks, 1, obs.T("result", g.CertifyResult))
 		}
 		if g.StokeSteps > 0 {
-			s.sink.Add(obs.MStokeSteps, float64(g.StokeSteps))
-			s.sink.Add(obs.MStokeVerified, float64(g.StokeVerified))
-			s.sink.Add(obs.MStokeRejects, float64(g.StokeRejects))
+			s.reg.Add(obs.MStokeSteps, float64(g.StokeSteps))
+			s.reg.Add(obs.MStokeVerified, float64(g.StokeVerified))
+			s.reg.Add(obs.MStokeRejects, float64(g.StokeRejects))
 		}
 	}
 }
@@ -290,9 +288,9 @@ func (s *Server) verify(res *repro.Result, n int) error {
 			if err := g.Verify(n, 1); err != nil {
 				return fmt.Errorf("verification of %s failed: %w", g.Name, err)
 			}
-			s.sink.Add(obs.MVerifyTrials, float64(n))
-			s.sink.Add(obs.MSimCycles, float64(n*g.Cycles))
-			s.sink.Add(obs.MSimInstrs, float64(n*g.Instructions))
+			s.reg.Add(obs.MVerifyTrials, float64(n))
+			s.reg.Add(obs.MSimCycles, float64(n*g.Cycles))
+			s.reg.Add(obs.MSimInstrs, float64(n*g.Instructions))
 		}
 	}
 	return nil
@@ -456,12 +454,12 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		defer s.inflight.Add(-1)
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.sink.Add(mHTTPPanics, 1)
+				s.reg.Add(mHTTPPanics, 1)
 				// Headers may already be gone; best effort.
 				http.Error(sw, fmt.Sprintf("internal error: %v", rec), http.StatusInternalServerError)
 			}
-			s.sink.Observe(mHTTPSeconds, time.Since(t0).Seconds(), obs.T("path", path))
-			s.sink.Add(mHTTPRequests, 1, obs.T("path", path), obs.T("code", fmt.Sprintf("%d", sw.code)))
+			s.reg.Observe(mHTTPSeconds, time.Since(t0).Seconds(), obs.T("path", path))
+			s.reg.Add(mHTTPRequests, 1, obs.T("path", path), obs.T("code", fmt.Sprintf("%d", sw.code)))
 			s.logAccess(r, info, sw.code, time.Since(t0))
 		}()
 		h(sw, r)
@@ -665,7 +663,7 @@ func (s *Server) readCompileRequest(r *http.Request) (req CompileRequest, code i
 		return req, http.StatusBadRequest, "read body: " + err.Error()
 	}
 	if int64(len(raw)) > s.cfg.MaxSourceBytes {
-		s.sink.Add(mRejected, 1, obs.T("reason", "too_large"))
+		s.reg.Add(mRejected, 1, obs.T("reason", "too_large"))
 		return req, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("source exceeds %d bytes", s.cfg.MaxSourceBytes)
 	}
@@ -714,7 +712,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.ready.Load() {
-		s.sink.Add(mRejected, 1, obs.T("reason", "draining"))
+		s.reg.Add(mRejected, 1, obs.T("reason", "draining"))
 		reject(http.StatusServiceUnavailable, "server draining")
 		return
 	}
@@ -739,12 +737,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.limiter <- struct{}{}:
 	case <-admit.C:
-		s.sink.Add(mRejected, 1, obs.T("reason", "busy"))
+		s.reg.Add(mRejected, 1, obs.T("reason", "busy"))
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
 		reject(http.StatusServiceUnavailable, "server busy: concurrency limit reached")
 		return
 	case <-r.Context().Done():
-		s.sink.Add(mRejected, 1, obs.T("reason", "client_gone"))
+		s.reg.Add(mRejected, 1, obs.T("reason", "client_gone"))
 		reject(http.StatusServiceUnavailable, "client cancelled while queued")
 		return
 	}
@@ -833,7 +831,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// The compilation has no cancellation point; it keeps its limiter
 		// slot until it finishes, so sustained timeouts degrade into 503s
 		// rather than oversubscription.
-		s.sink.Add(mRejected, 1, obs.T("reason", "timeout"))
+		s.reg.Add(mRejected, 1, obs.T("reason", "timeout"))
 		writeJSON(w, http.StatusGatewayTimeout, errorJSON{Error: timeoutMsg, RequestID: info.id})
 		return
 	}
@@ -909,11 +907,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// flight.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	s.sink.Set(mUptimeSeconds, time.Since(s.reg.StartTime()).Seconds())
-	s.sink.Set(mGoroutines, float64(runtime.NumGoroutine()))
-	s.sink.Set(mHeapBytes, float64(ms.HeapAlloc))
-	s.sink.Set(mNumGC, float64(ms.NumGC))
-	s.sink.Set(mHTTPInflight, float64(s.inflight.Load()))
+	s.reg.Set(mUptimeSeconds, time.Since(s.reg.StartTime()).Seconds())
+	s.reg.Set(mGoroutines, float64(runtime.NumGoroutine()))
+	s.reg.Set(mHeapBytes, float64(ms.HeapAlloc))
+	s.reg.Set(mNumGC, float64(ms.NumGC))
+	s.reg.Set(mHTTPInflight, float64(s.inflight.Load()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
 }

@@ -178,7 +178,7 @@ func TestServeConcurrentCompile(t *testing.T) {
 	}
 
 	samples := scrapeMetrics(t, ts.URL)
-	// Every request compiled at least one GMA through the shared sink.
+	// Every request compiled at least one GMA into the shared registry.
 	if got := samples[`denali_compile_seconds_count{strategy="linear"}`]; got < clients {
 		t.Errorf("compile latency histogram count = %g, want >= %d", got, clients)
 	}

@@ -72,7 +72,8 @@ type Options struct {
 	// the parallel strategy, and concurrently compiled GMAs in Compile.
 	// <= 1 means sequential compilation, and so does a Compile with a
 	// Trace (see Trace); the parallel strategy with Workers <= 0 uses
-	// GOMAXPROCS probes.
+	// GOMAXPROCS probes. Compile runs every GMA whatever Workers says:
+	// a failing GMA stops none of the others, and the errors are joined.
 	Workers int
 	// MaxCycles bounds the budget search (default 24).
 	MaxCycles int
@@ -353,23 +354,14 @@ func Compile(src string, opt Options) (*Result, error) {
 		res.Procs = append(res.Procs, cp)
 	}
 
-	workers := opt.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
+	// Each GMA is isolated: compileOne converts panics to errors, and
+	// every job runs to completion so one failure cannot poison the
+	// others; the errors are then joined. A Trace compiles one GMA at a
+	// time (see Options.Trace).
+	workers := max(1, min(opt.Workers, len(jobs)))
+	if opt.Trace != nil {
+		workers = 1
 	}
-	if workers <= 1 || opt.Trace != nil {
-		for _, j := range jobs {
-			cg, err := compileOne(j.g, copts, opt.Flight, cc)
-			if err != nil {
-				return nil, fmt.Errorf("repro: %s: %w", j.g.Name, err)
-			}
-			j.proc.GMAs[j.idx] = cg
-		}
-		return res, nil
-	}
-	// Parallel multi-GMA compilation. Each GMA is isolated: compileOne
-	// converts panics to errors, and every job runs to completion so one
-	// failure cannot poison the others; the errors are then joined.
 	var (
 		wg   sync.WaitGroup
 		sem  = make(chan struct{}, workers)
@@ -377,7 +369,6 @@ func Compile(src string, opt Options) (*Result, error) {
 		errs []error
 	)
 	for _, j := range jobs {
-		j := j
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {

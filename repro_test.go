@@ -2,6 +2,7 @@ package repro
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -895,5 +896,36 @@ func TestTraceCompilesOneGMAAtATime(t *testing.T) {
 	}
 	if !strings.HasSuffix(row, "100.0%") {
 		t.Errorf("compile row = %q, want 100.0%% of the trace:\n%s", row, table)
+	}
+}
+
+// TestWorkersAgreeOnFailures: Compile runs every GMA whatever Workers
+// says, so one worker and two return the same joined error and file the
+// same records when GMAs fail. Under a one-node matcher budget two of
+// checksum's three GMAs fail and one compiles.
+func TestWorkersAgreeOnFailures(t *testing.T) {
+	run := func(workers int) (string, []string) {
+		fr := flight.NewRecorder("workers")
+		_, err := Compile(programs.Checksum, Options{MatcherMaxNodes: 1, Workers: workers, Flight: fr})
+		if err == nil {
+			t.Fatalf("workers %d: want an error", workers)
+		}
+		var recs []string
+		for _, g := range fr.Report(0).GMAs {
+			recs = append(recs, fmt.Sprintf("%s %s cycles=%d optimal=%v error=%q", g.Name, g.Fingerprint, g.Cycles, g.OptimalProven, g.Error))
+		}
+		slices.Sort(recs)
+		return err.Error(), recs
+	}
+	err1, recs1 := run(1)
+	err2, recs2 := run(2)
+	if err1 != err2 {
+		t.Errorf("errors differ:\n1 worker:  %s\n2 workers: %s", err1, err2)
+	}
+	if !slices.Equal(recs1, recs2) {
+		t.Errorf("records differ:\n1 worker:  %q\n2 workers: %q", recs1, recs2)
+	}
+	if n := strings.Count(err1, "repro: "); len(recs1) != 3 || n != 2 {
+		t.Fatalf("%d records and %d errors, want 3 and 2:\n%s\n%q", len(recs1), n, err1, recs1)
 	}
 }

@@ -61,6 +61,25 @@ if ! grep -Eq '^compile +.* 100\.0%$' "$tmp/stderr" || ! grep -Eq '^sat\.conflic
     exit 1
 fi
 
+echo "== report smoke (denali -report-out on byteswap4 and checksum into one log; denali report prints each GMA's cycles line and probe histogram, and -top 1 exactly one fingerprint block)"
+go build -o "$tmp/denali" ./cmd/denali
+awk '/^const Checksum = `/ {f = 1; next} f && /^`/ {exit} f' internal/programs/programs.go >"$tmp/checksum.dn"
+"$tmp/denali" -report-out "$tmp/r.jsonl" -q examples/byteswap/byteswap.dn
+"$tmp/denali" -report-out "$tmp/r.jsonl" -q "$tmp/checksum.dn"
+"$tmp/denali" report "$tmp/r.jsonl" >"$tmp/report.txt"
+cat "$tmp/report.txt"
+for g in byteswap4 checksum checksum_loop checksum_block2; do
+    block=$(awk -v g="$g" '$1 == g && $2 ~ /^\[/ {f = 1; print; next} /^$/ {f = 0} f' "$tmp/report.txt")
+    if ! echo "$block" | grep -Eq '^  cycles=[0-9]+ +x1$' || ! echo "$block" | grep -Eq '^  K=[0-9]+ +sat=[0-9]+ +unsat=[0-9]+ +unknown=[0-9]+$'; then
+        echo "report smoke: $g has no block with a cycles line and a probe histogram" >&2
+        exit 1
+    fi
+done
+if [ "$("$tmp/denali" report -top 1 "$tmp/r.jsonl" | grep -Ec '^[^ ].*  \[[0-9a-f]{16}\]  ')" != 1 ]; then
+    echo "report smoke: -top 1 must print exactly one fingerprint block" >&2
+    exit 1
+fi
+
 echo "== certification gate (drat checker tests + end-to-end -certify)"
 go test ./internal/drat
 out=$(go run ./cmd/denali -certify -q examples/byteswap/byteswap.dn)
