@@ -85,6 +85,10 @@ type Graph struct {
 
 	pendingMerges [][2]ClassID
 	pendingFolds  []NodeID
+
+	// instBuf and argBuf are Instantiate's scratch: the class of each
+	// template node built so far, and one application's arguments.
+	instBuf, argBuf []ClassID
 }
 
 // New returns an empty E-graph with constant folding enabled.

@@ -52,11 +52,11 @@ type pnode struct {
 // its pattern variables, every other variable matches only itself.
 func NewPattern(pats []*term.Term, patVars map[string]bool) *Pattern {
 	p := &Pattern{}
-	slots := map[string]int32{}
+	slots := map[string]bool{}
 	var collect func(t *term.Term)
 	collect = func(t *term.Term) {
 		if t.Kind == term.Var && patVars[t.Name] {
-			slots[t.Name] = 0
+			slots[t.Name] = true
 		}
 		for _, a := range t.Args {
 			collect(a)
@@ -69,25 +69,35 @@ func NewPattern(pats []*term.Term, patVars map[string]bool) *Pattern {
 		p.names = append(p.names, n)
 	}
 	slices.Sort(p.names)
-	for i, n := range p.names {
-		slots[n] = int32(i)
-	}
-	var compile func(t *term.Term) int32
-	compile = func(t *term.Term) int32 {
-		n := pnode{kind: t.Kind, op: t.Op, word: t.Word, name: t.Name, slot: -1}
-		if slot, ok := slots[t.Name]; ok && t.Kind == term.Var {
-			n.slot = slot
-		}
-		for _, a := range t.Args {
-			n.args = append(n.args, compile(a))
-		}
-		p.nodes = append(p.nodes, n)
-		return int32(len(p.nodes) - 1)
-	}
 	for _, t := range pats {
-		p.roots = append(p.roots, compile(t))
+		p.roots = append(p.roots, p.compile(&p.nodes, t))
 	}
 	return p
+}
+
+// compile appends t's nodes to nodes in post-order (each argument's
+// subtree, left to right, then the node itself) and returns the index
+// of its root. A variable that is one of p's pattern variables gets its
+// slot; any other is free.
+func (p *Pattern) compile(nodes *[]pnode, t *term.Term) int32 {
+	n := pnode{kind: t.Kind, op: t.Op, word: t.Word, name: t.Name, slot: -1}
+	if t.Kind == term.Var {
+		n.slot = int32(p.Slot(t.Name))
+	}
+	for _, a := range t.Args {
+		n.args = append(n.args, p.compile(nodes, a))
+	}
+	*nodes = append(*nodes, n)
+	return int32(len(*nodes) - 1)
+}
+
+// Slot returns the row slot of pattern variable name, or -1 when name
+// is not one of p's pattern variables.
+func (p *Pattern) Slot(name string) int {
+	if i, ok := slices.BinarySearch(p.names, name); ok {
+		return i
+	}
+	return -1
 }
 
 // Width returns the number of pattern variables: the width of a row of
@@ -239,24 +249,48 @@ func (m *matchState) matchOne(pi int32, class ClassID, i int) {
 // the search merges nothing.
 func (m *matchState) record() { m.out.Add(m.env) }
 
-// Instantiate interns the instance of t under substitution s: pattern
-// variables become their bound classes, other leaves are interned directly.
-func (g *Graph) Instantiate(t *term.Term, s Subst) ClassID {
-	switch t.Kind {
-	case term.Const:
-		return g.addConst(t.Word)
-	case term.Var:
-		if c, ok := s[t.Name]; ok {
-			return g.Find(c)
+// Template is a term compiled against a pattern's slots, so that an
+// instance of it can be built straight from one of the pattern's match
+// rows. Its nodes are in post-order: building them in order interns
+// exactly what a recursive walk of the term would, in the same order.
+type Template struct {
+	nodes []pnode
+}
+
+// Template compiles t against p's slots: a pattern variable of p takes
+// its class from the row, and every other variable is interned by name.
+func (p *Pattern) Template(t *term.Term) *Template {
+	tp := &Template{}
+	p.compile(&tp.nodes, t)
+	return tp
+}
+
+// Instantiate interns tp's instance under row, a match row of the
+// pattern tp was compiled against, and returns its class.
+func (g *Graph) Instantiate(tp *Template, row []ClassID) ClassID {
+	vals := g.instBuf[:0]
+	for i := range tp.nodes {
+		pn := &tp.nodes[i]
+		var c ClassID
+		switch {
+		case pn.kind == term.Const:
+			c = g.addConst(pn.word)
+		case pn.kind == term.Var && pn.slot >= 0:
+			c = g.Find(row[pn.slot])
+		case pn.kind == term.Var:
+			c = g.addVar(pn.name)
+		default:
+			args := g.argBuf[:0]
+			for _, a := range pn.args {
+				args = append(args, vals[a])
+			}
+			g.argBuf = args
+			c = g.AddApp(pn.op, args)
 		}
-		return g.addVar(t.Name)
-	default:
-		args := make([]ClassID, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = g.Instantiate(a, s)
-		}
-		return g.AddApp(t.Op, args)
+		vals = append(vals, c)
 	}
+	g.instBuf = vals
+	return vals[len(vals)-1]
 }
 
 // CountComputations returns the number of distinct computations of class c

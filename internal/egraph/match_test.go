@@ -148,13 +148,14 @@ func TestMatchDeduplicates(t *testing.T) {
 func TestInstantiate(t *testing.T) {
 	g := New()
 	g.AddTerm(term.MustParse("(mul64 reg6 4)"))
-	pat := term.MustParse("(mul64 k 4)")
-	subs := g.Match(pat, vars("k"))
-	if len(subs) != 1 {
+	p := NewPattern([]*term.Term{term.MustParse("(mul64 k 4)")}, vars("k"))
+	var rows RowSet
+	g.MatchRows(p, &rows)
+	if rows.Len() != 1 {
 		t.Fatal("expected a match")
 	}
-	rhs := term.MustParse("(sll k 2)")
-	c := g.Instantiate(rhs, subs[0])
+	rhs := p.Template(term.MustParse("(sll k 2)"))
+	c := g.Instantiate(rhs, rows.Row(0))
 	reg6 := g.AddTerm(term.NewVar("reg6"))
 	want := g.AddApp("sll", []ClassID{reg6, g.AddTerm(term.NewConst(2))})
 	if g.Find(c) != g.Find(want) {

@@ -144,10 +144,10 @@ func Saturate(g *egraph.Graph, axs []*axioms.Axiom, opt Options) (Result, error)
 
 // saturation is the matching state of one Saturate call.
 type saturation struct {
-	g    *egraph.Graph
-	axs  []*axioms.Axiom
-	opt  Options
-	pats []*egraph.Pattern // axs[i]'s compiled trigger patterns
+	g     *egraph.Graph
+	axs   []*axioms.Axiom
+	opt   Options
+	rules []rule // axs[i] compiled against its trigger patterns
 	// done[i] holds the rows of axs[i] that need no second look: the
 	// instantiated ones and those that are fully constant or whose
 	// conditions are definitely false. Each is keyed on its classes as
@@ -155,29 +155,77 @@ type saturation struct {
 	done []egraph.RowSet
 	rows egraph.RowSet    // the current axiom's matches
 	key  []egraph.ClassID // a row re-canonicalized
+	env  *semantics.Env   // a condition's variables bound to constants
 	res  Result
 }
 
+// rule is one axiom compiled against its trigger patterns' slots, so an
+// instance is read straight from a match row. The patterns are compiled
+// with the saturation; the templates of the terms an instance builds,
+// and the slots of its conditions, on the axiom's first row that is not
+// fully constant, since most axioms never get one (byteswap4 reaches 17
+// of the 86 builtin axioms).
+type rule struct {
+	pat      *egraph.Pattern
+	compiled bool
+	lhs, rhs *egraph.Template // Equality and Distinction bodies
+	clause   []clauseLit      // a ClauseBody's literals
+	conds    []condition
+}
+
+type clauseLit struct {
+	eq   bool
+	a, b *egraph.Template
+}
+
+// condition is a side condition with the slot of each of its variables,
+// -1 for a variable the patterns do not bind.
+type condition struct {
+	t     *term.Term
+	vars  []string
+	slots []int
+}
+
 func newSaturation(g *egraph.Graph, axs []*axioms.Axiom, opt Options) *saturation {
-	s := &saturation{g: g, axs: axs, opt: opt}
-	s.pats = make([]*egraph.Pattern, len(axs))
+	s := &saturation{g: g, axs: axs, opt: opt, env: semantics.NewEnv()}
+	s.rules = make([]rule, len(axs))
 	s.done = make([]egraph.RowSet, len(axs))
 	for i, ax := range axs {
-		s.pats[i] = egraph.NewPattern(ax.Patterns, ax.VarSet())
-		s.done[i].Reset(s.pats[i].Width())
+		s.rules[i].pat = egraph.NewPattern(ax.Patterns, ax.VarSet())
+		s.done[i].Reset(s.rules[i].pat.Width())
 	}
 	return s
+}
+
+// compile fills in r's templates and condition slots from ax.
+func (r *rule) compile(ax *axioms.Axiom) {
+	r.compiled = true
+	switch ax.Kind {
+	case axioms.Equality, axioms.Distinction:
+		r.lhs, r.rhs = r.pat.Template(ax.LHS), r.pat.Template(ax.RHS)
+	default:
+		for _, cl := range ax.Clause {
+			r.clause = append(r.clause, clauseLit{cl.Eq, r.pat.Template(cl.A), r.pat.Template(cl.B)})
+		}
+	}
+	for _, c := range ax.Conditions {
+		cd := condition{t: c, vars: c.Vars()}
+		for _, v := range cd.vars {
+			cd.slots = append(cd.slots, r.pat.Slot(v))
+		}
+		r.conds = append(r.conds, cd)
+	}
 }
 
 // apply matches axiom i and instantiates, in match order, each of its
 // rows that is not done, up to opt.MaxMatchesPerAxiom of them. It
 // reports whether that cap cut the list.
 func (s *saturation) apply(i int) (capped bool, err error) {
-	g, ax, pat, done := s.g, s.axs[i], s.pats[i], &s.done[i]
-	g.MatchRows(pat, &s.rows)
+	g, ax, r, done := s.g, s.axs[i], &s.rules[i], &s.done[i]
+	g.MatchRows(r.pat, &s.rows)
 	kept := 0
-	for r := 0; r < s.rows.Len(); r++ {
-		row := s.rows.Row(r)
+	for j := 0; j < s.rows.Len(); j++ {
+		row := s.rows.Row(j)
 		// Instantiating an earlier row may have merged this row's
 		// classes since the search, so the done check canonicalizes
 		// them again.
@@ -192,15 +240,17 @@ func (s *saturation) apply(i int) (capped bool, err error) {
 			return true, nil
 		}
 		kept++
-		sub := pat.Subst(row)
 		// Fully-constant instances are redundant with constant folding
 		// and, worse, breed fresh constants without bound (0 ->
 		// add64(0,0) -> mul64(0,2) -> 2 -> 4 ...).
-		if len(sub) > 0 && allConstant(g, sub) {
+		if len(row) > 0 && allConstant(g, row) {
 			done.Add(s.key)
 			continue
 		}
-		condOK, condGround := checkConditions(g, ax, sub)
+		if !r.compiled {
+			r.compile(ax)
+		}
+		condOK, condGround := s.checkConditions(r, row)
 		if !condOK {
 			if condGround {
 				// Definitely false: never revisit.
@@ -209,7 +259,7 @@ func (s *saturation) apply(i int) (capped bool, err error) {
 			continue
 		}
 		done.Add(s.key)
-		if err := instantiate(g, ax, sub); err != nil {
+		if err := s.instantiate(ax, r, row); err != nil {
 			return false, fmt.Errorf("matcher: instantiating %s: %w", ax.Name, err)
 		}
 		s.res.Instantiations++
@@ -217,10 +267,9 @@ func (s *saturation) apply(i int) (capped bool, err error) {
 	return false, nil
 }
 
-// allConstant reports whether every class bound by the substitution holds a
-// constant.
-func allConstant(g *egraph.Graph, sub egraph.Subst) bool {
-	for _, cls := range sub {
+// allConstant reports whether every class of the row holds a constant.
+func allConstant(g *egraph.Graph, row []egraph.ClassID) bool {
+	for _, cls := range row {
 		if _, ok := g.ConstValue(cls); !ok {
 			return false
 		}
@@ -228,31 +277,22 @@ func allConstant(g *egraph.Graph, sub egraph.Subst) bool {
 	return true
 }
 
-// checkConditions evaluates the axiom's side conditions under the binding.
+// checkConditions evaluates the rule's side conditions under the row.
 // The first result is whether all conditions hold; the second is whether
 // the verdict is final (all condition variables were bound to constants).
-func checkConditions(g *egraph.Graph, ax *axioms.Axiom, sub egraph.Subst) (ok, ground bool) {
-	for _, c := range ax.Conditions {
-		repl := map[string]*term.Term{}
-		groundHere := true
-		for _, v := range c.Vars() {
-			cls, bound := sub[v]
-			if !bound {
-				groundHere = false
-				break
+func (s *saturation) checkConditions(r *rule, row []egraph.ClassID) (ok, ground bool) {
+	for _, c := range r.conds {
+		for k, slot := range c.slots {
+			if slot < 0 {
+				return false, false
 			}
-			w, isConst := g.ConstValue(cls)
+			w, isConst := s.g.ConstValue(row[slot])
 			if !isConst {
-				groundHere = false
-				break
+				return false, false
 			}
-			repl[v] = term.NewConst(w)
+			s.env.Words[c.vars[k]] = w
 		}
-		if !groundHere {
-			return false, false
-		}
-		inst := c.Substitute(repl)
-		v, err := semantics.EvalWord(inst, semantics.NewEnv())
+		v, err := semantics.EvalWord(c.t, s.env)
 		if err != nil || v == 0 {
 			return false, true
 		}
@@ -260,28 +300,29 @@ func checkConditions(g *egraph.Graph, ax *axioms.Axiom, sub egraph.Subst) (ok, g
 	return true, true
 }
 
-func instantiate(g *egraph.Graph, ax *axioms.Axiom, sub egraph.Subst) error {
+func (s *saturation) instantiate(ax *axioms.Axiom, r *rule, row []egraph.ClassID) error {
+	g := s.g
 	switch ax.Kind {
 	case axioms.Equality:
-		l := g.Instantiate(ax.LHS, sub)
-		r := g.Instantiate(ax.RHS, sub)
-		return g.Merge(l, r)
+		l := g.Instantiate(r.lhs, row)
+		rr := g.Instantiate(r.rhs, row)
+		return g.Merge(l, rr)
 	case axioms.Distinction:
-		l := g.Instantiate(ax.LHS, sub)
-		r := g.Instantiate(ax.RHS, sub)
-		if g.Find(l) == g.Find(r) {
+		l := g.Instantiate(r.lhs, row)
+		rr := g.Instantiate(r.rhs, row)
+		if g.Find(l) == g.Find(rr) {
 			return fmt.Errorf("distinction %s contradicted", ax.Name)
 		}
-		if g.Distinct(l, r) {
+		if g.Distinct(l, rr) {
 			return nil
 		}
-		return g.AssertDistinct(l, r)
+		return g.AssertDistinct(l, rr)
 	default:
-		lits := make([]egraph.Literal, 0, len(ax.Clause))
-		for _, cl := range ax.Clause {
-			a := g.Instantiate(cl.A, sub)
-			b := g.Instantiate(cl.B, sub)
-			lits = append(lits, egraph.Literal{Eq: cl.Eq, A: a, B: b})
+		lits := make([]egraph.Literal, 0, len(r.clause))
+		for _, cl := range r.clause {
+			a := g.Instantiate(cl.a, row)
+			b := g.Instantiate(cl.b, row)
+			lits = append(lits, egraph.Literal{Eq: cl.eq, A: a, B: b})
 		}
 		g.AddClause(lits)
 		return nil
