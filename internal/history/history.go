@@ -117,38 +117,6 @@ type ProbeRef struct {
 // topConflictsKept bounds Aggregate.TopConflicts.
 const topConflictsKept = 3
 
-// ErrorRate is the fraction of observations (fresh + cached + failed)
-// that ended in an error or panic.
-func (a *Aggregate) ErrorRate() float64 {
-	total := a.Compiles + a.CacheHits + a.Coalesced + a.Errors
-	if total == 0 {
-		return 0
-	}
-	return float64(a.Errors) / float64(total)
-}
-
-// CacheHitRatio is the fraction of successful observations answered from
-// the compile cache (hit or coalesced).
-func (a *Aggregate) CacheHitRatio() float64 {
-	total := a.Compiles + a.CacheHits + a.Coalesced
-	if total == 0 {
-		return 0
-	}
-	return float64(a.CacheHits+a.Coalesced) / float64(total)
-}
-
-// TopCycles returns the most frequent winning budget (-1 when none
-// recorded), the GMA's expected answer.
-func (a *Aggregate) TopCycles() int {
-	best, bestN := -1, uint64(0)
-	for k, n := range a.Cycles {
-		if n > bestN || (n == bestN && k < best) {
-			best, bestN = k, n
-		}
-	}
-	return best
-}
-
 func (a *Aggregate) clone() *Aggregate {
 	c := *a
 	c.Wall = a.Wall.clone()

@@ -3,6 +3,7 @@ package history
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -55,7 +56,7 @@ func TestIngestAggregates(t *testing.T) {
 		t.Fatalf("snapshot holds %d aggregates for fp1, want 1", len(as))
 	}
 	a := as[0]
-	if a.Compiles != 6 || a.Name != "double" || a.TopCycles() != 2 {
+	if a.Compiles != 6 || a.Name != "double" || !maps.Equal(a.Cycles, map[int]uint64{2: 6}) {
 		t.Fatalf("aggregate = %+v", a)
 	}
 	if a.Conflicts != 6*10 {
@@ -108,8 +109,9 @@ func TestFailedCompileSharesItsGMAsKey(t *testing.T) {
 		}
 		t.Fatalf("%d aggregates for one GMA, want 1", len(snap.Keys))
 	}
-	if a := snap.Keys[0]; a.Compiles != 1 || a.Errors != 1 || a.ErrorRate() != 0.5 {
-		t.Fatalf("aggregate: compiles=%d errors=%d error rate %v, want 1, 1 and 0.5", a.Compiles, a.Errors, a.ErrorRate())
+	if a := snap.Keys[0]; a.Compiles != 1 || a.Errors != 1 || a.CacheHits != 0 || a.Coalesced != 0 {
+		t.Fatalf("aggregate: compiles=%d errors=%d cache hits=%d coalesced=%d, want 1, 1, 0 and 0",
+			a.Compiles, a.Errors, a.CacheHits, a.Coalesced)
 	}
 }
 
@@ -189,17 +191,11 @@ func TestIngestFailuresAndCacheOutcomes(t *testing.T) {
 		t.Fatalf("snapshot holds %d aggregates for fp2", len(as))
 	}
 	a := as[0]
-	if a.CacheHits != 1 || a.Errors != 1 || a.Compiles != 0 {
+	if a.CacheHits != 1 || a.Coalesced != 0 || a.Errors != 1 || a.Compiles != 0 {
 		t.Fatalf("aggregate = %+v", a)
 	}
 	if a.Solve.Count != 0 {
 		t.Fatalf("cache hit leaked into solve digest: %+v", a.Solve)
-	}
-	if a.CacheHitRatio() != 1 {
-		t.Fatalf("cache hit ratio = %v, want 1 (1 hit / 1 successful)", a.CacheHitRatio())
-	}
-	if a.ErrorRate() != 0.5 {
-		t.Fatalf("error rate = %v, want 0.5", a.ErrorRate())
 	}
 }
 
