@@ -137,6 +137,9 @@ type Solver struct {
 
 	varInc float64
 	claInc float64
+	// resets counts ResetActivities calls; it feeds the activity noise
+	// (see noiseSeed).
+	resets uint64
 
 	unsat bool
 
@@ -293,7 +296,7 @@ func (s *Solver) NewVar() int {
 	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
-	s.activity = append(s.activity, 0)
+	s.activity = append(s.activity, s.noise(v))
 	s.phase = append(s.phase, false)
 	s.defPhase = append(s.defPhase, false)
 	s.heapPos = append(s.heapPos, -1)
@@ -1120,9 +1123,35 @@ func (s *Solver) ResetPhases() {
 	copy(s.phase, s.defPhase)
 }
 
-// ResetActivities zeroes the variable activities, resets both bump
-// increments (variable and clause) to 1, and restores the branching heap
-// to canonical variable order, leaving phases and clauses untouched.
+// noiseSeed, when nonzero, gives every variable a starting activity in
+// [0, 1e-3) at NewVar and at each ResetActivities, in place of 0: a hash
+// of the seed, the variable and the solver's reset count. Each seed is
+// one reproducible perturbation of the branching order, which the test
+// harness uses to tell a change to the search from a lucky or unlucky
+// draw. Only tests set it (export_test.go); 0 leaves every search as it
+// is.
+var noiseSeed uint64
+
+// noise is variable v's starting activity: 0 unless noiseSeed is set.
+func (s *Solver) noise(v int) float64 {
+	if noiseSeed == 0 {
+		return 0
+	}
+	// splitmix64's finalizer over the seed, the variable and the reset
+	// count, scaled from its top 53 bits to [0, 1e-3).
+	h := noiseSeed ^ uint64(v)*0x9e3779b97f4a7c15 ^ s.resets*0xbf58476d1ce4e5b9
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return float64(h>>11) / (1 << 53) * 1e-3
+}
+
+// ResetActivities zeroes the variable activities (re-draws their noise
+// when noiseSeed is set), resets both bump increments (variable and
+// clause) to 1, and restores the branching heap to canonical variable
+// order, leaving phases and clauses untouched.
 // After the reset the solver branches exactly like a freshly-built one on
 // the same clauses: with all activities tied, decision order is
 // heap-array order, which pops and re-inserts would otherwise have
@@ -1130,8 +1159,9 @@ func (s *Solver) ResetPhases() {
 // old scale, which can dwarf the reset increment, so database reduction
 // still favours the clauses that were active before the reset.
 func (s *Solver) ResetActivities() {
+	s.resets++
 	for v := range s.activity {
-		s.activity[v] = 0
+		s.activity[v] = s.noise(v)
 	}
 	s.varInc = 1.0
 	s.claInc = 1.0

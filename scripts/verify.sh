@@ -99,6 +99,9 @@ echo "== trajectory gate (golden corpus: per-probe solver counters, assembly, ce
 go test -run '^(TestSolverTrajectory|TestLinearWindowAtBaseline)$' -count=1 ./internal/core
 go test -run '^TestSearchPinned$' -count=1 ./internal/sat
 
+echo "== yardstick smoke (golden corpus under 3 seeded activity perturbations: every seed reaches the unperturbed answers; prints ladder conflicts per GMA)"
+go test -run '^TestYardstick$' -count=1 -v ./internal/sat -yardstick 3
+
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/lang
 go test -run '^$' -fuzz '^FuzzSolver$' -fuzztime 10s ./internal/sat
