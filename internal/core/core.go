@@ -326,8 +326,8 @@ type probeFunc func(k int) (*schedule.Schedule, sat.Result, error)
 // A probe beyond the window grows it in place, so the window only sets
 // speed, never an answer. The up-front size shapes the search itself,
 // heavily and not monotonically: checksum_loop's K=4 refutation takes
-// 853, 797, 3,616 and 10,274 lemmas with windows of 5, 6, 7 and 8 cycles
-// (its bound, 9, keeps it at 7).
+// 7,417, 3,321, 541 and 3,731 lemmas with windows of 5, 6, 7 and 8
+// cycles (its bound, 9, keeps it at 7).
 func initialWindow(opt Options, bound int) int {
 	switch opt.Search {
 	case BinarySearch:

@@ -125,7 +125,8 @@ func BenchmarkEngineLadder(b *testing.B) {
 // certified optimum, the costliest SAT work of the certified corpus:
 // linear search's ladder K = 0…4 on one engine with its 7-cycle window,
 // every probe refuted. Encoding and Release are outside the timer, so
-// the time is the search's alone; conflicts/op reports its size.
+// the time is the search's alone; conflicts/op reports its size (540
+// since commuted operand twins share one machine term; 3,615 before).
 func BenchmarkRefute(b *testing.B) {
 	b.Run("checksum_loop", func(b *testing.B) {
 		g, gm := saturated(b, programs.Checksum, "checksum_loop")

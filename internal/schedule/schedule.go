@@ -37,6 +37,7 @@ import (
 	"repro/internal/gma"
 	"repro/internal/obs"
 	"repro/internal/sat"
+	"repro/internal/semantics"
 	"repro/internal/term"
 )
 
@@ -46,7 +47,9 @@ type Options struct {
 	Desc *arch.Description
 	// DisableAtMostOncePerTerm drops the pruning constraint that each
 	// machine term launches at most once (ablation; the constraint is not
-	// needed for correctness).
+	// needed for correctness). Commuted operand twins share one machine
+	// term, so the pruning applies per instruction: add64(a,b) and
+	// add64(b,a) together launch at most once.
 	DisableAtMostOncePerTerm bool
 	// MaxConflicts bounds each SAT probe; 0 means unbounded.
 	MaxConflicts int64
@@ -299,7 +302,8 @@ func (p *Problem) setup() error {
 		addGoal(v)
 	}
 	// Build the cone and machine terms.
-	// termSeen dedups machine terms by operator and canonical arguments;
+	// termSeen dedups machine terms by class, operator and canonical
+	// arguments, so each instruction gets one set of launch variables;
 	// the key is built in a reused buffer and looked up without
 	// allocating.
 	termSeen := map[string]bool{}
@@ -331,11 +335,7 @@ func (p *Problem) setup() error {
 				continue
 			}
 			args := g.CanonArgs(id)
-			key = append(key[:0], n.Op...)
-			for _, a := range args {
-				key = append(key, ' ')
-				key = strconv.AppendInt(key, int64(a), 10)
-			}
+			key = p.termKey(key[:0], q, n.Op, args)
 			if termSeen[string(key)] {
 				found = true
 				continue
@@ -388,6 +388,35 @@ func (p *Problem) setup() error {
 		}
 	}
 	return nil
+}
+
+// termKey appends the identity of the instruction op(args) computing
+// class q to key. The commutativity axioms put both operand orders of a
+// commutative op in one class; when both operands are registers the two
+// orders are one instruction, so the key lists them in ascending class
+// order and only the node met first gets launch variables. With a
+// constant operand both orders stay: only the second operand slot takes
+// a literal (arch.OpInfo.LitArg), so add64(a,5) can be one addq where
+// add64(5,a) needs 5 in a register. The class is part of the key
+// because twins the axiom never merged (a saturation cut short) compute
+// different classes.
+func (p *Problem) termKey(key []byte, q egraph.ClassID, op string, args []egraph.ClassID) []byte {
+	key = strconv.AppendInt(key, int64(q), 10)
+	key = append(key, ' ')
+	key = append(key, op...)
+	if w, _ := semantics.LookupWordOp(op); w.Commutative && len(args) == 2 && args[0] > args[1] {
+		_, c0 := p.G.ConstValue(args[0])
+		_, c1 := p.G.ConstValue(args[1])
+		if !c0 && !c1 {
+			swapped := [2]egraph.ClassID{args[1], args[0]}
+			args = swapped[:]
+		}
+	}
+	for _, a := range args {
+		key = append(key, ' ')
+		key = strconv.AppendInt(key, int64(a), 10)
+	}
+	return key
 }
 
 // buildMterm computes the operand modes of a machine term.

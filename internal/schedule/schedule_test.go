@@ -10,7 +10,9 @@ import (
 	"repro/internal/egraph"
 	"repro/internal/gma"
 	"repro/internal/matcher"
+	"repro/internal/programs"
 	"repro/internal/sat"
+	"repro/internal/semantics"
 	"repro/internal/term"
 )
 
@@ -134,6 +136,96 @@ func TestLiteralOperandSkipsLdiq(t *testing.T) {
 	}
 	if st.Result != sat.Sat || len(sched.Launches) != 1 {
 		t.Fatalf("expected one-instruction schedule: %v %v", st.Result, sched)
+	}
+}
+
+// TestCommutedTwinsEncodedOnce: the commutativity axioms put both
+// operand orders of a commutative instruction in one class, and the
+// encoder gives each such pair one machine term. On byteswap4 and a
+// 4-operand sum, whose graphs hold such twins, no two encoded terms share
+// a class, a commutative op and a set of two register operands. With a
+// constant operand both orders stay, so (+ a 5) is still one addq with
+// the literal 5.
+func TestCommutedTwinsEncodedOnce(t *testing.T) {
+	bs4, bs4GMA := saturated(t, programs.Byteswap4, "byteswap4")
+	sum4GMA := simpleGMA("(+ a (+ b (+ c d)))", "a", "b", "c", "d")
+	sum4 := build(t, sum4GMA, 3, Options{}).G
+	for _, tc := range []struct {
+		name string
+		g    *egraph.Graph
+		gm   *gma.GMA
+	}{{"byteswap4", bs4, bs4GMA}, {"sum4", sum4, sum4GMA}} {
+		p, err := NewProblem(tc.g, tc.gm, 5, Options{Desc: alpha.EV6()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type twin struct {
+			class  egraph.ClassID
+			op     string
+			lo, hi egraph.ClassID
+		}
+		// registers returns op's two operands in ascending order when
+		// op commutes and neither operand is a constant.
+		registers := func(op string, args []egraph.ClassID) (lo, hi egraph.ClassID, ok bool) {
+			w, _ := semantics.LookupWordOp(op)
+			if !w.Commutative || len(args) != 2 {
+				return 0, 0, false
+			}
+			for _, a := range args {
+				if _, isConst := p.G.ConstValue(a); isConst {
+					return 0, 0, false
+				}
+			}
+			return min(args[0], args[1]), max(args[0], args[1]), true
+		}
+		twinsInGraph := 0
+		for _, q := range p.coneList {
+			for _, id := range p.G.ClassNodes(q) {
+				n := p.G.Node(id)
+				args := p.G.CanonArgs(id)
+				if _, _, ok := registers(n.Op, args); ok && args[0] < args[1] {
+					if sw, found := p.G.HasNode(n.Op, []egraph.ClassID{args[1], args[0]}); found && p.G.ClassOf(sw) == q {
+						twinsInGraph++
+					}
+				}
+			}
+		}
+		if twinsInGraph == 0 {
+			t.Fatalf("%s: the saturated graph holds no commuted twins; the test checks nothing", tc.name)
+		}
+		encoded := map[twin]bool{}
+		for _, mt := range p.terms {
+			if mt.isConst {
+				continue
+			}
+			op := p.G.Node(mt.node).Op
+			lo, hi, ok := registers(op, mt.args)
+			if !ok {
+				continue
+			}
+			k := twin{p.G.Find(mt.class), op, lo, hi}
+			if encoded[k] {
+				t.Errorf("%s: %s over classes %d and %d, computing %s, is encoded twice",
+					tc.name, op, lo, hi, mt.describe(p.G))
+			}
+			encoded[k] = true
+		}
+		if len(encoded) == 0 {
+			t.Fatalf("%s: no commutative term with two register operands was encoded", tc.name)
+		}
+	}
+
+	p := build(t, simpleGMA("(+ a 5)", "a"), 1, Options{})
+	sched, st, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Result != sat.Sat || len(sched.Launches) != 1 {
+		t.Fatalf("(+ a 5) at K=1: %v, want one instruction", st.Result)
+	}
+	l := sched.Launches[0]
+	if l.Mnemonic != "addq" || len(l.Args) != 2 || !l.Args[1].IsLit || l.Args[1].Lit != 5 {
+		t.Fatalf("(+ a 5) compiled to %q, want one addq with the literal 5", l.Text)
 	}
 }
 

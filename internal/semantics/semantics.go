@@ -127,73 +127,77 @@ func pow64(b, e uint64) uint64 {
 // WordOp describes a pure word-valued operator.
 type WordOp struct {
 	Arity int
-	Fn    func(a []uint64) uint64
+	// Commutative marks a binary operator whose two operands can be
+	// swapped without changing its value. The scheduler encodes one
+	// machine term for both operand orders of such an instruction.
+	Commutative bool
+	Fn          func(a []uint64) uint64
 }
 
 // wordOps is the table of all pure (memory-free) operators.
 var wordOps = map[string]WordOp{
 	// Mathematical operators (built-in axiom file).
-	"add64": {2, func(a []uint64) uint64 { return a[0] + a[1] }},
-	"sub64": {2, func(a []uint64) uint64 { return a[0] - a[1] }},
-	"mul64": {2, func(a []uint64) uint64 { return a[0] * a[1] }},
-	"neg64": {1, func(a []uint64) uint64 { return -a[0] }},
-	"umulh": {2, func(a []uint64) uint64 { hi, _ := bits.Mul64(a[0], a[1]); return hi }},
-	"not64": {1, func(a []uint64) uint64 { return ^a[0] }},
-	"**":    {2, func(a []uint64) uint64 { return pow64(a[0], a[1]) }},
+	"add64": {Arity: 2, Commutative: true, Fn: func(a []uint64) uint64 { return a[0] + a[1] }},
+	"sub64": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0] - a[1] }},
+	"mul64": {Arity: 2, Commutative: true, Fn: func(a []uint64) uint64 { return a[0] * a[1] }},
+	"neg64": {Arity: 1, Fn: func(a []uint64) uint64 { return -a[0] }},
+	"umulh": {Arity: 2, Commutative: true, Fn: func(a []uint64) uint64 { hi, _ := bits.Mul64(a[0], a[1]); return hi }},
+	"not64": {Arity: 1, Fn: func(a []uint64) uint64 { return ^a[0] }},
+	"**":    {Arity: 2, Fn: func(a []uint64) uint64 { return pow64(a[0], a[1]) }},
 
 	// Byte-array view of a word (selectb/storeb of the paper).
-	"selectb": {2, func(a []uint64) uint64 { return (a[0] >> byteShift(a[1])) & 0xff }},
-	"storeb": {3, func(a []uint64) uint64 {
+	"selectb": {Arity: 2, Fn: func(a []uint64) uint64 { return (a[0] >> byteShift(a[1])) & 0xff }},
+	"storeb": {Arity: 3, Fn: func(a []uint64) uint64 {
 		sh := byteShift(a[1])
 		return (a[0] &^ (uint64(0xff) << sh)) | ((a[2] & 0xff) << sh)
 	}},
 
 	// Alpha integer operate instructions.
-	"and64": {2, func(a []uint64) uint64 { return a[0] & a[1] }},
-	"bis":   {2, func(a []uint64) uint64 { return a[0] | a[1] }},
-	"xor64": {2, func(a []uint64) uint64 { return a[0] ^ a[1] }},
-	"bic":   {2, func(a []uint64) uint64 { return a[0] &^ a[1] }},
-	"ornot": {2, func(a []uint64) uint64 { return a[0] | ^a[1] }},
-	"eqv":   {2, func(a []uint64) uint64 { return a[0] ^ ^a[1] }},
+	"and64": {Arity: 2, Commutative: true, Fn: func(a []uint64) uint64 { return a[0] & a[1] }},
+	"bis":   {Arity: 2, Commutative: true, Fn: func(a []uint64) uint64 { return a[0] | a[1] }},
+	"xor64": {Arity: 2, Commutative: true, Fn: func(a []uint64) uint64 { return a[0] ^ a[1] }},
+	"bic":   {Arity: 2, Fn: func(a []uint64) uint64 { return a[0] &^ a[1] }},
+	"ornot": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0] | ^a[1] }},
+	"eqv":   {Arity: 2, Commutative: true, Fn: func(a []uint64) uint64 { return a[0] ^ ^a[1] }},
 
-	"sll": {2, func(a []uint64) uint64 { return a[0] << (a[1] & 63) }},
-	"srl": {2, func(a []uint64) uint64 { return a[0] >> (a[1] & 63) }},
-	"sra": {2, func(a []uint64) uint64 { return uint64(int64(a[0]) >> (a[1] & 63)) }},
+	"sll": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0] << (a[1] & 63) }},
+	"srl": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0] >> (a[1] & 63) }},
+	"sra": {Arity: 2, Fn: func(a []uint64) uint64 { return uint64(int64(a[0]) >> (a[1] & 63)) }},
 
-	"cmpeq":  {2, func(a []uint64) uint64 { return bit(a[0] == a[1]) }},
-	"cmpne":  {2, func(a []uint64) uint64 { return bit(a[0] != a[1]) }},
-	"cmplt":  {2, func(a []uint64) uint64 { return bit(int64(a[0]) < int64(a[1])) }},
-	"cmple":  {2, func(a []uint64) uint64 { return bit(int64(a[0]) <= int64(a[1])) }},
-	"cmpult": {2, func(a []uint64) uint64 { return bit(a[0] < a[1]) }},
-	"cmpule": {2, func(a []uint64) uint64 { return bit(a[0] <= a[1]) }},
+	"cmpeq":  {Arity: 2, Commutative: true, Fn: func(a []uint64) uint64 { return bit(a[0] == a[1]) }},
+	"cmpne":  {Arity: 2, Commutative: true, Fn: func(a []uint64) uint64 { return bit(a[0] != a[1]) }},
+	"cmplt":  {Arity: 2, Fn: func(a []uint64) uint64 { return bit(int64(a[0]) < int64(a[1])) }},
+	"cmple":  {Arity: 2, Fn: func(a []uint64) uint64 { return bit(int64(a[0]) <= int64(a[1])) }},
+	"cmpult": {Arity: 2, Fn: func(a []uint64) uint64 { return bit(a[0] < a[1]) }},
+	"cmpule": {Arity: 2, Fn: func(a []uint64) uint64 { return bit(a[0] <= a[1]) }},
 
-	"s4addq": {2, func(a []uint64) uint64 { return a[0]*4 + a[1] }},
-	"s8addq": {2, func(a []uint64) uint64 { return a[0]*8 + a[1] }},
-	"s4subq": {2, func(a []uint64) uint64 { return a[0]*4 - a[1] }},
-	"s8subq": {2, func(a []uint64) uint64 { return a[0]*8 - a[1] }},
+	"s4addq": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0]*4 + a[1] }},
+	"s8addq": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0]*8 + a[1] }},
+	"s4subq": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0]*4 - a[1] }},
+	"s8subq": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0]*8 - a[1] }},
 
-	"extbl": {2, func(a []uint64) uint64 { return (a[0] >> byteShift(a[1])) & 0xff }},
-	"extwl": {2, func(a []uint64) uint64 { return (a[0] >> byteShift(a[1])) & 0xffff }},
-	"extll": {2, func(a []uint64) uint64 { return (a[0] >> byteShift(a[1])) & 0xffffffff }},
-	"insbl": {2, func(a []uint64) uint64 { return (a[0] & 0xff) << byteShift(a[1]) }},
-	"inswl": {2, func(a []uint64) uint64 { return (a[0] & 0xffff) << byteShift(a[1]) }},
-	"insll": {2, func(a []uint64) uint64 { return (a[0] & 0xffffffff) << byteShift(a[1]) }},
-	"mskbl": {2, func(a []uint64) uint64 { return a[0] &^ (uint64(0xff) << byteShift(a[1])) }},
-	"mskwl": {2, func(a []uint64) uint64 { return a[0] &^ (uint64(0xffff) << byteShift(a[1])) }},
+	"extbl": {Arity: 2, Fn: func(a []uint64) uint64 { return (a[0] >> byteShift(a[1])) & 0xff }},
+	"extwl": {Arity: 2, Fn: func(a []uint64) uint64 { return (a[0] >> byteShift(a[1])) & 0xffff }},
+	"extll": {Arity: 2, Fn: func(a []uint64) uint64 { return (a[0] >> byteShift(a[1])) & 0xffffffff }},
+	"insbl": {Arity: 2, Fn: func(a []uint64) uint64 { return (a[0] & 0xff) << byteShift(a[1]) }},
+	"inswl": {Arity: 2, Fn: func(a []uint64) uint64 { return (a[0] & 0xffff) << byteShift(a[1]) }},
+	"insll": {Arity: 2, Fn: func(a []uint64) uint64 { return (a[0] & 0xffffffff) << byteShift(a[1]) }},
+	"mskbl": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0] &^ (uint64(0xff) << byteShift(a[1])) }},
+	"mskwl": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0] &^ (uint64(0xffff) << byteShift(a[1])) }},
 
-	"zap":    {2, func(a []uint64) uint64 { return a[0] & ^zapMask(a[1]) }},
-	"zapnot": {2, func(a []uint64) uint64 { return a[0] & zapMask(a[1]) }},
+	"zap":    {Arity: 2, Fn: func(a []uint64) uint64 { return a[0] & ^zapMask(a[1]) }},
+	"zapnot": {Arity: 2, Fn: func(a []uint64) uint64 { return a[0] & zapMask(a[1]) }},
 
 	// Conditional moves: cmovne(cond, src, old) keeps old unless cond is
 	// nonzero. (The hardware reads the destination register as the third
 	// operand; the model makes that explicit.)
-	"cmovne": {3, func(a []uint64) uint64 {
+	"cmovne": {Arity: 3, Fn: func(a []uint64) uint64 {
 		if a[0] != 0 {
 			return a[1]
 		}
 		return a[2]
 	}},
-	"cmoveq": {3, func(a []uint64) uint64 {
+	"cmoveq": {Arity: 3, Fn: func(a []uint64) uint64 {
 		if a[0] == 0 {
 			return a[1]
 		}
@@ -202,7 +206,7 @@ var wordOps = map[string]WordOp{
 
 	// ldiq materializes a constant into a register; as a function it is
 	// the identity on its (constant) operand.
-	"ldiq": {1, func(a []uint64) uint64 { return a[0] }},
+	"ldiq": {Arity: 1, Fn: func(a []uint64) uint64 { return a[0] }},
 }
 
 // zapMask expands the low 8 bits of m into a byte-granular mask: bit i of m

@@ -1,6 +1,7 @@
 package semantics
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -300,5 +301,53 @@ func TestKnownOps(t *testing.T) {
 		if !found[want] {
 			t.Errorf("KnownOps missing %s", want)
 		}
+	}
+}
+
+// TestCommutativeFlag: every op flagged Commutative is binary and gives
+// the same value for both operand orders on random inputs, and every
+// unflagged binary op has a counterexample among them. The scheduler
+// encodes one machine term for both orders of a flagged op, so a wrong
+// flag would let it emit the wrong instruction.
+func TestCommutativeFlag(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	inputs := make([][2]uint64, 2000)
+	for i := range inputs {
+		inputs[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
+	}
+	// Small values too, so the compares and the byte-index operands meet
+	// equal operands and in-range indices.
+	for i := 0; i < 200; i++ {
+		inputs = append(inputs, [2]uint64{rng.Uint64N(8), rng.Uint64N(8)})
+	}
+	flagged := 0
+	for op, w := range wordOps {
+		if w.Commutative && w.Arity != 2 {
+			t.Errorf("%s is flagged commutative with arity %d", op, w.Arity)
+			continue
+		}
+		if w.Arity != 2 {
+			continue
+		}
+		counter := -1
+		for i, in := range inputs {
+			if w.Fn([]uint64{in[0], in[1]}) != w.Fn([]uint64{in[1], in[0]}) {
+				counter = i
+				break
+			}
+		}
+		switch {
+		case w.Commutative && counter >= 0:
+			t.Errorf("%s is flagged commutative but %s(%#x, %#x) differs from the swapped order",
+				op, op, inputs[counter][0], inputs[counter][1])
+		case !w.Commutative && counter < 0:
+			t.Errorf("%s commutes on every input tried but is not flagged", op)
+		}
+		if w.Commutative {
+			flagged++
+		}
+	}
+	if flagged != 9 {
+		t.Errorf("%d ops flagged commutative, want 9 (add64 mul64 umulh and64 bis xor64 eqv cmpeq cmpne)", flagged)
 	}
 }
