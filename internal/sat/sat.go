@@ -1160,13 +1160,21 @@ func (s *Solver) noise(v int) float64 {
 // still favours the clauses that were active before the reset.
 func (s *Solver) ResetActivities() {
 	s.resets++
-	for v := range s.activity {
-		s.activity[v] = s.noise(v)
-	}
 	s.varInc = 1.0
 	s.claInc = 1.0
 	s.heap = s.heap[:0]
-	for v := range s.heapPos {
+	if noiseSeed == 0 {
+		// Every activity tied: inserting the variables in order leaves
+		// each where it lands, so the heap is the variables in order.
+		clear(s.activity)
+		for v := range s.heapPos {
+			s.heap = append(s.heap, int32(v))
+			s.heapPos[v] = int32(v)
+		}
+		return
+	}
+	for v := range s.activity {
+		s.activity[v] = s.noise(v)
 		s.heapPos[v] = -1
 	}
 	for v := 0; v < s.NumVars(); v++ {
