@@ -304,19 +304,19 @@ func (s *saturation) instantiate(ax *axioms.Axiom, r *rule, row []egraph.ClassID
 	g := s.g
 	switch ax.Kind {
 	case axioms.Equality:
-		l := g.Instantiate(r.lhs, row)
-		rr := g.Instantiate(r.rhs, row)
-		return g.Merge(l, rr)
+		lhs := g.Instantiate(r.lhs, row)
+		rhs := g.Instantiate(r.rhs, row)
+		return g.Merge(lhs, rhs)
 	case axioms.Distinction:
-		l := g.Instantiate(r.lhs, row)
-		rr := g.Instantiate(r.rhs, row)
-		if g.Find(l) == g.Find(rr) {
+		lhs := g.Instantiate(r.lhs, row)
+		rhs := g.Instantiate(r.rhs, row)
+		if g.Find(lhs) == g.Find(rhs) {
 			return fmt.Errorf("distinction %s contradicted", ax.Name)
 		}
-		if g.Distinct(l, rr) {
+		if g.Distinct(lhs, rhs) {
 			return nil
 		}
-		return g.AssertDistinct(l, rr)
+		return g.AssertDistinct(lhs, rhs)
 	default:
 		lits := make([]egraph.Literal, 0, len(r.clause))
 		for _, cl := range r.clause {
